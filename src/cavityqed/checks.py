@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import airy_shift, dipole_response, quadrature, ray_model, specfun, wave_ops
+from .cli import pv_oracle_errors
 from .structures import CavityGeometry, DipoleOrientation, FieldPoint, HarmonicBasis
 
 __all__ = ["CHECKS", "run_checks"]
@@ -98,19 +99,8 @@ def _airy_forms():
 def _pv_oracle():
     worst = 0.0
     for rho, phi in ((0.9, 0.1), (0.5, 0.7)):
-        ker = lambda d: airy_shift.airy_lorentzian(phi - d, rho)
-        got = quadrature.pv_integrate(
-            ker, period=math.pi, num_periods=1024,
-            refine_points=[phi % math.pi, (-phi) % math.pi]).value
-        ref = float(airy_shift.pv_shift(phi, rho))
-        worst = max(worst, abs(got - ref) / abs(ref))
-        kc = lambda d: airy_shift.airy_lorentzian(phi - d, rho) * np.cos(phi - d)
-        got = quadrature.pv_integrate(
-            kc, period=2 * math.pi, num_periods=1024,
-            refine_points=[phi % (2 * math.pi), (phi + math.pi) % (2 * math.pi),
-                           (-phi) % (2 * math.pi), (math.pi - phi) % (2 * math.pi)]).value
-        ref = float(airy_shift.pv_shift_cos(phi, rho))
-        worst = max(worst, abs(got - ref) / abs(ref))
+        for _, err in pv_oracle_errors(rho, phi, 1024):
+            worst = max(worst, err)
     return worst < 1e-6, f"max relative deviation {worst:.2e} (tol 1e-6)"
 
 
@@ -124,16 +114,38 @@ def _ray_nonnegative():
     return bool(np.all(m >= -1e-12)), f"min value {float(np.min(m)):.2e}"
 
 
+def _gamma_kernel_symmetric(phi, x, rho):
+    """Equal-mirror damping kernel, the oracle of airy_resonance_factor:
+    T cos^2(x)/|1 - rho e^{2i phi}|^2 + T sin^2(x)/|1 + rho e^{2i phi}|^2."""
+    t = 1.0 - rho * rho
+    cos2phi = np.cos(2.0 * phi)
+    d_minus = 1.0 + rho * rho - 2.0 * rho * cos2phi
+    d_plus = 1.0 + rho * rho + 2.0 * rho * cos2phi
+    return t * np.cos(x) ** 2 / d_minus + t * np.sin(x) ** 2 / d_plus
+
+
+def _shift_kernel_symmetric(phi, x, rho):
+    """Equal-mirror shift kernel, the oracle of dipole_response.shift_kernel:
+    rho sin(2 phi) [cos^2(x)/|1 - rho e^{2i phi}|^2 - sin^2(x)/|1 + rho e^{2i phi}|^2]."""
+    cos2phi = np.cos(2.0 * phi)
+    d_minus = 1.0 + rho * rho - 2.0 * rho * cos2phi
+    d_plus = 1.0 + rho * rho + 2.0 * rho * cos2phi
+    return rho * np.sin(2.0 * phi) * (np.cos(x) ** 2 / d_minus - np.sin(x) ** 2 / d_plus)
+
+
 def _ray_symmetric_reduction():
     rng = np.random.default_rng(12)
     phis = rng.uniform(-math.pi, math.pi, 2000)
     xs = rng.uniform(-30, 30, 2000)
     rho = rng.uniform(0, 0.995, 2000)
-    a = ray_model.airy_resonance_factor(phis, xs, rho, rho)
-    b = dipole_response.gamma_kernel_symmetric(phis, xs, rho)
-    # deviation normalized to the factor's own scale (resonant values reach
-    # T/(1-rho)^2, where an absolute float64 comparison is meaningless)
-    worst = float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))))
+    worst = 0.0
+    for a, b in ((ray_model.airy_resonance_factor(phis, xs, rho, rho),
+                  _gamma_kernel_symmetric(phis, xs, rho)),
+                 (dipole_response.shift_kernel(phis, xs, rho, rho),
+                  _shift_kernel_symmetric(phis, xs, rho))):
+        # deviation normalized to the kernel's own scale (resonant values
+        # reach T/(1-rho)^2, where an absolute float64 comparison is meaningless)
+        worst = max(worst, float(np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b)))))
     return worst < 1e-12, f"max normalized deviation {worst:.2e} (tol 1e-12)"
 
 
@@ -229,7 +241,6 @@ def _center_closed_forms():
             closed = dipole_response.center_closed_forms(orientation, geom.theta_m1,
                                                          geom.rho1, phi0)
             quad = dipole_response.response(FieldPoint.origin(), orientation, geom, phi0,
-                                            method="ray-symmetric",
                                             aberration=False, diffraction=False)
             worst = max(worst, abs(closed.gamma_ratio - quad.gamma_ratio),
                         abs(closed.shift_ratio - quad.shift_ratio))

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Subcommands: `run` executes a JSON scenario configuration, `reproduce` runs a
-bundled preset (or lists them), `validate` runs the invariant suite, and
-`airy-check` compares the closed-form dispersive kernels against the
-principal-value quadrature oracle. Scan points are dispatched to a thread
-pool of configurable size; results are gathered in index order, so the
-output is bit-identical for any parallelism degree.
+bundled preset (or lists them), and `validate` runs the invariant suite.
+Scan points are evaluated one after another, in scan order. The comparison
+of the closed-form dispersive kernels with the principal-value quadrature
+oracle is the `airy-check` scan kind (`reproduce airy-check`, or `run` with
+`scan.kind = "airy-check"`); `validate --filter pv-oracle` gives its
+pass/fail verdict.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validity warning escalated by --strict.
@@ -15,15 +16,13 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, checks
+from . import __version__
 from .airy_shift import airy_lorentzian, pv_shift, pv_shift_cos, pv_shift_sin
 from .io_formats import (
     Column,
@@ -70,28 +69,6 @@ _NUMERICAL_ERRORS = (
 )
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("CAVITYQED_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items, jobs: int) -> list:
-    """Map preserving order; values are gathered by index so the result does
-    not depend on the parallelism degree."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    out = [None] * len(items)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {pool.submit(fn, it): i for i, it in enumerate(items)}
-        for fut, i in futures.items():
-            out[i] = fut.result()
-    return out
-
-
 def _linspace(r) -> np.ndarray:
     return np.linspace(r.start, r.stop, r.count)
 
@@ -100,32 +77,25 @@ def _linspace(r) -> np.ndarray:
 # scan executors: each returns (table, plot_kind, summary_lines)
 
 
-def _exec_detuning_sweep(cfg: ScenarioConfig, jobs: int):
+def _exec_detuning_sweep(cfg: ScenarioConfig):
     geom = cfg.geometry
     point = FieldPoint(cfg.scan.point)
     phis = _linspace(cfg.scan.phi0_range)
     width = cavity_linewidth(geom.rho1, geom.rho2)
     tags = ("parallel", "perpendicular", "isotropic")
-
-    def task(phi0):
-        out = []
-        for tag in tags:
-            r = response(point, DipoleOrientation(tag=tag), geom, float(phi0),
-                         method=cfg.scan.method,
-                         polar_order=cfg.numerics.polar_order,
-                         azimuthal_order=cfg.numerics.azimuthal_order)
-            out.extend((r.gamma_ratio, r.shift_ratio))
-        return out
-
-    results = _pmap(task, phis, jobs)
     columns = (Column("phi0", "rad"), Column("phi0_linewidths"),
                Column("gamma_parallel", "ratio"), Column("shift_parallel", "ratio"),
                Column("gamma_perpendicular", "ratio"), Column("shift_perpendicular", "ratio"),
                Column("gamma_isotropic", "ratio"), Column("shift_isotropic", "ratio"))
     rows = []
-    for phi0, vals in zip(phis, results):
-        gp, sp, gq, sq, gi, si = vals
-        rows.append((float(phi0), float(phi0) / width * 2.0, gp, sp, gq, sq, gi, si))
+    for phi0 in phis:
+        row = [float(phi0), float(phi0) / width * 2.0]
+        for tag in tags:
+            r = response(point, DipoleOrientation(tag=tag), geom, float(phi0),
+                         polar_order=cfg.numerics.polar_order,
+                         azimuthal_order=cfg.numerics.azimuthal_order)
+            row.extend((r.gamma_ratio, r.shift_ratio))
+        rows.append(tuple(row))
     g_perp = [r[4] for r in rows]
     s_perp = [r[5] for r in rows]
     i_peak = int(np.argmax(g_perp))
@@ -136,62 +106,56 @@ def _exec_detuning_sweep(cfg: ScenarioConfig, jobs: int):
         f"largest perpendicular shift {s_perp[i_shift]:+.4g} at phi0 = {rows[i_shift][0]:+.5g} rad",
     ]
     table = ResultTable(columns, rows,
-                        make_provenance(cfg, [cfg.scan.method],
-                                        {"linewidth_rad": width}))
+                        make_provenance(cfg, ["ray"], {"linewidth_rad": width}))
     return table, "detuning-sweep", summary
 
 
-def _exec_axial_profile(cfg: ScenarioConfig, jobs: int):
-    geom = cfg.geometry
-    kzs = _linspace(cfg.scan.kz_range)
-
-    def task(kz):
-        r = response(FieldPoint.axial(float(kz)), cfg.dipole, geom, cfg.scan.phi0,
-                     method=cfg.scan.method,
+def _response_rows(cfg: ScenarioConfig, coords, place):
+    """(coordinate, gamma ratio, shift ratio) rows of cfg.dipole at the
+    points place(coordinate), at the scan's fixed detuning."""
+    rows = []
+    for c in coords:
+        r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0,
                      polar_order=cfg.numerics.polar_order,
                      azimuthal_order=cfg.numerics.azimuthal_order)
-        return r.gamma_ratio, r.shift_ratio
+        rows.append((float(c), r.gamma_ratio, r.shift_ratio))
+    return rows
 
-    results = _pmap(task, kzs, jobs)
+
+def _exec_axial_profile(cfg: ScenarioConfig):
+    kzs = _linspace(cfg.scan.kz_range)
     columns = (Column("kz", "1/k"), Column("gamma_ratio", "ratio"),
-               Column("shift_ratio", "ratio"), Column("method"))
-    rows = [(float(kz), g, s, cfg.scan.method) for kz, (g, s) in zip(kzs, results)]
+               Column("shift_ratio", "ratio"))
+    rows = _response_rows(cfg, kzs, FieldPoint.axial)
     gammas = [r[1] for r in rows]
     summary = [
         f"gamma ratio at kz={rows[0][0]:g}: {gammas[0]:.4g}",
         f"max gamma ratio {max(gammas):.4g} at kz={rows[int(np.argmax(gammas))][0]:g}",
     ]
-    table = ResultTable(columns, rows, make_provenance(cfg, [cfg.scan.method]))
+    table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
     return table, "axial-profile", summary
 
 
-def _exec_radial_map(cfg: ScenarioConfig, jobs: int):
-    geom = cfg.geometry
+def _exec_radial_map(cfg: ScenarioConfig):
     kxs = _linspace(cfg.scan.kx_range)
-
-    def task(kx):
-        r = response(FieldPoint.transverse(float(kx)), cfg.dipole, geom, cfg.scan.phi0,
-                     method=cfg.scan.method,
-                     polar_order=cfg.numerics.polar_order,
-                     azimuthal_order=cfg.numerics.azimuthal_order)
-        return r.gamma_ratio, r.shift_ratio
-
-    results = _pmap(task, kxs, jobs)
     columns = (Column("kx", "1/k"), Column("gamma_ratio", "ratio"),
-               Column("shift_ratio", "ratio"), Column("method"))
-    rows = [(float(kx), g, s, cfg.scan.method) for kx, (g, s) in zip(kxs, results)]
+               Column("shift_ratio", "ratio"))
+    rows = _response_rows(cfg, kxs, FieldPoint.transverse)
     summary = [f"transverse profile over kx in [{kxs[0]:g}, {kxs[-1]:g}]"]
-    table = ResultTable(columns, rows, make_provenance(cfg, [cfg.scan.method]))
+    table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
     return table, "radial-map", summary
 
 
-def _exec_compare(cfg: ScenarioConfig, jobs: int):
+def _exec_compare(cfg: ScenarioConfig):
     geom = cfg.geometry
     kzs = _linspace(cfg.scan.kz_range)
     basis = HarmonicBasis(cfg.numerics.l_max)
     ops = build_operators(geom, basis, operator_grid(geom, basis.l_max), m_values=(0,))
-
-    def task(kz):
+    columns = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
+               Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
+               Column("rel_deviation"))
+    rows = []
+    for kz in kzs:
         point = FieldPoint.axial(float(kz))
         full = enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
                                 tail_tol=cfg.numerics.tail_tol).value
@@ -202,13 +166,7 @@ def _exec_compare(cfg: ScenarioConfig, jobs: int):
                                 aberration=False, diffraction=False,
                                 polar_order=cfg.numerics.polar_order,
                                 azimuthal_order=cfg.numerics.azimuthal_order).value
-        return full, ray, naive
-
-    results = _pmap(task, kzs, jobs)
-    columns = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
-               Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
-               Column("rel_deviation"))
-    rows = [(float(kz), f, r, n, abs(f - r) / f) for kz, (f, r, n) in zip(kzs, results)]
+        rows.append((float(kz), full, ray, naive, abs(full - ray) / full))
     max_dev = max(r[4] for r in rows)
     summary = [f"max |full - ray|/full over the profile: {max_dev:.3%}"]
     accuracy = {"max_rel_deviation": max_dev, "l_max": cfg.numerics.l_max}
@@ -228,7 +186,7 @@ def _exec_compare(cfg: ScenarioConfig, jobs: int):
     return table, "compare", summary
 
 
-def _exec_defocus_study(cfg: ScenarioConfig, jobs: int):
+def _exec_defocus_study(cfg: ScenarioConfig):
     geom = cfg.geometry
     if geom.k_delta == 0.0:
         raise ConfigError(["defocus-study requires geometry.k_delta != 0"])
@@ -236,18 +194,14 @@ def _exec_defocus_study(cfg: ScenarioConfig, jobs: int):
                                geom.rho1, geom.rho2, 0.0)
     point = FieldPoint(cfg.scan.point)
     phis = _linspace(cfg.scan.phi0_range)
-
-    def task(phi0):
-        ref = enhancement_ray(reference, point, float(phi0),
-                              polar_order=cfg.numerics.polar_order).value
-        defo = enhancement_ray(geom, point, float(phi0),
-                               polar_order=cfg.numerics.polar_order).value
-        return ref, defo
-
-    results = _pmap(task, phis, jobs)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),
                Column("enhancement_defocused", "ratio"))
-    rows = [(float(p), a, b) for p, (a, b) in zip(phis, results)]
+    rows = [(float(p),
+             enhancement_ray(reference, point, float(p),
+                             polar_order=cfg.numerics.polar_order).value,
+             enhancement_ray(geom, point, float(p),
+                             polar_order=cfg.numerics.polar_order).value)
+            for p in phis]
     refs = [r[1] for r in rows]
     defs_ = [r[2] for r in rows]
     i_ref, i_def = int(np.argmax(refs)), int(np.argmax(defs_))
@@ -265,50 +219,46 @@ def _exec_defocus_study(cfg: ScenarioConfig, jobs: int):
     return table, "defocus-study", summary
 
 
-def _airy_refine_points(phi: float, period: float, with_trig: bool):
-    if with_trig:
-        return [phi % period, (phi + math.pi) % period,
-                (-phi) % period, (math.pi - phi) % period]
-    return [phi % period, (-phi) % period]
+def pv_oracle_errors(rho: float, phi: float, num_periods: int):
+    """Closed-form shift kernels at (rho, phi) against the principal-value
+    quadrature oracle. Returns ((value, relative error), ...) for the plain,
+    cos-weighted and sin-weighted kernels, in that order."""
+    two_pi = 2.0 * math.pi
+    # resonance peaks of the line inside one period, mirrored for the odd part
+    trig_peaks = [phi % two_pi, (phi + math.pi) % two_pi,
+                  (-phi) % two_pi, (math.pi - phi) % two_pi]
+    cases = (
+        (lambda d: airy_lorentzian(phi - d, rho), pv_shift, math.pi,
+         [phi % math.pi, (-phi) % math.pi]),
+        (lambda d: airy_lorentzian(phi - d, rho) * np.cos(phi - d), pv_shift_cos, two_pi,
+         trig_peaks),
+        (lambda d: airy_lorentzian(phi - d, rho) * np.sin(phi - d), pv_shift_sin, two_pi,
+         trig_peaks),
+    )
+    out = []
+    for kernel, closed, period, refine in cases:
+        got = pv_integrate(kernel, period=period, num_periods=num_periods,
+                           refine_points=refine, tol=1e-6)
+        ref = float(closed(phi, rho))
+        out.append((ref, abs(got.value - ref) / abs(ref)))
+    return tuple(out)
 
 
-def _exec_airy_check(cfg: ScenarioConfig, jobs: int):
+def _exec_airy_check(cfg: ScenarioConfig):
     rhos = cfg.scan.rhos
     n = cfg.scan.phase_count
     half = max(1, n // 2)
     base = np.linspace(0.05, 1.35, half)
     phis = np.concatenate([base, -base])[:n]
-
-    def task(item):
-        rho, phi = item
-        ker = lambda d: airy_lorentzian(phi - d, rho)
-        got = pv_integrate(ker, period=math.pi, num_periods=2048,
-                           refine_points=_airy_refine_points(phi, math.pi, False),
-                           tol=1e-6)
-        ref = float(pv_shift(phi, rho))
-        e1 = abs(got.value - ref) / abs(ref)
-        kc = lambda d: airy_lorentzian(phi - d, rho) * np.cos(phi - d)
-        got_c = pv_integrate(kc, period=2 * math.pi, num_periods=2048,
-                             refine_points=_airy_refine_points(phi, 2 * math.pi, True),
-                             tol=1e-6)
-        ref_c = float(pv_shift_cos(phi, rho))
-        e2 = abs(got_c.value - ref_c) / abs(ref_c)
-        ks = lambda d: airy_lorentzian(phi - d, rho) * np.sin(phi - d)
-        got_s = pv_integrate(ks, period=2 * math.pi, num_periods=2048,
-                             refine_points=_airy_refine_points(phi, 2 * math.pi, True),
-                             tol=1e-6)
-        ref_s = float(pv_shift_sin(phi, rho))
-        e3 = abs(got_s.value - ref_s) / abs(ref_s)
-        return ref, e1, ref_c, e2, ref_s, e3
-
-    items = [(rho, float(phi)) for rho in rhos for phi in phis]
-    results = _pmap(task, items, jobs)
     columns = (Column("rho"), Column("phi", "rad"),
                Column("shift_closed"), Column("rel_err_shift"),
                Column("shift_cos_closed"), Column("rel_err_shift_cos"),
                Column("shift_sin_closed"), Column("rel_err_shift_sin"))
-    rows = [(rho, phi, v1, e1, v2, e2, v3, e3)
-            for (rho, phi), (v1, e1, v2, e2, v3, e3) in zip(items, results)]
+    rows = []
+    for rho in rhos:
+        for phi in phis:
+            (v1, e1), (v2, e2), (v3, e3) = pv_oracle_errors(rho, float(phi), 2048)
+            rows.append((rho, float(phi), v1, e1, v2, e2, v3, e3))
     worst = max(max(r[3], r[5], r[7]) for r in rows)
     summary = [f"max relative error of the closed forms vs the quadrature oracle: {worst:.2e}",
                f"grid: {len(rhos)} reflectivities x {len(phis)} phases"]
@@ -328,10 +278,10 @@ _EXECUTORS = {
 }
 
 
-def run_scenario(cfg: ScenarioConfig, out_dir: Path, jobs: int):
+def run_scenario(cfg: ScenarioConfig, out_dir: Path):
     """Execute one scenario and write its table, JSON document and plot
     script into out_dir. Returns the summary lines."""
-    table, plot_kind, summary = _EXECUTORS[cfg.scan.kind](cfg, jobs)
+    table, plot_kind, summary = _EXECUTORS[cfg.scan.kind](cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.outputs.basename
     written = []
@@ -349,11 +299,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path, jobs: int):
     return summary
 
 
-def _execute(cfg: ScenarioConfig, out_dir: Path, jobs: int, strict: bool) -> int:
+def _execute(cfg: ScenarioConfig, out_dir: Path, strict: bool) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         warnings.simplefilter("always", ValidityWarning)
-        summary = run_scenario(cfg, out_dir, jobs)
+        summary = run_scenario(cfg, out_dir)
     for line in summary:
         print(line)
     validity = [w for w in caught
@@ -372,7 +322,7 @@ def _cmd_run(args) -> int:
         print(f"config file not found: {path}", file=sys.stderr)
         return EXIT_CONFIG
     cfg = parse_config(path.read_text(encoding="utf-8"))
-    return _execute(cfg, Path(args.out), args.jobs, args.strict)
+    return _execute(cfg, Path(args.out), args.strict)
 
 
 def _cmd_reproduce(args) -> int:
@@ -385,33 +335,14 @@ def _cmd_reproduce(args) -> int:
               file=sys.stderr)
         return EXIT_CONFIG
     cfg = preset_config(args.preset)
-    return _execute(cfg, Path(args.out), args.jobs, args.strict)
+    return _execute(cfg, Path(args.out), args.strict)
 
 
 def _cmd_validate(args) -> int:
+    from . import checks  # checks imports from this module
+
     ok = checks.run_checks(args.filter)
     return EXIT_OK if ok else EXIT_NUMERICAL
-
-
-def _cmd_airy_check(args) -> int:
-    worst = 0.0
-    for rho in args.rho:
-        if not 0.0 <= rho < 1.0:
-            print(f"reflectivity must lie in [0, 1), got {rho}", file=sys.stderr)
-            return EXIT_CONFIG
-        half = max(1, args.phi_steps // 2)
-        base = np.linspace(0.05, 1.35, half)
-        for phi in np.concatenate([base, -base])[: args.phi_steps]:
-            phi = float(phi)
-            ker = lambda d: airy_lorentzian(phi - d, rho)
-            got = pv_integrate(ker, period=math.pi, num_periods=2048,
-                               refine_points=_airy_refine_points(phi, math.pi, False),
-                               tol=1e-6)
-            err = abs(got.value - float(pv_shift(phi, rho))) / abs(float(pv_shift(phi, rho)))
-            worst = max(worst, err)
-        print(f"rho = {rho}: max relative error so far {worst:.2e}")
-    print(f"max relative error: {worst:.2e}")
-    return EXIT_OK if worst < 1e-5 else EXIT_NUMERICAL
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -426,8 +357,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a JSON scenario configuration")
     p_run.add_argument("--config", required=True, help="path to the scenario JSON")
     p_run.add_argument("--out", required=True, help="output directory")
-    p_run.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker threads (env CAVITYQED_JOBS)")
     p_run.add_argument("--strict", action="store_true",
                        help="escalate validity warnings to exit code 4")
     p_run.set_defaults(func=_cmd_run)
@@ -435,28 +364,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser("reproduce", help="run a bundled preset (omit name to list)")
     p_rep.add_argument("preset", nargs="?", default=None)
     p_rep.add_argument("--out", default="cavityqed-out", help="output directory")
-    p_rep.add_argument("--jobs", type=int, default=_default_jobs())
     p_rep.add_argument("--strict", action="store_true")
     p_rep.set_defaults(func=_cmd_reproduce)
 
     p_val = sub.add_parser("validate", help="run the invariant suite")
     p_val.add_argument("--filter", default=None, help="substring filter on check names")
     p_val.set_defaults(func=_cmd_validate)
-
-    p_airy = sub.add_parser("airy-check",
-                            help="closed-form shift kernel vs quadrature oracle")
-    p_airy.add_argument("--rho", type=float, action="append", default=None,
-                        help="reflectivity (repeatable)")
-    p_airy.add_argument("--phi-steps", type=int, default=32)
-    p_airy.set_defaults(func=_cmd_airy_check)
     return parser
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "airy-check" and args.rho is None:
-        args.rho = [0.1, 0.5, 0.9, 0.98]
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -15,10 +15,11 @@ import math
 import warnings
 
 import numpy as np
-from scipy.special import roots_legendre
 
+from .quadrature import polar_rule
 from .ray_model import (
     RAY_VALIDITY_KR,
+    _auto_azimuthal_order,
     airy_resonance_factor,
     ray_direction_phases,
     ray_integration_nodes,
@@ -34,8 +35,6 @@ from .structures import (
 __all__ = [
     "polarization_factor",
     "orientation_weight",
-    "gamma_kernel_symmetric",
-    "shift_kernel_symmetric",
     "shift_kernel",
     "response",
     "gamma_ratio",
@@ -43,8 +42,6 @@ __all__ = [
     "center_closed_forms",
     "one_mirror_response",
 ]
-
-_METHODS = ("ray-symmetric", "ray-asymmetric")
 
 
 def polarization_factor(d_hat, omega_hat):
@@ -80,34 +77,12 @@ def orientation_weight(orientation: DipoleOrientation, theta, phi_az):
     return 1.5 * (1.0 - dot**2)
 
 
-def gamma_kernel_symmetric(phi, x, rho):
-    """Equal-mirror damping kernel:
-    T cos^2(x)/|1 - rho e^{2i phi}|^2 + T sin^2(x)/|1 + rho e^{2i phi}|^2."""
-    phi = np.asarray(phi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    t = 1.0 - rho * rho
-    cos2phi = np.cos(2.0 * phi)
-    d_minus = 1.0 + rho * rho - 2.0 * rho * cos2phi
-    d_plus = 1.0 + rho * rho + 2.0 * rho * cos2phi
-    return t * np.cos(x) ** 2 / d_minus + t * np.sin(x) ** 2 / d_plus
-
-
-def shift_kernel_symmetric(phi, x, rho):
-    """Equal-mirror shift kernel:
-    rho sin(2 phi) [cos^2(x)/|1 - rho e^{2i phi}|^2 - sin^2(x)/|1 + rho e^{2i phi}|^2]."""
-    phi = np.asarray(phi, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    cos2phi = np.cos(2.0 * phi)
-    d_minus = 1.0 + rho * rho - 2.0 * rho * cos2phi
-    d_plus = 1.0 + rho * rho + 2.0 * rho * cos2phi
-    return rho * np.sin(2.0 * phi) * (np.cos(x) ** 2 / d_minus - np.sin(x) ** 2 / d_plus)
-
-
 def shift_kernel(phi, x, rho1, rho2):
     """General two-mirror shift kernel with antinode, node and imbalance
     terms over the round-trip resonance denominator |1 - rho1 rho2 e^{4i phi}|^2;
-    reduces to shift_kernel_symmetric for rho1 = rho2 and vanishes without
-    mirrors."""
+    for rho1 = rho2 = rho it reduces to the equal-mirror form
+    rho sin(2 phi) [cos^2(x)/|1 - rho e^{2i phi}|^2 - sin^2(x)/|1 + rho e^{2i phi}|^2],
+    and it vanishes without mirrors."""
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
     rho1 = np.asarray(rho1, dtype=float)
@@ -131,7 +106,6 @@ def response(
     geom: CavityGeometry,
     phi0: float,
     *,
-    method: str = "ray-asymmetric",
     aberration: bool = True,
     diffraction: bool = True,
     polar_order: int | None = None,
@@ -140,14 +114,12 @@ def response(
     """Damping-rate and level-shift ratios by angular quadrature of the
     polarization weight times the ray kernels.
 
-    method "ray-symmetric" uses the equal-mirror two-series kernels and
-    requires a symmetric cavity; "ray-asymmetric" uses the general
-    three-term kernels and handles unequal mirrors and apertures.
+    The damping samples airy_resonance_factor and the shift samples
+    shift_kernel. Both are the general two-mirror kernels, so unequal
+    mirrors, unequal apertures and defocus are handled. The result is tagged
+    method "ray", as is enhancement_ray, whose value the isotropic damping
+    ratio reproduces.
     """
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {_METHODS}")
-    if method == "ray-symmetric" and not geom.is_symmetric:
-        raise ValueError("ray-symmetric method requires a symmetric cavity")
     if point.kr > RAY_VALIDITY_KR:
         warnings.warn(
             f"kr={point.kr:.3g} beyond the validated ray-model range",
@@ -164,18 +136,14 @@ def response(
         geom, point, phi0, th2, ph2, aberration=aberration, diffraction=diffraction
     )
     pol = np.broadcast_to(orientation_weight(orientation, th2, ph2), x_eff.shape)
-    if method == "ray-symmetric":
-        g = gamma_kernel_symmetric(phi_eff, x_eff, rho_f)
-        s = shift_kernel_symmetric(phi_eff, x_eff, rho_f)
-    else:
-        g = airy_resonance_factor(phi_eff, x_eff, rho_f, rho_b)
-        s = shift_kernel(phi_eff, x_eff, rho_f, rho_b)
+    g = airy_resonance_factor(phi_eff, x_eff, rho_f, rho_b)
+    s = shift_kernel(phi_eff, x_eff, rho_f, rho_b)
     gamma = float(np.dot(w, (pol * g).mean(axis=1)))
     shift = float(np.dot(w, (pol * s).mean(axis=1)))
     return ResponseResult(
         gamma_ratio=gamma,
         shift_ratio=shift,
-        method=method,
+        method="ray",
         detail={
             "aberration": aberration,
             "diffraction": diffraction,
@@ -186,12 +154,12 @@ def response(
     )
 
 
-def gamma_ratio(point, orientation, geom, phi0, method="ray-asymmetric", **kwargs) -> float:
-    return response(point, orientation, geom, phi0, method=method, **kwargs).gamma_ratio
+def gamma_ratio(point, orientation, geom, phi0, **kwargs) -> float:
+    return response(point, orientation, geom, phi0, **kwargs).gamma_ratio
 
 
-def shift_ratio(point, orientation, geom, phi0, method="ray-asymmetric", **kwargs) -> float:
-    return response(point, orientation, geom, phi0, method=method, **kwargs).shift_ratio
+def shift_ratio(point, orientation, geom, phi0, **kwargs) -> float:
+    return response(point, orientation, geom, phi0, **kwargs).shift_ratio
 
 
 def center_closed_forms(
@@ -231,13 +199,6 @@ def center_closed_forms(
     )
 
 
-def _cap_rule(theta_m: float, order: int):
-    """Gauss nodes on the cap mu in [cos(theta_m), 1] under the dmu/2 measure."""
-    xs, ws = roots_legendre(order)
-    a, b = math.cos(theta_m), 1.0
-    return 0.5 * (b - a) * xs + 0.5 * (a + b), 0.25 * (b - a) * ws
-
-
 def one_mirror_response(
     point: FieldPoint,
     orientation: DipoleOrientation,
@@ -260,13 +221,14 @@ def one_mirror_response(
     if not 0.0 < theta_m <= math.pi / 2:
         raise ValueError(f"theta_m must lie in (0, pi/2], got {theta_m}")
     order = max(polar_order or 48, 24 + int(1.2 * point.kr * theta_m))
-    mu, w = _cap_rule(theta_m, order)
+    # the cap mu in [cos(theta_m), 1] is the last segment of the split rule
+    mu, w = (part[-order:] for part in polar_rule([theta_m], order))
     theta = np.arccos(np.clip(mu, -1.0, 1.0))
     axisym = point.on_axis and orientation.is_axisymmetric
     if axisym:
         phi_az = np.zeros(1)
     else:
-        n_az = max(azimuthal_order or 32, 16 + 2 * int(math.ceil(point.kr_perp)))
+        n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
         phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
     th2, ph2 = theta[:, None], phi_az[None, :]
     kx, ky, kz = point.kvec

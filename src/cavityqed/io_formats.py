@@ -75,7 +75,6 @@ class ScanSpec:
     kx_range: ScanRange | None = None
     rhos: tuple[float, ...] = (0.1, 0.5, 0.9, 0.98)
     phase_count: int = 32
-    method: str = "ray-asymmetric"
 
 
 @dataclass(frozen=True)
@@ -102,6 +101,11 @@ class ScenarioConfig:
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
 
+def _reject_unknown(d, allowed, path, errors):
+    for key in sorted(set(d) - set(allowed)):
+        errors.append(f"{path}.{key}: unknown key")
+
+
 def _get(d, key, default, errors, path, types, constraint=None, describe=""):
     v = d.get(key, default)
     if v is None:
@@ -122,6 +126,7 @@ def _parse_range(d, key, errors, path):
     if not isinstance(raw, dict):
         errors.append(f"{path}.{key}: expected an object with start/stop/count")
         return None
+    _reject_unknown(raw, ("start", "stop", "count"), f"{path}.{key}", errors)
     sub = []
     start = _get(raw, "start", None, sub, f"{path}.{key}", (int, float), describe="number")
     stop = _get(raw, "stop", None, sub, f"{path}.{key}", (int, float), describe="number")
@@ -148,8 +153,8 @@ _RANGE_REQUIRED = {
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate a JSON scenario configuration.
 
-    Collects every violation before failing; parse errors report the
-    position from the JSON decoder.
+    Collects every violation before failing, unknown keys at any level
+    included; parse errors report the position from the JSON decoder.
     """
     try:
         raw = json.loads(text)
@@ -163,6 +168,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(g, dict):
         errors.append("geometry: expected an object")
         g = {}
+    _reject_unknown(g, ("k_radius", "theta_m1", "theta_m2", "rho1", "rho2", "k_delta"),
+                    "geometry", errors)
     k_radius = _get(g, "k_radius", 1e5, errors, "geometry", (int, float),
                     constraint=lambda v: v > 0, describe="positive number")
     theta_m1 = _get(g, "theta_m1", math.pi / 4, errors, "geometry", (int, float),
@@ -179,6 +186,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(d, dict):
         errors.append("dipole: expected an object")
         d = {}
+    _reject_unknown(d, ("orientation", "vector"), "dipole", errors)
     tag = d.get("orientation")
     vec = d.get("vector")
     dipole = None
@@ -201,6 +209,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(s, dict):
         errors.append("scan: expected an object")
         s = {}
+    _reject_unknown(s, ("kind", "phi0", "point", "phi0_range", "kz_range", "kx_range",
+                        "rhos", "phase_count"), "scan", errors)
     kind = s.get("kind")
     if kind not in SCAN_KINDS:
         errors.append(f"scan.kind: expected one of {SCAN_KINDS}, got {kind!r}")
@@ -211,9 +221,6 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"scan.point: expected three numbers, got {point!r}")
         point = (0.0, 0.0, 0.0)
     phi0 = _get(s, "phi0", 0.0, errors, "scan", (int, float), describe="number")
-    method = _get(s, "method", "ray-asymmetric", errors, "scan", str,
-                  constraint=lambda v: v in ("ray-symmetric", "ray-asymmetric"),
-                  describe="ray-symmetric | ray-asymmetric")
     phi0_range = _parse_range(s, "phi0_range", errors, "scan")
     kz_range = _parse_range(s, "kz_range", errors, "scan")
     kx_range = _parse_range(s, "kx_range", errors, "scan")
@@ -232,6 +239,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(n, dict):
         errors.append("numerics: expected an object")
         n = {}
+    _reject_unknown(n, ("l_max", "polar_order", "azimuthal_order", "tail_tol"),
+                    "numerics", errors)
     l_max = _get(n, "l_max", 150, errors, "numerics", int,
                  constraint=lambda v: v >= 0, describe="integer >= 0")
     polar_order = _get(n, "polar_order", 64, errors, "numerics", int,
@@ -245,6 +254,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(o, dict):
         errors.append("outputs: expected an object")
         o = {}
+    _reject_unknown(o, ("basename", "formats", "plot_script"), "outputs", errors)
     basename = _get(o, "basename", "result", errors, "outputs", str,
                     constraint=lambda v: v and "/" not in v, describe="plain file stem")
     formats = o.get("formats", ("csv", "json"))
@@ -281,7 +291,6 @@ def parse_config(text: str) -> ScenarioConfig:
             kx_range=kx_range,
             rhos=tuple(float(r) for r in rhos),
             phase_count=int(phase_count),
-            method=method,
         ),
         numerics=NumericsConfig(int(l_max), int(polar_order), int(azimuthal_order), float(tail_tol)),
         outputs=OutputConfig(basename, tuple(formats), plot_script),
@@ -305,7 +314,7 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
             else {"vector": list(cfg.dipole.vector)}
         ),
         "scan": {"kind": cfg.scan.kind, "phi0": cfg.scan.phi0,
-                 "point": list(cfg.scan.point), "method": cfg.scan.method},
+                 "point": list(cfg.scan.point)},
         "numerics": {
             "l_max": cfg.numerics.l_max,
             "polar_order": cfg.numerics.polar_order,

@@ -27,7 +27,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 
 from .quadrature import AngularGrid, build_grid
 from .ray_model import defocus_profile
@@ -187,16 +186,11 @@ def build_operators(
     return ops
 
 
-def _resolvent_matrix(block: OperatorBlock, detuning_phase: float, ordering: str):
-    """Round-trip resolvent matrix: diag(u^2) - e^{2i phi0} * (parity, rho)
-    in the requested operator order."""
+def _resolvent_matrix(block: OperatorBlock, detuning_phase: float):
+    """Round-trip resolvent matrix diag(u^2) - e^{2i phi0} P.rho, with the
+    parity P applied after the mirror multiplication."""
     a = np.diag(block.u_half**2).astype(complex)
-    if ordering == "parity-first":
-        # operator rho.P: columns of rho picked at parity-flipped input
-        a -= np.exp(2j * detuning_phase) * (block.rho * block.parity[None, :])
-    else:
-        # operator P.rho: parity applied after mirror multiplication
-        a -= np.exp(2j * detuning_phase) * (block.parity[:, None] * block.rho)
+    a -= np.exp(2j * detuning_phase) * (block.parity[:, None] * block.rho)
     return a
 
 
@@ -206,15 +200,17 @@ def intracavity_field_coeffs(
     """Extended-field coefficients induced by incoming radiation f_in.
 
     Solves, per m block, (U^2 - e^{2i phi0} rho P) x = tau U f_in and
-    returns U x. With no mirrors this returns f_in unchanged (free
+    returns U x. The system is solved in its conjugated form
+    (U^2 - e^{2i phi0} P rho)(P x) = P b, since P is diagonal with P^2 = 1
+    and commutes with U. With no mirrors this returns f_in unchanged (free
     propagation through the focus), preserving the norm exactly.
     """
     out: dict[int, np.ndarray] = {}
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
-        a = _resolvent_matrix(block, detuning_phase, "parity-first")
+        a = _resolvent_matrix(block, detuning_phase)
         rhs = block.tau @ (block.u_half * c)
-        x = _checked_solve(a, rhs, m)
+        x = block.parity * _checked_solve(a, block.parity * rhs, m)
         out[m] = block.u_half * x
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
@@ -276,7 +272,7 @@ def enhancement_full(
     conditions = []
     for m, c in sorted(coeffs.blocks.items()):
         block = ops.block(m)
-        a = _resolvent_matrix(block, detuning_phase, "parity-last")
+        a = _resolvent_matrix(block, detuning_phase)
         x = _checked_solve(a, block.u_half * c, m)
         per_m[m + basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
         if collect_condition:

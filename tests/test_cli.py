@@ -19,6 +19,11 @@ TINY_SCENARIO = {
     "outputs": {"basename": "tiny"},
 }
 
+AIRY_SCENARIO = {
+    "scan": {"kind": "airy-check", "rhos": [0.5], "phase_count": 4},
+    "outputs": {"basename": "airy"},
+}
+
 
 def _write_config(tmp_path, doc):
     path = tmp_path / "scenario.json"
@@ -77,13 +82,6 @@ class TestRun:
         for suffix in (".csv", ".json"):
             assert ((tmp_path / "a" / f"tiny{suffix}").read_bytes()
                     == (tmp_path / "b" / f"tiny{suffix}").read_bytes())
-
-    def test_parallelism_does_not_change_values(self, tmp_path):
-        cfg = _write_config(tmp_path, TINY_SCENARIO)
-        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "a"), "--jobs", "1"])
-        cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"), "--jobs", "4"])
-        assert ((tmp_path / "a" / "tiny.csv").read_bytes()
-                == (tmp_path / "b" / "tiny.csv").read_bytes())
 
     def test_strict_mode_escalates_validity_warnings(self, tmp_path, capsys):
         doc = dict(TINY_SCENARIO)
@@ -158,12 +156,17 @@ class TestOtherCommands:
     def test_validate_unknown_filter(self, capsys):
         assert cli.main(["validate", "--filter", "zzz"]) == cli.EXIT_NUMERICAL
 
-    def test_airy_check_single_rho(self, capsys):
-        assert cli.main(["airy-check", "--rho", "0.5", "--phi-steps", "4"]) == 0
+    def test_airy_check_single_rho(self, tmp_path, capsys):
+        cfg = _write_config(tmp_path, AIRY_SCENARIO)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "max relative error" in capsys.readouterr().out
 
-    def test_airy_check_bad_rho(self, capsys):
-        assert cli.main(["airy-check", "--rho", "1.5"]) == cli.EXIT_CONFIG
+    def test_airy_check_bad_rho(self, tmp_path, capsys):
+        doc = dict(AIRY_SCENARIO, scan=dict(AIRY_SCENARIO["scan"], rhos=[1.5]))
+        cfg = _write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert "scan.rhos" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

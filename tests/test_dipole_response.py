@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from cavityqed.checks import _shift_kernel_symmetric
 from cavityqed.dipole_response import (
     center_closed_forms,
     gamma_ratio,
     one_mirror_response,
     polarization_factor,
     response,
+    shift_kernel,
     shift_ratio,
 )
 from cavityqed.ray_model import enhancement_ray
@@ -83,25 +85,15 @@ class TestOrientationIdentities:
 
 
 class TestMethods:
-    def test_symmetric_and_asymmetric_agree_for_equal_mirrors(self, benchmark_geom):
-        point = FieldPoint.axial(18.0)
-        for tag in ("parallel", "isotropic"):
-            o = DipoleOrientation(tag=tag)
-            a = response(point, o, benchmark_geom, 0.004, method="ray-symmetric")
-            b = response(point, o, benchmark_geom, 0.004, method="ray-asymmetric")
-            assert a.gamma_ratio == pytest.approx(b.gamma_ratio, rel=1e-11)
-            assert a.shift_ratio == pytest.approx(b.shift_ratio, rel=1e-9, abs=1e-12)
-
-    def test_symmetric_method_requires_symmetric_cavity(self):
-        geom = CavityGeometry(KR, 0.7, 0.7, 0.9, 0.5)
-        with pytest.raises(ValueError, match="symmetric"):
-            response(FieldPoint.origin(), DipoleOrientation.isotropic(), geom, 0.0,
-                     method="ray-symmetric")
-
-    def test_unknown_method_rejected(self, benchmark_geom):
-        with pytest.raises(ValueError, match="method"):
-            response(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom, 0.0,
-                     method="magic")
+    def test_symmetric_and_asymmetric_agree_for_equal_mirrors(self):
+        # the general shift kernel reduces to the equal-mirror two-series form
+        rng = np.random.default_rng(4)
+        phis = rng.uniform(-math.pi, math.pi, 3000)
+        xs = rng.uniform(-30, 30, 3000)
+        rho = rng.uniform(0.0, 0.98, 3000)
+        general = shift_kernel(phis, xs, rho, rho)
+        symmetric = _shift_kernel_symmetric(phis, xs, rho)
+        assert general == pytest.approx(symmetric, rel=1e-9, abs=1e-12)
 
     def test_scalar_consistency_with_ray_enhancement(self, benchmark_geom):
         # an isotropic dipole reproduces the scalar vacuum-fluctuation ratio
@@ -159,7 +151,7 @@ class TestCenterClosedForms:
             for phi0 in (0.0, 0.013):
                 closed = center_closed_forms(o, THETA_30PCT, 0.98, phi0)
                 quad = response(FieldPoint.origin(), o, benchmark_geom, phi0,
-                                method="ray-symmetric", aberration=False, diffraction=False)
+                                aberration=False, diffraction=False)
                 assert quad.gamma_ratio == pytest.approx(closed.gamma_ratio, rel=1e-12)
                 assert quad.shift_ratio == pytest.approx(closed.shift_ratio, rel=1e-12, abs=1e-15)
 

@@ -70,6 +70,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="unknown top-level"):
             parse_config(json.dumps(doc))
 
+    def test_unknown_nested_keys_flagged(self):
+        doc = {
+            "geometry": {"rho": 0.5},
+            "dipole": {"tag": "parallel"},
+            "numerics": {"lmax": 400},
+            "scan": {"kind": "axial-profile", "phi_0": 0.3, "method": "ray-symmetric",
+                     "kz_range": {"start": 0, "stop": 10, "count": 5, "step": 1}},
+            "outputs": {"format": "csv"},
+        }
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert sorted(err.value.violations) == sorted(
+            f"{path}: unknown key" for path in (
+                "geometry.rho", "dipole.tag", "numerics.lmax", "scan.phi_0",
+                "scan.method", "scan.kz_range.step", "outputs.format"))
+
     def test_benchmark_config_roundtrip_identity(self):
         cfg = parse_config(BENCHMARK_CONFIG)
         text = serialize_config(cfg)

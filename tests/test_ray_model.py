@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityqed.dipole_response import gamma_kernel_symmetric
+from cavityqed.checks import _gamma_kernel_symmetric
 from cavityqed.ray_model import (
     ApertureCollapseError,
     airy_resonance_factor,
@@ -64,7 +64,7 @@ class TestAiryResonanceFactor:
         xs = rng.uniform(-30, 30, 3000)
         rho = rng.uniform(0.0, 0.98, 3000)
         a = airy_resonance_factor(phis, xs, rho, rho)
-        b = gamma_kernel_symmetric(phis, xs, rho)
+        b = _gamma_kernel_symmetric(phis, xs, rho)
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
 
     def test_cross_term_vanishes_for_equal_mirrors(self):
