@@ -74,7 +74,7 @@ def _linspace(r) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# scan executors: each returns (table, plot_kind, summary_lines)
+# scan executors, one per scan kind: each returns (table, summary_lines)
 
 
 def _exec_detuning_sweep(cfg: ScenarioConfig):
@@ -107,7 +107,7 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
     ]
     table = ResultTable(columns, rows,
                         make_provenance(cfg, ["ray"], {"linewidth_rad": width}))
-    return table, "detuning-sweep", summary
+    return table, summary
 
 
 def _response_rows(cfg: ScenarioConfig, coords, place):
@@ -133,7 +133,7 @@ def _exec_axial_profile(cfg: ScenarioConfig):
         f"max gamma ratio {max(gammas):.4g} at kz={rows[int(np.argmax(gammas))][0]:g}",
     ]
     table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
-    return table, "axial-profile", summary
+    return table, summary
 
 
 def _exec_radial_map(cfg: ScenarioConfig):
@@ -143,7 +143,7 @@ def _exec_radial_map(cfg: ScenarioConfig):
     rows = _response_rows(cfg, kxs, FieldPoint.transverse)
     summary = [f"transverse profile over kx in [{kxs[0]:g}, {kxs[-1]:g}]"]
     table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
-    return table, "radial-map", summary
+    return table, summary
 
 
 def _exec_compare(cfg: ScenarioConfig):
@@ -183,7 +183,7 @@ def _exec_compare(cfg: ScenarioConfig):
         accuracy.update(center_full=full0, center_ray=ray0, center_ray_naive=naive0)
     table = ResultTable(columns, rows, make_provenance(cfg, ["full", "ray", "ray-naive"],
                                                        accuracy))
-    return table, "compare", summary
+    return table, summary
 
 
 def _exec_defocus_study(cfg: ScenarioConfig):
@@ -196,11 +196,11 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     phis = _linspace(cfg.scan.phi0_range)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),
                Column("enhancement_defocused", "ratio"))
+    orders = {"polar_order": cfg.numerics.polar_order,
+              "azimuthal_order": cfg.numerics.azimuthal_order}
     rows = [(float(p),
-             enhancement_ray(reference, point, float(p),
-                             polar_order=cfg.numerics.polar_order).value,
-             enhancement_ray(geom, point, float(p),
-                             polar_order=cfg.numerics.polar_order).value)
+             enhancement_ray(reference, point, float(p), **orders).value,
+             enhancement_ray(geom, point, float(p), **orders).value)
             for p in phis]
     refs = [r[1] for r in rows]
     defs_ = [r[2] for r in rows]
@@ -216,13 +216,14 @@ def _exec_defocus_study(cfg: ScenarioConfig):
                         make_provenance(cfg, ["ray"],
                                         {"peak_ratio": ratio,
                                          "peak_shift_rad": rows[i_def][0] - rows[i_ref][0]}))
-    return table, "defocus-study", summary
+    return table, summary
 
 
 def pv_oracle_errors(rho: float, phi: float, num_periods: int):
     """Closed-form shift kernels at (rho, phi) against the principal-value
     quadrature oracle. Returns ((value, relative error), ...) for the plain,
-    cos-weighted and sin-weighted kernels, in that order."""
+    cos-weighted and sin-weighted kernels, in that order; where a closed
+    form is exactly 0 (the plain kernel at rho = 0) the error is absolute."""
     two_pi = 2.0 * math.pi
     # resonance peaks of the line inside one period, mirrored for the odd part
     trig_peaks = [phi % two_pi, (phi + math.pi) % two_pi,
@@ -240,7 +241,7 @@ def pv_oracle_errors(rho: float, phi: float, num_periods: int):
         got = pv_integrate(kernel, period=period, num_periods=num_periods,
                            refine_points=refine, tol=1e-6)
         ref = float(closed(phi, rho))
-        out.append((ref, abs(got.value - ref) / abs(ref)))
+        out.append((ref, abs(got.value - ref) / (abs(ref) or 1.0)))
     return tuple(out)
 
 
@@ -265,7 +266,7 @@ def _exec_airy_check(cfg: ScenarioConfig):
     table = ResultTable(columns, rows,
                         make_provenance(cfg, ["closed-form", "pv-oracle"],
                                         {"max_rel_error": worst}))
-    return table, "airy-check", summary
+    return table, summary
 
 
 _EXECUTORS = {
@@ -281,7 +282,7 @@ _EXECUTORS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: Path):
     """Execute one scenario and write its table, JSON document and plot
     script into out_dir. Returns the summary lines."""
-    table, plot_kind, summary = _EXECUTORS[cfg.scan.kind](cfg)
+    table, summary = _EXECUTORS[cfg.scan.kind](cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.outputs.basename
     written = []
@@ -290,7 +291,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path):
         path.write_bytes(write_table(table, fmt))
         written.append(path.name)
     if cfg.outputs.plot_script and "csv" in cfg.outputs.formats:
-        script = emit_plot_script(table, plot_kind, f"{base}.csv")
+        script = emit_plot_script(table, cfg.scan.kind, f"{base}.csv")
         path = out_dir / f"{base}.gp"
         path.write_text(script)
         written.append(path.name)

@@ -6,6 +6,9 @@ tags) sufficient to re-run the scenario exactly. CSV output follows RFC 4180
 with units bracketed into the header names and 17-significant-digit floats,
 so every value round-trips bit-exactly. Plot scripts target gnuplot and
 reference the written data file rather than embedding data.
+
+The dataclasses below are the one statement of the scenario format: each
+JSON key is the name of a field, and each default is the field's default.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import hashlib
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .structures import CavityGeometry, DipoleOrientation
@@ -37,17 +40,19 @@ __all__ = [
     "read_table_json",
     "emit_plot_script",
     "SCAN_KINDS",
-    "PLOT_KINDS",
 ]
 
-SCAN_KINDS = (
-    "detuning-sweep",
-    "axial-profile",
-    "radial-map",
-    "compare",
-    "defocus-study",
-    "airy-check",
-)
+# scan kind -> the range it scans (None: the kind scans no range); the
+# kinds are also the plot kinds
+_KIND_RANGE = {
+    "detuning-sweep": "phi0_range",
+    "axial-profile": "kz_range",
+    "radial-map": "kx_range",
+    "compare": "kz_range",
+    "defocus-study": "phi0_range",
+    "airy-check": None,
+}
+SCAN_KINDS = tuple(_KIND_RANGE)
 
 
 class ConfigError(ValueError):
@@ -73,6 +78,7 @@ class ScanSpec:
     phi0_range: ScanRange | None = None
     kz_range: ScanRange | None = None
     kx_range: ScanRange | None = None
+    # read by airy-check only; other kinds keep the defaults
     rhos: tuple[float, ...] = (0.1, 0.5, 0.9, 0.98)
     phase_count: int = 32
 
@@ -101,16 +107,40 @@ class ScenarioConfig:
     outputs: OutputConfig = field(default_factory=OutputConfig)
 
 
+def _keys(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
 def _reject_unknown(d, allowed, path, errors):
     for key in sorted(set(d) - set(allowed)):
         errors.append(f"{path}.{key}: unknown key")
 
 
+def _section(raw, name, allowed, errors) -> dict:
+    """raw[name] as an object ({} when absent), its unknown keys flagged."""
+    d = raw.get(name, {})
+    if not isinstance(d, dict):
+        errors.append(f"{name}: expected an object")
+        return {}
+    _reject_unknown(d, allowed, name, errors)
+    return d
+
+
+def _number(v, types=(int, float)) -> bool:
+    """v is of types and a finite double; a boolean is not a number."""
+    try:
+        return isinstance(v, types) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the double range
+        return False
+
+
 def _get(d, key, default, errors, path, types, constraint=None, describe=""):
-    v = d.get(key, default)
-    if v is None:
-        return None
-    if not isinstance(v, types) or isinstance(v, bool):
+    """d[key], or default when the key is absent or (violation collected) its
+    value is invalid. An explicit null is invalid, as any other wrong type."""
+    if key not in d:
+        return default
+    v = d[key]
+    if not (isinstance(v, str) if types is str else _number(v, types)):
         errors.append(f"{path}.{key}: expected {describe or types}, got {v!r}")
         return default
     if constraint is not None and not constraint(v):
@@ -119,35 +149,23 @@ def _get(d, key, default, errors, path, types, constraint=None, describe=""):
     return v
 
 
-def _parse_range(d, key, errors, path):
-    raw = d.get(key)
-    if raw is None:
+def _parse_range(s, key, errors):
+    if key not in s:
         return None
+    path = f"scan.{key}"
+    raw = s[key]
     if not isinstance(raw, dict):
-        errors.append(f"{path}.{key}: expected an object with start/stop/count")
+        errors.append(f"{path}: expected an object with start/stop/count")
         return None
-    _reject_unknown(raw, ("start", "stop", "count"), f"{path}.{key}", errors)
-    sub = []
-    start = _get(raw, "start", None, sub, f"{path}.{key}", (int, float), describe="number")
-    stop = _get(raw, "stop", None, sub, f"{path}.{key}", (int, float), describe="number")
-    count = _get(raw, "count", None, sub, f"{path}.{key}", int,
+    _reject_unknown(raw, _keys(ScanRange), path, errors)
+    start = _get(raw, "start", None, errors, path, (int, float), describe="number")
+    stop = _get(raw, "stop", None, errors, path, (int, float), describe="number")
+    count = _get(raw, "count", None, errors, path, int,
                  constraint=lambda c: c >= 2, describe="integer >= 2")
-    errors.extend(sub)
-    for name, v in (("start", start), ("stop", stop), ("count", count)):
-        if v is None:
-            errors.append(f"{path}.{key}.{name}: required")
-    if sub or start is None or stop is None or count is None:
+    errors.extend(f"{path}.{name}: required" for name in _keys(ScanRange) if name not in raw)
+    if None in (start, stop, count):
         return None
-    return ScanRange(float(start), float(stop), int(count))
-
-
-_RANGE_REQUIRED = {
-    "detuning-sweep": "phi0_range",
-    "axial-profile": "kz_range",
-    "radial-map": "kx_range",
-    "compare": "kz_range",
-    "defocus-study": "phi0_range",
-}
+    return ScanRange(float(start), float(stop), count)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -155,21 +173,20 @@ def parse_config(text: str) -> ScenarioConfig:
 
     Collects every violation before failing, unknown keys at any level
     included; parse errors report the position from the JSON decoder.
+    Non-finite numbers (NaN, Infinity, or literals beyond the double range)
+    and explicit nulls are violations of the key that holds them.
     """
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"])
+    except (ValueError, RecursionError) as exc:  # a huge integer literal, or deep nesting
+        raise ConfigError([f"JSON parse error: {exc}"])
     if not isinstance(raw, dict):
         raise ConfigError(["top level must be a JSON object"])
     errors: list[str] = []
 
-    g = raw.get("geometry", {})
-    if not isinstance(g, dict):
-        errors.append("geometry: expected an object")
-        g = {}
-    _reject_unknown(g, ("k_radius", "theta_m1", "theta_m2", "rho1", "rho2", "k_delta"),
-                    "geometry", errors)
+    g = _section(raw, "geometry", _keys(CavityGeometry), errors)
     k_radius = _get(g, "k_radius", 1e5, errors, "geometry", (int, float),
                     constraint=lambda v: v > 0, describe="positive number")
     theta_m1 = _get(g, "theta_m1", math.pi / 4, errors, "geometry", (int, float),
@@ -180,95 +197,82 @@ def parse_config(text: str) -> ScenarioConfig:
                 constraint=lambda v: 0 <= v <= 1, describe="reflectivity out of [0,1]")
     rho2 = _get(g, "rho2", rho1, errors, "geometry", (int, float),
                 constraint=lambda v: 0 <= v <= 1, describe="reflectivity out of [0,1]")
-    k_delta = _get(g, "k_delta", 0.0, errors, "geometry", (int, float), describe="number")
+    k_delta = _get(g, "k_delta", CavityGeometry.k_delta, errors, "geometry", (int, float),
+                   describe="number")
 
-    d = raw.get("dipole", {})
-    if not isinstance(d, dict):
-        errors.append("dipole: expected an object")
-        d = {}
-    _reject_unknown(d, ("orientation", "vector"), "dipole", errors)
-    tag = d.get("orientation")
-    vec = d.get("vector")
+    # DipoleOrientation's fields are tag and vector; the JSON keys differ
+    d = _section(raw, "dipole", ("orientation", "vector"), errors)
     dipole = None
-    if tag is not None and vec is not None:
+    if "orientation" in d and "vector" in d:
         errors.append("dipole: provide exactly one of orientation or vector")
-    elif vec is not None:
+    elif "vector" in d:
         try:
-            dipole = DipoleOrientation.along(vec)
-        except (ValueError, TypeError) as exc:
+            if isinstance(d["vector"], list) and any(isinstance(c, bool) for c in d["vector"]):
+                raise TypeError(f"expected three numbers, got {d['vector']!r}")
+            dipole = DipoleOrientation.along(d["vector"])
+        except (ValueError, TypeError, OverflowError) as exc:
             errors.append(f"dipole.vector: {exc}")
     else:
-        if tag is None:
-            tag = "isotropic"
         try:
-            dipole = DipoleOrientation(tag=tag)
+            dipole = DipoleOrientation(tag=d.get("orientation", "isotropic"))
         except ValueError as exc:
             errors.append(f"dipole.orientation: {exc}")
 
-    s = raw.get("scan", {})
-    if not isinstance(s, dict):
-        errors.append("scan: expected an object")
-        s = {}
-    _reject_unknown(s, ("kind", "phi0", "point", "phi0_range", "kz_range", "kx_range",
-                        "rhos", "phase_count"), "scan", errors)
+    s = _section(raw, "scan", _keys(ScanSpec), errors)
     kind = s.get("kind")
     if kind not in SCAN_KINDS:
         errors.append(f"scan.kind: expected one of {SCAN_KINDS}, got {kind!r}")
         kind = "axial-profile"
-    point = s.get("point", (0.0, 0.0, 0.0))
+    point = s.get("point", ScanSpec.point)
     if (not isinstance(point, (list, tuple)) or len(point) != 3
-            or not all(isinstance(c, (int, float)) and not isinstance(c, bool) for c in point)):
+            or not all(_number(c) for c in point)):
         errors.append(f"scan.point: expected three numbers, got {point!r}")
-        point = (0.0, 0.0, 0.0)
-    phi0 = _get(s, "phi0", 0.0, errors, "scan", (int, float), describe="number")
-    phi0_range = _parse_range(s, "phi0_range", errors, "scan")
-    kz_range = _parse_range(s, "kz_range", errors, "scan")
-    kx_range = _parse_range(s, "kx_range", errors, "scan")
-    rhos = s.get("rhos", (0.1, 0.5, 0.9, 0.98))
+        point = ScanSpec.point
+    phi0 = _get(s, "phi0", ScanSpec.phi0, errors, "scan", (int, float), describe="number")
+    ranges = {key: _parse_range(s, key, errors)
+              for key in _keys(ScanSpec) if key.endswith("_range")}
+    rhos = s.get("rhos", ScanSpec.rhos)
     if (not isinstance(rhos, (list, tuple)) or not rhos
-            or not all(isinstance(r, (int, float)) and 0 <= r < 1 for r in rhos)):
+            or not all(_number(r) and 0 <= r < 1 for r in rhos)):
         errors.append(f"scan.rhos: expected nonempty reflectivities in [0,1), got {rhos!r}")
-        rhos = (0.1, 0.5, 0.9, 0.98)
-    phase_count = _get(s, "phase_count", 32, errors, "scan", int,
+        rhos = ScanSpec.rhos
+    phase_count = _get(s, "phase_count", ScanSpec.phase_count, errors, "scan", int,
                        constraint=lambda v: v >= 2, describe="integer >= 2")
-    needed = _RANGE_REQUIRED.get(kind)
-    if needed and s.get(needed) is None:
+    if kind != "airy-check":  # config_to_dict leaves them out
+        rhos, phase_count = ScanSpec.rhos, ScanSpec.phase_count
+    needed = _KIND_RANGE[kind]
+    if needed and needed not in s:
         errors.append(f"scan.{needed}: required for kind {kind!r}")
 
-    n = raw.get("numerics", {})
-    if not isinstance(n, dict):
-        errors.append("numerics: expected an object")
-        n = {}
-    _reject_unknown(n, ("l_max", "polar_order", "azimuthal_order", "tail_tol"),
-                    "numerics", errors)
-    l_max = _get(n, "l_max", 150, errors, "numerics", int,
-                 constraint=lambda v: v >= 0, describe="integer >= 0")
-    polar_order = _get(n, "polar_order", 64, errors, "numerics", int,
-                       constraint=lambda v: v >= 2, describe="integer >= 2")
-    azimuthal_order = _get(n, "azimuthal_order", 32, errors, "numerics", int,
-                           constraint=lambda v: v >= 2, describe="integer >= 2")
-    tail_tol = _get(n, "tail_tol", 1e-8, errors, "numerics", (int, float),
-                    constraint=lambda v: v > 0, describe="positive number")
+    n = _section(raw, "numerics", _keys(NumericsConfig), errors)
+    numerics = NumericsConfig(
+        l_max=_get(n, "l_max", NumericsConfig.l_max, errors, "numerics", int,
+                   constraint=lambda v: v >= 0, describe="integer >= 0"),
+        polar_order=_get(n, "polar_order", NumericsConfig.polar_order, errors, "numerics", int,
+                         constraint=lambda v: v >= 2, describe="integer >= 2"),
+        azimuthal_order=_get(n, "azimuthal_order", NumericsConfig.azimuthal_order, errors,
+                             "numerics", int, constraint=lambda v: v >= 2,
+                             describe="integer >= 2"),
+        tail_tol=float(_get(n, "tail_tol", NumericsConfig.tail_tol, errors, "numerics",
+                            (int, float), constraint=lambda v: v > 0,
+                            describe="positive number")),
+    )
 
-    o = raw.get("outputs", {})
-    if not isinstance(o, dict):
-        errors.append("outputs: expected an object")
-        o = {}
-    _reject_unknown(o, ("basename", "formats", "plot_script"), "outputs", errors)
-    basename = _get(o, "basename", "result", errors, "outputs", str,
-                    constraint=lambda v: v and "/" not in v, describe="plain file stem")
-    formats = o.get("formats", ("csv", "json"))
+    o = _section(raw, "outputs", _keys(OutputConfig), errors)
+    basename = _get(o, "basename", OutputConfig.basename, errors, "outputs", str,
+                    constraint=lambda v: v and "/" not in v and "\0" not in v,
+                    describe="plain file stem")
+    formats = o.get("formats", OutputConfig.formats)
     if (not isinstance(formats, (list, tuple))
             or not all(f in ("csv", "json") for f in formats)):
         errors.append(f"outputs.formats: expected subset of ['csv','json'], got {formats!r}")
-        formats = ("csv", "json")
-    plot_script = o.get("plot_script", True)
+        formats = OutputConfig.formats
+    plot_script = o.get("plot_script", OutputConfig.plot_script)
     if not isinstance(plot_script, bool):
         errors.append(f"outputs.plot_script: expected boolean, got {plot_script!r}")
-        plot_script = True
+        plot_script = OutputConfig.plot_script
 
-    unknown = set(raw) - {"geometry", "dipole", "scan", "numerics", "outputs"}
-    for key in sorted(unknown):
+    for key in sorted(set(raw) - set(_keys(ScenarioConfig))):
         errors.append(f"{key}: unknown top-level section")
 
     geometry = None
@@ -282,58 +286,22 @@ def parse_config(text: str) -> ScenarioConfig:
     return ScenarioConfig(
         geometry=geometry,
         dipole=dipole,
-        scan=ScanSpec(
-            kind=kind,
-            phi0=float(phi0),
-            point=tuple(float(c) for c in point),
-            phi0_range=phi0_range,
-            kz_range=kz_range,
-            kx_range=kx_range,
-            rhos=tuple(float(r) for r in rhos),
-            phase_count=int(phase_count),
-        ),
-        numerics=NumericsConfig(int(l_max), int(polar_order), int(azimuthal_order), float(tail_tol)),
+        scan=ScanSpec(kind=kind, phi0=float(phi0), point=tuple(float(c) for c in point),
+                      **ranges, rhos=tuple(float(r) for r in rhos), phase_count=phase_count),
+        numerics=numerics,
         outputs=OutputConfig(basename, tuple(formats), plot_script),
     )
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    g = cfg.geometry
-    d: dict = {
-        "geometry": {
-            "k_radius": g.k_radius,
-            "theta_m1": g.theta_m1,
-            "theta_m2": g.theta_m2,
-            "rho1": g.rho1,
-            "rho2": g.rho2,
-            "k_delta": g.k_delta,
-        },
-        "dipole": (
-            {"orientation": cfg.dipole.tag}
-            if cfg.dipole.tag is not None
-            else {"vector": list(cfg.dipole.vector)}
-        ),
-        "scan": {"kind": cfg.scan.kind, "phi0": cfg.scan.phi0,
-                 "point": list(cfg.scan.point)},
-        "numerics": {
-            "l_max": cfg.numerics.l_max,
-            "polar_order": cfg.numerics.polar_order,
-            "azimuthal_order": cfg.numerics.azimuthal_order,
-            "tail_tol": cfg.numerics.tail_tol,
-        },
-        "outputs": {
-            "basename": cfg.outputs.basename,
-            "formats": list(cfg.outputs.formats),
-            "plot_script": cfg.outputs.plot_script,
-        },
-    }
-    for key in ("phi0_range", "kz_range", "kx_range"):
-        r = getattr(cfg.scan, key)
-        if r is not None:
-            d["scan"][key] = {"start": r.start, "stop": r.stop, "count": r.count}
-    if cfg.scan.kind == "airy-check":
-        d["scan"]["rhos"] = list(cfg.scan.rhos)
-        d["scan"]["phase_count"] = cfg.scan.phase_count
+    """JSON-ready form of cfg. Unset ranges are left out, and so are rhos and
+    phase_count outside airy-check."""
+    d = asdict(cfg)
+    d["dipole"] = ({"orientation": cfg.dipole.tag} if cfg.dipole.tag is not None
+                   else {"vector": list(cfg.dipole.vector)})
+    d["scan"] = {key: v for key, v in d["scan"].items() if v is not None}
+    if cfg.scan.kind != "airy-check":
+        del d["scan"]["rhos"], d["scan"]["phase_count"]
     return d
 
 
@@ -433,25 +401,6 @@ def read_table_json(data: bytes) -> ResultTable:
 # --------------------------------------------------------------------------
 # plot scripts (gnuplot)
 
-PLOT_KINDS = (
-    "detuning-sweep",
-    "axial-profile",
-    "radial-map",
-    "compare",
-    "defocus-study",
-    "airy-check",
-)
-
-_REQUIRED_COLUMNS = {
-    "detuning-sweep": ("phi0", "gamma_parallel", "gamma_perpendicular",
-                       "shift_parallel", "shift_perpendicular"),
-    "axial-profile": ("kz", "gamma_ratio", "shift_ratio"),
-    "radial-map": ("kx", "gamma_ratio", "shift_ratio"),
-    "compare": ("kz", "enhancement_full", "enhancement_ray"),
-    "defocus-study": ("phi0", "enhancement_reference", "enhancement_defocused"),
-    "airy-check": ("phi", "rel_err_shift", "rel_err_shift_cos", "rel_err_shift_sin"),
-}
-
 _GNUPLOT_HEADER = """\
 # gnuplot script generated by cavityqed {version}
 # data: {data}
@@ -461,21 +410,19 @@ set grid
 """
 
 
-def _col_index(table: ResultTable, name: str) -> int:
-    return table.column_names().index(name) + 1
-
-
 def emit_plot_script(table: ResultTable, plot_kind: str, data_filename: str) -> str:
     """Standalone gnuplot script for a written data file; never embeds data."""
-    if plot_kind not in PLOT_KINDS:
-        raise ValueError(f"unknown plot kind {plot_kind!r}; expected one of {PLOT_KINDS}")
-    required = _REQUIRED_COLUMNS[plot_kind]
-    missing = [c for c in required if c not in table.column_names()]
-    if missing:
-        raise ValueError(f"table lacks columns {missing} required by plot kind {plot_kind!r}")
+    if plot_kind not in SCAN_KINDS:
+        raise ValueError(f"unknown plot kind {plot_kind!r}; expected one of {SCAN_KINDS}")
+    names = table.column_names()
+
+    def q(name):
+        if name not in names:
+            raise ValueError(f"table lacks columns {[name]} required by plot kind {plot_kind!r}")
+        return names.index(name) + 1
+
     head = _GNUPLOT_HEADER.format(version=table.provenance.get("code_version", "?"),
                                   data=data_filename)
-    q = lambda name: _col_index(table, name)
     if plot_kind == "detuning-sweep":
         body = f"""\
 set multiplot layout 1,2

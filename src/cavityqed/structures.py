@@ -159,7 +159,11 @@ class DipoleOrientation:
             n = np.linalg.norm(v)
             if v.shape != (3,) or not np.isfinite(n) or n == 0:
                 raise ValueError("orientation vector must be a nonzero 3-vector")
-            object.__setattr__(self, "vector", tuple(v / n))
+            # a vector already unit to rounding keeps its bits, so that
+            # normalising twice gives the same vector as normalising once
+            if abs(n - 1.0) > 1e-14:
+                v = v / n
+            object.__setattr__(self, "vector", tuple(v))
 
     @classmethod
     def parallel(cls):

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from cavityqed import cli
-from cavityqed.io_formats import parse_config
+from cavityqed.io_formats import SCAN_KINDS, parse_config, read_table_json
 from cavityqed.presets import PRESETS, preset_config
 
 TINY_SCENARIO = {
@@ -22,6 +22,26 @@ TINY_SCENARIO = {
 AIRY_SCENARIO = {
     "scan": {"kind": "airy-check", "rhos": [0.5], "phase_count": 4},
     "outputs": {"basename": "airy"},
+}
+
+# the scan of a tiny scenario of every scan kind
+TINY_SCANS = {
+    "detuning-sweep": {"phi0_range": {"start": -0.05, "stop": 0.05, "count": 3}},
+    "axial-profile": {"kz_range": {"start": 0.0, "stop": 4.0, "count": 3}},
+    "radial-map": {"kx_range": {"start": 0.0, "stop": 4.0, "count": 3}},
+    "compare": {"kz_range": {"start": 0.0, "stop": 4.0, "count": 3}},
+    "defocus-study": {"phi0_range": {"start": -0.2, "stop": 0.1, "count": 3}},
+    "airy-check": {"rhos": [0.5], "phase_count": 2},
+}
+
+# documents that are invalid at one key, by a null, a non-finite number or a
+# boolean reflectivity
+BAD_DOCUMENTS = {
+    "numerics.l_max": '{"scan": {"kind": "airy-check"}, "numerics": {"l_max": null}}',
+    "outputs.basename": '{"scan": {"kind": "airy-check"}, "outputs": {"basename": null}}',
+    "scan.phi0": '{"scan": {"kind": "airy-check", "phi0": NaN}}',
+    "geometry.k_radius": '{"scan": {"kind": "airy-check"}, "geometry": {"k_radius": Infinity}}',
+    "scan.rhos": '{"scan": {"kind": "airy-check", "rhos": [false, 0.5]}}',
 }
 
 
@@ -136,6 +156,46 @@ class TestRun:
         assert (tmp_path / "out" / "radial.csv").exists()
         assert (tmp_path / "out" / "radial.gp").exists()
 
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_every_scan_kind_runs(self, tmp_path, kind):
+        # defocus-study needs a defocused cavity; its .gp checks its columns
+        k_delta = 0.3 if kind == "defocus-study" else 0.0
+        doc = {
+            "geometry": dict(TINY_SCENARIO["geometry"], k_delta=k_delta),
+            "scan": dict(TINY_SCANS[kind], kind=kind),
+            "numerics": {"l_max": 40},
+            "outputs": {"basename": "tiny"},
+        }
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        for suffix in (".csv", ".json", ".gp"):
+            assert (tmp_path / "out" / f"tiny{suffix}").exists()
+
+    def test_defocus_study_honours_azimuthal_order(self, tmp_path):
+        tables = []
+        for order in (32, 96):
+            doc = {
+                "geometry": dict(TINY_SCENARIO["geometry"], k_delta=0.3),
+                "scan": {"kind": "defocus-study", "point": [6.0, 0.0, 1.0],
+                         "phi0_range": {"start": -0.1, "stop": 0.1, "count": 3}},
+                "numerics": {"azimuthal_order": order},
+                "outputs": {"basename": "d"},
+            }
+            cfg = _write_config(tmp_path, doc)
+            out = tmp_path / str(order)
+            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+            tables.append((out / "d.csv").read_bytes())
+        assert tables[0] != tables[1]
+
+    @pytest.mark.parametrize("key", list(BAD_DOCUMENTS))
+    def test_null_and_non_finite_values_are_config_errors(self, tmp_path, capsys, key):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(BAD_DOCUMENTS[key])
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_defocus_requires_nonzero_kdelta(self, tmp_path, capsys):
         doc = {
             "geometry": TINY_SCENARIO["geometry"],
@@ -167,6 +227,16 @@ class TestOtherCommands:
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
         assert "scan.rhos" in capsys.readouterr().err
+
+    def test_airy_check_at_zero_reflectivity(self, tmp_path, capsys):
+        doc = dict(AIRY_SCENARIO, scan=dict(AIRY_SCENARIO["scan"], rhos=[0.0], phase_count=2))
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        table = read_table_json((tmp_path / "out" / "airy.json").read_bytes())
+        assert all(math.isfinite(v) for row in table.rows for v in row)
+        # the plain kernel vanishes at rho = 0; its error there is absolute
+        assert table.column("shift_closed") == [0.0, 0.0]
+        assert max(table.column("rel_err_shift")) < 1e-12
 
     def test_module_entry_point(self):
         proc = subprocess.run(
