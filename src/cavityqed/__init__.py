@@ -45,7 +45,6 @@ from .ray_model import (  # noqa: E402,F401
     cavity_linewidth,
     defocus_profile,
     effective_aperture,
-    enhancement_ray,
 )
 from .wave_ops import (  # noqa: E402,F401
     CavityOperatorSet,
@@ -58,9 +57,8 @@ from .wave_ops import (  # noqa: E402,F401
 )
 from .dipole_response import (  # noqa: E402,F401
     center_closed_forms,
-    gamma_ratio,
+    enhancement_ray,
     one_mirror_response,
     polarization_factor,
     response,
-    shift_ratio,
 )

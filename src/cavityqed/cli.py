@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import warnings
@@ -36,14 +37,8 @@ from .io_formats import (
 )
 from .presets import PRESETS, preset_config, preset_descriptions
 from .quadrature import PVConvergenceError, pv_integrate
-from .ray_model import (
-    ApertureCollapseError,
-    ResonanceSingularityError,
-    cavity_linewidth,
-    enhancement_ray,
-)
+from .ray_model import ApertureCollapseError, ResonanceSingularityError, cavity_linewidth
 from .structures import (
-    CavityGeometry,
     DipoleOrientation,
     FieldPoint,
     HarmonicBasis,
@@ -51,8 +46,8 @@ from .structures import (
     TruncationWarning,
     ValidityWarning,
 )
-from .dipole_response import response
-from .wave_ops import build_operators, enhancement_full, operator_grid
+from .dipole_response import enhancement_ray, response
+from .wave_ops import build_operators, enhancement_full
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -150,7 +145,7 @@ def _exec_compare(cfg: ScenarioConfig):
     geom = cfg.geometry
     kzs = _linspace(cfg.scan.kz_range)
     basis = HarmonicBasis(cfg.numerics.l_max)
-    ops = build_operators(geom, basis, operator_grid(geom, basis.l_max), m_values=(0,))
+    ops = build_operators(geom, basis, m_values=(0,))
     columns = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
                Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
                Column("rel_deviation"))
@@ -190,8 +185,7 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     geom = cfg.geometry
     if geom.k_delta == 0.0:
         raise ConfigError(["defocus-study requires geometry.k_delta != 0"])
-    reference = CavityGeometry(geom.k_radius, geom.theta_m1, geom.theta_m2,
-                               geom.rho1, geom.rho2, 0.0)
+    reference = dataclasses.replace(geom, k_delta=0.0)
     point = FieldPoint(cfg.scan.point)
     phis = _linspace(cfg.scan.phi0_range)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),

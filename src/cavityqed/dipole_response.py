@@ -7,6 +7,10 @@ factor of ray_model; the level shift samples the dispersive kernels
 principal-value frequency transform of the resonance line. Directions
 missing the mirrors contribute free vacuum to the damping and nothing to
 the shift, so both results reduce to (1, 0) without mirrors.
+
+response is the one angular quadrature of the ray route. The ray-model
+vacuum-fluctuation ratio, enhancement_ray, is its damping ratio for an
+isotropic dipole, whose weight is 1 in every direction.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .ray_model import (
 from .structures import (
     CavityGeometry,
     DipoleOrientation,
+    EnhancementResult,
     FieldPoint,
     ResponseResult,
     ValidityWarning,
@@ -37,8 +42,7 @@ __all__ = [
     "orientation_weight",
     "shift_kernel",
     "response",
-    "gamma_ratio",
-    "shift_ratio",
+    "enhancement_ray",
     "center_closed_forms",
     "one_mirror_response",
 ]
@@ -116,13 +120,17 @@ def response(
 
     The damping samples airy_resonance_factor and the shift samples
     shift_kernel. Both are the general two-mirror kernels, so unequal
-    mirrors, unequal apertures and defocus are handled. The result is tagged
-    method "ray", as is enhancement_ray, whose value the isotropic damping
-    ratio reproduces.
+    mirrors, unequal apertures and defocus are handled. With both
+    corrections off the ray kernels are the naive geometric-ray ones. The
+    model is validated for kr up to RAY_VALIDITY_KR; beyond that a
+    ValidityWarning is issued. A non-finite phi0 raises ValueError.
     """
+    if not math.isfinite(phi0):
+        raise ValueError(f"phi0 must be finite, got {phi0}")
     if point.kr > RAY_VALIDITY_KR:
         warnings.warn(
-            f"kr={point.kr:.3g} beyond the validated ray-model range",
+            f"kr={point.kr:.3g} beyond the validated ray-model range "
+            f"(kr <= {RAY_VALIDITY_KR:g})",
             ValidityWarning,
             stacklevel=2,
         )
@@ -154,12 +162,29 @@ def response(
     )
 
 
-def gamma_ratio(point, orientation, geom, phi0, **kwargs) -> float:
-    return response(point, orientation, geom, phi0, **kwargs).gamma_ratio
+def enhancement_ray(
+    geom: CavityGeometry,
+    point: FieldPoint,
+    phi0: float,
+    *,
+    aberration: bool = True,
+    diffraction: bool = True,
+    polar_order: int | None = None,
+    azimuthal_order: int | None = None,
+) -> EnhancementResult:
+    """Vacuum-fluctuation ratio from the ray picture: the damping ratio of
+    an isotropic dipole, i.e. the plain angular average of the per-ray
+    resonance factor.
 
-
-def shift_ratio(point, orientation, geom, phi0, **kwargs) -> float:
-    return response(point, orientation, geom, phi0, **kwargs).shift_ratio
+    With both corrections off this is the naive geometric-ray value (method
+    "ray-naive"), which coincides with the operator calculation when all
+    angular-spreading phases are neglected.
+    """
+    r = response(point, DipoleOrientation.isotropic(), geom, phi0,
+                 aberration=aberration, diffraction=diffraction,
+                 polar_order=polar_order, azimuthal_order=azimuthal_order)
+    tag = "ray" if (aberration or diffraction) else "ray-naive"
+    return EnhancementResult(value=r.gamma_ratio, method=tag, detail=r.detail)
 
 
 def center_closed_forms(

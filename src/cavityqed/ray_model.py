@@ -1,4 +1,4 @@
-"""Corrected ray-optics model of the vacuum-fluctuation ratio.
+"""Corrected ray-optics model: the per-ray kernels, phases and direction nodes.
 
 Every direction on the sphere defines a ray through the evaluation point.
 If the ray meets the mirrors it carries a Fabry-Perot buildup factor with
@@ -13,17 +13,20 @@ near (but not at) the center:
   counting as free vacuum;
 * an axial mispositioning of mirror 2, entering as a direction-dependent
   reflection phase (defocus_profile) that shifts and degrades the resonance.
+
+The angular quadrature over these ray factors is dipole_response.response;
+the vacuum-fluctuation ratio, dipole_response.enhancement_ray, is its
+isotropic damping ratio.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 
 from .quadrature import polar_rule
-from .structures import CavityGeometry, EnhancementResult, FieldPoint, ValidityWarning
+from .structures import CavityGeometry, FieldPoint
 
 __all__ = [
     "standing_wave_weights",
@@ -33,7 +36,6 @@ __all__ = [
     "aberration_phase",
     "ray_direction_phases",
     "ray_integration_nodes",
-    "enhancement_ray",
     "cavity_linewidth",
     "ApertureCollapseError",
     "ResonanceSingularityError",
@@ -41,6 +43,9 @@ __all__ = [
 ]
 
 RAY_VALIDITY_KR = 100.0
+# rho1*rho2 closer to 1 than this is a lossless line; a resonant phase on it
+# raises ResonanceSingularityError instead of dividing by zero
+_SINGULAR_FLOOR = 1e-9
 
 
 class ApertureCollapseError(ValueError):
@@ -59,7 +64,7 @@ def standing_wave_weights(x):
     return np.cos(x) ** 2, np.sin(x) ** 2, np.sin(2.0 * x)
 
 
-def airy_resonance_factor(phi, x, rho1, rho2, *, singular_floor=1e-9):
+def airy_resonance_factor(phi, x, rho1, rho2):
     """Per-ray vacuum-fluctuation factor for two mirrors of amplitude
     reflectivities rho1 (toward +Omega) and rho2 (toward -Omega).
 
@@ -78,10 +83,10 @@ def airy_resonance_factor(phi, x, rho1, rho2, *, singular_floor=1e-9):
     if np.any(rho1 < 0) or np.any(rho1 > 1) or np.any(rho2 < 0) or np.any(rho2 > 1):
         raise ValueError("reflectivities must lie in [0, 1]")
     rr = rho1 * rho2
-    if np.any(1.0 - rr < singular_floor):
-        bad = np.broadcast_to(phi, np.broadcast(phi, rr).shape)[
-            np.broadcast_to(1.0 - rr < singular_floor, np.broadcast(phi, rr).shape)
-        ]
+    near_lossless = 1.0 - rr < _SINGULAR_FLOOR
+    if np.any(near_lossless):
+        shape = np.broadcast(phi, rr).shape
+        bad = np.broadcast_to(phi, shape)[np.broadcast_to(near_lossless, shape)]
         if bad.size and np.any(np.abs(np.sin(2.0 * bad)) < 1e-6):
             raise ResonanceSingularityError(
                 "rho1*rho2 within the singular floor of 1 at a resonant phase"
@@ -212,52 +217,6 @@ def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order
         n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
         phi = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
     return theta, w, phi
-
-
-def enhancement_ray(
-    geom: CavityGeometry,
-    point: FieldPoint,
-    phi0: float,
-    *,
-    aberration: bool = True,
-    diffraction: bool = True,
-    polar_order: int | None = None,
-    azimuthal_order: int | None = None,
-) -> EnhancementResult:
-    """Vacuum-fluctuation ratio from the ray picture: angular average of the
-    per-ray resonance factor over all directions.
-
-    With both corrections off this is the naive geometric-ray value, which
-    coincides with the operator calculation when all angular-spreading
-    phases are neglected. The model is validated for kr up to ~100;
-    beyond that a ValidityWarning is issued.
-    """
-    if point.kr > RAY_VALIDITY_KR:
-        warnings.warn(
-            f"kr={point.kr:.3g} beyond the validated ray-model range "
-            f"(kr <= {RAY_VALIDITY_KR:g})",
-            ValidityWarning,
-            stacklevel=2,
-        )
-    theta, w, phi_az = ray_integration_nodes(geom, point, diffraction, polar_order,
-                                             azimuthal_order, axisym=point.on_axis)
-    phi_eff, x_eff, rho_f, rho_b = ray_direction_phases(
-        geom, point, phi0, theta[:, None], phi_az[None, :],
-        aberration=aberration, diffraction=diffraction,
-    )
-    m = airy_resonance_factor(phi_eff, x_eff, rho_f, rho_b)
-    value = float(np.dot(w, m.mean(axis=1)))
-    tag = "ray" if (aberration or diffraction) else "ray-naive"
-    return EnhancementResult(
-        value=value,
-        method=tag,
-        detail={
-            "aberration": aberration,
-            "diffraction": diffraction,
-            "polar_nodes": theta.size,
-            "azimuthal_nodes": phi_az.size,
-        },
-    )
 
 
 def cavity_linewidth(rho1: float, rho2: float) -> float:

@@ -45,7 +45,7 @@ class CavityGeometry:
     Attributes
     ----------
     k_radius : float
-        Mirror radius as an optical phase k*R (dimensionless, > 0).
+        Mirror radius as an optical phase k*R (dimensionless, finite, > 0).
     theta_m1, theta_m2 : float
         Half-aperture of the caps around theta = 0 and theta = pi.
         A zero half-aperture removes that mirror.
@@ -53,7 +53,7 @@ class CavityGeometry:
         Amplitude reflectivities in [0, 1]. Mirrors are lossless, so the
         amplitude transmittivity is always sqrt(1 - rho**2).
     k_delta : float
-        Axial mispositioning of mirror 2 as an optical phase k*delta.
+        Axial mispositioning of mirror 2 as an optical phase k*delta (finite).
         Enters as a direction-dependent reflection phase; see
         ray_model.defocus_profile.
     """
@@ -66,8 +66,10 @@ class CavityGeometry:
     k_delta: float = 0.0
 
     def __post_init__(self):
-        if not self.k_radius > 0:
-            raise ValueError(f"k_radius must be positive, got {self.k_radius}")
+        if not 0 < self.k_radius < math.inf:
+            raise ValueError(f"k_radius must be positive and finite, got {self.k_radius}")
+        if not math.isfinite(self.k_delta):
+            raise ValueError(f"k_delta must be finite, got {self.k_delta}")
         for name in ("theta_m1", "theta_m2"):
             v = getattr(self, name)
             if not 0.0 <= v <= math.pi / 2:

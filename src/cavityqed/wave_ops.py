@@ -206,31 +206,34 @@ def intracavity_field_coeffs(
     propagation through the focus), preserving the norm exactly.
     """
     out: dict[int, np.ndarray] = {}
+    scale = math.sqrt(f_in.norm_sq())
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
         rhs = block.tau @ (block.u_half * c)
-        x = block.parity * _checked_solve(a, block.parity * rhs, m)
+        x = block.parity * _checked_solve(a, block.parity * rhs, m, scale)
         out[m] = block.u_half * x
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
 
 
-def _checked_solve(a, rhs, m):
+def _checked_solve(a, rhs, m, scale):
+    """Solve one m block and check its residual against scale, the norm of
+    the whole input: a block whose right-hand side has underflowed towards
+    the subnormal range has no meaningful residual relative to itself. A
+    NaN residual fails the check."""
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"resolvent solve failed in m={m} block: {exc}") from exc
-    scale = float(np.max(np.abs(rhs)))
-    if scale > 0.0:
-        resid = float(np.max(np.abs(a @ x - rhs))) / scale
-        if resid > _RESIDUAL_LIMIT:
-            cond = float(np.linalg.cond(a))
-            raise SolverError(
-                f"resolvent solve in m={m} block has residual {resid:.2e} "
-                f"(condition estimate {cond:.2e}); reflectivity too close to 1 "
-                "at a degenerate phase"
-            )
+    resid = float(np.max(np.abs(a @ x - rhs)))
+    if not resid <= _RESIDUAL_LIMIT * scale:
+        cond = float(np.linalg.cond(a)) if np.all(np.isfinite(a)) else math.nan
+        raise SolverError(
+            f"resolvent solve in m={m} block has residual {resid:.2e} against "
+            f"input norm {scale:.2e} (condition estimate {cond:.2e}); "
+            "reflectivity too close to 1 at a degenerate phase, or non-finite input"
+        )
     return x
 
 
@@ -240,7 +243,6 @@ def enhancement_full(
     point: FieldPoint,
     detuning_phase: float,
     *,
-    grid: AngularGrid | None = None,
     ops: CavityOperatorSet | None = None,
     tail_tol: float = 1e-8,
     collect_condition: bool = False,
@@ -254,8 +256,12 @@ def enhancement_full(
     coefficients), which avoids one truncation stage.
 
     The mirror edge entering the operators is the geometric aperture;
-    diffraction losses emerge from the calculation itself.
+    diffraction losses emerge from the calculation itself. Without ops the
+    blocks are built on demand on operator_grid. A non-finite
+    detuning_phase raises ValueError.
     """
+    if not math.isfinite(detuning_phase):
+        raise ValueError(f"detuning_phase must be finite, got {detuning_phase}")
     kr = point.kr
     if kr > 0.0 and kr > basis.l_max - 30:
         warnings.warn(
@@ -267,13 +273,15 @@ def enhancement_full(
     coeffs = plane_wave_coeffs(point, basis.l_max, tail_tol=tail_tol)
     if ops is None:
         ops = CavityOperatorSet(geometry=geom, basis=basis,
-                                grid=grid if grid is not None else operator_grid(geom, basis.l_max))
+                                grid=operator_grid(geom, basis.l_max))
     per_m = np.zeros(2 * basis.l_max + 1)
     conditions = []
+    # the focused-wave input has unit norm up to its truncation tail
+    scale = math.sqrt(coeffs.norm_sq())
     for m, c in sorted(coeffs.blocks.items()):
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
-        x = _checked_solve(a, block.u_half * c, m)
+        x = _checked_solve(a, block.u_half * c, m, scale)
         per_m[m + basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
         if collect_condition:
             conditions.append(float(np.linalg.cond(a)))

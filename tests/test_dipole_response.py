@@ -6,14 +6,12 @@ import pytest
 from cavityqed.checks import _shift_kernel_symmetric
 from cavityqed.dipole_response import (
     center_closed_forms,
-    gamma_ratio,
+    enhancement_ray,
     one_mirror_response,
     polarization_factor,
     response,
     shift_kernel,
-    shift_ratio,
 )
-from cavityqed.ray_model import enhancement_ray
 from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint
 
 KR = 1.0e5
@@ -72,8 +70,8 @@ class TestOrientationIdentities:
         for _ in range(5):
             point = FieldPoint.axial(float(rng.uniform(0, 60)))
             for tag in ("parallel", "perpendicular"):
-                g = gamma_ratio(point, DipoleOrientation(tag=tag), benchmark_geom,
-                                float(rng.uniform(-1.5, 1.5)))
+                g = response(point, DipoleOrientation(tag=tag), benchmark_geom,
+                             float(rng.uniform(-1.5, 1.5))).gamma_ratio
                 assert g >= 0.0
 
     def test_explicit_vector_matches_parallel_tag(self, benchmark_geom):
@@ -99,7 +97,7 @@ class TestMethods:
         # an isotropic dipole reproduces the scalar vacuum-fluctuation ratio
         for kz, phi0 in ((0.0, 0.0), (23.0, 0.01)):
             point = FieldPoint.axial(kz)
-            iso = gamma_ratio(point, DipoleOrientation.isotropic(), benchmark_geom, phi0)
+            iso = response(point, DipoleOrientation.isotropic(), benchmark_geom, phi0).gamma_ratio
             scalar = enhancement_ray(benchmark_geom, point, phi0).value
             assert iso == pytest.approx(scalar, rel=1e-13)
 
@@ -117,7 +115,8 @@ class TestFreeSpaceAndAverages:
     def test_frequency_average_of_damping(self, benchmark_geom):
         phis = math.pi * (np.arange(512) + 0.5) / 512
         for point in (FieldPoint.origin(), FieldPoint.axial(14.0)):
-            vals = [gamma_ratio(point, DipoleOrientation.perpendicular(), benchmark_geom, float(p))
+            vals = [response(point, DipoleOrientation.perpendicular(), benchmark_geom,
+                             float(p)).gamma_ratio
                     for p in phis]
             assert abs(float(np.mean(vals)) - 1.0) < 1e-3
 
@@ -163,13 +162,16 @@ class TestCenterClosedForms:
 class TestShiftSymmetry:
     def test_center_shift_vanishes_at_resonance(self, benchmark_geom):
         for tag in ("parallel", "perpendicular", "isotropic"):
-            s = shift_ratio(FieldPoint.origin(), DipoleOrientation(tag=tag), benchmark_geom, 0.0)
+            s = response(FieldPoint.origin(), DipoleOrientation(tag=tag), benchmark_geom,
+                         0.0).shift_ratio
             assert s == 0.0
 
     def test_center_shift_odd_in_detuning(self, benchmark_geom):
         for phi0 in (0.005, 0.02):
-            plus = shift_ratio(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom, phi0)
-            minus = shift_ratio(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom, -phi0)
+            plus = response(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom,
+                            phi0).shift_ratio
+            minus = response(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom,
+                             -phi0).shift_ratio
             assert plus == -minus
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cavityqed.checks import _gamma_kernel_symmetric
+from cavityqed.dipole_response import enhancement_ray
 from cavityqed.ray_model import (
     ApertureCollapseError,
     airy_resonance_factor,
@@ -11,7 +12,6 @@ from cavityqed.ray_model import (
     cavity_linewidth,
     defocus_profile,
     effective_aperture,
-    enhancement_ray,
     standing_wave_weights,
 )
 from cavityqed.structures import CavityGeometry, FieldPoint, ValidityWarning

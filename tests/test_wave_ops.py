@@ -125,6 +125,12 @@ class TestIntracavityField:
                 # rounding noise amplified by the resolvent condition ~1/(1-rho)
                 assert np.max(np.abs(others)) < 1e-11
 
+    def test_nan_solve_raises(self, small_ops):
+        # a NaN residual must fail the solve guard, not pass it
+        f_in = plane_wave_coeffs(FieldPoint.axial(3.0), 60)
+        with pytest.raises(SolverError):
+            intracavity_field_coeffs(small_ops, math.nan, f_in)
+
 
 class TestEnhancementFull:
     def test_free_space_is_unity(self):
@@ -179,6 +185,20 @@ class TestEnhancementFull:
         basis = HarmonicBasis(20)
         with pytest.raises((SolverError, np.linalg.LinAlgError)):
             enhancement_full(geom, basis, FieldPoint.origin(), 0.0)
+
+    def test_underflowed_block_is_no_solver_error(self, benchmark_geom):
+        # near the center the highest-m right-hand sides underflow into the
+        # subnormal range; their residual relative to themselves is noise
+        point = FieldPoint((0.2, 0.0, 0.1))
+        coarse = enhancement_full(benchmark_geom, HarmonicBasis(100), point, 0.0).value
+        fine = enhancement_full(benchmark_geom, HarmonicBasis(120), point, 0.0).value
+        assert math.isfinite(fine)
+        assert fine == pytest.approx(coarse, rel=1e-2)
+
+    def test_non_finite_detuning_rejected(self, benchmark_geom):
+        for phi0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                enhancement_full(benchmark_geom, HarmonicBasis(20), FieldPoint.origin(), phi0)
 
     def test_condition_estimate_collected_on_request(self, benchmark_geom):
         basis = HarmonicBasis(40)
