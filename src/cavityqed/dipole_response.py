@@ -125,6 +125,14 @@ def response(
     model is validated for kr up to RAY_VALIDITY_KR; beyond that a
     ValidityWarning is issued. A non-finite phi0 raises ValueError.
     """
+    return _response(point, orientation, geom, phi0, aberration, diffraction,
+                     polar_order, azimuthal_order)
+
+
+def _response(point, orientation, geom, phi0, aberration, diffraction,
+              polar_order, azimuthal_order) -> ResponseResult:
+    # called only from response and enhancement_ray, so stacklevel 3 names
+    # the line that called either of them
     if not math.isfinite(phi0):
         raise ValueError(f"phi0 must be finite, got {phi0}")
     if point.kr > RAY_VALIDITY_KR:
@@ -132,7 +140,7 @@ def response(
             f"kr={point.kr:.3g} beyond the validated ray-model range "
             f"(kr <= {RAY_VALIDITY_KR:g})",
             ValidityWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
     axisym = point.on_axis and orientation.is_axisymmetric
     theta, w, phi_az = ray_integration_nodes(
@@ -180,9 +188,8 @@ def enhancement_ray(
     "ray-naive"), which coincides with the operator calculation when all
     angular-spreading phases are neglected.
     """
-    r = response(point, DipoleOrientation.isotropic(), geom, phi0,
-                 aberration=aberration, diffraction=diffraction,
-                 polar_order=polar_order, azimuthal_order=azimuthal_order)
+    r = _response(point, DipoleOrientation.isotropic(), geom, phi0,
+                  aberration, diffraction, polar_order, azimuthal_order)
     tag = "ray" if (aberration or diffraction) else "ray-naive"
     return EnhancementResult(value=r.gamma_ratio, method=tag, detail=r.detail)
 

@@ -368,7 +368,12 @@ def _fmt(value) -> str:
 def write_table(table: ResultTable, fmt: str) -> bytes:
     """Serialize a table: 'csv' (RFC 4180, units bracketed into headers,
     17-significant-digit floats) or 'json' (schema-tagged object with the
-    provenance block; floats round-trip bit-exactly)."""
+    provenance block; floats round-trip bit-exactly). A non-finite cell
+    raises FloatingPointError: no table is written with NaN or infinity."""
+    for i, row in enumerate(table.rows):
+        for col, v in zip(table.columns, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise FloatingPointError(f"non-finite value {v} in column {col.name!r}, row {i}")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")

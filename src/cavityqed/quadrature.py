@@ -4,15 +4,21 @@ The sphere is integrated in cos(theta) with Gauss-Legendre rules applied per
 segment, segments being split at the mirror edges where integrands are
 discontinuous, and uniformly in azimuth. Weights carry the dOmega/4pi
 measure, so integrating the constant 1 gives exactly 1.
+
+The Gauss-Legendre rule on [-1, 1] is computed here, by Newton's method on
+the three-term Legendre recurrence started from Tricomi's asymptotic nodes
+(Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013), and cached per
+order. Importing this module therefore loads no scipy module; only
+pv_integrate imports scipy.special, for digamma, when it is called.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, roots_legendre
 
 __all__ = [
     "AngularGrid",
@@ -61,11 +67,61 @@ class AngularGrid:
         return float(np.dot(self.w_theta, np.asarray(values).mean(axis=1)))
 
 
+@functools.lru_cache(maxsize=256)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as read-only
+    arrays shared by every caller of the same order.
+
+    Only the nonnegative half of the nodes is iterated; the rule is mirrored
+    from it, so it is exactly symmetric. The weights are
+    2/((1 - x^2) P_n'(x)^2), normalized to sum to 2.
+    """
+    n = int(order)
+    if n != order or n < 1:
+        raise ValueError(f"Gauss-Legendre order must be a positive integer, got {order}")
+    k = np.arange(1, n // 2 + n % 2 + 1)
+    t = (4 * k - 1) * math.pi / (4 * n + 2)
+    x = np.cos(t) * (1.0 - (n - 1) / (8.0 * n**3)
+                     - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n**4))
+    if n % 2:
+        x[-1] = 0.0
+    # Newton converges quadratically from these guesses: its third correction
+    # is at rounding level for n >= 47, its fourth for smaller n
+    for _ in range(6):
+        p, dp = _legendre_with_derivative(n, x)
+        updated = x - p / dp
+        moved, x = x - updated, updated
+        if np.max(np.abs(moved)) <= 4.0 * np.finfo(float).eps:
+            break
+    # carry P_n' over the last move with P_n'' from Legendre's equation: near
+    # x = 1 the weights are 2x/(1 - x^2) times as sensitive as the nodes
+    dp -= moved * (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    nodes = np.concatenate((-x, x[::-1][n % 2:]))
+    weights = np.concatenate((w, w[::-1][n % 2:]))
+    weights *= 2.0 / weights.sum()
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
+
+
+def _legendre_with_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, for |x| < 1."""
+    p_prev, p = np.ones_like(x), x.copy()
+    for k in range(1, n):
+        p_prev *= -k / (k + 1)
+        p_prev += ((2 * k + 1) / (k + 1)) * x * p
+        p_prev, p = p, p_prev
+    return p, n * (p_prev - x * p) / (1.0 - x * x)
+
+
 def polar_rule(theta_edges, order: int):
     """Gauss-Legendre nodes/weights in mu = cos(theta), split per segment.
 
     Returns (mu, w) with weights normalized to the polar half of the
-    dOmega/4pi measure: sum(w) = 1 over the full sphere.
+    dOmega/4pi measure: sum(w) = 1 over the full sphere. The arrays are
+    fresh on every call.
     """
     if order < 2:
         raise ValueError(f"polar order must be >= 2, got {order}")
@@ -75,7 +131,7 @@ def polar_rule(theta_edges, order: int):
     mus = np.concatenate(([-1.0], np.cos(edges)[::-1], [1.0]))
     if np.any(np.diff(mus) <= 0.0):
         raise ValueError("degenerate segment: repeated theta edge")
-    xs, ws = roots_legendre(order)
+    xs, ws = _gauss_legendre(order)
     mu_parts, w_parts = [], []
     for a, b in zip(mus[:-1], mus[1:]):
         mu_parts.append(0.5 * (b - a) * xs + 0.5 * (a + b))
@@ -161,8 +217,10 @@ def pv_integrate(
     """
     if num_periods < 64:
         raise ValueError("num_periods must be at least 64")
+    from scipy.special import digamma  # the only scipy use; kept off the import path
+
     edges = _pv_panels(period, subpanels, refine_points, refine_levels)
-    xs, ws = roots_legendre(order)
+    xs, ws = _gauss_legendre(order)
     lo, hi = edges[:-1], edges[1:]
     u = (0.5 * (hi - lo)[:, None] * xs[None, :] + 0.5 * (lo + hi)[:, None]).ravel()
     w = (0.5 * (hi - lo)[:, None] * ws[None, :]).ravel()

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import AngularGrid, build_grid
-from .ray_model import defocus_profile
+from .ray_model import _SINGULAR_FLOOR, defocus_profile
 from .specfun import legendre_table, plane_wave_coeffs, radial_bessel_table
 from .structures import (
     AngularFunction,
@@ -207,21 +207,35 @@ def intracavity_field_coeffs(
     """
     out: dict[int, np.ndarray] = {}
     scale = math.sqrt(f_in.norm_sq())
+    lossless = _is_lossless(ops.geometry)
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
         rhs = block.tau @ (block.u_half * c)
-        x = block.parity * _checked_solve(a, block.parity * rhs, m, scale)
+        x = block.parity * _checked_solve(a, block.parity * rhs, m, scale, lossless)
         out[m] = block.u_half * x
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
 
 
-def _checked_solve(a, rhs, m, scale):
+def _is_lossless(geom: CavityGeometry) -> bool:
+    """Whether a mirror reflects within the singular floor of 1. U and P are
+    unitary and |rho| <= max(rho1, rho2), so the inverse of every resolvent
+    block has norm at most 1/(1 - max(rho1, rho2)): only such a cavity can
+    have a singular block."""
+    return max(geom.rho1, geom.rho2) >= 1.0 - _SINGULAR_FLOOR
+
+
+def _checked_solve(a, rhs, m, scale, lossless):
     """Solve one m block and check its residual against scale, the norm of
     the whole input: a block whose right-hand side has underflowed towards
     the subnormal range has no meaningful residual relative to itself. A
-    NaN residual fails the check."""
+    NaN residual fails the check.
+
+    For a lossless cavity a block on resonance is singular, but rounding in
+    its quadrature-built entries decides whether the solve fails or returns
+    a meaningless finite answer; such a block is rejected when its condition
+    number reaches 1/(dim * eps), singular to working precision."""
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -234,6 +248,13 @@ def _checked_solve(a, rhs, m, scale):
             f"input norm {scale:.2e} (condition estimate {cond:.2e}); "
             "reflectivity too close to 1 at a degenerate phase, or non-finite input"
         )
+    if lossless:
+        cond = float(np.linalg.cond(a))
+        if not cond * a.shape[0] * np.finfo(float).eps < 1.0:
+            raise SolverError(
+                f"resolvent of m={m} block is singular to working precision "
+                f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
+            )
     return x
 
 
@@ -278,10 +299,11 @@ def enhancement_full(
     conditions = []
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(coeffs.norm_sq())
+    lossless = _is_lossless(geom)
     for m, c in sorted(coeffs.blocks.items()):
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
-        x = _checked_solve(a, block.u_half * c, m, scale)
+        x = _checked_solve(a, block.u_half * c, m, scale, lossless)
         per_m[m + basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
         if collect_condition:
             conditions.append(float(np.linalg.cond(a)))

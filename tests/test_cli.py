@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -171,9 +172,19 @@ class TestRun:
         for suffix in (".csv", ".json", ".gp"):
             assert (tmp_path / "out" / f"tiny{suffix}").exists()
 
-    def test_defocus_study_honours_azimuthal_order(self, tmp_path):
-        tables = []
+    def test_defocus_study_honours_azimuthal_order(self, tmp_path, monkeypatch):
+        # the azimuthal node count of every ray evaluation shows the order
+        # that reached it; at kr_perp = 6 the automatic count is 28
+        real, nodes = cli.enhancement_ray, []
+
+        def recording(*args, **kwargs):
+            r = real(*args, **kwargs)
+            nodes.append(r.detail["azimuthal_nodes"])
+            return r
+
+        monkeypatch.setattr(cli, "enhancement_ray", recording)
         for order in (32, 96):
+            nodes.clear()
             doc = {
                 "geometry": dict(TINY_SCENARIO["geometry"], k_delta=0.3),
                 "scan": {"kind": "defocus-study", "point": [6.0, 0.0, 1.0],
@@ -184,8 +195,21 @@ class TestRun:
             cfg = _write_config(tmp_path, doc)
             out = tmp_path / str(order)
             assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            tables.append((out / "d.csv").read_bytes())
-        assert tables[0] != tables[1]
+            assert nodes == [order] * 6
+
+    def test_non_finite_result_exits_numerical(self, tmp_path, monkeypatch, capsys):
+        real = cli.response
+
+        def nan_response(*args, **kwargs):
+            return dataclasses.replace(real(*args, **kwargs), gamma_ratio=math.nan)
+
+        monkeypatch.setattr(cli, "response", nan_response)
+        doc = dict(TINY_SCENARIO, scan={"kind": "radial-map", **TINY_SCANS["radial-map"]})
+        cfg = _write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_NUMERICAL
+        assert "non-finite value nan" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("tiny.*"))
 
     @pytest.mark.parametrize("key", list(BAD_DOCUMENTS))
     def test_null_and_non_finite_values_are_config_errors(self, tmp_path, capsys, key):

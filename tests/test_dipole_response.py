@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cavityqed.dipole_response import (
     response,
     shift_kernel,
 )
-from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint
+from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint, ValidityWarning
 
 KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
@@ -100,6 +101,21 @@ class TestMethods:
             iso = response(point, DipoleOrientation.isotropic(), benchmark_geom, phi0).gamma_ratio
             scalar = enhancement_ray(benchmark_geom, point, phi0).value
             assert iso == pytest.approx(scalar, rel=1e-13)
+
+
+class TestValidityWarning:
+    def test_warning_names_the_callers_line(self, benchmark_geom):
+        point = FieldPoint.axial(120.0)
+        calls = {
+            "response": lambda: response(point, DipoleOrientation.isotropic(),
+                                         benchmark_geom, 0.0),
+            "enhancement_ray": lambda: enhancement_ray(benchmark_geom, point, 0.0),
+        }
+        for name, call in calls.items():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ValidityWarning)
+                call()
+            assert [w.filename for w in caught] == [__file__], name
 
 
 class TestFreeSpaceAndAverages:

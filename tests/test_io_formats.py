@@ -328,6 +328,14 @@ class TestResultTable:
         with pytest.raises(ValueError, match="cells"):
             ResultTable((Column("a"), Column("b")), [(1.0,)], {})
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_cell_refused(self, fmt, bad):
+        t = _table()
+        t.rows = [t.rows[0], (1.0, bad, 0.0, "ray")]
+        with pytest.raises(FloatingPointError, match="gamma_ratio.*row 1"):
+            write_table(t, fmt)
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             write_table(_table(), "parquet")

@@ -1,11 +1,16 @@
 import math
+import subprocess
+import sys
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from cavityqed.airy_shift import airy_lorentzian, pv_shift, pv_shift_cos
 from cavityqed.quadrature import (
     PVConvergenceError,
+    _gauss_legendre,
     build_grid,
     polar_rule,
     pv_integrate,
@@ -64,6 +69,83 @@ class TestGrid:
             build_grid([1.0], order_polar=1, order_azimuthal=4)
         with pytest.raises(ValueError):
             build_grid([1.0], order_polar=8, order_azimuthal=1)
+
+
+RULE_ORDERS = list(range(2, 61)) + [64, 151, 166, 416, 816, 1000]
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("order", RULE_ORDERS)
+    def test_nodes_match_scipy(self, order):
+        x, _ = _gauss_legendre(order)
+        x_ref, _ = roots_legendre(order)
+        assert np.max(np.abs(x - x_ref)) <= 1e-15
+
+    @pytest.mark.parametrize("order", RULE_ORDERS)
+    def test_weights_integrate_squared_legendre_polynomials(self, order):
+        # sum w P_j^2 = 2/(2j+1) holds exactly for j <= n - 1 (degree 2n - 2)
+        x, w = _gauss_legendre(order)
+        p_prev, p = np.zeros_like(x), np.ones_like(x)
+        for j in range(order):
+            exact = 2.0 / (2 * j + 1)
+            assert abs(float(np.dot(w, p * p)) - exact) <= 1e-13 * exact, j
+            p_prev, p = p, ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+
+    def test_outermost_weight_matches_mpmath(self):
+        # 40-digit Newton on the recurrence; mpmath.legendre loses digits here
+        n = 416
+
+        def legendre_and_derivative(t):
+            p_prev, p = mpmath.mpf(1), t
+            for k in range(1, n):
+                p_prev, p = p, ((2 * k + 1) * t * p - k * p_prev) / (k + 1)
+            return p, n * (p_prev - t * p) / (1 - t * t)
+
+        x, w = _gauss_legendre(n)
+        with mpmath.workdps(40):
+            root = mpmath.mpf(x[-1])
+            for _ in range(3):
+                p, dp = legendre_and_derivative(root)
+                root -= p / dp
+            _, dp = legendre_and_derivative(root)
+            weight = 2 / ((1 - root**2) * dp**2)
+            assert abs(x[-1] - root) <= 2e-16
+            assert abs(w[-1] - weight) <= 5e-12 * weight
+
+    def test_rule_is_symmetric_and_normalized(self):
+        for order in (7, 64, 151):
+            x, w = _gauss_legendre(order)
+            assert np.all(np.diff(x) > 0.0)
+            assert np.array_equal(x, -x[::-1])
+            assert np.array_equal(w, w[::-1])
+            assert abs(float(np.sum(w)) - 2.0) <= 4e-16
+
+    def test_non_integer_order_rejected(self):
+        with pytest.raises(ValueError, match="integer"):
+            polar_rule([1.0], 16.5)
+
+    def test_cached_rule_is_read_only(self):
+        x, w = _gauss_legendre(24)
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_mutating_returned_arrays_leaves_later_calls_unchanged(self):
+        mu, w = polar_rule([0.6, 2.1], order=20)
+        ref_mu, ref_w = mu.copy(), w.copy()
+        mu[:] = 0.0
+        w[:] = 0.0
+        again_mu, again_w = polar_rule([0.6, 2.1], order=20)
+        assert np.array_equal(again_mu, ref_mu)
+        assert np.array_equal(again_w, ref_w)
+
+    def test_cli_import_loads_no_scipy(self):
+        code = ("import sys, cavityqed.cli; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSolidAngleFraction:

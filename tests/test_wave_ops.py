@@ -186,6 +186,21 @@ class TestEnhancementFull:
         with pytest.raises((SolverError, np.linalg.LinAlgError)):
             enhancement_full(geom, basis, FieldPoint.origin(), 0.0)
 
+    @pytest.mark.parametrize("l_max", [10, 20, 40, 150])
+    def test_lossless_resonance_raises_at_any_l_max(self, l_max):
+        # whether the quadrature rounds the l = 0 entry of the closed sphere
+        # to exactly 1 must not decide between an error and a value of 0
+        geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
+        with pytest.raises(SolverError, match="singular to working precision"):
+            enhancement_full(geom, HarmonicBasis(l_max), FieldPoint.origin(), 0.0)
+
+    @pytest.mark.parametrize("theta_m", [1.0, 1.2])
+    @pytest.mark.parametrize("l_max", [10, 20, 40, 150])
+    def test_lossless_open_cavity_stays_finite(self, theta_m, l_max):
+        geom = CavityGeometry.symmetric(KR, theta_m, 1.0)
+        r = enhancement_full(geom, HarmonicBasis(l_max), FieldPoint.origin(), 0.0)
+        assert math.isfinite(r.value) and r.value > 1.0
+
     def test_underflowed_block_is_no_solver_error(self, benchmark_geom):
         # near the center the highest-m right-hand sides underflow into the
         # subnormal range; their residual relative to themselves is noise
