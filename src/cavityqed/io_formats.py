@@ -54,6 +54,13 @@ _KIND_RANGE = {
 }
 SCAN_KINDS = tuple(_KIND_RANGE)
 
+# upper bounds on the sizes a scenario may ask for; they keep a typing slip
+# from starting hours of work or gigabytes of operator blocks
+_MAX_L = 1000
+_MAX_ORDER = 4096
+_MAX_COUNT = 100_000
+_MAX_PHASE_COUNT = 65_536
+
 
 class ConfigError(ValueError):
     """Invalid configuration; carries every violation found, not just the first."""
@@ -161,7 +168,8 @@ def _parse_range(s, key, errors):
     start = _get(raw, "start", None, errors, path, (int, float), describe="number")
     stop = _get(raw, "stop", None, errors, path, (int, float), describe="number")
     count = _get(raw, "count", None, errors, path, int,
-                 constraint=lambda c: c >= 2, describe="integer >= 2")
+                 constraint=lambda c: 2 <= c <= _MAX_COUNT,
+                 describe=f"integer in [2, {_MAX_COUNT}]")
     errors.extend(f"{path}.{name}: required" for name in _keys(ScanRange) if name not in raw)
     if None in (start, stop, count):
         return None
@@ -237,7 +245,8 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"scan.rhos: expected nonempty reflectivities in [0,1), got {rhos!r}")
         rhos = ScanSpec.rhos
     phase_count = _get(s, "phase_count", ScanSpec.phase_count, errors, "scan", int,
-                       constraint=lambda v: v >= 2, describe="integer >= 2")
+                       constraint=lambda v: 2 <= v <= _MAX_PHASE_COUNT,
+                       describe=f"integer in [2, {_MAX_PHASE_COUNT}]")
     if kind != "airy-check":  # config_to_dict leaves them out
         rhos, phase_count = ScanSpec.rhos, ScanSpec.phase_count
     needed = _KIND_RANGE[kind]
@@ -247,12 +256,13 @@ def parse_config(text: str) -> ScenarioConfig:
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(
         l_max=_get(n, "l_max", NumericsConfig.l_max, errors, "numerics", int,
-                   constraint=lambda v: v >= 0, describe="integer >= 0"),
+                   constraint=lambda v: 0 <= v <= _MAX_L, describe=f"integer in [0, {_MAX_L}]"),
         polar_order=_get(n, "polar_order", NumericsConfig.polar_order, errors, "numerics", int,
-                         constraint=lambda v: v >= 2, describe="integer >= 2"),
+                         constraint=lambda v: 2 <= v <= _MAX_ORDER,
+                         describe=f"integer in [2, {_MAX_ORDER}]"),
         azimuthal_order=_get(n, "azimuthal_order", NumericsConfig.azimuthal_order, errors,
-                             "numerics", int, constraint=lambda v: v >= 2,
-                             describe="integer >= 2"),
+                             "numerics", int, constraint=lambda v: 2 <= v <= _MAX_ORDER,
+                             describe=f"integer in [2, {_MAX_ORDER}]"),
         tail_tol=float(_get(n, "tail_tol", NumericsConfig.tail_tol, errors, "numerics",
                             (int, float), constraint=lambda v: v > 0,
                             describe="positive number")),

@@ -165,6 +165,32 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     return out
 
 
+def _legendre_column(l_max: int, x: float) -> np.ndarray:
+    """Normalized associated Legendre values at one point x for every m at
+    once: entry [l, m] is P_lm(x) for l >= m, zero above the diagonal.
+
+    Runs the recurrence of legendre_table vectorised over m, one loop over l,
+    with the same operations in the same order, so column m from row m on
+    equals legendre_table(l_max, m, [x])[0] bit for bit.
+    """
+    out = np.zeros((l_max + 1, l_max + 1))
+    u = math.sqrt(max(0.0, 1.0 - x * x))
+    pmm = 1.0
+    out[0, 0] = pmm
+    for k in range(1, l_max + 1):
+        pmm = -u * math.sqrt((2 * k + 1) / (2 * k)) * pmm
+        out[k, k] = pmm
+    ms = np.arange(l_max)
+    out[ms + 1, ms] = np.sqrt(2 * ms + 3) * x * out[ms, ms]
+    m_sq = ms * ms
+    for l in range(2, l_max + 1):
+        mm = m_sq[: l - 1]
+        a = np.sqrt((4 * l * l - 1) / (l * l - mm))
+        b = np.sqrt(((l - 1) ** 2 - mm) / (4 * (l - 1) ** 2 - 1))
+        out[l, : l - 1] = a * (x * out[l - 1, : l - 1] - b * out[l - 2, : l - 1])
+    return out
+
+
 def ylm(l: int, m: int, theta, phi_az) -> complex | np.ndarray:
     """Spherical harmonic with unit mean square: <|Y_lm|^2> = 1 over dOmega/4pi."""
     if l < 0 or abs(m) > l:
@@ -223,10 +249,9 @@ def plane_wave_coeffs(
         kx, ky, kz = point.kvec
         theta_r = math.acos(min(1.0, max(-1.0, kz / kr)))
         phi_r = math.atan2(ky, kx)
-        cx = np.array([math.cos(theta_r)])
+        column = _legendre_column(l_max, math.cos(theta_r))
         for m in range(0, l_max + 1):
-            p = legendre_table(l_max, m, cx)[0]
-            ylm_dir = p * np.exp(1j * m * phi_r)
+            ylm_dir = column[m:, m] * np.exp(1j * m * phi_r)
             blocks[m] = pref[m:] * np.conj(ylm_dir)
             if m > 0:
                 # conj(Y_{l,-m}) = (-1)^m Y_{l,m}

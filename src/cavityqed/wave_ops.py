@@ -54,6 +54,9 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-8
+# share of the input energy that the skipped |m| pairs may add, at most,
+# to the value of enhancement_full
+_SKIP_FLOOR = 1e-16
 
 
 def propagator_phases(ls: np.ndarray, k_radius: float) -> np.ndarray:
@@ -212,7 +215,7 @@ def intracavity_field_coeffs(
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
         rhs = block.tau @ (block.u_half * c)
-        x = block.parity * _checked_solve(a, block.parity * rhs, m, scale, lossless)
+        x = block.parity * _checked_solve(a, block.parity * rhs, f"m={m}", scale, lossless)
         out[m] = block.u_half * x
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
@@ -226,11 +229,12 @@ def _is_lossless(geom: CavityGeometry) -> bool:
     return max(geom.rho1, geom.rho2) >= 1.0 - _SINGULAR_FLOOR
 
 
-def _checked_solve(a, rhs, m, scale, lossless):
-    """Solve one m block and check its residual against scale, the norm of
-    the whole input: a block whose right-hand side has underflowed towards
-    the subnormal range has no meaningful residual relative to itself. A
-    NaN residual fails the check.
+def _checked_solve(a, rhs, label, scale, lossless):
+    """Solve one m block for one right-hand side, or two as columns, and
+    check the largest residual against scale, the norm of the whole input:
+    a block whose right-hand side has underflowed towards the subnormal
+    range has no meaningful residual relative to itself. A NaN residual
+    fails the check.
 
     For a lossless cavity a block on resonance is singular, but rounding in
     its quadrature-built entries decides whether the solve fails or returns
@@ -239,12 +243,12 @@ def _checked_solve(a, rhs, m, scale, lossless):
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SolverError(f"resolvent solve failed in m={m} block: {exc}") from exc
+        raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
     resid = float(np.max(np.abs(a @ x - rhs)))
     if not resid <= _RESIDUAL_LIMIT * scale:
         cond = float(np.linalg.cond(a)) if np.all(np.isfinite(a)) else math.nan
         raise SolverError(
-            f"resolvent solve in m={m} block has residual {resid:.2e} against "
+            f"resolvent solve in {label} block has residual {resid:.2e} against "
             f"input norm {scale:.2e} (condition estimate {cond:.2e}); "
             "reflectivity too close to 1 at a degenerate phase, or non-finite input"
         )
@@ -252,7 +256,7 @@ def _checked_solve(a, rhs, m, scale, lossless):
         cond = float(np.linalg.cond(a))
         if not cond * a.shape[0] * np.finfo(float).eps < 1.0:
             raise SolverError(
-                f"resolvent of m={m} block is singular to working precision "
+                f"resolvent of {label} block is singular to working precision "
                 f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
             )
     return x
@@ -276,10 +280,20 @@ def enhancement_full(
     multiplication operator for tau^2 (a quadratic form in the solved
     coefficients), which avoids one truncation stage.
 
+    Only the |m| that can matter are solved. A pair +-m whose input energy
+    is e adds at most e / (1 - max(rho1, rho2))^2 to the value, so the pairs
+    are skipped from the highest |m| down while the sum of their bounds
+    stays within 1e-16 of the input energy; the +m and -m blocks share one
+    matrix and are solved as two right-hand sides of one system. A lossless
+    cavity has no such bound: there every listed block is solved and
+    checked. detail reports the listed blocks (m_blocks), the |m| systems
+    solved (blocks_solved) and the summed bound of the skipped pairs
+    (skipped_bound); the condition estimate covers the solved systems.
+
     The mirror edge entering the operators is the geometric aperture;
     diffraction losses emerge from the calculation itself. Without ops the
-    blocks are built on demand on operator_grid. A non-finite
-    detuning_phase raises ValueError.
+    blocks are built on demand on operator_grid, the skipped ones never. A
+    non-finite detuning_phase raises ValueError.
     """
     if not math.isfinite(detuning_phase):
         raise ValueError(f"detuning_phase must be finite, got {detuning_phase}")
@@ -295,16 +309,27 @@ def enhancement_full(
     if ops is None:
         ops = CavityOperatorSet(geometry=geom, basis=basis,
                                 grid=operator_grid(geom, basis.l_max))
+    blocks = coeffs.blocks
+    norm_sq = coeffs.norm_sq()
+    # the focused-wave input has unit norm up to its truncation tail
+    scale = math.sqrt(norm_sq)
+    lossless = _is_lossless(geom)
+    top, skipped = _solved_magnitudes(geom, blocks, norm_sq, lossless)
     per_m = np.zeros(2 * basis.l_max + 1)
     conditions = []
-    # the focused-wave input has unit norm up to its truncation tail
-    scale = math.sqrt(coeffs.norm_sq())
-    lossless = _is_lossless(geom)
-    for m, c in sorted(coeffs.blocks.items()):
-        block = ops.block(m)
+    for mag in range(top + 1):
+        block = ops.block(mag)
         a = _resolvent_matrix(block, detuning_phase)
-        x = _checked_solve(a, block.u_half * c, m, scale, lossless)
-        per_m[m + basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
+        if mag == 0:
+            x = _checked_solve(a, block.u_half * blocks[0], "m=0", scale, lossless)
+            per_m[basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
+        else:
+            # +m and -m share one matrix: one solve with two right-hand sides
+            rhs = block.u_half[:, None] * np.column_stack((blocks[mag], blocks[-mag]))
+            x = _checked_solve(a, rhs, f"m=+-{mag}", scale, lossless)
+            tx = block.tau_sq @ x
+            for col, m in ((0, mag), (1, -mag)):
+                per_m[m + basis.l_max] = float(np.real(np.conj(x[:, col]) @ tx[:, col]))
         if collect_condition:
             conditions.append(float(np.linalg.cond(a)))
     value = float(np.sum(per_m))
@@ -314,8 +339,34 @@ def enhancement_full(
         l_max=basis.l_max,
         truncation_tail=coeffs.truncation_tail,
         condition=max(conditions) if conditions else None,
-        detail={"flux_residual": ops.flux_residual, "m_blocks": len(coeffs.blocks)},
+        detail={"flux_residual": ops.flux_residual, "m_blocks": len(blocks),
+                "blocks_solved": top + 1, "skipped_bound": skipped},
     )
+
+
+def _solved_magnitudes(geom, blocks, norm_sq, lossless):
+    """Highest |m| to solve, and the summed bound on what the skipped |m|
+    pairs above it could add to the value.
+
+    U and P are unitary, |rho_m| <= max(rho1, rho2) and |tau^2_m| <= 1, so
+    a pair with input energy e contributes at most e / (1 - max rho)^2. The
+    |m| pairs are skipped from the top down while the summed bound stays
+    within _SKIP_FLOOR of the input energy. A lossless cavity has no finite
+    bound, and every listed block is solved.
+    """
+    top = max(abs(m) for m in blocks)
+    if lossless:
+        return top, 0.0
+    gain = 1.0 / (1.0 - max(geom.rho1, geom.rho2)) ** 2
+    budget = _SKIP_FLOOR * norm_sq
+    skipped = 0.0
+    while top > 0:
+        energy = float(np.sum(np.abs(blocks[top]) ** 2) + np.sum(np.abs(blocks[-top]) ** 2))
+        if not skipped + gain * energy <= budget:
+            break
+        skipped += gain * energy
+        top -= 1
+    return top, skipped
 
 
 def perfect_sphere_frequency(l: int, n: int, k_radius: float) -> float:

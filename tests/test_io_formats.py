@@ -176,6 +176,26 @@ class TestParseConfig:
             parse_config(text)
         assert [v.split(":")[0] for v in err.value.violations] == [path]
 
+    @pytest.mark.parametrize("path,bound", [
+        ("numerics.l_max", 1000), ("numerics.polar_order", 4096),
+        ("numerics.azimuthal_order", 4096), ("scan.kz_range.count", 100_000),
+        ("scan.phi0_range.count", 100_000), ("scan.kx_range.count", 100_000),
+        ("scan.phase_count", 65_536),
+    ])
+    def test_sizes_are_bounded(self, path, bound):
+        # parsed only: nothing of this size runs
+        def doc(value):
+            d = _minimal_with(path, value)
+            for key in ("phi0_range", "kx_range"):
+                d["scan"].setdefault(key, {"count": 2}).update(start=0, stop=1)
+            return d
+
+        parse_config(json.dumps(doc(bound)))
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc(bound + 1)))
+        assert [v.split(":")[0] for v in err.value.violations] == [path]
+        assert str(bound) in err.value.violations[0]
+
     def test_undecodable_documents_are_config_errors(self):
         for text in ('{"scan": {"kind": "airy-check", "phase_count": ' + "9" * 5000 + "}}",
                      "[" * 100_000):

@@ -6,6 +6,7 @@ import pytest
 from cavityqed.quadrature import build_grid
 from cavityqed.specfun import (
     SQRT_2_OVER_PI,
+    _legendre_column,
     asymptotic_radial_bessel,
     bessel_weights,
     legendre_table,
@@ -158,6 +159,18 @@ class TestSphericalHarmonics:
             ylm(2, 1, 3.5, 0.0)
 
 
+class TestLegendreColumn:
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 150])
+    @pytest.mark.parametrize("x", [-1.0, -0.7, 0.0, 0.31, 1.0])
+    def test_rows_equal_legendre_table_bitwise(self, x, l_max):
+        # the poles x = +-1 (u = 0) included
+        column = _legendre_column(l_max, x)
+        assert column.shape == (l_max + 1, l_max + 1)
+        for m in range(l_max + 1):
+            assert np.array_equal(column[m:, m], legendre_table(l_max, m, [x])[0])
+            assert not np.any(column[:m, m])
+
+
 class TestPlaneWaveCoeffs:
     def test_origin_single_coefficient(self):
         f = plane_wave_coeffs(FieldPoint.origin(), 40)
@@ -184,6 +197,22 @@ class TestPlaneWaveCoeffs:
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             plane_wave_coeffs(FieldPoint.axial(50.0), 120)
+
+    def test_off_axis_blocks_match_per_m_tables(self):
+        # the per-m legendre_table loop the Legendre column replaced
+        point = FieldPoint((4.0, -3.0, 2.0))
+        l_max = 40
+        f = plane_wave_coeffs(point, l_max)
+        kx, ky, kz = point.kvec
+        theta_r, phi_r = math.acos(kz / point.kr), math.atan2(ky, kx)
+        ls = np.arange(l_max + 1)
+        pref = (-1j) ** ls * math.sqrt(math.pi / 2) * radial_bessel_table(l_max, point.kr)
+        assert set(f.blocks) == set(range(-l_max, l_max + 1))
+        for m in range(l_max + 1):
+            y = legendre_table(l_max, m, [math.cos(theta_r)])[0] * np.exp(1j * m * phi_r)
+            assert np.array_equal(f.blocks[m], pref[m:] * np.conj(y))
+            if m > 0:
+                assert np.array_equal(f.blocks[-m], pref[m:] * (-1) ** m * y)
 
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion

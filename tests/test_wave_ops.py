@@ -26,6 +26,20 @@ KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
 
 
+def _all_blocks_value(ops, point, phi0):
+    """The enhancement with every listed m block solved on its own: the
+    reference that enhancement_full may depart from only by its skipped
+    bound."""
+    coeffs = plane_wave_coeffs(point, ops.basis.l_max)
+    per_m = []
+    for m, c in sorted(coeffs.blocks.items()):
+        b = ops.block(m)
+        a = np.diag(b.u_half**2) - np.exp(2j * phi0) * (b.parity[:, None] * b.rho)
+        x = np.linalg.solve(a, b.u_half * c)
+        per_m.append(float(np.real(np.conj(x) @ (b.tau_sq @ x))))
+    return float(np.sum(per_m))
+
+
 @pytest.fixture(scope="module")
 def benchmark_geom():
     return CavityGeometry.symmetric(KR, THETA_30PCT, 0.98)
@@ -136,7 +150,8 @@ class TestEnhancementFull:
     def test_free_space_is_unity(self):
         geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.0)
         basis = HarmonicBasis(70)
-        for point in (FieldPoint.origin(), FieldPoint.axial(15.0)):
+        for point in (FieldPoint.origin(), FieldPoint.axial(15.0),
+                      FieldPoint((6.0, 2.0, -3.0)), FieldPoint((30.0, 0.0, 5.0))):
             r = enhancement_full(geom, basis, point, 0.2)
             assert r.value == pytest.approx(1.0, abs=1e-12)
 
@@ -220,6 +235,59 @@ class TestEnhancementFull:
         r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0,
                              collect_condition=True)
         assert r.condition is not None and r.condition > 1.0
+
+
+class TestBlockSkip:
+    def test_high_l_max_solves_only_the_blocks_with_energy(self, benchmark_geom):
+        # 501 blocks are listed at l_max 250, but beyond |m| ~ 18 their share
+        # of the input is far below 1e-16; without ops none of them is built
+        basis = HarmonicBasis(250)
+        point = FieldPoint((5.0, 0.0, 3.0))
+        r = enhancement_full(benchmark_geom, basis, point, 0.0)
+        assert r.detail["m_blocks"] == 501
+        assert r.detail["blocks_solved"] <= 20
+        ref = _all_blocks_value(build_operators(benchmark_geom, basis), point, 0.0)
+        assert r.value == pytest.approx(ref, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (2.0, 2.0, -8.0)])
+    def test_skip_stays_within_its_bound_near_lossless(self, kvec):
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.999)
+        basis = HarmonicBasis(60)
+        ops = build_operators(geom, basis)
+        point = FieldPoint(kvec)
+        r = enhancement_full(geom, basis, point, 0.0, ops=ops)
+        ref = _all_blocks_value(ops, point, 0.0)
+        assert abs(r.value - ref) <= r.detail["skipped_bound"] + 1e-14 * ref
+        # the bound carries the resolvent gain 1/(1 - rho)^2: a cavity that
+        # may amplify a block keeps more blocks than free space
+        free = CavityGeometry.symmetric(KR, THETA_30PCT, 0.0)
+        r_free = enhancement_full(free, basis, point, 0.0)
+        assert r.detail["blocks_solved"] > r_free.detail["blocks_solved"]
+        assert r_free.detail["blocks_solved"] < basis.l_max + 1
+
+    def test_lossless_open_cavity_solves_every_listed_block(self):
+        geom = CavityGeometry.symmetric(KR, 1.0, 1.0)
+        basis = HarmonicBasis(40)
+        r = enhancement_full(geom, basis, FieldPoint((5.0, 0.0, 3.0)), 0.0)
+        assert math.isfinite(r.value) and r.value > 1.0
+        assert r.detail["blocks_solved"] == basis.l_max + 1
+        assert r.detail["skipped_bound"] == 0.0
+
+    def test_closed_sphere_resonance_raises_off_axis(self):
+        geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
+        with pytest.raises(SolverError, match="singular to working precision"):
+            enhancement_full(geom, HarmonicBasis(40), FieldPoint((2.0, 1.0, 1.0)), 0.0)
+
+    def test_detail_counts_are_deterministic(self, benchmark_geom):
+        basis = HarmonicBasis(60)
+        point = FieldPoint((8.0, 3.0, -2.0))
+        a = enhancement_full(benchmark_geom, basis, point, 0.01).detail
+        b = enhancement_full(benchmark_geom, basis, point, 0.01).detail
+        assert a == b
+        assert 0 < a["blocks_solved"] < basis.l_max + 1
+        assert 0.0 < a["skipped_bound"] <= 1e-16
+        axis = enhancement_full(benchmark_geom, basis, FieldPoint.axial(8.0), 0.01).detail
+        assert (axis["blocks_solved"], axis["skipped_bound"]) == (1, 0.0)
 
 
 class TestPerfectSphere:
