@@ -60,6 +60,10 @@ _MAX_L = 1000
 _MAX_ORDER = 4096
 _MAX_COUNT = 100_000
 _MAX_PHASE_COUNT = 65_536
+# scan positions |k r|: the ray quadrature's automatic orders grow linearly
+# with kr (polar 48 + 1.2 kr, azimuthal 16 + 2 kr); this keeps both within
+# _MAX_ORDER, the largest order a document may request explicitly
+_MAX_KR = (_MAX_ORDER - 16) // 2
 
 
 class ConfigError(ValueError):
@@ -165,8 +169,12 @@ def _parse_range(s, key, errors):
         errors.append(f"{path}: expected an object with start/stop/count")
         return None
     _reject_unknown(raw, _keys(ScanRange), path, errors)
-    start = _get(raw, "start", None, errors, path, (int, float), describe="number")
-    stop = _get(raw, "stop", None, errors, path, (int, float), describe="number")
+    # kz_range and kx_range scan positions k r; phi0_range scans a phase
+    bounded = key != "phi0_range"
+    start, stop = (_get(raw, name, None, errors, path, (int, float),
+                        constraint=lambda v: not bounded or abs(v) <= _MAX_KR,
+                        describe=f"number of magnitude <= {_MAX_KR}" if bounded else "number")
+                   for name in ("start", "stop"))
     count = _get(raw, "count", None, errors, path, int,
                  constraint=lambda c: 2 <= c <= _MAX_COUNT,
                  describe=f"integer in [2, {_MAX_COUNT}]")
@@ -233,8 +241,9 @@ def parse_config(text: str) -> ScenarioConfig:
         kind = "axial-profile"
     point = s.get("point", ScanSpec.point)
     if (not isinstance(point, (list, tuple)) or len(point) != 3
-            or not all(_number(c) for c in point)):
-        errors.append(f"scan.point: expected three numbers, got {point!r}")
+            or not all(_number(c) for c in point) or math.hypot(*point) > _MAX_KR):
+        errors.append(f"scan.point: expected three numbers with |k r| <= {_MAX_KR}, "
+                      f"got {point!r}")
         point = ScanSpec.point
     phi0 = _get(s, "phi0", ScanSpec.phi0, errors, "scan", (int, float), describe="number")
     ranges = {key: _parse_range(s, key, errors)

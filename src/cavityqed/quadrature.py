@@ -23,6 +23,7 @@ import numpy as np
 __all__ = [
     "AngularGrid",
     "build_grid",
+    "cap_edges",
     "polar_rule",
     "solid_angle_fraction",
     "pv_integrate",
@@ -137,6 +138,14 @@ def polar_rule(theta_edges, order: int):
         mu_parts.append(0.5 * (b - a) * xs + 0.5 * (a + b))
         w_parts.append(0.25 * (b - a) * ws)
     return np.concatenate(mu_parts), np.concatenate(w_parts)
+
+
+def cap_edges(theta_1: float, theta_2: float) -> list[float]:
+    """Sorted polar edges of two mirror caps, of half-aperture theta_1 around
+    theta = 0 and theta_2 around theta = pi. A cap so narrow that the cosine
+    of its edge rounds to +-1 covers no solid angle in floating point and
+    gives no edge (a zero half-aperture is the absent mirror)."""
+    return sorted({e for e in (theta_1, math.pi - theta_2) if -1.0 < math.cos(e) < 1.0})
 
 
 def build_grid(theta_edges, order_polar: int, order_azimuthal: int) -> AngularGrid:

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .quadrature import polar_rule
+from .quadrature import cap_edges, polar_rule
 from .structures import CavityGeometry, FieldPoint
 
 __all__ = [
@@ -105,11 +105,18 @@ def airy_resonance_factor(phi, x, rho1, rho2):
 def effective_aperture(theta_m: float, k_radius: float, rho1: float, rho2: float) -> float:
     """Mirror half-aperture shrunk by the diffraction-loss correction
     delta_theta = 1/sqrt(kR (1 - rho_av^2)), rho_av = (rho1 + rho2)/2.
-    For equal mirrors 1 - rho_av^2 is the intensity transmittivity T."""
+    For equal mirrors 1 - rho_av^2 is the intensity transmittivity T; a
+    lossless pair (rho_av = 1) has an unbounded correction, which collapses
+    every aperture."""
+    if k_radius <= 0:
+        raise ValueError(f"k_radius must be positive, got {k_radius}")
     rho_av = 0.5 * (rho1 + rho2)
     loss = 1.0 - rho_av * rho_av
-    if k_radius <= 0 or loss <= 0:
-        raise ValueError("need k_radius > 0 and average reflectivity < 1")
+    if loss <= 0:
+        raise ApertureCollapseError(
+            "diffraction correction unbounded for a lossless mirror pair; "
+            "the ray correction needs loss"
+        )
     d_theta = 1.0 / math.sqrt(k_radius * loss)
     if d_theta >= theta_m:
         raise ApertureCollapseError(
@@ -207,9 +214,8 @@ def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order
     split at the (effective) mirror edges, azimuth uniform or collapsed to a
     single column for axisymmetric integrands. Orders scale with kr unless
     larger values are requested."""
-    th1, th2 = _effective_edges(geom, diffraction)
-    edges = sorted({e for e in (th1, math.pi - th2) if 0.0 < e < math.pi})
-    mu, w = polar_rule(edges, _auto_polar_order(point.kr, polar_order))
+    mu, w = polar_rule(cap_edges(*_effective_edges(geom, diffraction)),
+                       _auto_polar_order(point.kr, polar_order))
     theta = np.arccos(np.clip(mu, -1.0, 1.0))
     if axisym:
         phi = np.zeros(1)

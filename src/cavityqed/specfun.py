@@ -62,20 +62,25 @@ def radial_bessel_table(l_max: int, kr: float) -> np.ndarray:
     """J_{l+1/2}(kr)/sqrt(kr) for every l = 0..l_max at fixed kr >= 0.
 
     For kr > l_max the upward recurrence is stable and used directly.
-    Otherwise the table is generated downward from a continued-fraction
+    Below kr = 1e-8, the origin included, the leading series term
+    x^l/(2l+1)!! is exact to rounding (the next is x^2/(4l+6) smaller), and
+    the downward recurrence, whose factors (2l+1)/x overflow there, is not
+    used. Otherwise the table is generated downward from a continued-fraction
     seed at l_max and normalized against the l = 0 (or, near its zeros,
-    l = 1) closed form. Values below the double-precision floor underflow
-    to zero, which is the correct limit in the deep evanescent regime.
+    l = 1) closed form. Values below the double-precision floor underflow to
+    zero, which is the correct limit in the deep evanescent regime.
     """
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     if kr < 0:
         raise ValueError(f"kr must be nonnegative, got {kr}")
     out = np.zeros(l_max + 1)
-    if kr == 0.0:
-        out[0] = SQRT_2_OVER_PI
-        return out
     x = float(kr)
+    if x < 1e-8:
+        out[0] = 1.0
+        for l in range(1, l_max + 1):
+            out[l] = out[l - 1] * x / (2 * l + 1)
+        return SQRT_2_OVER_PI * out
     j0 = math.sin(x) / x
     if l_max == 0:
         out[0] = j0

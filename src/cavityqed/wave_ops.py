@@ -10,7 +10,10 @@ operators are block matrices over l at fixed m:
 * mirror reflection/transmission are multiplication operators by the
   profiles rho(theta), tau(theta), whose matrix elements are integrals of
   normalized Legendre products against the profile, evaluated exactly by
-  per-segment Gauss rules split at the mirror edges.
+  per-segment Gauss rules split at the mirror edges. The profiles are
+  constant on each segment, so one real Legendre Gram matrix per segment
+  gives every operator of a block as a linear combination; only a profile
+  that varies within a segment (the defocus phase) has a product of its own.
 
 The vacuum-fluctuation ratio at a point follows from a closure relation
 over incoming far fields: expand the focused-wave kernel at the point,
@@ -28,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import AngularGrid, build_grid
+from .quadrature import AngularGrid, build_grid, cap_edges
 from .ray_model import _SINGULAR_FLOOR, defocus_profile
 from .specfun import legendre_table, plane_wave_coeffs, radial_bessel_table
 from .structures import (
@@ -66,16 +69,20 @@ def propagator_phases(ls: np.ndarray, k_radius: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OperatorBlock:
-    """Dense operators restricted to fixed m (l runs from |m| to l_max)."""
+    """Dense operators restricted to fixed m (l runs from |m| to l_max).
+
+    rho is real (float64) when every reflection profile value is real, that
+    is k_delta = 0, and complex otherwise. The transmission operator tau is
+    not stored: only intracavity_field_coeffs reads it, and assembles it per
+    solved block."""
 
     m: int
     ls: np.ndarray
-    rho: np.ndarray        # reflection multiplication operator (complex)
-    tau: np.ndarray        # transmission multiplication operator (real profile)
+    rho: np.ndarray        # reflection multiplication operator
     tau_sq: np.ndarray     # multiplication by tau(theta)^2, exactly integrated
     u_half: np.ndarray     # diagonal one-way propagator phases
     parity: np.ndarray     # diagonal (-1)^l
-    flux_residual: float   # quadrature error of the |rho|^2 + tau^2 = 1 identity
+    flux_residual: float   # max |sum of segment Grams - I|: quadrature error
 
     @property
     def dim(self) -> int:
@@ -107,14 +114,9 @@ def operator_grid(geom: CavityGeometry, l_max: int) -> AngularGrid:
     """Polar grid split at the mirror edges, with enough Gauss nodes per
     segment to integrate products of two degree-l_max Legendre functions
     exactly (plus margin for the defocus phase factor)."""
-    edges = []
-    if geom.theta_m1 > 0.0:
-        edges.append(geom.theta_m1)
-    if geom.theta_m2 > 0.0:
-        edges.append(math.pi - geom.theta_m2)
-    edges = sorted(set(edges))
     order = l_max + 16 + int(2.0 * abs(geom.k_delta))
-    return build_grid(edges, order_polar=order, order_azimuthal=2)
+    return build_grid(cap_edges(geom.theta_m1, geom.theta_m2), order_polar=order,
+                      order_azimuthal=2)
 
 
 def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
@@ -136,32 +138,66 @@ def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
     return rho_vals, tau_sq
 
 
+def _segment_grams(grid: AngularGrid, l_max: int, m: int):
+    """The polar nodes grouped by segment of the grid (found from
+    grid.edges, so any node order works), each group as (node indices,
+    Legendre rows v_s, weighted rows w_s v_s, real Gram v_s^T diag(w_s) v_s)."""
+    v = legendre_table(l_max, m, grid.mu)
+    segment = np.searchsorted(grid.edges, grid.theta)
+    parts = []
+    for s in np.unique(segment):
+        idx = np.flatnonzero(segment == s)
+        v_s = v[idx]
+        wv = grid.w_theta[idx, None] * v_s
+        parts.append((idx, v_s, wv, v_s.T @ wv))
+    return parts
+
+
+def _profile_operator(parts, values: np.ndarray) -> np.ndarray:
+    """Multiplication operator by a profile sampled on the polar nodes, as a
+    sum over segments: the profile's value times the segment Gram where it
+    is constant there, its own weighted product where it is not. Real
+    values give a real operator."""
+    out = np.zeros(parts[0][3].shape, dtype=values.dtype)
+    for idx, v_s, wv, gram in parts:
+        f = values[idx]
+        if np.all(f == f[0]):
+            out += f[0] * gram
+        else:
+            out += v_s.T @ (f[:, None] * wv)
+    return out
+
+
 def _build_block(geom, basis, grid, m) -> OperatorBlock:
     rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
-    tau_vals = np.sqrt(tau_sq_vals)
-    v = legendre_table(basis.l_max, m, grid.mu)
-    wv = grid.w_theta[:, None] * v
-    rho_m = v.T @ (rho_vals[:, None] * wv)
-    tau_m = v.T @ (tau_vals[:, None] * wv)
-    tau_sq_m = v.T @ (tau_sq_vals[:, None] * wv)
+    if not np.any(rho_vals.imag):
+        rho_vals = rho_vals.real
+    parts = _segment_grams(grid, basis.l_max, m)
     ls = basis.block_ls(m)
-    # flux identity |rho|^2 + tau^2 = 1 holds pointwise, so its Gram matrix
-    # must come out as the identity; any deviation is pure quadrature error
-    # (the operator-product form rho'rho + tau'tau carries an additional
-    # truncation tail near l_max and is not used as the diagnostic)
-    ident = v.T @ ((np.abs(rho_vals) ** 2 + tau_sq_vals)[:, None] * wv)
+    # |rho|^2 + tau^2 = 1 holds pointwise, so the flux identity's Gram is the
+    # sum of the segment Grams and must come out as the identity; any
+    # deviation is pure quadrature error (the operator-product form
+    # rho'rho + tau'tau carries an additional truncation tail near l_max and
+    # is not used as the diagnostic)
+    ident = sum(gram for *_, gram in parts)
     ident[np.diag_indices(ls.size)] -= 1.0
-    residual = float(np.max(np.abs(ident)))
     return OperatorBlock(
         m=m,
         ls=ls,
-        rho=rho_m,
-        tau=tau_m,
-        tau_sq=tau_sq_m,
+        rho=_profile_operator(parts, rho_vals),
+        tau_sq=_profile_operator(parts, tau_sq_vals),
         u_half=propagator_phases(ls, geom.k_radius),
         parity=(-1.0) ** ls,
-        flux_residual=residual,
+        flux_residual=float(np.max(np.abs(ident))),
     )
+
+
+def _transmission_operator(ops: CavityOperatorSet, m: int) -> np.ndarray:
+    """Multiplication operator by tau(theta) for block |m|, assembled from
+    the segment Grams; blocks do not store it."""
+    _, tau_sq_vals = mirror_profiles(ops.geometry, ops.grid.theta)
+    parts = _segment_grams(ops.grid, ops.basis.l_max, abs(m))
+    return _profile_operator(parts, np.sqrt(tau_sq_vals))
 
 
 def build_operators(
@@ -173,11 +209,14 @@ def build_operators(
     """Assemble per-m cavity operators on a grid split at the mirror edges.
 
     m_values defaults to every m in the basis; pass (0,) for on-axis work.
+    Each block stores rho (real when k_delta = 0) and tau^2, both assembled
+    from one real Gram matrix per polar segment of the grid; a segment where
+    a profile is not constant gets that profile's own weighted product.
     The grid must resolve Legendre products up to degree 2*l_max per
     segment; operator_grid(geom, l_max) does. An insufficient grid shows up
-    as a large flux_residual (the profiles satisfy |rho|^2 + tau^2 = 1
-    pointwise, so the operator identity holds within quadrature and
-    truncation error).
+    as a large flux_residual: the largest entry of the sum of the segment
+    Grams minus the identity, which is the Gram of |rho|^2 + tau^2 = 1 (an
+    identity that holds pointwise), so it measures quadrature error alone.
     """
     if grid is None:
         grid = operator_grid(geom, basis.l_max)
@@ -191,9 +230,10 @@ def build_operators(
 
 def _resolvent_matrix(block: OperatorBlock, detuning_phase: float):
     """Round-trip resolvent matrix diag(u^2) - e^{2i phi0} P.rho, with the
-    parity P applied after the mirror multiplication."""
-    a = np.diag(block.u_half**2).astype(complex)
-    a -= np.exp(2j * detuning_phase) * (block.parity[:, None] * block.rho)
+    parity P applied after the mirror multiplication, in one allocation."""
+    a = np.multiply(block.parity[:, None], block.rho, dtype=complex)
+    a *= -np.exp(2j * detuning_phase)
+    a.reshape(-1)[:: block.dim + 1] += block.u_half**2
     return a
 
 
@@ -211,10 +251,13 @@ def intracavity_field_coeffs(
     out: dict[int, np.ndarray] = {}
     scale = math.sqrt(f_in.norm_sq())
     lossless = _is_lossless(ops.geometry)
+    taus: dict[int, np.ndarray] = {}  # tau per |m| of this call: +m and -m share it
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
         a = _resolvent_matrix(block, detuning_phase)
-        rhs = block.tau @ (block.u_half * c)
+        if abs(m) not in taus:
+            taus[abs(m)] = _transmission_operator(ops, m)
+        rhs = taus[abs(m)] @ (block.u_half * c)
         x = block.parity * _checked_solve(a, block.parity * rhs, f"m={m}", scale, lossless)
         out[m] = block.u_half * x
     return AngularFunction(l_max=f_in.l_max, blocks=out,
@@ -237,9 +280,17 @@ def _checked_solve(a, rhs, label, scale, lossless):
     fails the check.
 
     For a lossless cavity a block on resonance is singular, but rounding in
-    its quadrature-built entries decides whether the solve fails or returns
-    a meaningless finite answer; such a block is rejected when its condition
-    number reaches 1/(dim * eps), singular to working precision."""
+    its quadrature-built entries decides whether the solve fails, returns a
+    meaningless finite answer or one with a large residual; such a block is
+    rejected, before it is solved, when its condition number reaches
+    1/(dim * eps), singular to working precision."""
+    if lossless and np.all(np.isfinite(a)):
+        cond = float(np.linalg.cond(a))
+        if not cond * a.shape[0] * np.finfo(float).eps < 1.0:
+            raise SolverError(
+                f"resolvent of {label} block is singular to working precision "
+                f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
+            )
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -252,13 +303,6 @@ def _checked_solve(a, rhs, label, scale, lossless):
             f"input norm {scale:.2e} (condition estimate {cond:.2e}); "
             "reflectivity too close to 1 at a degenerate phase, or non-finite input"
         )
-    if lossless:
-        cond = float(np.linalg.cond(a))
-        if not cond * a.shape[0] * np.finfo(float).eps < 1.0:
-            raise SolverError(
-                f"resolvent of {label} block is singular to working precision "
-                f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
-            )
     return x
 
 

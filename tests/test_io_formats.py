@@ -1,10 +1,13 @@
+import csv
 import json
 import math
+import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cavityqed import cli
 from cavityqed.io_formats import (
     SCAN_KINDS,
     Column,
@@ -19,6 +22,7 @@ from cavityqed.io_formats import (
     write_table,
 )
 from cavityqed.presets import PRESETS, preset_config
+from cavityqed.ray_model import _auto_azimuthal_order, _auto_polar_order
 
 MINIMAL = '{"scan": {"kind": "axial-profile", "kz_range": {"start": 0, "stop": 10, "count": 5}}}'
 
@@ -180,7 +184,8 @@ class TestParseConfig:
         ("numerics.l_max", 1000), ("numerics.polar_order", 4096),
         ("numerics.azimuthal_order", 4096), ("scan.kz_range.count", 100_000),
         ("scan.phi0_range.count", 100_000), ("scan.kx_range.count", 100_000),
-        ("scan.phase_count", 65_536),
+        ("scan.phase_count", 65_536), ("scan.kz_range.start", 2040),
+        ("scan.kz_range.stop", 2040),
     ])
     def test_sizes_are_bounded(self, path, bound):
         # parsed only: nothing of this size runs
@@ -195,6 +200,22 @@ class TestParseConfig:
             parse_config(json.dumps(doc(bound + 1)))
         assert [v.split(":")[0] for v in err.value.violations] == [path]
         assert str(bound) in err.value.violations[0]
+
+    def test_scan_positions_are_bounded(self):
+        # a far point would make the ray quadrature's automatic orders explode;
+        # the bound keeps them within the largest order a document may request
+        assert _auto_polar_order(2040, None) <= 4096
+        assert _auto_azimuthal_order(2040, None) <= 4096
+        parse_config(json.dumps(_minimal_with("scan.point", [1224.0, 0.0, 1632.0])))
+        for path, value in (("scan.point", [1224.0, 0.0, 1632.1]),
+                            ("scan.kz_range.start", -2041), ("scan.kx_range.stop", 1e6)):
+            doc = _minimal_with(path, value)
+            doc["scan"]["kx_range"] = {"start": 0, "stop": 1, "count": 2,
+                                       **doc["scan"].get("kx_range", {})}
+            with pytest.raises(ConfigError) as err:
+                parse_config(json.dumps(doc))
+            assert [v.split(":")[0] for v in err.value.violations] == [path]
+            assert "2040" in err.value.violations[0]
 
     def test_undecodable_documents_are_config_errors(self):
         for text in ('{"scan": {"kind": "airy-check", "phase_count": ' + "9" * 5000 + "}}",
@@ -293,6 +314,33 @@ def test_any_document_is_rejected_or_roundtrips(doc):
     text = serialize_config(cfg)
     assert parse_config(text) == cfg
     assert serialize_config(parse_config(text)) == text
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(doc=_DOCUMENTS)
+def test_any_accepted_document_runs_to_finite_rows_or_a_documented_exit(doc, tmp_path_factory):
+    # the examples counted are the accepted documents, each run end to end
+    try:
+        parse_config(json.dumps(doc))
+    except ConfigError:
+        assume(False)
+    out = tmp_path_factory.mktemp("run")
+    config = out / "scenario.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code = cli.main(["run", "--config", str(config), "--out", str(out)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    if code != cli.EXIT_OK:
+        return
+    for path in out.glob("*.csv"):
+        for row in list(csv.reader(path.open(newline="", encoding="utf-8")))[1:]:
+            for cell in row:
+                try:
+                    value = float(cell)
+                except ValueError:
+                    continue  # a text column
+                assert math.isfinite(value), (path.name, row)
 
 
 def _table():

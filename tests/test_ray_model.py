@@ -144,6 +144,9 @@ class TestEffectiveAperture:
     def test_collapse_error(self):
         with pytest.raises(ApertureCollapseError):
             effective_aperture(0.01, 1e3, 0.98, 0.98)
+        # a lossless pair has an unbounded correction
+        with pytest.raises(ApertureCollapseError):
+            effective_aperture(math.pi / 2, KR, 1.0, 1.0)
 
 
 class TestDefocusProfile:
@@ -199,6 +202,13 @@ class TestEnhancementRay:
         for point in (FieldPoint.origin(), FieldPoint.axial(40.0), FieldPoint((8.0, 3.0, 1.0))):
             r = enhancement_ray(geom, point, 0.23)
             assert r.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("theta_m", [1e-9, 1e-300])
+    def test_vanishing_aperture_is_free_space(self, theta_m):
+        # a cap whose edge cosine rounds to 1 covers no solid angle
+        geom = CavityGeometry.symmetric(KR, theta_m, 0.9)
+        r = enhancement_ray(geom, FieldPoint((2.0, 1.0, 3.0)), 0.1, diffraction=False)
+        assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_defocus_shifts_and_halves_resonance(self, benchmark_geom):
         geom_d = CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3)

@@ -60,6 +60,16 @@ class TestRadialBessel:
         with pytest.raises(ValueError):
             radial_bessel(-1, 1.0)
 
+    @pytest.mark.parametrize("kr", [1e-9, 1e-100, 1e-300, 1e-308])
+    def test_tiny_argument_is_the_leading_series_term(self, kr):
+        # the downward recurrence overflows here; x^l/(2l+1)!! is exact
+        tab = radial_bessel_table(150, kr)
+        assert np.all(np.isfinite(tab))
+        assert tab[0] == SQRT_2_OVER_PI
+        assert tab[1] == pytest.approx(SQRT_2_OVER_PI * kr / 3.0, rel=1e-15)
+        f = plane_wave_coeffs(FieldPoint.axial(kr), 150)
+        assert f.norm_sq() == pytest.approx(1.0, abs=1e-15)
+
     def test_deep_evanescent_underflows_to_zero(self):
         # true value far below the double floor
         assert radial_bessel(300, 10.0) == 0.0

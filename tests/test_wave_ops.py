@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from cavityqed.quadrature import build_grid
-from cavityqed.specfun import plane_wave_coeffs
+from cavityqed.quadrature import AngularGrid, build_grid
+from cavityqed.specfun import legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
     CavityGeometry,
     FieldPoint,
@@ -13,10 +14,12 @@ from cavityqed.structures import (
     ValidityWarning,
 )
 from cavityqed.wave_ops import (
+    _transmission_operator,
     build_operators,
     closed_cavity_mode_sum,
     enhancement_full,
     intracavity_field_coeffs,
+    mirror_profiles,
     operator_grid,
     perfect_sphere_frequency,
     propagator_phases,
@@ -38,6 +41,31 @@ def _all_blocks_value(ops, point, phi0):
         x = np.linalg.solve(a, b.u_half * c)
         per_m.append(float(np.real(np.conj(x) @ (b.tau_sq @ x))))
     return float(np.sum(per_m))
+
+
+def _direct_operators(geom, l_max, grid, m):
+    """rho, tau, tau^2 and the flux residual of block m as direct weighted
+    products over every polar node, v^T diag(f w) v: the reference for the
+    segment-Gram assembly."""
+    rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
+    v = legendre_table(l_max, m, grid.mu)
+    wv = grid.w_theta[:, None] * v
+
+    def product(f):
+        return v.T @ (f[:, None] * wv)
+
+    ident = product(np.abs(rho_vals) ** 2 + tau_sq_vals) - np.eye(v.shape[1])
+    return (product(rho_vals), product(np.sqrt(tau_sq_vals)), product(tau_sq_vals),
+            float(np.max(np.abs(ident))))
+
+
+def _unsplit_grid(l_max):
+    """A hand-built grid split at 1.2 rad, away from both mirror edges of
+    the unequal cavity, with its nodes in shuffled order."""
+    g = build_grid([1.2], order_polar=l_max + 30, order_azimuthal=2)
+    order = np.random.default_rng(7).permutation(g.n_polar)
+    return AngularGrid(theta=g.theta[order], mu=g.mu[order], w_theta=g.w_theta[order],
+                       phi_az=g.phi_az, edges=g.edges)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +134,38 @@ class TestOperators:
         assert ops.flux_residual > 1e-3
 
 
+class TestSegmentAssembly:
+    L_MAX = 60
+
+    @pytest.mark.parametrize("split", [True, False], ids=["operator-grid", "unsplit-grid"])
+    @pytest.mark.parametrize("m", [0, 3, 40])
+    @pytest.mark.parametrize("k_delta", [0.0, 0.3])
+    def test_matches_direct_weighted_products(self, k_delta, m, split):
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=k_delta)
+        basis = HarmonicBasis(self.L_MAX)
+        grid = operator_grid(geom, self.L_MAX) if split else _unsplit_grid(self.L_MAX)
+        ops = build_operators(geom, basis, grid, m_values=(m,))
+        b = ops.block(m)
+        rho, tau, tau_sq, flux = _direct_operators(geom, self.L_MAX, grid, m)
+        assert np.max(np.abs(b.rho - rho)) < 1e-13
+        assert np.max(np.abs(b.tau_sq - tau_sq)) < 1e-13
+        assert abs(b.flux_residual - flux) < 1e-13
+        assert np.max(np.abs(_transmission_operator(ops, m) - tau)) < 1e-13
+        assert b.rho.dtype == (np.float64 if k_delta == 0.0 else np.complex128)
+
+    def test_blocks_store_one_real_rho_and_tau_sq(self, benchmark_geom):
+        # per block at most a real rho and tau^2 (2 * 8 dim^2 bytes) plus the
+        # O(dim) diagonals; a stored tau or a complex rho breaks the bound
+        ops = build_operators(benchmark_geom, HarmonicBasis(150))
+        assert len(ops.blocks) == 151
+        stored = bound = 0
+        for b in ops.blocks.values():
+            stored += sum(v.nbytes for v in (getattr(b, f.name) for f in dataclasses.fields(b))
+                          if isinstance(v, np.ndarray))
+            bound += 2 * 8 * b.dim**2 + 64 * b.dim
+        assert stored <= bound
+
+
 class TestIntracavityField:
     def test_no_mirror_returns_input(self):
         geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.0)
@@ -154,6 +214,13 @@ class TestEnhancementFull:
                       FieldPoint((6.0, 2.0, -3.0)), FieldPoint((30.0, 0.0, 5.0))):
             r = enhancement_full(geom, basis, point, 0.2)
             assert r.value == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("theta_m", [1e-9, 1e-300])
+    def test_vanishing_aperture_is_free_space(self, theta_m):
+        # a cap whose edge cosine rounds to 1 covers no solid angle
+        geom = CavityGeometry.symmetric(KR, theta_m, 0.9)
+        r = enhancement_full(geom, HarmonicBasis(40), FieldPoint((2.0, 1.0, 3.0)), 0.1)
+        assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_center_benchmark_value(self, benchmark_geom):
         basis = HarmonicBasis(150)
