@@ -230,8 +230,11 @@ def plane_wave_coeffs(
     if l_max < 0:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     kr = point.kr
-    weights = bessel_weights(l_max, kr)
-    tail = float(np.sum(weights[max(0, l_max - 4) :]))
+    ls = np.arange(l_max + 1)
+    u = radial_bessel_table(l_max, kr)
+    # the bessel_weights of the last five l, from the one table
+    top = max(0, l_max - 4)
+    tail = float(np.sum((math.pi / 2.0) * (2 * ls[top:] + 1) * u[top:] ** 2))
     if tail > tail_tol:
         warnings.warn(
             f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={kr:.6g} "
@@ -239,8 +242,7 @@ def plane_wave_coeffs(
             TruncationWarning,
             stacklevel=2,
         )
-    ls = np.arange(l_max + 1)
-    pref = (-1j) ** ls * _SQRT_PI_OVER_2 * radial_bessel_table(l_max, kr)
+    pref = (-1j) ** ls * _SQRT_PI_OVER_2 * u
     blocks: dict[int, np.ndarray] = {}
     if kr == 0.0:
         b = np.zeros(l_max + 1, dtype=complex)

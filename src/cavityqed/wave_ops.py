@@ -21,6 +21,13 @@ apply the resolvent of one round trip, and take the squared norm weighted
 by the transmitted-flux profile. Only the fractional part of the huge
 round-trip phase 2kR matters for resonance, so it is supplied separately
 as a detuning phase while kR itself only scales the diagonal phases.
+
+A block that is solved again and again, for a detuning or position scan,
+is answered from its modal (Fox-Li) decomposition: with the round trip
+M = U^-2 P rho = V Lambda V^-1 diagonalised once, every later phase and
+right-hand side costs two matrix-vector products instead of a
+factorisation. CavityOperatorSet decides when a block is worth
+decomposing.
 """
 
 from __future__ import annotations
@@ -57,6 +64,14 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-8
+# rent-or-buy: the first _MODAL_AFTER - 1 solves of a block are direct, the
+# next one decomposes it. np.linalg.eig plus the inverse of the eigenvectors
+# cost about 58 direct solves of the same block on a 2-core Xeon VM (285 ms
+# against 4.9 ms at dim 401, 33 ms against 0.56 ms at dim 151 with two
+# columns); the ratio does not depend on dim, as both costs grow as dim^3.
+# Buying once the rent paid reaches the price keeps any run of solves
+# within twice the cost of the better of the two routes for it.
+_MODAL_AFTER = 58
 # share of the input energy that the skipped |m| pairs may add, at most,
 # to the value of enhancement_full
 _SKIP_FLOOR = 1e-16
@@ -89,15 +104,47 @@ class OperatorBlock:
         return self.ls.size
 
 
+@dataclass(frozen=True)
+class _ModalFactors:
+    """Eigendecomposition of one block's round trip M = U^-2 P rho =
+    V diag(eigenvalues) V^-1, kept as V and V^-1 U^-2, so that the resolvent
+    solution of (U^2 - z P rho) x = b is V [(V^-1 U^-2 b) / (1 - z lambda)]
+    for any z = e^{2i phi0} and any b. condition is ||V||_1 ||V^-1||_1."""
+
+    eigenvalues: np.ndarray
+    vectors: np.ndarray
+    inverse_scaled: np.ndarray  # V^-1 U^-2
+    condition: float
+
+    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
+        y = self.inverse_scaled @ rhs
+        return self.vectors @ (y / _by_row(1.0 - z * self.eigenvalues, y))
+
+
+def _by_row(diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A diagonal shaped to scale the rows of x, one column or two."""
+    return diagonal if x.ndim == 1 else diagonal[:, None]
+
+
 @dataclass
 class CavityOperatorSet:
     """Per-m operator blocks for one geometry/basis; blocks are immutable
-    once built. The +m and -m blocks are identical, so only |m| is keyed."""
+    once built. The +m and -m blocks are identical, so only |m| is keyed.
+
+    The set also counts the resolvent solves of each |m| (solve_counts).
+    The 58th solve of a block (_MODAL_AFTER) decomposes its round trip once
+    (modes, 32 dim^2 bytes per block), and that and every later solve of
+    the block are answered from the modal factors; a block whose factors
+    fail the residual check, or cannot be computed, keeps None in modes and
+    is solved directly from then on. A lossless cavity is always solved
+    directly."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid
     blocks: dict[int, OperatorBlock] = field(default_factory=dict)
+    solve_counts: dict[int, int] = field(default_factory=dict)
+    modes: dict[int, _ModalFactors | None] = field(default_factory=dict)
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -250,16 +297,14 @@ def intracavity_field_coeffs(
     """
     out: dict[int, np.ndarray] = {}
     scale = math.sqrt(f_in.norm_sq())
-    lossless = _is_lossless(ops.geometry)
     taus: dict[int, np.ndarray] = {}  # tau per |m| of this call: +m and -m share it
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
-        a = _resolvent_matrix(block, detuning_phase)
         if abs(m) not in taus:
             taus[abs(m)] = _transmission_operator(ops, m)
         rhs = taus[abs(m)] @ (block.u_half * c)
-        x = block.parity * _checked_solve(a, block.parity * rhs, f"m={m}", scale, lossless)
-        out[m] = block.u_half * x
+        x, _ = _solve_block(ops, m, detuning_phase, block.parity * rhs, f"m={m}", scale)
+        out[m] = block.u_half * (block.parity * x)
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
 
@@ -270,6 +315,67 @@ def _is_lossless(geom: CavityGeometry) -> bool:
     block has norm at most 1/(1 - max(rho1, rho2)): only such a cavity can
     have a singular block."""
     return max(geom.rho1, geom.rho2) >= 1.0 - _SINGULAR_FLOOR
+
+
+def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
+                 rhs: np.ndarray, label: str, scale: float):
+    """Solve (U^2 - e^{2i phi0} P rho) x = rhs for block |m|, with one
+    right-hand side or two as columns; returns x and the modal factors that
+    answered it (None for a direct solve).
+
+    The first _MODAL_AFTER - 1 solves of a block are direct: the resolvent
+    matrix and _checked_solve. The next one decomposes the block's round
+    trip once, and from then on the block is answered from its modal
+    factors, each answer checked by its residual against the original
+    operator at the same limit as a direct solve. An answer that fails the
+    check is replaced by the direct solve, which raises SolverError if it
+    fails too, and the block's factors are dropped for good. A lossless
+    cavity is always solved directly: its singularity check costs as much
+    as a solve on every call."""
+    key = abs(m)
+    block = ops.block(key)
+    lossless = _is_lossless(ops.geometry)
+    if not lossless:
+        count = ops.solve_counts.get(key, 0) + 1
+        ops.solve_counts[key] = count
+        if count == _MODAL_AFTER:
+            ops.modes[key] = _decompose(block)
+    modes = ops.modes.get(key)
+    if modes is not None:
+        z = np.exp(2j * detuning_phase)
+        x = modes.solve(z, rhs)
+        resid = (_by_row(block.u_half**2, x) * x
+                 - z * _by_row(block.parity, x) * _apply(block.rho, x) - rhs)
+        if float(np.max(np.abs(resid))) <= _RESIDUAL_LIMIT * scale:
+            return x, modes
+        ops.modes[key] = None
+    return _checked_solve(_resolvent_matrix(block, detuning_phase), rhs, label, scale,
+                          lossless), None
+
+
+def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """op @ x for a complex x, without casting a real op to complex."""
+    if np.isrealobj(op):
+        return op @ x.real + 1j * (op @ x.imag)
+    return op @ x
+
+
+def _decompose(block: OperatorBlock) -> _ModalFactors | None:
+    """Modal factors of a block's round trip M = U^-2 P rho, or None when
+    the eigendecomposition fails or is not finite."""
+    inv_u_sq = 1.0 / block.u_half**2
+    round_trip = (inv_u_sq * block.parity)[:, None] * block.rho
+    try:
+        eigenvalues, vectors = np.linalg.eig(round_trip)
+        del round_trip  # not held while inv works on copies of V
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
+        return None
+    condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
+    inverse *= inv_u_sq
+    return _ModalFactors(eigenvalues, vectors, inverse, condition)
 
 
 def _checked_solve(a, rhs, label, scale, lossless):
@@ -334,6 +440,14 @@ def enhancement_full(
     solved (blocks_solved) and the summed bound of the skipped pairs
     (skipped_bound); the condition estimate covers the solved systems.
 
+    With a prebuilt ops, a block solved often enough (a scan) is answered
+    from its modal factors rather than a factorisation, see
+    CavityOperatorSet; the answer passes the same residual check, and may
+    differ from the direct solve in its last digits. detail reports how
+    many of the solved |m| systems were answered that way (modal_solves)
+    and the worst ||V||_1 ||V^-1||_1 of the factors used (modal_condition,
+    None when none was used).
+
     The mirror edge entering the operators is the geometric aperture;
     diffraction losses emerge from the calculation itself. Without ops the
     blocks are built on demand on operator_grid, the skipped ones never. A
@@ -357,25 +471,27 @@ def enhancement_full(
     norm_sq = coeffs.norm_sq()
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(norm_sq)
-    lossless = _is_lossless(geom)
-    top, skipped = _solved_magnitudes(geom, blocks, norm_sq, lossless)
+    top, skipped = _solved_magnitudes(geom, blocks, norm_sq, _is_lossless(geom))
     per_m = np.zeros(2 * basis.l_max + 1)
     conditions = []
+    modal_conditions = []
     for mag in range(top + 1):
         block = ops.block(mag)
-        a = _resolvent_matrix(block, detuning_phase)
         if mag == 0:
-            x = _checked_solve(a, block.u_half * blocks[0], "m=0", scale, lossless)
+            x, modes = _solve_block(ops, 0, detuning_phase, block.u_half * blocks[0],
+                                    "m=0", scale)
             per_m[basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
         else:
             # +m and -m share one matrix: one solve with two right-hand sides
             rhs = block.u_half[:, None] * np.column_stack((blocks[mag], blocks[-mag]))
-            x = _checked_solve(a, rhs, f"m=+-{mag}", scale, lossless)
+            x, modes = _solve_block(ops, mag, detuning_phase, rhs, f"m=+-{mag}", scale)
             tx = block.tau_sq @ x
             for col, m in ((0, mag), (1, -mag)):
                 per_m[m + basis.l_max] = float(np.real(np.conj(x[:, col]) @ tx[:, col]))
+        if modes is not None:
+            modal_conditions.append(modes.condition)
         if collect_condition:
-            conditions.append(float(np.linalg.cond(a)))
+            conditions.append(float(np.linalg.cond(_resolvent_matrix(block, detuning_phase))))
     value = float(np.sum(per_m))
     return EnhancementResult(
         value=value,
@@ -384,7 +500,9 @@ def enhancement_full(
         truncation_tail=coeffs.truncation_tail,
         condition=max(conditions) if conditions else None,
         detail={"flux_residual": ops.flux_residual, "m_blocks": len(blocks),
-                "blocks_solved": top + 1, "skipped_bound": skipped},
+                "blocks_solved": top + 1, "skipped_bound": skipped,
+                "modal_solves": len(modal_conditions),
+                "modal_condition": max(modal_conditions, default=None)},
     )
 
 

@@ -13,6 +13,7 @@ from cavityqed.dipole_response import (
     response,
     shift_kernel,
 )
+from cavityqed.ray_model import airy_resonance_factor
 from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint, ValidityWarning
 
 KR = 1.0e5
@@ -189,6 +190,28 @@ class TestShiftSymmetry:
             minus = response(FieldPoint.origin(), DipoleOrientation.isotropic(), benchmark_geom,
                              -phi0).shift_ratio
             assert plus == -minus
+
+
+class TestDispersionRelation:
+    # mirror pairs: the unequal benchmark pair, a sharp pair, one mirror on
+    # either side, and six pairs drawn from [0, 0.99]. The FFT conjugate on
+    # N samples aliases at about (rho1 rho2)^(N/4), which at N = 4096 stays
+    # below rounding for rho1 rho2 up to about 0.97.
+    PAIRS = [(0.98, 0.9), (0.99, 0.95), (0.99, 0.0), (0.0, 0.99)] + [
+        tuple(p) for p in np.random.default_rng(11).uniform(0.0, 0.99, (6, 2))]
+
+    @pytest.mark.parametrize("rho1, rho2", PAIRS)
+    def test_shift_kernel_is_half_the_conjugate_of_the_airy_factor(self, rho1, rho2):
+        # the level shift is half the periodic conjugate (Hilbert transform)
+        # of the damping in the one-way phase, ray by ray
+        n = 4096
+        phi = math.pi * np.arange(n) / n
+        sign = np.sign(np.fft.fftfreq(n))
+        for x in np.random.default_rng(12).uniform(-30.0, 30.0, 4):
+            gamma = airy_resonance_factor(phi, x, rho1, rho2)
+            conjugate = 0.5 * np.fft.ifft(-1j * sign * np.fft.fft(gamma))
+            shift = shift_kernel(phi, x, rho1, rho2)
+            assert np.max(np.abs(conjugate - shift)) < 1e-11
 
 
 class TestOneMirror:

@@ -224,6 +224,22 @@ class TestPlaneWaveCoeffs:
             if m > 0:
                 assert np.array_equal(f.blocks[-m], pref[m:] * (-1) ** m * y)
 
+    @pytest.mark.parametrize("kvec", [(0.0, 0.0, 12.0), (4.0, -3.0, 2.0)])
+    def test_radial_table_built_once(self, kvec, monkeypatch):
+        from cavityqed import specfun
+
+        calls = []
+
+        def spy(l_max, kr):
+            calls.append((l_max, kr))
+            return radial_bessel_table(l_max, kr)
+
+        monkeypatch.setattr(specfun, "radial_bessel_table", spy)
+        point = FieldPoint(kvec)
+        f = plane_wave_coeffs(point, 40)
+        assert calls == [(40, point.kr)]
+        assert f.truncation_tail == float(np.sum(bessel_weights(40, point.kr)[36:]))
+
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion
         f_axis = plane_wave_coeffs(FieldPoint.axial(12.0), 60)

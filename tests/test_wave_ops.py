@@ -13,7 +13,11 @@ from cavityqed.structures import (
     SolverError,
     ValidityWarning,
 )
+from cavityqed import wave_ops
 from cavityqed.wave_ops import (
+    _MODAL_AFTER,
+    _resolvent_matrix,
+    _solve_block,
     _transmission_operator,
     build_operators,
     closed_cavity_mode_sum,
@@ -355,6 +359,121 @@ class TestBlockSkip:
         assert 0.0 < a["skipped_bound"] <= 1e-16
         axis = enhancement_full(benchmark_geom, basis, FieldPoint.axial(8.0), 0.01).detail
         assert (axis["blocks_solved"], axis["skipped_bound"]) == (1, 0.0)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestModalSolve:
+    L_MAX = 60
+    # one free spectral range of phi0, the resonance at 0 included
+    PHASES = math.pi * (np.arange(24) - 12) / 24
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("m", [0, 3, 40])
+    @pytest.mark.parametrize("k_delta", [0.0, 0.3])
+    def test_matches_direct_solve(self, k_delta, m, columns):
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=k_delta)
+        ops = build_operators(geom, HarmonicBasis(self.L_MAX), m_values=(m,))
+        block = ops.block(m)
+        rng = np.random.default_rng(5)
+        shape = (block.dim, columns) if columns == 2 else (block.dim,)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
+            assert _solve_block(ops, m, float(phi0), rhs, "m", 1.0)[1] is None
+        for phi0 in self.PHASES:
+            x, modes = _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+            assert modes is not None
+            ref = np.linalg.solve(_resolvent_matrix(block, float(phi0)), rhs)
+            # relative to the largest entry of the direct answer
+            assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+    def test_intracavity_field_matches_direct_solve(self):
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=0.3)
+        basis = HarmonicBasis(self.L_MAX)
+        f_in = plane_wave_coeffs(FieldPoint((4.0, 1.0, 3.0)), self.L_MAX)
+        ms = {m: c for m, c in f_in.blocks.items() if abs(m) <= 3}
+        f_in = dataclasses.replace(f_in, blocks=ms)
+        ops = build_operators(geom, basis, m_values=range(4))
+        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
+            intracavity_field_coeffs(ops, float(phi0), f_in)
+        for phi0 in (0.0, 0.05):
+            got = intracavity_field_coeffs(ops, phi0, f_in)
+            ref = intracavity_field_coeffs(build_operators(geom, basis, m_values=range(4)),
+                                           phi0, f_in)
+            for m in ms:
+                assert np.max(np.abs(got.blocks[m] - ref.blocks[m])) <= (
+                    1e-11 * np.max(np.abs(ref.blocks[m])))
+        assert sorted(ops.modes) == [0, 1, 2, 3]
+        assert all(f is not None for f in ops.modes.values())
+
+    def test_corrupt_factors_fall_back_to_direct_answer(self, benchmark_geom, monkeypatch):
+        basis = HarmonicBasis(self.L_MAX)
+        point = FieldPoint.axial(5.0)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        decompose = wave_ops._decompose
+
+        def corrupt(block):
+            f = decompose(block)
+            return dataclasses.replace(f, eigenvalues=1.01 * f.eigenvalues)
+
+        monkeypatch.setattr(wave_ops, "_decompose", corrupt)
+        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
+            enhancement_full(benchmark_geom, basis, point, float(phi0), ops=ops)
+        solves = _count_calls(monkeypatch, np.linalg, "solve")
+        for phi0 in (0.0, 0.03):
+            r = enhancement_full(benchmark_geom, basis, point, phi0, ops=ops)
+            direct = enhancement_full(benchmark_geom, basis, point, phi0)
+            assert r.value == direct.value
+            assert (r.detail["modal_solves"], r.detail["modal_condition"]) == (0, None)
+        assert ops.modes == {0: None}
+        assert len(solves) == 4
+
+    def test_lossless_closed_sphere_raises_past_the_threshold(self):
+        geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
+        basis = HarmonicBasis(20)
+        ops = build_operators(geom, basis, m_values=(0,))
+        for phi0 in np.linspace(0.3, 0.6, _MODAL_AFTER + 2):
+            r = enhancement_full(geom, basis, FieldPoint.origin(), float(phi0), ops=ops)
+            assert math.isfinite(r.value) and r.detail["modal_solves"] == 0
+        with pytest.raises(SolverError, match="singular to working precision"):
+            enhancement_full(geom, basis, FieldPoint.origin(), 0.0, ops=ops)
+        assert ops.modes == {}
+
+    def test_lossless_open_cavity_stays_finite_past_the_threshold(self):
+        geom = CavityGeometry.symmetric(KR, 1.0, 1.0)
+        basis = HarmonicBasis(40)
+        ops = build_operators(geom, basis, m_values=(0,))
+        for phi0 in np.linspace(-0.1, 0.1, _MODAL_AFTER + 2):
+            r = enhancement_full(geom, basis, FieldPoint.origin(), float(phi0), ops=ops)
+            assert math.isfinite(r.value) and r.value > 0.0
+            assert r.detail["modal_solves"] == 0
+        assert ops.modes == {}
+
+    def test_sweep_decomposes_once(self, benchmark_geom, monkeypatch):
+        # count guard: a 200-phase sweep of one block makes _MODAL_AFTER - 1
+        # direct solves and one eigendecomposition, and no more
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        solves = _count_calls(monkeypatch, np.linalg, "solve")
+        eigs = _count_calls(monkeypatch, np.linalg, "eig")
+        details = [enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), float(p),
+                                    ops=ops).detail
+                   for p in np.linspace(-0.1, 0.1, 200)]
+        assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
+        assert [d["modal_solves"] for d in details] == (
+            [0] * (_MODAL_AFTER - 1) + [1] * (200 - _MODAL_AFTER + 1))
+        assert details[0]["modal_condition"] is None
+        assert 1.0 <= details[-1]["modal_condition"] < 1e6
 
 
 class TestPerfectSphere:
