@@ -207,7 +207,7 @@ def _closed_sphere_modes():
     ops = wave_ops.build_operators(geom, basis, m_values=(0,))
     import numpy.linalg as la
     block = ops.block(0)
-    a = np.diag(block.u_half**2) - np.exp(2j * phi0) * (block.parity[:, None] * block.rho)
+    a = np.diag(block.u_half**2) - np.exp(2j * phi0) * (block.parity[:, None] * block.dense_rho())
     worst = 0.0
     for l in range(31):
         e = np.zeros(31, dtype=complex)

@@ -74,35 +74,39 @@ def radial_bessel_table(l_max: int, kr: float) -> np.ndarray:
         raise ValueError(f"l_max must be nonnegative, got {l_max}")
     if kr < 0:
         raise ValueError(f"kr must be nonnegative, got {kr}")
-    out = np.zeros(l_max + 1)
+    # the recurrences run on Python floats, which round exactly as float64
+    # does but cost a fraction of a numpy scalar operation; one conversion
     x = float(kr)
+    out = [0.0] * (l_max + 1)
     if x < 1e-8:
         out[0] = 1.0
         for l in range(1, l_max + 1):
             out[l] = out[l - 1] * x / (2 * l + 1)
-        return SQRT_2_OVER_PI * out
+        return SQRT_2_OVER_PI * np.array(out)
     j0 = math.sin(x) / x
     if l_max == 0:
         out[0] = j0
-        return SQRT_2_OVER_PI * out
+        return SQRT_2_OVER_PI * np.array(out)
     j1 = j0 / x - math.cos(x) / x
     if x > l_max:
         out[0], out[1] = j0, j1
         for l in range(1, l_max):
             out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
-        return SQRT_2_OVER_PI * out
+        return SQRT_2_OVER_PI * np.array(out)
     ratio = _ratio_cf(l_max, x)
     out[l_max] = 1.0
     out[l_max - 1] = 1.0 / ratio if ratio != 0.0 else 1.0 / 1e-300
+    shrink = 1.0 / _RESCALE
     for l in range(l_max - 1, 0, -1):
         out[l - 1] = (2 * l + 1) / x * out[l] - out[l + 1]
         if abs(out[l - 1]) > _RESCALE:
             # keep the growing minimal solution in range; the rescaled-away
             # top of the table is super-exponentially small and flushes to 0
-            out[l - 1 :] *= 1.0 / _RESCALE
-    scale = j0 / out[0] if abs(j0) >= abs(j1) else j1 / out[1]
-    out *= scale
-    return SQRT_2_OVER_PI * out
+            out[l - 1 :] = [v * shrink for v in out[l - 1 :]]
+    table = np.array(out)
+    scale = j0 / table[0] if abs(j0) >= abs(j1) else j1 / table[1]
+    table *= scale
+    return SQRT_2_OVER_PI * table
 
 
 def radial_bessel(l: int, kr: float) -> float:

@@ -15,6 +15,13 @@ operators are block matrices over l at fixed m:
   gives every operator of a block as a linear combination; only a profile
   that varies within a segment (the defocus phase) has a product of its own.
 
+A mirror-symmetric cavity (equal caps, equal reflectivities, no defocus)
+has profiles even in cos(theta). Since P_lm(-x) = (-1)^(l-m) P_lm(x), its
+operators couple no l of opposite l - m parity, and every block splits into
+an even and an odd parity sector. Each sector is assembled, solved,
+decomposed and stored on its own, at half the dimension; any other cavity
+keeps one sector holding all l.
+
 The vacuum-fluctuation ratio at a point follows from a closure relation
 over incoming far fields: expand the focused-wave kernel at the point,
 apply the resolvent of one round trip, and take the squared norm weighted
@@ -53,6 +60,7 @@ from .structures import (
 
 __all__ = [
     "OperatorBlock",
+    "ParitySector",
     "CavityOperatorSet",
     "operator_grid",
     "build_operators",
@@ -83,18 +91,33 @@ def propagator_phases(ls: np.ndarray, k_radius: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class OperatorBlock:
-    """Dense operators restricted to fixed m (l runs from |m| to l_max).
+class ParitySector:
+    """The operators of one block restricted to the l at positions index of
+    the block: the even or the odd l - m of a mirror-symmetric cavity, or
+    every l of any other."""
 
-    rho is real (float64) when every reflection profile value is real, that
-    is k_delta = 0, and complex otherwise. The transmission operator tau is
-    not stored: only intracavity_field_coeffs reads it, and assembles it per
-    solved block."""
+    index: slice
+    rho: np.ndarray        # reflection multiplication operator
+    tau_sq: np.ndarray     # multiplication by tau(theta)^2, exactly integrated
+
+
+@dataclass(frozen=True)
+class OperatorBlock:
+    """Operators restricted to fixed m (l runs from |m| to l_max), stored
+    per parity sector: two sectors of about dim/2 for a mirror-symmetric
+    cavity, whose operators couple no l of opposite l - m parity, and one
+    holding every l otherwise.
+
+    dense_rho() and dense_tau_sq() assemble the dense block-diagonal
+    matrices, a new dim x dim array on every call; the solver reads the
+    sectors. rho is real (float64) when every reflection profile value is
+    real, that is k_delta = 0, and complex otherwise; tau^2 is always real.
+    The transmission operator tau is not stored: only
+    intracavity_field_coeffs reads it, and assembles it per solved block."""
 
     m: int
     ls: np.ndarray
-    rho: np.ndarray        # reflection multiplication operator
-    tau_sq: np.ndarray     # multiplication by tau(theta)^2, exactly integrated
+    sectors: tuple[ParitySector, ...]
     u_half: np.ndarray     # diagonal one-way propagator phases
     parity: np.ndarray     # diagonal (-1)^l
     flux_residual: float   # max |sum of segment Grams - I|: quadrature error
@@ -103,13 +126,28 @@ class OperatorBlock:
     def dim(self) -> int:
         return self.ls.size
 
+    def dense_rho(self) -> np.ndarray:
+        return self.block_diagonal([s.rho for s in self.sectors])
+
+    def dense_tau_sq(self) -> np.ndarray:
+        return self.block_diagonal([s.tau_sq for s in self.sectors])
+
+    def block_diagonal(self, parts) -> np.ndarray:
+        """The dense dim x dim matrix with parts[i] on sector i and zeros
+        between sectors."""
+        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*parts))
+        for sector, part in zip(self.sectors, parts):
+            out[sector.index, sector.index] = part
+        return out
+
 
 @dataclass(frozen=True)
 class _ModalFactors:
-    """Eigendecomposition of one block's round trip M = U^-2 P rho =
-    V diag(eigenvalues) V^-1, kept as V and V^-1 U^-2, so that the resolvent
-    solution of (U^2 - z P rho) x = b is V [(V^-1 U^-2 b) / (1 - z lambda)]
-    for any z = e^{2i phi0} and any b. condition is ||V||_1 ||V^-1||_1."""
+    """Eigendecomposition of the round trip M = U^-2 P rho of one sector of
+    a block, M = V diag(eigenvalues) V^-1, kept as V and V^-1 U^-2, so that
+    the resolvent solution of (U^2 - z P rho) x = b is
+    V [(V^-1 U^-2 b) / (1 - z lambda)] for any z = e^{2i phi0} and any b.
+    condition is ||V||_1 ||V^-1||_1."""
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
@@ -132,19 +170,19 @@ class CavityOperatorSet:
     once built. The +m and -m blocks are identical, so only |m| is keyed.
 
     The set also counts the resolvent solves of each |m| (solve_counts).
-    The 58th solve of a block (_MODAL_AFTER) decomposes its round trip once
-    (modes, 32 dim^2 bytes per block), and that and every later solve of
-    the block are answered from the modal factors; a block whose factors
-    fail the residual check, or cannot be computed, keeps None in modes and
-    is solved directly from then on. A lossless cavity is always solved
-    directly."""
+    The 58th solve of a block (_MODAL_AFTER) decomposes the round trip of
+    each of its sectors once (modes, one _ModalFactors per sector, 32 n^2
+    bytes for a sector of n l), and that and every later solve of the block
+    are answered from the modal factors; a block whose factors fail the
+    residual check, or cannot be computed, keeps None in modes and is solved
+    directly from then on. A lossless cavity is always solved directly."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid
     blocks: dict[int, OperatorBlock] = field(default_factory=dict)
     solve_counts: dict[int, int] = field(default_factory=dict)
-    modes: dict[int, _ModalFactors | None] = field(default_factory=dict)
+    modes: dict[int, tuple[_ModalFactors, ...] | None] = field(default_factory=dict)
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -185,19 +223,35 @@ def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
     return rho_vals, tau_sq
 
 
-def _segment_grams(grid: AngularGrid, l_max: int, m: int):
-    """The polar nodes grouped by segment of the grid (found from
-    grid.edges, so any node order works), each group as (node indices,
-    Legendre rows v_s, weighted rows w_s v_s, real Gram v_s^T diag(w_s) v_s)."""
+def _parity_sectors(geom: CavityGeometry, dim: int) -> tuple[slice, ...]:
+    """Positions in a block of dim l that couple only among themselves: the
+    even and the odd l - m of a mirror-symmetric cavity, whose profiles are
+    even in cos(theta), and every l together for any other cavity (or a
+    block of one l)."""
+    if dim > 1 and geom.is_symmetric and geom.k_delta == 0.0:
+        return (slice(0, None, 2), slice(1, None, 2))
+    return (slice(None),)
+
+
+def _segment_grams(grid: AngularGrid, l_max: int, m: int, sectors):
+    """Per sector (a slice of the block's l), the polar nodes grouped by
+    segment of the grid (found from grid.edges, so any node order works),
+    each group as (node indices, Legendre rows v_s, weighted rows w_s v_s,
+    real Gram v_s^T diag(w_s) v_s). No Gram couples two sectors."""
     v = legendre_table(l_max, m, grid.mu)
     segment = np.searchsorted(grid.edges, grid.theta)
-    parts = []
-    for s in np.unique(segment):
-        idx = np.flatnonzero(segment == s)
-        v_s = v[idx]
-        wv = grid.w_theta[idx, None] * v_s
-        parts.append((idx, v_s, wv, v_s.T @ wv))
-    return parts
+    groups = [(idx, grid.w_theta[idx, None])
+              for idx in (np.flatnonzero(segment == s) for s in np.unique(segment))]
+    per_sector = []
+    for sector in sectors:
+        columns = v[:, sector]
+        parts = []
+        for idx, w in groups:
+            v_s = columns[idx]
+            wv = w * v_s
+            parts.append((idx, v_s, wv, v_s.T @ wv))
+        per_sector.append(parts)
+    return per_sector
 
 
 def _profile_operator(parts, values: np.ndarray) -> np.ndarray:
@@ -219,32 +273,39 @@ def _build_block(geom, basis, grid, m) -> OperatorBlock:
     rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
     if not np.any(rho_vals.imag):
         rho_vals = rho_vals.real
-    parts = _segment_grams(grid, basis.l_max, m)
     ls = basis.block_ls(m)
-    # |rho|^2 + tau^2 = 1 holds pointwise, so the flux identity's Gram is the
-    # sum of the segment Grams and must come out as the identity; any
-    # deviation is pure quadrature error (the operator-product form
-    # rho'rho + tau'tau carries an additional truncation tail near l_max and
-    # is not used as the diagnostic)
-    ident = sum(gram for *_, gram in parts)
-    ident[np.diag_indices(ls.size)] -= 1.0
+    index = _parity_sectors(geom, ls.size)
+    sectors = []
+    flux_residual = 0.0
+    for sector, parts in zip(index, _segment_grams(grid, basis.l_max, m, index)):
+        # |rho|^2 + tau^2 = 1 holds pointwise, so the flux identity's Gram is
+        # the sum of the segment Grams and must come out as the identity; any
+        # deviation is pure quadrature error (the operator-product form
+        # rho'rho + tau'tau carries an additional truncation tail near l_max
+        # and is not used as the diagnostic)
+        ident = sum(gram for *_, gram in parts)
+        ident[np.diag_indices(ident.shape[0])] -= 1.0
+        flux_residual = max(flux_residual, float(np.max(np.abs(ident))))
+        sectors.append(ParitySector(index=sector,
+                                    rho=_profile_operator(parts, rho_vals),
+                                    tau_sq=_profile_operator(parts, tau_sq_vals)))
     return OperatorBlock(
         m=m,
         ls=ls,
-        rho=_profile_operator(parts, rho_vals),
-        tau_sq=_profile_operator(parts, tau_sq_vals),
+        sectors=tuple(sectors),
         u_half=propagator_phases(ls, geom.k_radius),
         parity=(-1.0) ** ls,
-        flux_residual=float(np.max(np.abs(ident))),
+        flux_residual=flux_residual,
     )
 
 
-def _transmission_operator(ops: CavityOperatorSet, m: int) -> np.ndarray:
-    """Multiplication operator by tau(theta) for block |m|, assembled from
-    the segment Grams; blocks do not store it."""
+def _transmission_operator(ops: CavityOperatorSet, m: int) -> tuple[np.ndarray, ...]:
+    """Multiplication operator by tau(theta) for block |m|, one matrix per
+    sector, assembled from the segment Grams; blocks do not store it."""
     _, tau_sq_vals = mirror_profiles(ops.geometry, ops.grid.theta)
-    parts = _segment_grams(ops.grid, ops.basis.l_max, abs(m))
-    return _profile_operator(parts, np.sqrt(tau_sq_vals))
+    index = [s.index for s in ops.block(m).sectors]
+    return tuple(_profile_operator(parts, np.sqrt(tau_sq_vals))
+                 for parts in _segment_grams(ops.grid, ops.basis.l_max, abs(m), index))
 
 
 def build_operators(
@@ -256,14 +317,16 @@ def build_operators(
     """Assemble per-m cavity operators on a grid split at the mirror edges.
 
     m_values defaults to every m in the basis; pass (0,) for on-axis work.
-    Each block stores rho (real when k_delta = 0) and tau^2, both assembled
-    from one real Gram matrix per polar segment of the grid; a segment where
-    a profile is not constant gets that profile's own weighted product.
-    The grid must resolve Legendre products up to degree 2*l_max per
-    segment; operator_grid(geom, l_max) does. An insufficient grid shows up
-    as a large flux_residual: the largest entry of the sum of the segment
-    Grams minus the identity, which is the Gram of |rho|^2 + tau^2 = 1 (an
-    identity that holds pointwise), so it measures quadrature error alone.
+    Each block stores rho (real when k_delta = 0) and tau^2 per parity
+    sector (two for a mirror-symmetric cavity, one otherwise), both
+    assembled from one real Gram matrix per polar segment and sector; a
+    segment where a profile is not constant gets that profile's own
+    weighted product. The grid must resolve Legendre products up to degree
+    2*l_max per segment; operator_grid(geom, l_max) does. An insufficient
+    grid shows up as a large flux_residual: the largest entry of the sum of
+    the segment Grams minus the identity, over the sectors, which is the
+    Gram of |rho|^2 + tau^2 = 1 (an identity that holds pointwise), so it
+    measures quadrature error alone.
     """
     if grid is None:
         grid = operator_grid(geom, basis.l_max)
@@ -275,13 +338,26 @@ def build_operators(
     return ops
 
 
-def _resolvent_matrix(block: OperatorBlock, detuning_phase: float):
-    """Round-trip resolvent matrix diag(u^2) - e^{2i phi0} P.rho, with the
-    parity P applied after the mirror multiplication, in one allocation."""
-    a = np.multiply(block.parity[:, None], block.rho, dtype=complex)
+def _resolvent_matrix(block: OperatorBlock, sector: ParitySector, detuning_phase: float):
+    """Round-trip resolvent matrix diag(u^2) - e^{2i phi0} P.rho on one
+    sector of a block, with the parity P applied after the mirror
+    multiplication, in one allocation."""
+    a = np.multiply(block.parity[sector.index, None], sector.rho, dtype=complex)
     a *= -np.exp(2j * detuning_phase)
-    a.reshape(-1)[:: block.dim + 1] += block.u_half**2
+    a.reshape(-1)[:: a.shape[0] + 1] += block.u_half[sector.index] ** 2
     return a
+
+
+def _condition(matrices) -> float:
+    """2-norm condition number of the block-diagonal matrix with the given
+    diagonal blocks: its singular values are theirs together, so it is the
+    largest over the smallest across all of them; NaN when an entry is not
+    finite."""
+    if not all(np.all(np.isfinite(a)) for a in matrices):
+        return math.nan
+    values = [np.linalg.svd(a, compute_uv=False) for a in matrices]
+    with np.errstate(divide="ignore"):
+        return float(max(s[0] for s in values) / min(s[-1] for s in values))
 
 
 def intracavity_field_coeffs(
@@ -297,12 +373,15 @@ def intracavity_field_coeffs(
     """
     out: dict[int, np.ndarray] = {}
     scale = math.sqrt(f_in.norm_sq())
-    taus: dict[int, np.ndarray] = {}  # tau per |m| of this call: +m and -m share it
+    taus: dict[int, tuple] = {}  # tau per |m| of this call: +m and -m share it
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
         if abs(m) not in taus:
             taus[abs(m)] = _transmission_operator(ops, m)
-        rhs = taus[abs(m)] @ (block.u_half * c)
+        uc = block.u_half * c
+        rhs = np.empty(block.dim, dtype=complex)
+        for sector, tau in zip(block.sectors, taus[abs(m)]):
+            rhs[sector.index] = tau @ uc[sector.index]
         x, _ = _solve_block(ops, m, detuning_phase, block.parity * rhs, f"m={m}", scale)
         out[m] = block.u_half * (block.parity * x)
     return AngularFunction(l_max=f_in.l_max, blocks=out,
@@ -320,18 +399,20 @@ def _is_lossless(geom: CavityGeometry) -> bool:
 def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
                  rhs: np.ndarray, label: str, scale: float):
     """Solve (U^2 - e^{2i phi0} P rho) x = rhs for block |m|, with one
-    right-hand side or two as columns; returns x and the modal factors that
-    answered it (None for a direct solve).
+    right-hand side or two as columns, sector by sector; returns x and the
+    worst ||V||_1 ||V^-1||_1 of the modal factors that answered it (None for
+    a direct solve).
 
     The first _MODAL_AFTER - 1 solves of a block are direct: the resolvent
-    matrix and _checked_solve. The next one decomposes the block's round
-    trip once, and from then on the block is answered from its modal
-    factors, each answer checked by its residual against the original
-    operator at the same limit as a direct solve. An answer that fails the
-    check is replaced by the direct solve, which raises SolverError if it
-    fails too, and the block's factors are dropped for good. A lossless
-    cavity is always solved directly: its singularity check costs as much
-    as a solve on every call."""
+    matrix of each sector and _checked_solve. The next one decomposes the
+    round trip of every sector once, and from then on the block is answered
+    from its modal factors, each sector's answer checked by its residual
+    against the original operator at the same limit as a direct solve. If a
+    sector's answer fails the check, the whole block is solved directly
+    instead, which raises SolverError if it fails too, and the block's
+    factors are dropped for good. A lossless cavity is always solved
+    directly: its singularity check costs as much as a solve on every
+    call."""
     key = abs(m)
     block = ops.block(key)
     lossless = _is_lossless(ops.geometry)
@@ -340,17 +421,13 @@ def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
         ops.solve_counts[key] = count
         if count == _MODAL_AFTER:
             ops.modes[key] = _decompose(block)
-    modes = ops.modes.get(key)
-    if modes is not None:
-        z = np.exp(2j * detuning_phase)
-        x = modes.solve(z, rhs)
-        resid = (_by_row(block.u_half**2, x) * x
-                 - z * _by_row(block.parity, x) * _apply(block.rho, x) - rhs)
-        if float(np.max(np.abs(resid))) <= _RESIDUAL_LIMIT * scale:
-            return x, modes
+    factors = ops.modes.get(key)
+    if factors is not None:
+        x = _modal_solve(block, factors, detuning_phase, rhs, scale)
+        if x is not None:
+            return x, max(f.condition for f in factors)
         ops.modes[key] = None
-    return _checked_solve(_resolvent_matrix(block, detuning_phase), rhs, label, scale,
-                          lossless), None
+    return _checked_solve(block, detuning_phase, rhs, label, scale, lossless), None
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -360,56 +437,100 @@ def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return op @ x
 
 
-def _decompose(block: OperatorBlock) -> _ModalFactors | None:
-    """Modal factors of a block's round trip M = U^-2 P rho, or None when
-    the eigendecomposition fails or is not finite."""
-    inv_u_sq = 1.0 / block.u_half**2
-    round_trip = (inv_u_sq * block.parity)[:, None] * block.rho
-    try:
-        eigenvalues, vectors = np.linalg.eig(round_trip)
-        del round_trip  # not held while inv works on copies of V
-        inverse = np.linalg.inv(vectors)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
-        return None
-    condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
-    inverse *= inv_u_sq
-    return _ModalFactors(eigenvalues, vectors, inverse, condition)
+def _modal_solve(block: OperatorBlock, factors, detuning_phase: float,
+                 rhs: np.ndarray, scale: float) -> np.ndarray | None:
+    """The solution from the modal factors of each sector, or None as soon
+    as a sector's answer fails the residual check, computed as
+    u^2 x - z P (rho x) - rhs without forming the resolvent matrix."""
+    z = np.exp(2j * detuning_phase)
+    x = np.empty(rhs.shape, dtype=complex)
+    for sector, modes in zip(block.sectors, factors):
+        b = rhs[sector.index]
+        xs = modes.solve(z, b)
+        resid = (_by_row(block.u_half[sector.index] ** 2, xs) * xs
+                 - z * _by_row(block.parity[sector.index], xs) * _apply(sector.rho, xs) - b)
+        if not float(np.max(np.abs(resid))) <= _RESIDUAL_LIMIT * scale:
+            return None
+        x[sector.index] = xs
+    return x
 
 
-def _checked_solve(a, rhs, label, scale, lossless):
-    """Solve one m block for one right-hand side, or two as columns, and
-    check the largest residual against scale, the norm of the whole input:
-    a block whose right-hand side has underflowed towards the subnormal
-    range has no meaningful residual relative to itself. A NaN residual
-    fails the check.
+def _decompose(block: OperatorBlock) -> tuple[_ModalFactors, ...] | None:
+    """Modal factors of the round trip M = U^-2 P rho of each sector of a
+    block, or None when an eigendecomposition fails or is not finite."""
+    factors = []
+    for sector in block.sectors:
+        inv_u_sq = 1.0 / block.u_half[sector.index] ** 2
+        round_trip = (inv_u_sq * block.parity[sector.index])[:, None] * sector.rho
+        try:
+            eigenvalues, vectors = np.linalg.eig(round_trip)
+            del round_trip  # not held while inv works on copies of V
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError:
+            return None
+        if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
+            return None
+        condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
+        inverse *= inv_u_sq
+        factors.append(_ModalFactors(eigenvalues, vectors, inverse, condition))
+    return tuple(factors)
+
+
+def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
+    """Solve one m block directly, sector by sector, for one right-hand
+    side or two as columns, and check the largest residual of each sector
+    against scale, the norm of the whole input: a block whose right-hand
+    side has underflowed towards the subnormal range has no meaningful
+    residual relative to itself. A NaN residual fails the check.
 
     For a lossless cavity a block on resonance is singular, but rounding in
     its quadrature-built entries decides whether the solve fails, returns a
     meaningless finite answer or one with a large residual; such a block is
     rejected, before it is solved, when its condition number reaches
-    1/(dim * eps), singular to working precision."""
-    if lossless and np.all(np.isfinite(a)):
-        cond = float(np.linalg.cond(a))
-        if not cond * a.shape[0] * np.finfo(float).eps < 1.0:
+    1/(dim * eps), singular to working precision. That is the condition
+    number of the whole block, over all its sectors, and dim is the
+    block's: a sector whose entries are all small can have a modest
+    condition number of its own while the block is singular."""
+    matrices = [_resolvent_matrix(block, s, detuning_phase) for s in block.sectors]
+    if lossless and all(np.all(np.isfinite(a)) for a in matrices):
+        cond = _condition(matrices)
+        if not cond * block.dim * np.finfo(float).eps < 1.0:
             raise SolverError(
                 f"resolvent of {label} block is singular to working precision "
                 f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
             )
-    try:
-        x = np.linalg.solve(a, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
-    resid = float(np.max(np.abs(a @ x - rhs)))
-    if not resid <= _RESIDUAL_LIMIT * scale:
-        cond = float(np.linalg.cond(a)) if np.all(np.isfinite(a)) else math.nan
-        raise SolverError(
-            f"resolvent solve in {label} block has residual {resid:.2e} against "
-            f"input norm {scale:.2e} (condition estimate {cond:.2e}); "
-            "reflectivity too close to 1 at a degenerate phase, or non-finite input"
-        )
+    x = np.empty(rhs.shape, dtype=complex)
+    for sector, a in zip(block.sectors, matrices):
+        b = rhs[sector.index]
+        try:
+            xs = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
+        resid = float(np.max(np.abs(a @ xs - b)))
+        if not resid <= _RESIDUAL_LIMIT * scale:
+            raise SolverError(
+                f"resolvent solve in {label} block has residual {resid:.2e} against "
+                f"input norm {scale:.2e} (condition estimate {_condition(matrices):.2e}); "
+                "reflectivity too close to 1 at a degenerate phase, or non-finite input"
+            )
+        x[sector.index] = xs
     return x
+
+
+def _tau_sq_form(block: OperatorBlock, x: np.ndarray):
+    """Re x^H tau^2 x of the solution x, per column for two columns, summed
+    over the sectors. tau^2 is real, so the form is a^T tau^2 a + b^T tau^2 b
+    for x = a + ib, and every column takes the same matrix-vector products
+    whether it was solved alone or beside another: near a lossless resonance
+    the form cancels to a few parts in 1e3 of its terms, and another
+    summation order alone moves it by several 1e-14."""
+    if x.ndim == 2:
+        return np.array([_tau_sq_form(block, column) for column in x.T])
+    form = 0.0
+    for sector in block.sectors:
+        xs = x[sector.index]
+        form += float(xs.real @ (sector.tau_sq @ xs.real) + xs.imag @ (sector.tau_sq @ xs.imag))
+    return form
 
 
 def enhancement_full(
@@ -438,7 +559,10 @@ def enhancement_full(
     cavity has no such bound: there every listed block is solved and
     checked. detail reports the listed blocks (m_blocks), the |m| systems
     solved (blocks_solved) and the summed bound of the skipped pairs
-    (skipped_bound); the condition estimate covers the solved systems.
+    (skipped_bound); the condition estimate covers the solved systems. A
+    block of a mirror-symmetric cavity is solved as its two parity sectors
+    (see OperatorBlock), and its condition estimate is still that of the
+    whole block.
 
     With a prebuilt ops, a block solved often enough (a scan) is answered
     from its modal factors rather than a factorisation, see
@@ -478,20 +602,19 @@ def enhancement_full(
     for mag in range(top + 1):
         block = ops.block(mag)
         if mag == 0:
-            x, modes = _solve_block(ops, 0, detuning_phase, block.u_half * blocks[0],
+            x, modal = _solve_block(ops, 0, detuning_phase, block.u_half * blocks[0],
                                     "m=0", scale)
-            per_m[basis.l_max] = float(np.real(np.conj(x) @ (block.tau_sq @ x)))
+            per_m[basis.l_max] = _tau_sq_form(block, x)
         else:
             # +m and -m share one matrix: one solve with two right-hand sides
             rhs = block.u_half[:, None] * np.column_stack((blocks[mag], blocks[-mag]))
-            x, modes = _solve_block(ops, mag, detuning_phase, rhs, f"m=+-{mag}", scale)
-            tx = block.tau_sq @ x
-            for col, m in ((0, mag), (1, -mag)):
-                per_m[m + basis.l_max] = float(np.real(np.conj(x[:, col]) @ tx[:, col]))
-        if modes is not None:
-            modal_conditions.append(modes.condition)
+            x, modal = _solve_block(ops, mag, detuning_phase, rhs, f"m=+-{mag}", scale)
+            per_m[[basis.l_max + mag, basis.l_max - mag]] = _tau_sq_form(block, x)
+        if modal is not None:
+            modal_conditions.append(modal)
         if collect_condition:
-            conditions.append(float(np.linalg.cond(_resolvent_matrix(block, detuning_phase))))
+            conditions.append(_condition([_resolvent_matrix(block, s, detuning_phase)
+                                          for s in block.sectors]))
     value = float(np.sum(per_m))
     return EnhancementResult(
         value=value,

@@ -28,7 +28,52 @@ ORACLE_VALUES = {
 }
 
 
+def _numpy_radial_bessel_table(l_max, kr):
+    """radial_bessel_table with its recurrences run on numpy float64
+    elements: the reference the Python-float recurrences must equal bitwise."""
+    from cavityqed.specfun import _RESCALE, _ratio_cf
+
+    out = np.zeros(l_max + 1)
+    x = float(kr)
+    if x < 1e-8:
+        out[0] = 1.0
+        for l in range(1, l_max + 1):
+            out[l] = out[l - 1] * x / (2 * l + 1)
+        return SQRT_2_OVER_PI * out
+    j0 = math.sin(x) / x
+    if l_max == 0:
+        out[0] = j0
+        return SQRT_2_OVER_PI * out
+    j1 = j0 / x - math.cos(x) / x
+    if x > l_max:
+        out[0], out[1] = j0, j1
+        for l in range(1, l_max):
+            out[l + 1] = (2 * l + 1) / x * out[l] - out[l - 1]
+        return SQRT_2_OVER_PI * out
+    ratio = _ratio_cf(l_max, x)
+    out[l_max] = 1.0
+    out[l_max - 1] = 1.0 / ratio if ratio != 0.0 else 1.0 / 1e-300
+    for l in range(l_max - 1, 0, -1):
+        out[l - 1] = (2 * l + 1) / x * out[l] - out[l + 1]
+        if abs(out[l - 1]) > _RESCALE:
+            out[l - 1 :] *= 1.0 / _RESCALE
+    scale = j0 / out[0] if abs(j0) >= abs(j1) else j1 / out[1]
+    out *= scale
+    return SQRT_2_OVER_PI * out
+
+
 class TestRadialBessel:
+    @pytest.mark.parametrize("l_max,kr", [
+        (0, 0.0), (0, 2.5), (5, 0.0), (150, 1e-9), (150, 1e-300),    # series, l_max 0
+        (60, 100.0), (400, 1000.0), (1, 1.5),                         # upward
+        (400, 25.0), (400, 100.0), (150, 17.0), (150, math.pi),       # downward; j0 = 0
+        (2, 0.5), (1000, 0.01), (400, 1e-8),                          # 0, 19, 16 rescales
+    ])
+    def test_table_equals_numpy_recurrence_bitwise(self, l_max, kr):
+        got = radial_bessel_table(l_max, kr)
+        assert got.dtype == np.float64 and got.shape == (l_max + 1,)
+        assert np.array_equal(got, _numpy_radial_bessel_table(l_max, kr))
+
     def test_l0_closed_form(self):
         for kr in (0.3, 1.0, 7.7, 153.2):
             assert radial_bessel(0, kr) == pytest.approx(

@@ -16,7 +16,6 @@ from cavityqed.structures import (
 from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
-    _resolvent_matrix,
     _solve_block,
     _transmission_operator,
     build_operators,
@@ -33,17 +32,39 @@ KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
 
 
-def _all_blocks_value(ops, point, phi0):
+def _dense_resolvent(b, phi0, rho=None):
+    """The whole block's resolvent diag(u^2) - e^{2i phi0} P rho, unsplit,
+    with the block's own rho unless another is given."""
+    rho = b.dense_rho() if rho is None else rho
+    return np.diag(b.u_half**2) - np.exp(2j * phi0) * (b.parity[:, None] * rho)
+
+
+def _all_blocks_value(ops, point, phi0, dense=False):
     """The enhancement with every listed m block solved on its own: the
     reference that enhancement_full may depart from only by its skipped
-    bound."""
+    bound.
+
+    Each parity sector of a block is solved as one system of its stored
+    operators, and its tau^2 form taken column by column as enhancement_full
+    does, so that only the skip separates the two: near a lossless resonance
+    the form cancels, and a different solve or summation order alone moves
+    the value by a few 1e-14. dense=True solves every block as one unsplit
+    system instead."""
     coeffs = plane_wave_coeffs(point, ops.basis.l_max)
     per_m = []
     for m, c in sorted(coeffs.blocks.items()):
         b = ops.block(m)
-        a = np.diag(b.u_half**2) - np.exp(2j * phi0) * (b.parity[:, None] * b.rho)
-        x = np.linalg.solve(a, b.u_half * c)
-        per_m.append(float(np.real(np.conj(x) @ (b.tau_sq @ x))))
+        if dense:
+            x = np.linalg.solve(_dense_resolvent(b, phi0), b.u_half * c)
+            per_m.append(float(np.real(np.conj(x) @ (b.dense_tau_sq() @ x))))
+            continue
+        value = 0.0
+        for s in b.sectors:
+            a = np.diag(b.u_half[s.index] ** 2) - np.exp(2j * phi0) * (
+                b.parity[s.index, None] * s.rho)
+            x = np.linalg.solve(a, (b.u_half * c)[s.index])
+            value += float(x.real @ (s.tau_sq @ x.real) + x.imag @ (s.tau_sq @ x.imag))
+        per_m.append(value)
     return float(np.sum(per_m))
 
 
@@ -97,34 +118,34 @@ class TestOperators:
         ops = build_operators(geom, HarmonicBasis(25), m_values=(0, 3))
         for m in (0, 3):
             b = ops.block(m)
-            assert np.max(np.abs(b.rho - 0.9 * np.eye(b.dim))) < 1e-12
+            assert np.max(np.abs(b.dense_rho() - 0.9 * np.eye(b.dim))) < 1e-12
 
     def test_monopole_element_of_step_profile(self):
         # 45-degree caps against the constant harmonic: rho * (1 - cos 45)
         geom = CavityGeometry.symmetric(KR, math.pi / 4, 0.98)
         ops = build_operators(geom, HarmonicBasis(40), m_values=(0,))
-        got = ops.block(0).rho[0, 0]
+        got = ops.block(0).dense_rho()[0, 0]
         assert got == pytest.approx(0.98 * (1 - math.cos(math.pi / 4)), rel=1e-12)
         assert got == pytest.approx(0.287, abs=5e-4)
 
     def test_reflection_operator_hermitian_with_bounded_spectrum(self, small_ops):
         b = small_ops.block(0)
-        assert np.max(np.abs(b.rho - b.rho.T.conj())) < 1e-12
-        eigs = np.linalg.eigvalsh(b.rho.real)
+        assert np.max(np.abs(b.dense_rho() - b.dense_rho().T.conj())) < 1e-12
+        eigs = np.linalg.eigvalsh(b.dense_rho().real)
         assert eigs.min() > -1e-10
         assert eigs.max() < 0.98 + 1e-10
 
     def test_defocus_breaks_hermiticity_but_keeps_norm_bound(self):
         geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3)
         ops = build_operators(geom, HarmonicBasis(50), m_values=(0,))
-        rho = ops.block(0).rho
+        rho = ops.block(0).dense_rho()
         assert np.max(np.abs(rho - rho.T.conj())) > 1e-3
         assert np.linalg.svd(rho, compute_uv=False)[0] <= 0.98 + 1e-10
 
     def test_parity_commutes_for_symmetric_cavity(self, small_ops):
         b = small_ops.block(0)
         p = np.diag(b.parity)
-        comm = p @ b.rho - b.rho @ p
+        comm = p @ b.dense_rho() - b.dense_rho() @ p
         assert np.max(np.abs(comm)) < 1e-12
 
     def test_flux_identity_residual_small_on_adequate_grid(self, small_ops):
@@ -151,23 +172,116 @@ class TestSegmentAssembly:
         ops = build_operators(geom, basis, grid, m_values=(m,))
         b = ops.block(m)
         rho, tau, tau_sq, flux = _direct_operators(geom, self.L_MAX, grid, m)
-        assert np.max(np.abs(b.rho - rho)) < 1e-13
-        assert np.max(np.abs(b.tau_sq - tau_sq)) < 1e-13
+        assert np.max(np.abs(b.dense_rho() - rho)) < 1e-13
+        assert np.max(np.abs(b.dense_tau_sq() - tau_sq)) < 1e-13
         assert abs(b.flux_residual - flux) < 1e-13
         assert np.max(np.abs(_transmission_operator(ops, m) - tau)) < 1e-13
-        assert b.rho.dtype == (np.float64 if k_delta == 0.0 else np.complex128)
+        assert b.dense_rho().dtype == (np.float64 if k_delta == 0.0 else np.complex128)
 
     def test_blocks_store_one_real_rho_and_tau_sq(self, benchmark_geom):
-        # per block at most a real rho and tau^2 (2 * 8 dim^2 bytes) plus the
-        # O(dim) diagonals; a stored tau or a complex rho breaks the bound
+        # per block at most a real rho and tau^2 on each parity sector of the
+        # mirror-symmetric cavity (2 * 8 bytes times ceil(dim/2)^2 +
+        # floor(dim/2)^2) plus the O(dim) diagonals; a stored tau, a complex
+        # rho or a dense block breaks the bound
         ops = build_operators(benchmark_geom, HarmonicBasis(150))
         assert len(ops.blocks) == 151
         stored = bound = 0
         for b in ops.blocks.values():
-            stored += sum(v.nbytes for v in (getattr(b, f.name) for f in dataclasses.fields(b))
-                          if isinstance(v, np.ndarray))
-            bound += 2 * 8 * b.dim**2 + 64 * b.dim
+            fields = [getattr(b, f.name) for f in dataclasses.fields(b)]
+            fields += [getattr(s, f.name) for s in b.sectors for f in dataclasses.fields(s)]
+            stored += sum(v.nbytes for v in fields if isinstance(v, np.ndarray))
+            bound += 2 * 8 * (((b.dim + 1) // 2) ** 2 + (b.dim // 2) ** 2) + 64 * b.dim
         assert stored <= bound
+
+
+class TestParitySectors:
+    L_MAX = 60
+    PHASES = math.pi * (np.arange(24) - 12) / 24
+
+    def test_mirror_symmetric_blocks_split_in_two(self, benchmark_geom):
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX),
+                              m_values=(0, 1, 59, 60))
+        for m in (0, 1, 59):
+            b = ops.block(m)
+            assert [s.index for s in b.sectors] == [slice(0, None, 2), slice(1, None, 2)]
+            assert [s.rho.shape for s in b.sectors] == [
+                ((b.dim + 1) // 2,) * 2, (b.dim // 2,) * 2]
+        # the dim-1 block keeps its one l
+        assert [s.index for s in ops.block(60).sectors] == [slice(None)]
+
+    @pytest.mark.parametrize("geom", [
+        CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9),
+        CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=0.3),
+        CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3),
+        CavityGeometry(KR, THETA_30PCT, THETA_30PCT, 0.98, 0.9),
+        CavityGeometry(KR, 0.795, 0.6, 0.98, 0.98),
+    ], ids=["unequal", "unequal-defocus", "defocus", "unequal-rho", "unequal-aperture"])
+    def test_other_cavities_keep_one_sector(self, geom):
+        ops = build_operators(geom, HarmonicBasis(20), m_values=(0, 5))
+        for m in (0, 5):
+            b = ops.block(m)
+            assert [s.index for s in b.sectors] == [slice(None)]
+            assert b.sectors[0].rho.shape == (b.dim, b.dim)
+
+    @pytest.mark.parametrize("m", [0, 3, 40])
+    def test_dense_operators_match_direct_products(self, benchmark_geom, m):
+        grid = operator_grid(benchmark_geom, self.L_MAX)
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), grid, m_values=(m,))
+        b = ops.block(m)
+        rho, tau, tau_sq, flux = _direct_operators(benchmark_geom, self.L_MAX, grid, m)
+        assert np.max(np.abs(b.dense_rho() - rho)) < 1e-13
+        assert np.max(np.abs(b.dense_tau_sq() - tau_sq)) < 1e-13
+        assert abs(b.flux_residual - flux) < 1e-13
+        assert np.max(np.abs(b.block_diagonal(_transmission_operator(ops, m)) - tau)) < 1e-13
+        assert b.dense_rho().dtype == np.float64
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("m", [0, 1, 40, 60])
+    def test_sector_answers_match_unsplit_solve(self, benchmark_geom, m, columns):
+        # the oracle is the unsplit operator of direct weighted products,
+        # whose opposite-parity entries are rounding, not exact zeros
+        grid = operator_grid(benchmark_geom, self.L_MAX)
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), grid, m_values=(m,))
+        block = ops.block(m)
+        rho = _direct_operators(benchmark_geom, self.L_MAX, grid, m)[0]
+        rng = np.random.default_rng(11)
+        shape = (block.dim, columns) if columns == 2 else (block.dim,)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        def check(modal):
+            for phi0 in self.PHASES:
+                x, modes = _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+                assert (modes is not None) == modal
+                ref = np.linalg.solve(_dense_resolvent(block, float(phi0), rho), rhs)
+                assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+
+        check(modal=False)
+        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1 - self.PHASES.size):
+            _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+        check(modal=True)
+
+    @pytest.mark.parametrize("rho", [0.98, 0.999])
+    @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (2.0, 2.0, -8.0)])
+    def test_value_matches_unsplit_dense_solve(self, rho, kvec):
+        # the split changes only the order of the arithmetic: at rho 0.999
+        # (resolvent condition about 2e3) the split and the unsplit value
+        # are each off by 1e-14 to 3e-14 from a 34-digit evaluation of the
+        # same operators
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, rho)
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(geom, basis)
+        point = FieldPoint(kvec)
+        r = enhancement_full(geom, basis, point, 0.0, ops=ops)
+        ref = _all_blocks_value(ops, point, 0.0, dense=True)
+        assert abs(r.value - ref) <= r.detail["skipped_bound"] + 1e-13 * ref
+
+    def test_condition_estimate_is_the_whole_blocks(self, benchmark_geom):
+        basis = HarmonicBasis(40)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0, ops=ops,
+                             collect_condition=True)
+        dense = np.linalg.cond(_dense_resolvent(ops.block(0), 0.0))
+        assert r.condition == pytest.approx(dense, rel=1e-10)
 
 
 class TestIntracavityField:
@@ -317,7 +431,7 @@ class TestBlockSkip:
         r = enhancement_full(benchmark_geom, basis, point, 0.0)
         assert r.detail["m_blocks"] == 501
         assert r.detail["blocks_solved"] <= 20
-        ref = _all_blocks_value(build_operators(benchmark_geom, basis), point, 0.0)
+        ref = _all_blocks_value(build_operators(benchmark_geom, basis), point, 0.0, dense=True)
         assert r.value == pytest.approx(ref, rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (2.0, 2.0, -8.0)])
@@ -362,11 +476,13 @@ class TestBlockSkip:
 
 
 def _count_calls(monkeypatch, module, name):
+    """Spy on module.name; the list returned gets the shape of the first
+    argument of every call."""
     calls = []
     original = getattr(module, name)
 
     def spy(*args, **kwargs):
-        calls.append(name)
+        calls.append(np.shape(args[0]))
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, spy)
@@ -393,7 +509,7 @@ class TestModalSolve:
         for phi0 in self.PHASES:
             x, modes = _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
             assert modes is not None
-            ref = np.linalg.solve(_resolvent_matrix(block, float(phi0)), rhs)
+            ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
             # relative to the largest entry of the direct answer
             assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
 
@@ -423,8 +539,8 @@ class TestModalSolve:
         decompose = wave_ops._decompose
 
         def corrupt(block):
-            f = decompose(block)
-            return dataclasses.replace(f, eigenvalues=1.01 * f.eigenvalues)
+            return tuple(dataclasses.replace(f, eigenvalues=1.01 * f.eigenvalues)
+                         for f in decompose(block))
 
         monkeypatch.setattr(wave_ops, "_decompose", corrupt)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
@@ -436,7 +552,8 @@ class TestModalSolve:
             assert r.value == direct.value
             assert (r.detail["modal_solves"], r.detail["modal_condition"]) == (0, None)
         assert ops.modes == {0: None}
-        assert len(solves) == 4
+        # four direct block solves, each of the two parity sectors
+        assert len(solves) == 4 * 2
 
     def test_lossless_closed_sphere_raises_past_the_threshold(self):
         geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
@@ -459,22 +576,37 @@ class TestModalSolve:
             assert r.detail["modal_solves"] == 0
         assert ops.modes == {}
 
-    def test_sweep_decomposes_once(self, benchmark_geom, monkeypatch):
-        # count guard: a 200-phase sweep of one block makes _MODAL_AFTER - 1
-        # direct solves and one eigendecomposition, and no more
+    def _sweep(self, geom, monkeypatch):
+        """A 200-phase sweep of the m = 0 block: the shapes passed to each
+        np.linalg.solve and np.linalg.eig call, and the details."""
         basis = HarmonicBasis(self.L_MAX)
-        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        ops = build_operators(geom, basis, m_values=(0,))
         solves = _count_calls(monkeypatch, np.linalg, "solve")
         eigs = _count_calls(monkeypatch, np.linalg, "eig")
-        details = [enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), float(p),
+        details = [enhancement_full(geom, basis, FieldPoint.axial(3.0), float(p),
                                     ops=ops).detail
                    for p in np.linspace(-0.1, 0.1, 200)]
-        assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
         assert [d["modal_solves"] for d in details] == (
             [0] * (_MODAL_AFTER - 1) + [1] * (200 - _MODAL_AFTER + 1))
         assert details[0]["modal_condition"] is None
         assert 1.0 <= details[-1]["modal_condition"] < 1e6
+        return solves, eigs
 
+    def test_sweep_decomposes_once(self, benchmark_geom, monkeypatch):
+        # count guard: a sweep of one block makes _MODAL_AFTER - 1 direct
+        # solves and one eigendecomposition per parity sector, and no more;
+        # the mirror-symmetric cavity has two sectors of at most ceil(dim/2)
+        solves, eigs = self._sweep(benchmark_geom, monkeypatch)
+        assert (len(solves), len(eigs)) == (2 * (_MODAL_AFTER - 1), 2)
+        half = (HarmonicBasis(self.L_MAX).block_dim(0) + 1) // 2
+        assert max(shape[0] for shape in solves + eigs) == half
+
+    def test_sweep_decomposes_once_unequal_mirrors(self, monkeypatch):
+        # one sector holding every l: one eigendecomposition of the whole block
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+        solves, eigs = self._sweep(geom, monkeypatch)
+        assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
+        assert {shape[0] for shape in solves + eigs} == {HarmonicBasis(self.L_MAX).block_dim(0)}
 
 class TestPerfectSphere:
     def test_l0_ladder(self):
