@@ -8,9 +8,11 @@ principal-value frequency transform of the resonance line. Directions
 missing the mirrors contribute free vacuum to the damping and nothing to
 the shift, so both results reduce to (1, 0) without mirrors.
 
-response is the one angular quadrature of the ray route. The ray-model
-vacuum-fluctuation ratio, enhancement_ray, is its damping ratio for an
-isotropic dipole, whose weight is 1 in every direction.
+response is the one angular quadrature of the ray route. It forms both
+kernels in one pass (ray_model._ray_kernels) and only on the polar rows
+whose rays meet a mirror, in blocks of a bounded number of directions.
+The ray-model vacuum-fluctuation ratio, enhancement_ray, is its damping
+ratio for an isotropic dipole, whose weight is 1 in every direction.
 """
 
 from __future__ import annotations
@@ -21,9 +23,11 @@ import warnings
 import numpy as np
 
 from .quadrature import polar_rule
-from .ray_model import (
+from .ray_model import (  # noqa: F401 (airy_resonance_factor: perfbench/tracing.py wraps it here)
     RAY_VALIDITY_KR,
     _auto_azimuthal_order,
+    _ray_kernels,
+    _ray_reflectivities,
     airy_resonance_factor,
     ray_direction_phases,
     ray_integration_nodes,
@@ -47,6 +51,10 @@ __all__ = [
     "one_mirror_response",
 ]
 
+# directions per block of polar rows: the ray kernel's temporaries stay a few
+# MB whatever the quadrature orders, and every preset point fits in one block
+_BLOCK_DIRECTIONS = 1 << 17
+
 
 def polarization_factor(d_hat, omega_hat):
     """Transverse-coupling weight (3/2)(1 - (d.Omega)^2) for unit vectors.
@@ -66,15 +74,19 @@ def polarization_factor(d_hat, omega_hat):
 
 def orientation_weight(orientation: DipoleOrientation, theta, phi_az):
     """Polarization weight on the direction grid for a tagged or explicit
-    dipole orientation; perpendicular averages the dipole azimuth."""
+    dipole orientation; perpendicular averages the dipole azimuth.
+
+    A tag's weight depends on theta alone and has theta's shape; an
+    explicit vector's has the broadcast shape of theta and phi_az. Either
+    broadcasts against the grid."""
     theta = np.asarray(theta, dtype=float)
     phi_az = np.asarray(phi_az, dtype=float)
     if orientation.tag == "parallel":
-        return 1.5 * np.sin(theta) ** 2 + 0.0 * phi_az
+        return 1.5 * np.sin(theta) ** 2
     if orientation.tag == "perpendicular":
-        return 1.5 * (1.0 - 0.5 * np.sin(theta) ** 2) + 0.0 * phi_az
+        return 1.5 * (1.0 - 0.5 * np.sin(theta) ** 2)
     if orientation.tag == "isotropic":
-        return np.ones(np.broadcast(theta, phi_az).shape)
+        return np.ones(theta.shape)
     dx, dy, dz = orientation.vector
     st = np.sin(theta)
     dot = st * (dx * np.cos(phi_az) + dy * np.sin(phi_az)) + dz * np.cos(theta)
@@ -86,22 +98,10 @@ def shift_kernel(phi, x, rho1, rho2):
     terms over the round-trip resonance denominator |1 - rho1 rho2 e^{4i phi}|^2;
     for rho1 = rho2 = rho it reduces to the equal-mirror form
     rho sin(2 phi) [cos^2(x)/|1 - rho e^{2i phi}|^2 - sin^2(x)/|1 + rho e^{2i phi}|^2],
-    and it vanishes without mirrors."""
-    phi = np.asarray(phi, dtype=float)
-    x = np.asarray(x, dtype=float)
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
-    rr = rho1 * rho2
-    denom = 1.0 + rr * rr - 2.0 * rr * np.cos(4.0 * phi)
-    sin2phi = np.sin(2.0 * phi)
-    sin4phi = np.sin(4.0 * phi)
-    balanced = 0.5 * (rho1 + rho2) * (1.0 + rr) * sin2phi
-    num = (
-        (rr * sin4phi + balanced) * np.cos(x) ** 2
-        + (rr * sin4phi - balanced) * np.sin(x) ** 2
-        + 0.5 * (1.0 - rr) * (rho1 - rho2) * np.cos(2.0 * phi) * np.sin(2.0 * x)
-    )
-    return num / denom
+    and it vanishes without mirrors. This is the shift half of
+    ray_model._ray_kernels, which rejects the inputs that
+    airy_resonance_factor rejects."""
+    return _ray_kernels(phi, x, rho1, rho2)[1]
 
 
 def response(
@@ -124,6 +124,13 @@ def response(
     corrections off the ray kernels are the naive geometric-ray ones. The
     model is validated for kr up to RAY_VALIDITY_KR; beyond that a
     ValidityWarning is issued. A non-finite phi0 raises ValueError.
+
+    Both kernels come from one evaluation per direction, made only on the
+    polar rows whose rays meet a mirror; every other row adds its mean
+    weight to the damping and nothing to the shift, which is what the
+    kernels give there exactly. The rows are taken in blocks of at most
+    2**17 directions, so the peak memory does not grow with the
+    quadrature orders, and the result does not depend on the block size.
     """
     return _response(point, orientation, geom, phi0, aberration, diffraction,
                      polar_order, azimuthal_order)
@@ -146,16 +153,30 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
     theta, w, phi_az = ray_integration_nodes(
         geom, point, diffraction, polar_order, azimuthal_order, axisym
     )
-    th2 = theta[:, None]
-    ph2 = phi_az[None, :]
-    phi_eff, x_eff, rho_f, rho_b = ray_direction_phases(
-        geom, point, phi0, th2, ph2, aberration=aberration, diffraction=diffraction
-    )
-    pol = np.broadcast_to(orientation_weight(orientation, th2, ph2), x_eff.shape)
-    g = airy_resonance_factor(phi_eff, x_eff, rho_f, rho_b)
-    s = shift_kernel(phi_eff, x_eff, rho_f, rho_b)
-    gamma = float(np.dot(w, (pol * g).mean(axis=1)))
-    shift = float(np.dot(w, (pol * s).mean(axis=1)))
+    rho_f, rho_b = _ray_reflectivities(geom, theta, diffraction)
+    meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
+    # weight x damping and weight x shift, averaged over each polar row; a
+    # row that meets no mirror has damping exactly 1 and shift exactly 0
+    rows = np.zeros((2, theta.size))
+    step = max(1, _BLOCK_DIRECTIONS // phi_az.size)
+    for start in range(0, theta.size, step):
+        block = np.arange(start, min(start + step, theta.size))
+        pol = orientation_weight(orientation, theta[block, None], phi_az[None, :])
+        rows[0, block] = pol.mean(axis=1)
+        hit = meets_mirror[block]
+        if not hit.any():
+            continue
+        idx = block[hit]
+        phi_eff, x_eff, _, _ = ray_direction_phases(
+            geom, point, phi0, theta[idx, None], phi_az[None, :],
+            aberration=aberration, diffraction=diffraction,
+        )
+        kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
+        pol = pol[hit]
+        for row, kernel in zip(rows, kernels):
+            row[idx] = (pol * kernel).mean(axis=1)
+    gamma = float(np.dot(w, rows[0]))
+    shift = float(np.dot(w, rows[1]))
     return ResponseResult(
         gamma_ratio=gamma,
         shift_ratio=shift,
@@ -265,7 +286,7 @@ def one_mirror_response(
     th2, ph2 = theta[:, None], phi_az[None, :]
     kx, ky, kz = point.kvec
     x = kz * np.cos(th2) + np.sin(th2) * (kx * np.cos(ph2) + ky * np.sin(ph2))
-    pol = np.broadcast_to(orientation_weight(orientation, th2, ph2), x.shape)
+    pol = orientation_weight(orientation, th2, ph2)
     gamma = 1.0 + rho * float(np.dot(w, (pol * np.cos(2.0 * (x + phi))).mean(axis=1)))
     shift = 0.5 * rho * float(np.dot(w, (pol * np.sin(2.0 * (x + phi))).mean(axis=1)))
     return ResponseResult(

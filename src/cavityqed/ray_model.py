@@ -14,6 +14,9 @@ near (but not at) the center:
 * an axial mispositioning of mirror 2, entering as a direction-dependent
   reflection phase (defocus_profile) that shifts and degrades the resonance.
 
+A ray's damping factor (airy_resonance_factor) and its shift kernel
+(dipole_response.shift_kernel) are the two halves of one evaluation,
+_ray_kernels, which takes both from cos 2phi, sin 2phi, cos 2x and sin 2x.
 The angular quadrature over these ray factors is dipole_response.response;
 the vacuum-fluctuation ratio, dipole_response.enhancement_ray, is its
 isotropic damping ratio.
@@ -75,6 +78,26 @@ def airy_resonance_factor(phi, x, rho1, rho2):
     T cos^2(x)/|1 - rho e^{2i phi}|^2 + T sin^2(x)/|1 + rho e^{2i phi}|^2.
     Directions missing both mirrors (rho1 = rho2 = 0) give exactly 1.
     Averaged over a free spectral range in phi the factor is 1 for any x.
+    This is the damping half of _ray_kernels.
+    """
+    return _ray_kernels(phi, x, rho1, rho2)[0]
+
+
+def _ray_kernels(phi, x, rho1, rho2):
+    """Damping and shift kernels of one ray, airy_resonance_factor and
+    dipole_response.shift_kernel, from one set of trig values.
+
+    Both are fractions over the round-trip resonance denominator
+    |1 - rho1 rho2 e^{4i phi}|^2 = (1 - rho1 rho2)^2 + 4 rho1 rho2 sin^2(2 phi),
+    written without cos(4 phi) so that it loses no digits to cancellation
+    near a resonance. The standing-wave weights cos^2 x, sin^2 x enter the
+    numerators only through cos^2 x - sin^2 x = cos 2x and their unit sum,
+    so cos 2phi, sin 2phi, cos 2x and sin 2x are all the trigonometry.
+    With rho1 = rho2 = 0 the kernels are exactly 1 and 0.
+
+    Raises ValueError for a reflectivity outside [0, 1] and
+    ResonanceSingularityError for a lossless pair (rho1 rho2 within the
+    singular floor of 1) at a resonant phase.
     """
     phi = np.asarray(phi, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -83,23 +106,25 @@ def airy_resonance_factor(phi, x, rho1, rho2):
     if np.any(rho1 < 0) or np.any(rho1 > 1) or np.any(rho2 < 0) or np.any(rho2 > 1):
         raise ValueError("reflectivities must lie in [0, 1]")
     rr = rho1 * rho2
-    near_lossless = 1.0 - rr < _SINGULAR_FLOOR
-    if np.any(near_lossless):
-        shape = np.broadcast(phi, rr).shape
-        bad = np.broadcast_to(phi, shape)[np.broadcast_to(near_lossless, shape)]
-        if bad.size and np.any(np.abs(np.sin(2.0 * bad)) < 1e-6):
-            raise ResonanceSingularityError(
-                "rho1*rho2 within the singular floor of 1 at a resonant phase"
-            )
-    c2, s2, cross = standing_wave_weights(x)
     cos2phi = np.cos(2.0 * phi)
-    denom = 1.0 + rr * rr - 2.0 * rr * np.cos(4.0 * phi)
-    num = (
-        (1.0 - rr) * (1.0 + rr + (rho1 + rho2) * cos2phi) * c2
-        + (1.0 - rr) * (1.0 + rr - (rho1 + rho2) * cos2phi) * s2
-        + (1.0 + rr) * (rho2 - rho1) * np.sin(2.0 * phi) * cross
-    )
-    return num / denom
+    sin2phi = np.sin(2.0 * phi)
+    lossless = 1.0 - rr < _SINGULAR_FLOOR
+    if np.any(lossless) and np.any(lossless & (np.abs(sin2phi) < 1e-6)):
+        raise ResonanceSingularityError(
+            "rho1*rho2 within the singular floor of 1 at a resonant phase"
+        )
+    cos2x = np.cos(2.0 * x)
+    sin2x = np.sin(2.0 * x)
+    loss = 1.0 - rr
+    gain = 1.0 + rr
+    total = rho1 + rho2
+    imbalance = rho2 - rho1
+    denom = loss * loss + 4.0 * rr * sin2phi * sin2phi
+    damping = (loss * gain + loss * total * cos2phi * cos2x
+               + gain * imbalance * sin2phi * sin2x) / denom
+    shift = (sin2phi * (2.0 * rr * cos2phi + 0.5 * total * gain * cos2x)
+             - 0.5 * loss * imbalance * cos2phi * sin2x) / denom
+    return damping, shift
 
 
 def effective_aperture(theta_m: float, k_radius: float, rho1: float, rho2: float) -> float:
@@ -152,6 +177,20 @@ def _effective_edges(geom: CavityGeometry, diffraction: bool):
     return th1, th2
 
 
+def _ray_reflectivities(geom: CavityGeometry, theta, diffraction: bool):
+    """Reflectivities (rho_fwd, rho_back) seen at the +Omega and -Omega ends
+    of rays of polar angle theta; both are 0 on a ray that meets no mirror
+    within the (effective) apertures."""
+    th1, th2 = _effective_edges(geom, diffraction)
+    on1_fwd = theta <= th1 + 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
+    on2_fwd = theta >= math.pi - th2 - 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
+    on1_back = theta >= math.pi - th1 - 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
+    on2_back = theta <= th2 + 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
+    rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
+    rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
+    return rho_fwd, rho_back
+
+
 def ray_direction_phases(
     geom: CavityGeometry,
     point: FieldPoint,
@@ -176,17 +215,11 @@ def ray_direction_phases(
     """
     theta = np.asarray(theta, dtype=float)
     phi_az = np.asarray(phi_az, dtype=float)
-    th1, th2 = _effective_edges(geom, diffraction)
     mu = np.cos(theta)
     sin_th = np.sin(theta)
     kx, ky, kz = point.kvec
     x = kz * mu + sin_th * (kx * np.cos(phi_az) + ky * np.sin(phi_az))
-    on1_fwd = theta <= th1 + 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
-    on2_fwd = theta >= math.pi - th2 - 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
-    on1_back = theta >= math.pi - th1 - 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
-    on2_back = theta <= th2 + 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
-    rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
-    rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
+    rho_fwd, rho_back = _ray_reflectivities(geom, theta, diffraction)
     phi_eff = phi0 + (aberration_phase(point, x, geom.k_radius) if aberration else 0.0)
     x_eff = x
     if geom.k_delta != 0.0:

@@ -1,19 +1,27 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from cavityqed import dipole_response
 from cavityqed.checks import _shift_kernel_symmetric
 from cavityqed.dipole_response import (
     center_closed_forms,
     enhancement_ray,
     one_mirror_response,
+    orientation_weight,
     polarization_factor,
     response,
     shift_kernel,
 )
-from cavityqed.ray_model import airy_resonance_factor
+from cavityqed.ray_model import (
+    ResonanceSingularityError,
+    airy_resonance_factor,
+    ray_direction_phases,
+    ray_integration_nodes,
+)
 from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint, ValidityWarning
 
 KR = 1.0e5
@@ -102,6 +110,102 @@ class TestMethods:
             iso = response(point, DipoleOrientation.isotropic(), benchmark_geom, phi0).gamma_ratio
             scalar = enhancement_ray(benchmark_geom, point, phi0).value
             assert iso == pytest.approx(scalar, rel=1e-13)
+
+
+class TestShiftKernelValidation:
+    # the shift kernel shares the damping kernel's input checks
+    def test_lossless_resonance_raises(self):
+        with pytest.raises(ResonanceSingularityError):
+            shift_kernel(0.0, 0.0, 1.0, 1.0)
+
+    def test_reflectivity_out_of_range_raises(self):
+        with pytest.raises(ValueError):
+            shift_kernel(0.1, 0.0, 1.2, 0.5)
+
+
+def _two_kernel_response(point, orientation, geom, phi0):
+    """Oracle: the ray quadrature with the damping and shift kernels written
+    out separately (cos 4phi denominator, cos^2 x / sin^2 x weights) and
+    evaluated on every direction, with the 2-D polarization weight."""
+    axisym = point.on_axis and orientation.is_axisymmetric
+    theta, w, phi_az = ray_integration_nodes(geom, point, True, None, None, axisym)
+    th2, ph2 = theta[:, None], phi_az[None, :]
+    phi, x, rho1, rho2 = ray_direction_phases(geom, point, phi0, th2, ph2)
+    pol = orientation_weight(orientation, th2, ph2)
+    rr = rho1 * rho2
+    c2, s2 = np.cos(x) ** 2, np.sin(x) ** 2
+    denom = 1.0 + rr * rr - 2.0 * rr * np.cos(4.0 * phi)
+    damping = (
+        (1.0 - rr) * (1.0 + rr + (rho1 + rho2) * np.cos(2.0 * phi)) * c2
+        + (1.0 - rr) * (1.0 + rr - (rho1 + rho2) * np.cos(2.0 * phi)) * s2
+        + (1.0 + rr) * (rho2 - rho1) * np.sin(2.0 * phi) * np.sin(2.0 * x)
+    ) / denom
+    balanced = 0.5 * (rho1 + rho2) * (1.0 + rr) * np.sin(2.0 * phi)
+    shift = (
+        (rr * np.sin(4.0 * phi) + balanced) * c2
+        + (rr * np.sin(4.0 * phi) - balanced) * s2
+        + 0.5 * (1.0 - rr) * (rho1 - rho2) * np.cos(2.0 * phi) * np.sin(2.0 * x)
+    ) / denom
+    return (float(np.dot(w, (pol * damping).mean(axis=1))),
+            float(np.dot(w, (pol * shift).mean(axis=1))))
+
+
+class TestTwoKernelOracle:
+    GEOMETRIES = {
+        "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        "unequal-defocused": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, 0.3),
+        "one-mirror": CavityGeometry(KR, THETA_30PCT, 0.0, 0.98, 0.0),
+    }
+    DIPOLES = {
+        "parallel": DipoleOrientation.parallel(),
+        "perpendicular": DipoleOrientation.perpendicular(),
+        "isotropic": DipoleOrientation.isotropic(),
+        "vector": DipoleOrientation.along((0.6, 0.0, 0.8)),
+    }
+
+    @pytest.mark.parametrize("dipole", DIPOLES)
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_fused_pass_matches_two_kernel_quadrature(self, geometry, dipole):
+        geom, orientation = self.GEOMETRIES[geometry], self.DIPOLES[dipole]
+        rng = np.random.default_rng(sorted(self.GEOMETRIES).index(geometry) * 4
+                                    + sorted(self.DIPOLES).index(dipole))
+        for n in range(6):
+            # two of the six points on the axis, four anywhere with kr <= 40
+            v = rng.normal(size=3) if n > 1 else np.array([0.0, 0.0, rng.choice((-1, 1))])
+            point = FieldPoint(tuple(v * rng.uniform(0.0, 40.0) / np.linalg.norm(v)))
+            phi0 = float(rng.uniform(-0.05, 0.05))
+            got = response(point, orientation, geom, phi0)
+            gamma, shift = _two_kernel_response(point, orientation, geom, phi0)
+            assert abs(got.gamma_ratio - gamma) <= 1e-12 * abs(gamma)
+            assert abs(got.shift_ratio - shift) <= 1e-12 * max(1.0, abs(shift))
+
+
+class TestBlockedPass:
+    def test_memory_is_bounded_at_large_orders(self, benchmark_geom):
+        # 3072 polar rows x 1024 azimuths: about 3.1 million directions
+        point = FieldPoint((30.0, 20.0, 33.0))
+        tracemalloc.start()
+        try:
+            r = response(point, DipoleOrientation.along((0.6, 0.0, 0.8)), benchmark_geom,
+                         0.01, polar_order=1024, azimuthal_order=1024)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert r.detail["polar_nodes"] * r.detail["azimuthal_nodes"] > 3_000_000
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("orientation", [DipoleOrientation.perpendicular(),
+                                             DipoleOrientation.along((0.6, 0.0, 0.8))])
+    def test_result_does_not_depend_on_the_block_size(self, monkeypatch, orientation):
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, 0.3)
+        point = FieldPoint((7.0, -3.0, 11.0))
+        whole = response(point, orientation, geom, 0.02)
+        # three polar rows per block
+        monkeypatch.setattr(dipole_response, "_BLOCK_DIRECTIONS",
+                            3 * whole.detail["azimuthal_nodes"] + 1)
+        blocked = response(point, orientation, geom, 0.02)
+        assert (blocked.gamma_ratio, blocked.shift_ratio) == (whole.gamma_ratio,
+                                                              whole.shift_ratio)
 
 
 class TestValidityWarning:

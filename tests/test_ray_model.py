@@ -7,6 +7,7 @@ from cavityqed.checks import _gamma_kernel_symmetric
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.ray_model import (
     ApertureCollapseError,
+    _ray_kernels,
     airy_resonance_factor,
     aberration_phase,
     cavity_linewidth,
@@ -117,6 +118,38 @@ class TestAiryResonanceFactor:
     def test_reflectivity_validation(self):
         with pytest.raises(ValueError):
             airy_resonance_factor(0.1, 0.0, 1.2, 0.5)
+
+
+class TestFusedKernels:
+    def test_no_mirrors_give_exactly_one_and_zero(self):
+        rng = np.random.default_rng(1)
+        damping, shift = _ray_kernels(rng.uniform(-3, 3, 500), rng.uniform(-60, 60, 500),
+                                      0.0, 0.0)
+        assert np.all(damping == 1.0)
+        assert np.all(shift == 0.0)
+
+    @pytest.mark.parametrize("rho1, rho2", [(0.98, 0.98), (0.98, 0.9), (0.999, 0.999)])
+    def test_match_a_forty_digit_evaluation_near_resonance(self, rho1, rho2):
+        # phases within a few linewidths of a resonance, where the
+        # cos(4 phi) form of the denominator cancels to (1 - rho1 rho2)^2
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        rng = np.random.default_rng(2)
+        phis = rng.normal(0.0, 0.02, 200) + rng.integers(-3, 3, 200) * math.pi / 2
+        xs = rng.uniform(-40.0, 40.0, 200)
+        damping, shift = _ray_kernels(phis, xs, rho1, rho2)
+        r1, r2 = mp.mpf(rho1), mp.mpf(rho2)
+        rr = r1 * r2
+        for phi, x, g, s in zip(phis, xs, damping, shift):
+            phi, x = mp.mpf(phi), mp.mpf(x)
+            denom = (1 - rr) ** 2 + 4 * rr * mp.sin(2 * phi) ** 2
+            g_ref = ((1 - rr) * (1 + rr + (r1 + r2) * mp.cos(2 * phi) * mp.cos(2 * x))
+                     + (1 + rr) * (r2 - r1) * mp.sin(2 * phi) * mp.sin(2 * x)) / denom
+            s_ref = (rr * mp.sin(4 * phi) + (r1 + r2) * (1 + rr) / 2 * mp.sin(2 * phi)
+                     * mp.cos(2 * x)
+                     + (1 - rr) * (r1 - r2) / 2 * mp.cos(2 * phi) * mp.sin(2 * x)) / denom
+            assert abs(g - float(g_ref)) <= 1e-13 * max(1.0, abs(float(g_ref)))
+            assert abs(s - float(s_ref)) <= 1e-13 * max(1.0, abs(float(s_ref)))
 
 
 class TestEffectiveAperture:
