@@ -3,8 +3,9 @@
 The damping response of a dipole samples the resonance line itself; the level
 shift samples its principal-value frequency transform. For the normalized
 resonance line these transforms have closed forms, used as the production
-path; the numerical principal-value engine in quadrature.pv_integrate exists
-to validate them in the tests.
+path. The numerical principal-value engine quadrature.pv_integrate checks
+them: the test suite asserts the agreement, and the `airy-check` scan kind
+of the command line tabulates it.
 """
 
 from __future__ import annotations

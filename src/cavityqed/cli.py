@@ -1,12 +1,10 @@
 """Command-line front end.
 
-Subcommands: `run` executes a JSON scenario configuration, `reproduce` runs a
-bundled preset (or lists them), and `validate` runs the invariant suite.
-Scan points are evaluated one after another, in scan order. The comparison
-of the closed-form dispersive kernels with the principal-value quadrature
-oracle is the `airy-check` scan kind (`reproduce airy-check`, or `run` with
-`scan.kind = "airy-check"`); `validate --filter pv-oracle` gives its
-pass/fail verdict.
+Subcommands: `run` executes a JSON scenario configuration and `reproduce`
+runs a bundled preset (or lists them). Scan points are evaluated one after
+another, in scan order. The comparison of the closed-form dispersive kernels
+with the principal-value quadrature oracle is the `airy-check` scan kind
+(`reproduce airy-check`, or `run` with `scan.kind = "airy-check"`).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validity warning escalated by --strict.
@@ -242,7 +240,7 @@ def pv_oracle_errors(rho: float, phi: float, num_periods: int):
 def _exec_airy_check(cfg: ScenarioConfig):
     rhos = cfg.scan.rhos
     n = cfg.scan.phase_count
-    half = max(1, n // 2)
+    half = (n + 1) // 2
     base = np.linspace(0.05, 1.35, half)
     phis = np.concatenate([base, -base])[:n]
     columns = (Column("rho"), Column("phi", "rad"),
@@ -333,13 +331,6 @@ def _cmd_reproduce(args) -> int:
     return _execute(cfg, Path(args.out), args.strict)
 
 
-def _cmd_validate(args) -> int:
-    from . import checks  # checks imports from this module
-
-    ok = checks.run_checks(args.filter)
-    return EXIT_OK if ok else EXIT_NUMERICAL
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityqed",
@@ -361,10 +352,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--out", default="cavityqed-out", help="output directory")
     p_rep.add_argument("--strict", action="store_true")
     p_rep.set_defaults(func=_cmd_reproduce)
-
-    p_val = sub.add_parser("validate", help="run the invariant suite")
-    p_val.add_argument("--filter", default=None, help="substring filter on check names")
-    p_val.set_defaults(func=_cmd_validate)
     return parser
 
 

@@ -59,10 +59,6 @@ class AngularGrid:
     def n_azimuthal(self) -> int:
         return self.phi_az.size
 
-    def integrate_polar(self, values: np.ndarray) -> float:
-        """Integrate an azimuth-independent integrand given on theta nodes."""
-        return float(np.dot(self.w_theta, values))
-
     def integrate(self, values: np.ndarray) -> float:
         """Integrate values of shape (n_polar, n_azimuthal)."""
         return float(np.dot(self.w_theta, np.asarray(values).mean(axis=1)))
@@ -176,10 +172,6 @@ class PVResult:
     error: float
     periods: int
     n_nodes: int
-
-    @property
-    def converged(self) -> bool:
-        return math.isfinite(self.value) and math.isfinite(self.error)
 
 
 def _pv_panels(period, subpanels, refine_points, refine_levels):

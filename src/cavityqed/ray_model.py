@@ -177,15 +177,24 @@ def _effective_edges(geom: CavityGeometry, diffraction: bool):
     return th1, th2
 
 
+def _cap_masks(theta, theta_0: float, theta_pi: float):
+    """Masks of the polar angles theta that lie on a cap of half-aperture
+    theta_0 around theta = 0 and on one of half-aperture theta_pi around
+    theta = pi. A node within 1e-14 rad outside an edge counts as on the
+    cap; a zero half-aperture is no cap. The mirror profiles of the
+    operator route and the ray reflectivities both use this one rule."""
+    on_0 = theta <= theta_0 + 1e-14 if theta_0 > 0 else np.zeros(theta.shape, bool)
+    on_pi = theta >= math.pi - theta_pi - 1e-14 if theta_pi > 0 else np.zeros(theta.shape, bool)
+    return on_0, on_pi
+
+
 def _ray_reflectivities(geom: CavityGeometry, theta, diffraction: bool):
     """Reflectivities (rho_fwd, rho_back) seen at the +Omega and -Omega ends
     of rays of polar angle theta; both are 0 on a ray that meets no mirror
     within the (effective) apertures."""
     th1, th2 = _effective_edges(geom, diffraction)
-    on1_fwd = theta <= th1 + 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
-    on2_fwd = theta >= math.pi - th2 - 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
-    on1_back = theta >= math.pi - th1 - 1e-14 if th1 > 0 else np.zeros(theta.shape, bool)
-    on2_back = theta <= th2 + 1e-14 if th2 > 0 else np.zeros(theta.shape, bool)
+    on1_fwd, on2_fwd = _cap_masks(theta, th1, th2)
+    on2_back, on1_back = _cap_masks(theta, th2, th1)
     rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
     rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
     return rho_fwd, rho_back

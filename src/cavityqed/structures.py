@@ -132,9 +132,6 @@ class FieldPoint:
     def on_axis(self) -> bool:
         return self.kvec[0] == 0.0 and self.kvec[1] == 0.0
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.kvec, dtype=float)
-
 
 _ORIENTATION_TAGS = ("parallel", "perpendicular", "isotropic")
 
@@ -233,9 +230,6 @@ class AngularFunction:
         return float(
             sum(np.sum(np.abs(v) ** 2) for _, v in sorted(self.blocks.items()))
         )
-
-    def block(self, m: int) -> np.ndarray:
-        return self.blocks[m]
 
 
 @dataclass(frozen=True)

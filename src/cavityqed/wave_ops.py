@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quadrature import AngularGrid, build_grid, cap_edges
-from .ray_model import _SINGULAR_FLOOR, defocus_profile
+from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
 from .specfun import legendre_table, plane_wave_coeffs, radial_bessel_table
 from .structures import (
     AngularFunction,
@@ -106,11 +106,8 @@ class OperatorBlock:
     """Operators restricted to fixed m (l runs from |m| to l_max), stored
     per parity sector: two sectors of about dim/2 for a mirror-symmetric
     cavity, whose operators couple no l of opposite l - m parity, and one
-    holding every l otherwise.
-
-    dense_rho() and dense_tau_sq() assemble the dense block-diagonal
-    matrices, a new dim x dim array on every call; the solver reads the
-    sectors. rho is real (float64) when every reflection profile value is
+    holding every l otherwise. The couplings between sectors are never
+    formed. rho is real (float64) when every reflection profile value is
     real, that is k_delta = 0, and complex otherwise; tau^2 is always real.
     The transmission operator tau is not stored: only
     intracavity_field_coeffs reads it, and assembles it per solved block."""
@@ -125,20 +122,6 @@ class OperatorBlock:
     @property
     def dim(self) -> int:
         return self.ls.size
-
-    def dense_rho(self) -> np.ndarray:
-        return self.block_diagonal([s.rho for s in self.sectors])
-
-    def dense_tau_sq(self) -> np.ndarray:
-        return self.block_diagonal([s.tau_sq for s in self.sectors])
-
-    def block_diagonal(self, parts) -> np.ndarray:
-        """The dense dim x dim matrix with parts[i] on sector i and zeros
-        between sectors."""
-        out = np.zeros((self.dim, self.dim), dtype=np.result_type(*parts))
-        for sector, part in zip(self.sectors, parts):
-            out[sector.index, sector.index] = part
-        return out
 
 
 @dataclass(frozen=True)
@@ -214,8 +197,7 @@ def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
     """
     rho_vals = np.zeros(theta.shape, dtype=complex)
     tau_sq = np.ones(theta.shape)
-    cap1 = theta <= geom.theta_m1 + 1e-14 if geom.theta_m1 > 0 else np.zeros(theta.shape, bool)
-    cap2 = theta >= math.pi - geom.theta_m2 - 1e-14 if geom.theta_m2 > 0 else np.zeros(theta.shape, bool)
+    cap1, cap2 = _cap_masks(theta, geom.theta_m1, geom.theta_m2)
     rho_vals[cap1] = geom.rho1
     rho_vals[cap2] = defocus_profile(geom.rho2, geom.k_delta, math.pi - theta[cap2])
     tau_sq[cap1] = geom.transmittivity1

@@ -232,18 +232,30 @@ class TestRun:
 
 
 class TestOtherCommands:
-    def test_validate_filter(self, capsys):
-        assert cli.main(["validate", "--filter", "bessel-sum"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out and "bessel-sum-rule" in out
-
-    def test_validate_unknown_filter(self, capsys):
-        assert cli.main(["validate", "--filter", "zzz"]) == cli.EXIT_NUMERICAL
-
     def test_airy_check_single_rho(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, AIRY_SCENARIO)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert "max relative error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("phase_count", [4, 5])
+    def test_airy_check_writes_every_phase(self, tmp_path, capsys, phase_count):
+        # an odd count keeps its last, unmirrored phase
+        doc = dict(AIRY_SCENARIO, scan=dict(AIRY_SCENARIO["scan"], rhos=[0.5, 0.9],
+                                            phase_count=phase_count))
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert f"2 reflectivities x {phase_count} phases" in capsys.readouterr().out
+        table = read_table_json((tmp_path / "out" / "airy.json").read_bytes())
+        phis = table.column("phi")
+        assert table.column("rho") == [0.5] * phase_count + [0.9] * phase_count
+        assert phis[:phase_count] == phis[phase_count:]
+        assert len(set(phis[:phase_count])) == phase_count
+
+    @pytest.mark.parametrize("rho, phi", [(0.9, 0.1), (0.5, 0.7)])
+    def test_closed_forms_agree_with_the_pv_oracle(self, rho, phi):
+        # plain, cos- and sin-weighted kernels, with 1024 periods
+        errors = [err for _, err in cli.pv_oracle_errors(rho, phi, 1024)]
+        assert max(errors) < 1e-6
 
     def test_airy_check_bad_rho(self, tmp_path, capsys):
         doc = dict(AIRY_SCENARIO, scan=dict(AIRY_SCENARIO["scan"], rhos=[1.5]))

@@ -1,12 +1,18 @@
 """Every public name of the package resolves: each entry of a module's
-__all__, and each name that cavityqed/__init__.py imports."""
+__all__, and each name that cavityqed/__init__.py imports. Names that only
+the tests needed are not library names, and only the command-line front end
+imports the command-line module."""
 
 import ast
 import importlib
+import importlib.util
 import pkgutil
 from pathlib import Path
 
 import cavityqed
+from cavityqed.quadrature import AngularGrid, PVResult
+from cavityqed.structures import AngularFunction, FieldPoint
+from cavityqed.wave_ops import OperatorBlock
 
 
 def test_module_all_entries_resolve():
@@ -25,3 +31,41 @@ def test_package_imports_resolve():
              for alias in node.names]
     assert names
     assert [n for n in names if not hasattr(cavityqed, n)] == []
+
+
+def test_test_only_names_are_not_in_the_library():
+    # the invariant self-check is pytest itself; the dense block assembly
+    # and the equal-mirror kernel oracles live in the test modules
+    assert importlib.util.find_spec("cavityqed.checks") is None
+    members = {AngularGrid: ("integrate_polar",), PVResult: ("converged",),
+               FieldPoint: ("as_array",), AngularFunction: ("block",),
+               OperatorBlock: ("dense_rho", "dense_tau_sq", "block_diagonal")}
+    assert [f"{cls.__name__}.{name}" for cls, names in members.items()
+            for name in names if hasattr(cls, name)] == []
+
+
+def _imported_modules(tree):
+    """Absolute names of the modules and module attributes that a module
+    of the package imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = ".".join(filter(None, ("cavityqed", base)))
+            names += [base] + [f"{base}.{alias.name}" for alias in node.names]
+    return names
+
+
+def test_only_the_cli_imports_the_cli():
+    importers = []
+    for path in sorted(Path(cavityqed.__file__).parent.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(name == "cavityqed.cli" or name.startswith("cavityqed.cli.")
+               for name in _imported_modules(tree)):
+            importers.append(path.name)
+    assert importers == []

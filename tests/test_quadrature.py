@@ -43,8 +43,9 @@ class TestGrid:
                    + d[2] * np.cos(th) * np.ones_like(ph))
             assert grid.integrate(1.5 * (1.0 - dot**2)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_legendre_exactness(self):
-        mu, w = polar_rule([0.6, 2.1], order=16)
+    @pytest.mark.parametrize("edges", [[0.6, 2.1], [0.6, 2.2]])
+    def test_legendre_exactness(self, edges):
+        mu, w = polar_rule(edges, order=16)
         for n in range(0, 14):
             coeffs = np.zeros(n + 1)
             coeffs[n] = 1.0

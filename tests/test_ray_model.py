@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cavityqed.checks import _gamma_kernel_symmetric
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.ray_model import (
     ApertureCollapseError,
+    _cap_masks,
     _ray_kernels,
     airy_resonance_factor,
     aberration_phase,
@@ -19,6 +19,16 @@ from cavityqed.structures import CavityGeometry, FieldPoint, ValidityWarning
 
 KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
+
+
+def _gamma_kernel_symmetric(phi, x, rho):
+    """Equal-mirror damping kernel, the oracle of airy_resonance_factor:
+    T cos^2(x)/|1 - rho e^{2i phi}|^2 + T sin^2(x)/|1 + rho e^{2i phi}|^2."""
+    t = 1.0 - rho * rho
+    cos2phi = np.cos(2.0 * phi)
+    d_minus = 1.0 + rho * rho - 2.0 * rho * cos2phi
+    d_plus = 1.0 + rho * rho + 2.0 * rho * cos2phi
+    return t * np.cos(x) ** 2 / d_minus + t * np.sin(x) ** 2 / d_plus
 
 
 @pytest.fixture(scope="module")
@@ -42,13 +52,14 @@ class TestAiryResonanceFactor:
         m = airy_resonance_factor(phis, xs, 0.0, 0.0)
         assert np.max(np.abs(m - 1.0)) < 1e-15
 
-    def test_nonnegative_everywhere(self):
-        rng = np.random.default_rng(4)
+    @pytest.mark.parametrize("seed,count,x_max", [(4, 5000, 60), (11, 4000, 50)])
+    def test_nonnegative_everywhere(self, seed, count, x_max):
+        rng = np.random.default_rng(seed)
         m = airy_resonance_factor(
-            rng.uniform(-math.pi, math.pi, 5000),
-            rng.uniform(-60, 60, 5000),
-            rng.uniform(0, 0.999, 5000),
-            rng.uniform(0, 0.999, 5000),
+            rng.uniform(-math.pi, math.pi, count),
+            rng.uniform(-x_max, x_max, count),
+            rng.uniform(0, 0.999, count),
+            rng.uniform(0, 0.999, count),
         )
         assert np.all(m >= -1e-12)
 
@@ -59,11 +70,14 @@ class TestAiryResonanceFactor:
         assert m == pytest.approx(t / (1 - rho) ** 2, rel=1e-12)
         assert m == pytest.approx(99.0, rel=1e-12)
 
-    def test_reduces_to_two_series_form(self):
-        rng = np.random.default_rng(9)
-        phis = rng.uniform(-math.pi, math.pi, 3000)
-        xs = rng.uniform(-30, 30, 3000)
-        rho = rng.uniform(0.0, 0.98, 3000)
+    @pytest.mark.parametrize("seed,count,rho_max", [(9, 3000, 0.98), (12, 2000, 0.995)])
+    def test_reduces_to_two_series_form(self, seed, count, rho_max):
+        # deviation normalized to the kernel's own scale: resonant values
+        # reach T/(1 - rho)^2
+        rng = np.random.default_rng(seed)
+        phis = rng.uniform(-math.pi, math.pi, count)
+        xs = rng.uniform(-30, 30, count)
+        rho = rng.uniform(0.0, rho_max, count)
         a = airy_resonance_factor(phis, xs, rho, rho)
         b = _gamma_kernel_symmetric(phis, xs, rho)
         assert np.max(np.abs(a - b) / np.maximum(1.0, np.abs(b))) < 1e-12
@@ -84,11 +98,12 @@ class TestAiryResonanceFactor:
         expected = 1.0 + rho * np.cos(2.0 * (phis + xs))
         assert np.max(np.abs(m - expected)) < 1e-13
 
-    def test_frequency_average_is_unity_per_ray(self):
+    @pytest.mark.parametrize("x,r1,r2", [(0.0, 0.98, 0.98), (5.3, 0.9, 0.4), (17.0, 0.6, 0.0),
+                                         (0.0, 0.9, 0.9), (7.3, 0.98, 0.5), (22.0, 0.7, 0.0)])
+    def test_frequency_average_is_unity_per_ray(self, x, r1, r2):
         phis = math.pi * (np.arange(8192) + 0.5) / 8192
-        for x, r1, r2 in ((0.0, 0.98, 0.98), (5.3, 0.9, 0.4), (17.0, 0.6, 0.0)):
-            avg = float(np.mean(airy_resonance_factor(phis, x, r1, r2)))
-            assert abs(avg - 1.0) < 1e-6
+        avg = float(np.mean(airy_resonance_factor(phis, x, r1, r2)))
+        assert abs(avg - 1.0) < 1e-6
 
     def test_high_finesse_form_deviation_scales_as_tau_fourth(self):
         def high_finesse(phi, x, t1, t2):
@@ -150,6 +165,17 @@ class TestFusedKernels:
                      + (1 - rr) * (r1 - r2) / 2 * mp.cos(2 * phi) * mp.sin(2 * x)) / denom
             assert abs(g - float(g_ref)) <= 1e-13 * max(1.0, abs(float(g_ref)))
             assert abs(s - float(s_ref)) <= 1e-13 * max(1.0, abs(float(s_ref)))
+
+
+class TestCapMasks:
+    def test_edge_slop_and_absent_caps(self):
+        # a node up to 1e-14 rad outside an edge is on the cap
+        theta = np.array([0.0, 0.5, 0.5 + 5e-15, 0.5 + 1e-13, 1.5,
+                          math.pi - 0.3 - 5e-15, math.pi - 0.3 - 1e-13, math.pi])
+        on_0, on_pi = _cap_masks(theta, 0.5, 0.3)
+        assert np.flatnonzero(on_0).tolist() == [0, 1, 2]
+        assert np.flatnonzero(on_pi).tolist() == [5, 7]
+        assert not any(mask.any() for mask in _cap_masks(theta, 0.0, 0.0))
 
 
 class TestEffectiveAperture:

@@ -137,7 +137,7 @@ class TestAsymptoticForm:
         assert abs(a - b) / abs(b) < 1e-4
 
     def test_agreement_regime_kr_over_l_100(self):
-        for l, kr in ((3, 300.0), (20, 2000.0), (55, 5500.0)):
+        for l, kr in ((0, 100.0), (3, 300.0), (20, 2000.0), (40, 2e4), (55, 5500.0)):
             a = asymptotic_radial_bessel(l, kr)
             b = radial_bessel(l, kr)
             assert abs(a - b) / abs(b) < 1e-4
@@ -148,12 +148,12 @@ class TestAsymptoticForm:
 
 
 class TestSumRules:
-    @pytest.mark.parametrize("kr", [0.5, 1.0, 12.3, 47.0, 100.0])
+    @pytest.mark.parametrize("kr", [0.5, 1.0, 12.3, 20.0, 47.0, 100.0])
     def test_completeness(self, kr):
         total = float(np.sum(bessel_weights(int(kr) + 50, kr)))
         assert abs(total - 1.0) < 1e-8
 
-    @pytest.mark.parametrize("kr", [0.5, 4.4, 21.0, 100.0])
+    @pytest.mark.parametrize("kr", [0.5, 0.7, 4.4, 20.0, 21.0, 100.0])
     def test_even_odd_split(self, kr):
         weights = bessel_weights(int(kr) + 50, kr)
         even = float(np.sum(weights[::2]))
@@ -185,9 +185,10 @@ class TestSphericalHarmonics:
         mean_sq = grid.integrate(np.abs(vals) ** 2)
         assert abs(mean_sq - 1.0) < 1e-10
 
-    def test_orthonormality_up_to_l20(self):
-        grid = build_grid([0.8], order_polar=40, order_azimuthal=8)
-        for m in (0, 2, 7):
+    @pytest.mark.parametrize("edge,order", [(0.8, 40), (0.9, 32)])
+    def test_orthonormality_up_to_l20(self, edge, order):
+        grid = build_grid([edge], order_polar=order, order_azimuthal=8)
+        for m in (0, 1, 2, 3, 7):
             v = legendre_table(20, m, grid.mu)
             gram = v.T @ (grid.w_theta[:, None] * v)
             assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
