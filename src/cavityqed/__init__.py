@@ -18,11 +18,8 @@ from .structures import (  # noqa: E402,F401
     ValidityWarning,
 )
 from .specfun import (  # noqa: E402,F401
-    asymptotic_radial_bessel,
     plane_wave_coeffs,
-    radial_bessel,
     radial_bessel_table,
-    ylm,
 )
 from .quadrature import (  # noqa: E402,F401
     AngularGrid,
@@ -30,11 +27,9 @@ from .quadrature import (  # noqa: E402,F401
     PVResult,
     build_grid,
     pv_integrate,
-    solid_angle_fraction,
 )
 from .airy_shift import (  # noqa: E402,F401
     airy_lorentzian,
-    finesse_param,
     pv_shift,
     pv_shift_cos,
     pv_shift_sin,
@@ -49,16 +44,12 @@ from .ray_model import (  # noqa: E402,F401
 from .wave_ops import (  # noqa: E402,F401
     CavityOperatorSet,
     build_operators,
-    closed_cavity_mode_sum,
     enhancement_full,
-    intracavity_field_coeffs,
     operator_grid,
-    perfect_sphere_frequency,
 )
 from .dipole_response import (  # noqa: E402,F401
     center_closed_forms,
     enhancement_ray,
     one_mirror_response,
-    polarization_factor,
     response,
 )

@@ -6,18 +6,19 @@ resonance line these transforms have closed forms, used as the production
 path. The numerical principal-value engine quadrature.pv_integrate checks
 them: the test suite asserts the agreement, and the `airy-check` scan kind
 of the command line tabulates it.
+
+The kernels are written in the line-shape coefficient F = 4 rho/(1 - rho)^2
+of a round-trip amplitude rho in [0, 1); for two different mirrors rho is
+their product rho1 rho2.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "FinesseParam",
-    "finesse_param",
     "airy_lorentzian",
     "pv_shift",
     "pv_shift_cos",
@@ -25,30 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FinesseParam:
-    """Line-shape coefficient F = 4*rho/(1-rho)^2 and the auxiliary width
-    parameter beta > 0 with sinh(beta)^2 = 1/F (infinite for F = 0)."""
-
-    coefficient: float
-    beta: float
-
-
-def finesse_param(rho: float) -> FinesseParam:
-    """Line-shape parameters for a round-trip amplitude rho in [0, 1).
-
-    For two different mirrors pass their product rho1*rho2.
-    """
-    _check_rho(rho)
-    if rho == 0.0:
-        return FinesseParam(coefficient=0.0, beta=math.inf)
-    f = 4.0 * rho / (1.0 - rho) ** 2
-    return FinesseParam(coefficient=f, beta=math.asinh(1.0 / math.sqrt(f)))
-
-
 def _check_rho(rho: float):
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"reflectivity must lie in [0, 1), got {rho}")
+
+
+def _finesse(rho: float) -> float:
+    """Line-shape coefficient F = 4 rho/(1 - rho)^2 of a round-trip
+    amplitude rho in [0, 1)."""
+    _check_rho(rho)
+    return 4.0 * rho / (1.0 - rho) ** 2
 
 
 def airy_lorentzian(phi, rho: float):
@@ -56,8 +43,7 @@ def airy_lorentzian(phi, rho: float):
 
     Equals (1 - rho^2)/|1 - rho e^{2i phi}|^2; unit average over a period.
     """
-    _check_rho(rho)
-    f = 4.0 * rho / (1.0 - rho) ** 2
+    f = _finesse(rho)
     return math.sqrt(1.0 + f) / (1.0 + f * np.sin(phi) ** 2)
 
 
@@ -72,8 +58,7 @@ def pv_shift(phi, rho: float):
 def pv_shift_cos(phi, rho_eff: float):
     """Dispersive kernel weighted by the in-phase (cosine) quadrature:
     pi*(1+F')*sin(phi)/(1 + F' sin^2 phi), F' built from rho_eff = rho1*rho2."""
-    _check_rho(rho_eff)
-    f = 4.0 * rho_eff / (1.0 - rho_eff) ** 2
+    f = _finesse(rho_eff)
     phi = np.asarray(phi, dtype=float)
     return math.pi * (1.0 + f) * np.sin(phi) / (1.0 + f * np.sin(phi) ** 2)
 
@@ -81,7 +66,6 @@ def pv_shift_cos(phi, rho_eff: float):
 def pv_shift_sin(phi, rho_eff: float):
     """Dispersive kernel weighted by the out-of-phase (sine) quadrature:
     -pi*cos(phi)/(1 + F' sin^2 phi)."""
-    _check_rho(rho_eff)
-    f = 4.0 * rho_eff / (1.0 - rho_eff) ** 2
+    f = _finesse(rho_eff)
     phi = np.asarray(phi, dtype=float)
     return -math.pi * np.cos(phi) / (1.0 + f * np.sin(phi) ** 2)

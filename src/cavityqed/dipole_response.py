@@ -42,7 +42,6 @@ from .structures import (
 )
 
 __all__ = [
-    "polarization_factor",
     "orientation_weight",
     "shift_kernel",
     "response",
@@ -56,25 +55,13 @@ __all__ = [
 _BLOCK_DIRECTIONS = 1 << 17
 
 
-def polarization_factor(d_hat, omega_hat):
-    """Transverse-coupling weight (3/2)(1 - (d.Omega)^2) for unit vectors.
-
-    Zero along the dipole axis, 3/2 across it, unit average over directions.
-    """
-    d = np.asarray(d_hat, dtype=float)
-    o = np.asarray(omega_hat, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-        raise ValueError("d_hat must be a unit vector")
-    norms = np.linalg.norm(o, axis=-1)
-    if np.any(np.abs(norms - 1.0) > 1e-9):
-        raise ValueError("omega_hat must be unit vectors")
-    dot = np.tensordot(o, d, axes=([-1], [0]))
-    return 1.5 * (1.0 - dot**2)
-
-
 def orientation_weight(orientation: DipoleOrientation, theta, phi_az):
     """Polarization weight on the direction grid for a tagged or explicit
     dipole orientation; perpendicular averages the dipole azimuth.
+
+    For a dipole along the unit vector d the weight of the direction Omega
+    is (3/2)(1 - (d.Omega)^2): zero along the dipole axis, 3/2 across it,
+    and of unit average over the sphere.
 
     A tag's weight depends on theta alone and has theta's shape; an
     explicit vector's has the broadcast shape of theta and phi_az. Either
@@ -222,7 +209,11 @@ def center_closed_forms(
 
     The solid-angle fractions are those of the two caps; the resonance and
     dispersive factors are evaluated at the detuning phi0. The three tags
-    satisfy (parallel + 2*perpendicular)/3 = isotropic identically.
+    satisfy (parallel + 2*perpendicular)/3 = isotropic identically. The
+    resonance denominator |1 - rho e^{2i phi0}|^2 is written as
+    (1 - rho)^2 + 4 rho sin^2(phi0) and the transmission 1 - rho^2 as
+    (1 - rho)(1 + rho), so that neither loses digits to cancellation near
+    a resonance.
     """
     if orientation.tag is None:
         raise ValueError("center closed forms are defined for orientation tags")
@@ -230,8 +221,8 @@ def center_closed_forms(
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     c = math.cos(theta_m)
     s2 = math.sin(theta_m) ** 2
-    t = 1.0 - rho * rho
-    d_minus = 1.0 + rho * rho - 2.0 * rho * math.cos(2.0 * phi0)
+    t = (1.0 - rho) * (1.0 + rho)
+    d_minus = (1.0 - rho) ** 2 + 4.0 * rho * math.sin(phi0) ** 2
     airy = t / d_minus
     disp = rho * math.sin(2.0 * phi0) / d_minus
     cav = 1.0 - c

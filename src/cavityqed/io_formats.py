@@ -31,13 +31,11 @@ __all__ = [
     "OutputConfig",
     "ScenarioConfig",
     "parse_config",
-    "serialize_config",
     "config_to_dict",
     "config_hash",
     "Column",
     "ResultTable",
     "write_table",
-    "read_table_json",
     "emit_plot_script",
     "SCAN_KINDS",
 ]
@@ -324,11 +322,6 @@ def config_to_dict(cfg: ScenarioConfig) -> dict:
     return d
 
 
-def serialize_config(cfg: ScenarioConfig) -> str:
-    """Canonical JSON form; parse_config(serialize_config(cfg)) == cfg."""
-    return json.dumps(config_to_dict(cfg), sort_keys=True, indent=2)
-
-
 def config_hash(cfg: ScenarioConfig) -> str:
     payload = json.dumps(config_to_dict(cfg), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
@@ -409,17 +402,6 @@ def write_table(table: ResultTable, fmt: str) -> bytes:
         }
         return (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode("utf-8")
     raise ValueError(f"unknown table format {fmt!r}")
-
-
-def read_table_json(data: bytes) -> ResultTable:
-    doc = json.loads(data.decode("utf-8"))
-    if doc.get("schema") != "cavityqed/result-table-v1":
-        raise ValueError(f"unexpected schema {doc.get('schema')!r}")
-    return ResultTable(
-        columns=tuple(Column(c["name"], c.get("unit", "")) for c in doc["columns"]),
-        rows=[tuple(row) for row in doc["rows"]],
-        provenance=doc["provenance"],
-    )
 
 
 # --------------------------------------------------------------------------

@@ -25,7 +25,6 @@ __all__ = [
     "build_grid",
     "cap_edges",
     "polar_rule",
-    "solid_angle_fraction",
     "pv_integrate",
     "PVResult",
     "PVConvergenceError",
@@ -157,13 +156,6 @@ def build_grid(theta_edges, order_polar: int, order_azimuthal: int) -> AngularGr
         phi_az=phi,
         edges=tuple(float(e) for e in np.sort(np.asarray(theta_edges, dtype=float))),
     )
-
-
-def solid_angle_fraction(theta_m: float) -> float:
-    """Fraction of 4pi covered by two symmetric caps of half-aperture theta_m."""
-    if not 0.0 <= theta_m <= math.pi / 2:
-        raise ValueError(f"theta_m must lie in [0, pi/2], got {theta_m}")
-    return 1.0 - math.cos(theta_m)
 
 
 @dataclass(frozen=True)

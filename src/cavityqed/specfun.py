@@ -1,11 +1,14 @@
 """Stable special functions and spherical-harmonic basis machinery.
 
-Radial solutions regular at the origin are J_{l+1/2}(kr)/sqrt(kr), evaluated
-by recurrences that stay accurate deep into the evanescent regime (l >> kr).
+Radial solutions regular at the origin are J_{l+1/2}(kr)/sqrt(kr), tabulated
+for every l at once by radial_bessel_table, with recurrences that stay
+accurate deep into the evanescent regime (l >> kr).
 Spherical harmonics are normalized to unit mean square over the sphere,
 <|Y_lm|^2> = 1 under the measure dOmega/4pi, i.e. sqrt(4pi) times the usual
 orthonormal harmonics. That convention makes Parseval sums read directly as
-angular averages and is used consistently everywhere in the package.
+angular averages and is used consistently everywhere in the package. No
+harmonic is formed on its own: Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}
+for m >= 0 with P_lm from legendre_table, and Y_{l,-m} = (-1)^m conj(Y_lm).
 """
 
 from __future__ import annotations
@@ -18,13 +21,9 @@ import numpy as np
 from .structures import AngularFunction, FieldPoint, TruncationWarning
 
 __all__ = [
-    "radial_bessel",
     "radial_bessel_table",
-    "asymptotic_radial_bessel",
     "legendre_table",
-    "ylm",
     "plane_wave_coeffs",
-    "bessel_weights",
     "SQRT_2_OVER_PI",
 ]
 
@@ -109,39 +108,6 @@ def radial_bessel_table(l_max: int, kr: float) -> np.ndarray:
     return SQRT_2_OVER_PI * table
 
 
-def radial_bessel(l: int, kr: float) -> float:
-    """Radial solution J_{l+1/2}(kr)/sqrt(kr), regular at the origin."""
-    if l < 0:
-        raise ValueError(f"l must be nonnegative, got {l}")
-    return float(radial_bessel_table(l, kr)[l])
-
-
-def asymptotic_radial_bessel(l: int, kr: float) -> float:
-    """Large-kr form sqrt(2/pi)/kr * sin(kr - pi*l/2 + l(l+1)/2kr).
-
-    Three-term phase asymptotic, valid for kr >> l; intended for checks
-    against radial_bessel, not as a production path.
-    """
-    if kr <= 0:
-        raise ValueError(f"kr must be positive, got {kr}")
-    if l < 0:
-        raise ValueError(f"l must be nonnegative, got {l}")
-    phase = kr - math.pi * l / 2.0 + l * (l + 1) / (2.0 * kr)
-    return SQRT_2_OVER_PI * math.sin(phase) / kr
-
-
-def bessel_weights(l_max: int, kr: float) -> np.ndarray:
-    """Per-l weights (pi/2)(2l+1) * radial_bessel(l, kr)^2.
-
-    They sum to 1 as l_max -> infinity (completeness of the regular radial
-    solutions) and give the l-distribution of a unit-amplitude wave focused
-    through the origin, evaluated at radius kr.
-    """
-    u = radial_bessel_table(l_max, kr)
-    ls = np.arange(l_max + 1)
-    return (math.pi / 2.0) * (2 * ls + 1) * u**2
-
-
 def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     """Normalized associated Legendre values for l = m..l_max at points x.
 
@@ -200,32 +166,14 @@ def _legendre_column(l_max: int, x: float) -> np.ndarray:
     return out
 
 
-def ylm(l: int, m: int, theta, phi_az) -> complex | np.ndarray:
-    """Spherical harmonic with unit mean square: <|Y_lm|^2> = 1 over dOmega/4pi."""
-    if l < 0 or abs(m) > l:
-        raise ValueError(f"need l >= 0 and |m| <= l, got l={l}, m={m}")
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta < -1e-12) or np.any(theta > math.pi + 1e-12):
-        raise ValueError("theta must lie in [0, pi]")
-    phi_az = np.asarray(phi_az, dtype=float)
-    ma = abs(m)
-    p = legendre_table(l, ma, np.cos(theta).ravel())[:, l - ma]
-    p = p.reshape(theta.shape)
-    val = p * np.exp(1j * ma * phi_az)
-    if m < 0:
-        val = (-1) ** ma * np.conj(val)
-    if val.ndim == 0:
-        return complex(val)
-    return val
-
-
 def plane_wave_coeffs(
     point: FieldPoint, l_max: int, *, tail_tol: float = 1e-8
 ) -> AngularFunction:
     """Harmonic coefficients of the focused-wave kernel exp(-i k Omega.r).
 
     The coefficient of Y_{l,m}(Omega) is
-    (-i)^l sqrt(pi/2) * radial_bessel(l, kr) * conj(Y_{l,m}(rhat)).
+    (-i)^l sqrt(pi/2) * u_l(kr) * conj(Y_{l,m}(rhat)), with u_l(kr) =
+    J_{l+1/2}(kr)/sqrt(kr) the entry l of radial_bessel_table.
     The squared coefficient norm tends to 1 from below as l_max grows
     (the kernel has unit modulus); the energy left in the last five l
     values is reported as the truncation tail and triggers a
@@ -236,7 +184,7 @@ def plane_wave_coeffs(
     kr = point.kr
     ls = np.arange(l_max + 1)
     u = radial_bessel_table(l_max, kr)
-    # the bessel_weights of the last five l, from the one table
+    # the radial weights (pi/2)(2l+1) u_l^2 of the last five l, from the one table
     top = max(0, l_max - 4)
     tail = float(np.sum((math.pi / 2.0) * (2 * ls[top:] + 1) * u[top:] ** 2))
     if tail > tail_tol:

@@ -203,11 +203,6 @@ class HarmonicBasis:
         if self.l_max < 0:
             raise ValueError(f"l_max must be nonnegative, got {self.l_max}")
 
-    def block_dim(self, m: int) -> int:
-        if abs(m) > self.l_max:
-            raise ValueError(f"|m|={abs(m)} exceeds l_max={self.l_max}")
-        return self.l_max - abs(m) + 1
-
     def block_ls(self, m: int) -> np.ndarray:
         return np.arange(abs(m), self.l_max + 1)
 

@@ -47,9 +47,12 @@ import numpy as np
 
 from .quadrature import AngularGrid, build_grid, cap_edges
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
-from .specfun import legendre_table, plane_wave_coeffs, radial_bessel_table
+from .specfun import (  # noqa: F401 (radial_bessel_table: perfbench/tracing.py wraps it here)
+    legendre_table,
+    plane_wave_coeffs,
+    radial_bessel_table,
+)
 from .structures import (
-    AngularFunction,
     CavityGeometry,
     EnhancementResult,
     FieldPoint,
@@ -64,10 +67,7 @@ __all__ = [
     "CavityOperatorSet",
     "operator_grid",
     "build_operators",
-    "intracavity_field_coeffs",
     "enhancement_full",
-    "perfect_sphere_frequency",
-    "closed_cavity_mode_sum",
     "propagator_phases",
 ]
 
@@ -109,8 +109,8 @@ class OperatorBlock:
     holding every l otherwise. The couplings between sectors are never
     formed. rho is real (float64) when every reflection profile value is
     real, that is k_delta = 0, and complex otherwise; tau^2 is always real.
-    The transmission operator tau is not stored: only
-    intracavity_field_coeffs reads it, and assembles it per solved block."""
+    The transmission operator tau is not stored: the value needs only the
+    quadratic form of tau^2 in the solved coefficients."""
 
     m: int
     ls: np.ndarray
@@ -281,15 +281,6 @@ def _build_block(geom, basis, grid, m) -> OperatorBlock:
     )
 
 
-def _transmission_operator(ops: CavityOperatorSet, m: int) -> tuple[np.ndarray, ...]:
-    """Multiplication operator by tau(theta) for block |m|, one matrix per
-    sector, assembled from the segment Grams; blocks do not store it."""
-    _, tau_sq_vals = mirror_profiles(ops.geometry, ops.grid.theta)
-    index = [s.index for s in ops.block(m).sectors]
-    return tuple(_profile_operator(parts, np.sqrt(tau_sq_vals))
-                 for parts in _segment_grams(ops.grid, ops.basis.l_max, abs(m), index))
-
-
 def build_operators(
     geom: CavityGeometry,
     basis: HarmonicBasis,
@@ -340,34 +331,6 @@ def _condition(matrices) -> float:
     values = [np.linalg.svd(a, compute_uv=False) for a in matrices]
     with np.errstate(divide="ignore"):
         return float(max(s[0] for s in values) / min(s[-1] for s in values))
-
-
-def intracavity_field_coeffs(
-    ops: CavityOperatorSet, detuning_phase: float, f_in: AngularFunction
-) -> AngularFunction:
-    """Extended-field coefficients induced by incoming radiation f_in.
-
-    Solves, per m block, (U^2 - e^{2i phi0} rho P) x = tau U f_in and
-    returns U x. The system is solved in its conjugated form
-    (U^2 - e^{2i phi0} P rho)(P x) = P b, since P is diagonal with P^2 = 1
-    and commutes with U. With no mirrors this returns f_in unchanged (free
-    propagation through the focus), preserving the norm exactly.
-    """
-    out: dict[int, np.ndarray] = {}
-    scale = math.sqrt(f_in.norm_sq())
-    taus: dict[int, tuple] = {}  # tau per |m| of this call: +m and -m share it
-    for m, c in sorted(f_in.blocks.items()):
-        block = ops.block(m)
-        if abs(m) not in taus:
-            taus[abs(m)] = _transmission_operator(ops, m)
-        uc = block.u_half * c
-        rhs = np.empty(block.dim, dtype=complex)
-        for sector, tau in zip(block.sectors, taus[abs(m)]):
-            rhs[sector.index] = tau @ uc[sector.index]
-        x, _ = _solve_block(ops, m, detuning_phase, block.parity * rhs, f"m={m}", scale)
-        out[m] = block.u_half * (block.parity * x)
-    return AngularFunction(l_max=f_in.l_max, blocks=out,
-                           truncation_tail=f_in.truncation_tail)
 
 
 def _is_lossless(geom: CavityGeometry) -> bool:
@@ -634,44 +597,3 @@ def _solved_magnitudes(geom, blocks, norm_sq, lossless):
         skipped += gain * energy
         top -= 1
     return top, skipped
-
-
-def perfect_sphere_frequency(l: int, n: int, k_radius: float) -> float:
-    """Eigenfrequency of a perfectly reflecting sphere in units of c/2R:
-    n + l/2 - l(l+1)/(2 pi kR), n the number of radial nodes."""
-    if n < 1:
-        raise ValueError(f"radial node count must be >= 1, got {n}")
-    if l < 0:
-        raise ValueError(f"l must be nonnegative, got {l}")
-    if k_radius <= 0:
-        raise ValueError(f"k_radius must be positive, got {k_radius}")
-    return n + l / 2.0 - l * (l + 1) / (2.0 * math.pi * k_radius)
-
-
-def closed_cavity_mode_sum(
-    rho: float,
-    kr: float,
-    *,
-    k_radius: float,
-    detuning_phase: float,
-    l_max: int,
-) -> float:
-    """Vacuum-fluctuation ratio inside a uniformly coated closed sphere.
-
-    Sum over l of the per-mode resonance factor
-    T / |e^{-i l(l+1)/kR} - (-1)^l rho e^{2i phi0}|^2 times the radial weight
-    (pi/2)(2l+1) [J_{l+1/2}(kr)/sqrt(kr)]^2. Averaged over one free spectral
-    range of the detuning phase this returns 1 (vacuum is redistributed,
-    not created).
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    ls = np.arange(l_max + 1)
-    u = radial_bessel_table(l_max, kr)
-    weights = (math.pi / 2.0) * (2 * ls + 1) * u**2
-    denom = np.abs(
-        np.exp(-1j * ls * (ls + 1) / k_radius)
-        - (-1.0) ** ls * rho * np.exp(2j * detuning_phase)
-    ) ** 2
-    t = 1.0 - rho * rho
-    return float(np.sum(t / denom * weights))

@@ -5,7 +5,6 @@ import pytest
 
 from cavityqed.airy_shift import (
     airy_lorentzian,
-    finesse_param,
     pv_shift,
     pv_shift_cos,
     pv_shift_sin,
@@ -20,28 +19,13 @@ def _refine(phi, period, with_trig):
     return [phi % period, (-phi) % period]
 
 
-class TestFinesseParam:
-    def test_value_at_098(self):
-        fp = finesse_param(0.98)
-        assert fp.coefficient == pytest.approx(9800.0, rel=1e-12)
-        assert math.sinh(fp.beta) ** 2 == pytest.approx(1.0 / fp.coefficient, rel=1e-12)
-
-    def test_zero_reflectivity(self):
-        fp = finesse_param(0.0)
-        assert fp.coefficient == 0.0
-        assert fp.beta == math.inf
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            finesse_param(1.0)
-
-
 class TestAiryLorentzian:
     def test_free_space(self):
         phis = np.linspace(-2, 2, 41)
         assert np.allclose(airy_lorentzian(phis, 0.0), 1.0, atol=0)
 
     def test_resonant_peak(self):
+        # the peak sqrt(1 + F) is 99 for F = 4 rho/(1 - rho)^2 = 9800
         rho = 0.98
         assert airy_lorentzian(0.0, rho) == pytest.approx((1 + rho) / (1 - rho), rel=1e-13)
         assert airy_lorentzian(0.0, rho) == pytest.approx(99.0, rel=1e-12)
@@ -61,6 +45,13 @@ class TestAiryLorentzian:
         phis = math.pi * (np.arange(4096) + 0.5) / 4096
         for rho in (0.5, 0.9):
             assert float(np.mean(airy_lorentzian(phis, rho))) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("kernel", [airy_lorentzian, pv_shift, pv_shift_cos, pv_shift_sin])
+@pytest.mark.parametrize("rho", [1.0, -0.1, 1.5])
+def test_reflectivity_outside_the_unit_interval_rejected(kernel, rho):
+    with pytest.raises(ValueError, match="reflectivity"):
+        kernel(0.3, rho)
 
 
 class TestShiftKernels:

@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from cavityqed import cli
-from cavityqed.io_formats import SCAN_KINDS, parse_config, read_table_json
+from cavityqed.io_formats import SCAN_KINDS
 from cavityqed.presets import PRESETS, preset_config
+from oracles import read_table_json
 
 TINY_SCENARIO = {
     "geometry": {"k_radius": 1e5, "theta_m1": math.acos(0.7), "theta_m2": math.acos(0.7),

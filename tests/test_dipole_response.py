@@ -11,7 +11,6 @@ from cavityqed.dipole_response import (
     enhancement_ray,
     one_mirror_response,
     orientation_weight,
-    polarization_factor,
     response,
     shift_kernel,
 )
@@ -42,11 +41,18 @@ def benchmark_geom():
 
 
 class TestPolarizationFactor:
+    # orientation_weight of an explicit dipole vector d is (3/2)(1 - (d.Omega)^2)
     def test_along_dipole_axis(self):
-        assert polarization_factor((0, 0, 1), np.array([0.0, 0.0, 1.0])) == pytest.approx(0.0, abs=1e-15)
+        for d, theta, phi_az in (((0, 0, 1), 0.0, 0.3), ((1, 0, 0), math.pi / 2, 0.0),
+                                 ((0.6, 0.0, 0.8), math.acos(0.8), 0.0)):
+            w = orientation_weight(DipoleOrientation.along(d), theta, phi_az)
+            assert w == pytest.approx(0.0, abs=1e-15)
 
     def test_across_dipole_axis(self):
-        assert polarization_factor((0, 0, 1), np.array([1.0, 0.0, 0.0])) == pytest.approx(1.5, rel=1e-15)
+        for d, theta, phi_az in (((0, 0, 1), math.pi / 2, 0.0), ((0, 0, 1), math.pi / 2, 2.0),
+                                 ((1, 0, 0), 0.0, 0.0), ((1, 0, 0), math.pi / 2, math.pi / 2)):
+            w = orientation_weight(DipoleOrientation.along(d), theta, phi_az)
+            assert w == pytest.approx(1.5, rel=1e-15)
 
     def test_sphere_average_is_unity(self):
         from cavityqed.quadrature import build_grid
@@ -56,17 +62,9 @@ class TestPolarizationFactor:
                   for d in np.random.default_rng(7).normal(size=(3, 3))]
         for edge, n_polar, n_azimuthal, d in cases:
             grid = build_grid([edge], order_polar=n_polar, order_azimuthal=n_azimuthal)
-            th, ph = grid.theta[:, None], grid.phi_az[None, :]
-            omega = np.stack(
-                [np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th) * np.ones_like(ph)],
-                axis=-1,
-            )
-            vals = polarization_factor(d, omega)
+            vals = orientation_weight(DipoleOrientation.along(d), grid.theta[:, None],
+                                      grid.phi_az[None, :])
             assert grid.integrate(vals) == pytest.approx(1.0, abs=1e-13)
-
-    def test_unit_vector_required(self):
-        with pytest.raises(ValueError):
-            polarization_factor((0, 0, 2), np.array([1.0, 0.0, 0.0]))
 
 
 class TestOrientationIdentities:
@@ -297,6 +295,30 @@ class TestCenterClosedForms:
     def test_vector_orientation_rejected(self):
         with pytest.raises(ValueError):
             center_closed_forms(DipoleOrientation.along((1, 0, 0)), 0.7, 0.9, 0.0)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.98, 0.999, 0.9999])
+    def test_matches_40_digit_evaluation_near_resonance(self, rho):
+        # the resonance denominator and the transmission lose no digits to
+        # cancellation as rho -> 1 and phi0 -> 0
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            c = mp.cos(mp.mpf(THETA_30PCT))
+            s2 = 1 - c * c
+            cav = 1 - c
+            weights = {"parallel": (c * (1 + s2 / 2), cav * (1 - c * (1 + c) / 2)),
+                       "perpendicular": (c * (1 - s2 / 4), cav * (1 + c * (1 + c) / 4)),
+                       "isotropic": (c, cav)}
+            r = mp.mpf(rho)
+            for phi0 in (0.0, 1e-6, -1e-4, 1e-3, 0.01, 0.3):
+                d = abs(1 - r * mp.exp(2j * mp.mpf(phi0))) ** 2
+                airy = (1 - r * r) / d
+                disp = r * mp.sin(2 * mp.mpf(phi0)) / d
+                for tag, (w_vac, w_cav) in weights.items():
+                    got = center_closed_forms(DipoleOrientation(tag=tag), THETA_30PCT, rho, phi0)
+                    gamma = w_vac + w_cav * airy
+                    shift = w_cav * disp
+                    assert abs(got.gamma_ratio - gamma) <= 1e-14 * abs(gamma)
+                    assert abs(got.shift_ratio - shift) <= 1e-14 * abs(shift)
 
 
 class TestShiftSymmetry:

@@ -14,7 +14,6 @@ from cavityqed.quadrature import (
     build_grid,
     polar_rule,
     pv_integrate,
-    solid_angle_fraction,
 )
 
 
@@ -32,16 +31,26 @@ class TestGrid:
         vals = np.cos(np.zeros((grid.n_polar, grid.n_azimuthal))) ** 2
         assert grid.integrate(vals) == pytest.approx(1.0, abs=1e-14)
 
-    def test_polarization_factor_isotropy(self):
-        rng = np.random.default_rng(1)
+    def test_sphere_moments_up_to_degree_six(self):
+        # the sphere average of x^a y^b z^c (a, b, c even) is
+        # (a-1)!!(b-1)!!(c-1)!!/(a+b+c+1)!!, and every odd moment vanishes;
+        # 24 azimuths and 24 nodes per segment are exact far beyond degree 6
         grid = build_grid([0.7, 2.0], order_polar=24, order_azimuthal=24)
         th, ph = grid.theta[:, None], grid.phi_az[None, :]
-        for _ in range(4):
-            d = rng.normal(size=3)
-            d /= np.linalg.norm(d)
-            dot = (np.sin(th) * (d[0] * np.cos(ph) + d[1] * np.sin(ph))
-                   + d[2] * np.cos(th) * np.ones_like(ph))
-            assert grid.integrate(1.5 * (1.0 - dot**2)) == pytest.approx(1.0, abs=1e-12)
+        x, y, z = np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th) + 0 * ph
+
+        def dfact(n):
+            return math.prod(range(n, 0, -2))
+
+        for a in range(7):
+            for b in range(7 - a):
+                for c in range(7 - a - b):
+                    exact = 0.0
+                    if a % 2 == b % 2 == c % 2 == 0:
+                        exact = (dfact(a - 1) * dfact(b - 1) * dfact(c - 1)
+                                 / dfact(a + b + c + 1))
+                    got = grid.integrate(x**a * y**b * z**c)
+                    assert got == pytest.approx(exact, abs=1e-14)
 
     @pytest.mark.parametrize("edges", [[0.6, 2.1], [0.6, 2.2]])
     def test_legendre_exactness(self, edges):
@@ -147,22 +156,6 @@ class TestGaussLegendreRule:
         proc = subprocess.run([sys.executable, "-c", code],
                               capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
-
-
-class TestSolidAngleFraction:
-    def test_benchmark_aperture(self):
-        assert solid_angle_fraction(math.pi / 4) == pytest.approx(0.2929, abs=5e-4)
-
-    def test_thirty_percent_aperture(self):
-        assert solid_angle_fraction(math.acos(0.7)) == pytest.approx(0.3, abs=1e-15)
-
-    def test_limits(self):
-        assert solid_angle_fraction(0.0) == 0.0
-        assert solid_angle_fraction(math.pi / 2) == pytest.approx(1.0, abs=1e-15)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            solid_angle_fraction(2.0)
 
 
 def _shift_refine_points(phi, period, with_trig):

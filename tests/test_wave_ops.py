@@ -17,16 +17,13 @@ from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
     _solve_block,
-    _transmission_operator,
     build_operators,
-    closed_cavity_mode_sum,
     enhancement_full,
-    intracavity_field_coeffs,
     mirror_profiles,
     operator_grid,
-    perfect_sphere_frequency,
     propagator_phases,
 )
+from oracles import closed_cavity_mode_sum, intracavity_field_coeffs, transmission_operator
 
 KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
@@ -187,7 +184,7 @@ class TestSegmentAssembly:
         assert np.max(np.abs(_dense(b) - rho)) < 1e-13
         assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-13
         assert abs(b.flux_residual - flux) < 1e-13
-        assert np.max(np.abs(_transmission_operator(ops, m) - tau)) < 1e-13
+        assert np.max(np.abs(transmission_operator(ops, m) - tau)) < 1e-13
         assert _dense(b).dtype == (np.float64 if k_delta == 0.0 else np.complex128)
 
     def test_blocks_store_one_real_rho_and_tau_sq(self, benchmark_geom):
@@ -244,7 +241,7 @@ class TestParitySectors:
         assert np.max(np.abs(_dense(b) - rho)) < 1e-13
         assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-13
         assert abs(b.flux_residual - flux) < 1e-13
-        assert np.max(np.abs(_dense(b, _transmission_operator(ops, m)) - tau)) < 1e-13
+        assert np.max(np.abs(_dense(b, transmission_operator(ops, m)) - tau)) < 1e-13
         assert _dense(b).dtype == np.float64
 
     @pytest.mark.parametrize("columns", [1, 2])
@@ -313,7 +310,7 @@ class TestIntracavityField:
         basis = HarmonicBasis(30)
         ops = build_operators(geom, basis, m_values=(0, 2))
         for m in (0, 2):
-            dim = basis.block_dim(m)
+            dim = basis.block_ls(m).size
             for i, l in enumerate(basis.block_ls(m)):
                 e = np.zeros(dim, dtype=complex)
                 e[i] = 1.0
@@ -612,7 +609,7 @@ class TestModalSolve:
         # the mirror-symmetric cavity has two sectors of at most ceil(dim/2)
         solves, eigs = self._sweep(benchmark_geom, monkeypatch)
         assert (len(solves), len(eigs)) == (2 * (_MODAL_AFTER - 1), 2)
-        half = (HarmonicBasis(self.L_MAX).block_dim(0) + 1) // 2
+        half = (HarmonicBasis(self.L_MAX).block_ls(0).size + 1) // 2
         assert max(shape[0] for shape in solves + eigs) == half
 
     def test_sweep_decomposes_once_unequal_mirrors(self, monkeypatch):
@@ -620,32 +617,7 @@ class TestModalSolve:
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
         solves, eigs = self._sweep(geom, monkeypatch)
         assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
-        assert {shape[0] for shape in solves + eigs} == {HarmonicBasis(self.L_MAX).block_dim(0)}
-
-class TestPerfectSphere:
-    def test_l0_ladder(self):
-        for n in (1, 2, 7):
-            assert perfect_sphere_frequency(0, n, KR) == float(n)
-
-    def test_l_shift_magnitude(self):
-        # shift term l(l+1)/(2 pi kR); per unit l about 1.6e-4 at l = 100
-        v = perfect_sphere_frequency(100, 1, KR)
-        shift = (1 + 50) - v
-        assert shift == pytest.approx(100 * 101 / (2 * math.pi * KR), rel=1e-12)
-        assert shift / 100 == pytest.approx(1.6e-4, rel=0.05)
-
-    def test_near_degeneracy_spacing(self):
-        l, n = 30, 5
-        gap = perfect_sphere_frequency(l, n, KR) - perfect_sphere_frequency(l + 2, n - 1, KR)
-        assert gap == pytest.approx((4 * l + 6) / (2 * math.pi * KR), rel=1e-9)
-        assert abs(gap) < 1e-3
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            perfect_sphere_frequency(0, 0, KR)
-        with pytest.raises(ValueError):
-            perfect_sphere_frequency(-1, 1, KR)
-
+        assert {shape[0] for shape in solves + eigs} == {HarmonicBasis(self.L_MAX).block_ls(0).size}
 
 class TestClosedCavityModeSum:
     def test_no_mirror_limit(self):
@@ -674,3 +646,15 @@ class TestClosedCavityModeSum:
     def test_rho_validation(self):
         with pytest.raises(ValueError):
             closed_cavity_mode_sum(1.0, 1.0, k_radius=KR, detuning_phase=0.0, l_max=10)
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("kz, phi0", [(0.0, 0.0), (3.0, 0.11), (6.0, 0.05), (12.0, -0.2)])
+    def test_equals_enhancement_full_on_closed_sphere(self, rho, kz, phi0):
+        # both caps of half-aperture pi/2 coat the whole sphere, so every
+        # operator is diagonal in l and the resolvent reduces to the mode sum
+        geom = CavityGeometry.symmetric(KR, math.pi / 2, rho)
+        basis = HarmonicBasis(60)
+        ops = build_operators(geom, basis, m_values=(0,))
+        got = enhancement_full(geom, basis, FieldPoint.axial(kz), phi0, ops=ops).value
+        ref = closed_cavity_mode_sum(rho, kz, k_radius=KR, detuning_phase=phi0, l_max=60)
+        assert abs(got - ref) <= 1e-13 * ref
