@@ -13,6 +13,7 @@ for m >= 0 with P_lm from legendre_table, and Y_{l,-m} = (-1)^m conj(Y_lm).
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -140,6 +141,34 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=4)
+def _column_coefficients(l_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The recurrence coefficients a and b of legendre_table for each
+    l = 2..l_max, as rows over m = 0..l-2, computed once per l_max."""
+    m_sq = np.arange(l_max) ** 2
+    rows = []
+    for l in range(2, l_max + 1):
+        mm = m_sq[: l - 1]
+        a = np.sqrt((4 * l * l - 1) / (l * l - mm))
+        b = np.sqrt(((l - 1) ** 2 - mm) / (4 * (l - 1) ** 2 - 1))
+        a.flags.writeable = b.flags.writeable = False
+        rows.append((a, b))
+    return tuple(rows)
+
+
+@functools.lru_cache(maxsize=4)
+def _lower_triangle(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries [l, m], l >= m, of an (l_max + 1)-square listed column by
+    column: their l, their m, and the offset at which each column starts."""
+    lengths = l_max + 1 - np.arange(l_max + 1)
+    offsets = np.concatenate(([0], np.cumsum(lengths)))
+    m_of = np.repeat(np.arange(l_max + 1, dtype=np.int32), lengths)
+    l_of = (np.arange(offsets[-1]) - offsets[m_of] + m_of).astype(np.int32)
+    for a in (l_of, m_of, offsets):
+        a.flags.writeable = False
+    return l_of, m_of, offsets
+
+
 def _legendre_column(l_max: int, x: float) -> np.ndarray:
     """Normalized associated Legendre values at one point x for every m at
     once: entry [l, m] is P_lm(x) for l >= m, zero above the diagonal.
@@ -157,11 +186,7 @@ def _legendre_column(l_max: int, x: float) -> np.ndarray:
         out[k, k] = pmm
     ms = np.arange(l_max)
     out[ms + 1, ms] = np.sqrt(2 * ms + 3) * x * out[ms, ms]
-    m_sq = ms * ms
-    for l in range(2, l_max + 1):
-        mm = m_sq[: l - 1]
-        a = np.sqrt((4 * l * l - 1) / (l * l - mm))
-        b = np.sqrt(((l - 1) ** 2 - mm) / (4 * (l - 1) ** 2 - 1))
+    for l, (a, b) in enumerate(_column_coefficients(l_max), start=2):
         out[l, : l - 1] = a * (x * out[l - 1, : l - 1] - b * out[l - 2, : l - 1])
     return out
 
@@ -208,11 +233,20 @@ def plane_wave_coeffs(
         kx, ky, kz = point.kvec
         theta_r = math.acos(min(1.0, max(-1.0, kz / kr)))
         phi_r = math.atan2(ky, kx)
-        column = _legendre_column(l_max, math.cos(theta_r))
-        for m in range(0, l_max + 1):
-            ylm_dir = column[m:, m] * np.exp(1j * m * phi_r)
-            blocks[m] = pref[m:] * np.conj(ylm_dir)
-            if m > 0:
-                # conj(Y_{l,-m}) = (-1)^m Y_{l,m}
-                blocks[-m] = pref[m:] * (-1) ** m * ylm_dir
+        # Y_lm(rhat) for l >= m, column m of the Legendre column after
+        # column m - 1, so that each block is a slice of one array
+        l_of, m_of, offsets = _lower_triangle(l_max)
+        ms = np.arange(l_max + 1)
+        ylm_dir = _legendre_column(l_max, math.cos(theta_r))[l_of, m_of]
+        ylm_dir = ylm_dir * np.exp(1j * ms * phi_r)[m_of]
+        pref_of = pref[l_of]
+        positive = np.conj(ylm_dir)
+        np.multiply(pref_of, positive, out=positive)
+        # conj(Y_{l,-m}) = (-1)^m Y_{l,m}
+        ylm_dir *= 1 - 2 * (m_of % 2)
+        negative = np.multiply(pref_of, ylm_dir, out=ylm_dir)
+        blocks[0] = positive[: offsets[1]]
+        for m in range(1, l_max + 1):
+            blocks[m] = positive[offsets[m]: offsets[m + 1]]
+            blocks[-m] = negative[offsets[m]: offsets[m + 1]]
     return AngularFunction(l_max=l_max, blocks=blocks, truncation_tail=tail)

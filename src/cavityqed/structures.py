@@ -221,10 +221,16 @@ class AngularFunction:
     blocks: dict[int, np.ndarray]
     truncation_tail: float = 0.0
 
+    def m_energies(self) -> np.ndarray:
+        """Squared coefficient norm of each |m|, the +m and -m blocks
+        together, at index |m| = 0..l_max."""
+        energies = np.zeros(self.l_max + 1)
+        for m, v in self.blocks.items():
+            energies[abs(m)] += np.vdot(v, v).real
+        return energies
+
     def norm_sq(self) -> float:
-        return float(
-            sum(np.sum(np.abs(v) ** 2) for _, v in sorted(self.blocks.items()))
-        )
+        return float(np.sum(self.m_energies()))
 
 
 @dataclass(frozen=True)

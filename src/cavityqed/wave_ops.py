@@ -35,6 +35,14 @@ M = U^-2 P rho = V Lambda V^-1 diagonalised once, every later phase and
 right-hand side costs two matrix-vector products instead of a
 factorisation. CavityOperatorSet decides when a block is worth
 decomposing.
+
+A scan of many points at one detuning phase (a position scan) is answered
+from each block's Hermitian form instead: with X = A^-1 diag(u) the
+resolvent applied to the propagator, the value of a block at a point is
+c^H K c, K = X^H tau^2 X, where c are the point's focused-wave
+coefficients and K is the same for every point at that phase. K is formed
+once per block, sector and phase from one checked n-column solve, and every
+later point costs one real matrix product per sector.
 """
 
 from __future__ import annotations
@@ -80,6 +88,14 @@ _RESIDUAL_LIMIT = 1e-8
 # Buying once the rent paid reaches the price keeps any run of solves
 # within twice the cost of the better of the two routes for it.
 _MODAL_AFTER = 58
+# rent-or-buy: the first _FORM_AFTER - 1 points that a block answers at one
+# detuning phase are solved, the next one forms the block's Hermitian form
+# at that phase. The n-column solve, its guard and X^H tau^2 X cost 2.4-4.0
+# two-column solves of the same block at dims 76-201 on a 2-core Xeon VM
+# (5.9 at dim 401), and an answer from the form 0.08-0.28 ms against
+# 0.6-7 ms for a solve. Buying at the third point keeps any run of points at
+# one phase within about twice the cost of the better route up to dim 201.
+_FORM_AFTER = 3
 # share of the input energy that the skipped |m| pairs may add, at most,
 # to the value of enhancement_full
 _SKIP_FLOOR = 1e-16
@@ -158,7 +174,15 @@ class CavityOperatorSet:
     bytes for a sector of n l), and that and every later solve of the block
     are answered from the modal factors; a block whose factors fail the
     residual check, or cannot be computed, keeps None in modes and is solved
-    directly from then on. A lossless cavity is always solved directly."""
+    directly from then on.
+
+    forms holds, per |m|, one detuning phase, the number of points asked of
+    the block at that phase, and the block's Hermitian form there: one real
+    n x n matrix per sector (8 n^2 bytes), None until the _FORM_AFTER-th
+    point forms it or when its guard fails. A new phase replaces the entry
+    and restarts its count, so at most one form per block is held. Answers
+    from a form do not count towards _MODAL_AFTER: a phase sweep still goes
+    modal. A lossless cavity is always solved directly and never formed."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
@@ -166,6 +190,8 @@ class CavityOperatorSet:
     blocks: dict[int, OperatorBlock] = field(default_factory=dict)
     solve_counts: dict[int, int] = field(default_factory=dict)
     modes: dict[int, tuple[_ModalFactors, ...] | None] = field(default_factory=dict)
+    forms: dict[int, tuple[float, int, tuple[np.ndarray, ...] | None]] = field(
+        default_factory=dict)
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -222,8 +248,9 @@ def _segment_grams(grid: AngularGrid, l_max: int, m: int, sectors):
     real Gram v_s^T diag(w_s) v_s). No Gram couples two sectors."""
     v = legendre_table(l_max, m, grid.mu)
     segment = np.searchsorted(grid.edges, grid.theta)
-    groups = [(idx, grid.w_theta[idx, None])
-              for idx in (np.flatnonzero(segment == s) for s in np.unique(segment))]
+    # np.unique would import numpy.ma; bincount lists the same sorted segments
+    groups = [(idx, grid.w_theta[idx, None]) for idx in
+              (np.flatnonzero(segment == s) for s in np.flatnonzero(np.bincount(segment)))]
     per_sector = []
     for sector in sectors:
         columns = v[:, sector]
@@ -462,6 +489,78 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
     return x
 
 
+def _phase_form(ops: CavityOperatorSet, m: int, detuning_phase: float):
+    """The Hermitian form of block |m| at detuning_phase (one matrix per
+    sector, see _hermitian_form), or None while the block is to be solved.
+    Counts the points asked of the block at that phase, a new phase
+    replacing the block's entry, and forms the block at the _FORM_AFTER-th;
+    a lossless cavity is never formed."""
+    if _is_lossless(ops.geometry):
+        return None
+    key = abs(m)
+    phase, count, form = ops.forms.pop(key, (detuning_phase, 0, None))
+    if phase != detuning_phase:
+        count, form = 0, None  # the old form is not held while a new one is built
+    count += 1
+    if count == _FORM_AFTER:
+        form = _hermitian_form(ops.block(key), detuning_phase)
+    ops.forms[key] = (detuning_phase, count, form)
+    return form
+
+
+def _hermitian_form(block: OperatorBlock, detuning_phase: float):
+    """Per sector, M = Re K + Im K of K = X^H tau^2 X, with X = A^-1 diag(u)
+    from one n-column solve of the sector's resolvent A; or None when a
+    solve fails or the guard does.
+
+    K is Hermitian, so Re K is symmetric and Im K antisymmetric and M holds
+    both in one real matrix. The guard keeps the forms only if every row r_i
+    of A X - diag(u) has ||r_i||_2 <= _RESIDUAL_LIMIT (a NaN fails). A
+    point's solution x = X c then has the residual (A X - diag(u)) c, whose
+    entries are at most ||r_i||_2 ||c_s||_2 <= _RESIDUAL_LIMIT * scale, as
+    the point's coefficients c_s on the sector have ||c_s||_2 <= scale, the
+    norm of its whole input: the guard implies the residual check of
+    _checked_solve for every later point."""
+    z = np.exp(2j * detuning_phase)
+    forms = []
+    for sector in block.sectors:
+        u = block.u_half[sector.index]
+        try:
+            x = np.linalg.solve(_resolvent_matrix(block, sector, detuning_phase), np.diag(u))
+        except np.linalg.LinAlgError:
+            return None
+        # A X - diag(u) = u^2 X - z P (rho X) - diag(u): a real rho takes
+        # half the flops of A @ X
+        resid = _apply(sector.rho, x)
+        resid *= -z * block.parity[sector.index, None]
+        resid += (u**2)[:, None] * x
+        resid.reshape(-1)[:: u.size + 1] -= u
+        if not np.all(np.linalg.norm(resid, axis=1) <= _RESIDUAL_LIMIT):
+            return None
+        del resid
+        p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
+        del x
+        tp, tq = sector.tau_sq @ p, sector.tau_sq @ q
+        # Re K = p^T tau^2 p + q^T tau^2 q, Im K = p^T tau^2 q - q^T tau^2 p
+        forms.append(p.T @ (tp + tq) + q.T @ (tq - tp))
+    return tuple(forms)
+
+
+def _form_values(block: OperatorBlock, form, c: np.ndarray):
+    """c^H K c of the coefficients c, one column or two, summed over the
+    sectors from each sector's M = Re K + Im K: for c = a + ib it is
+    (a + b).(M a) + (b - a).(M b), one real matrix product per sector."""
+    columns = c.reshape(c.shape[0], -1)
+    values = np.zeros(columns.shape[1])
+    for sector, matrix in zip(block.sectors, form):
+        cs = columns[sector.index]
+        a, b = cs.real, cs.imag
+        prod = matrix @ np.concatenate((a, b), axis=1)
+        ma, mb = prod[:, : a.shape[1]], prod[:, a.shape[1]:]
+        values += ((a + b) * ma + (b - a) * mb).sum(axis=0)
+    return values if c.ndim == 2 else float(values[0])
+
+
 def _tau_sq_form(block: OperatorBlock, x: np.ndarray):
     """Re x^H tau^2 x of the solution x, per column for two columns, summed
     over the sectors. tau^2 is real, so the form is a^T tau^2 a + b^T tau^2 b
@@ -517,6 +616,14 @@ def enhancement_full(
     and the worst ||V||_1 ||V^-1||_1 of the factors used (modal_condition,
     None when none was used).
 
+    From the third point at one detuning phase on (a position scan with a
+    prebuilt ops), a block is answered from its Hermitian form at that
+    phase, c^H K c, without a solve; the form's guard implies the same
+    residual check for every point, see _hermitian_form. The value may
+    differ from the solved one in its last digits. detail reports how many
+    of the solved |m| systems were answered from a form (form_solves);
+    blocks_solved counts the |m| systems answered by any route.
+
     The mirror edge entering the operators is the geometric aperture;
     diffraction losses emerge from the calculation itself. Without ops the
     blocks are built on demand on operator_grid, the skipped ones never. A
@@ -537,26 +644,31 @@ def enhancement_full(
         ops = CavityOperatorSet(geometry=geom, basis=basis,
                                 grid=operator_grid(geom, basis.l_max))
     blocks = coeffs.blocks
-    norm_sq = coeffs.norm_sq()
+    energies = coeffs.m_energies()
+    norm_sq = float(np.sum(energies))
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(norm_sq)
-    top, skipped = _solved_magnitudes(geom, blocks, norm_sq, _is_lossless(geom))
+    top, skipped = _solved_magnitudes(geom, blocks, energies, norm_sq, _is_lossless(geom))
     per_m = np.zeros(2 * basis.l_max + 1)
     conditions = []
     modal_conditions = []
+    form_solves = 0
     for mag in range(top + 1):
         block = ops.block(mag)
-        if mag == 0:
-            x, modal = _solve_block(ops, 0, detuning_phase, block.u_half * blocks[0],
-                                    "m=0", scale)
-            per_m[basis.l_max] = _tau_sq_form(block, x)
+        # +m and -m share one matrix: one system with two columns
+        c = blocks[0] if mag == 0 else np.column_stack((blocks[mag], blocks[-mag]))
+        form = _phase_form(ops, mag, detuning_phase)
+        if form is not None:
+            values = _form_values(block, form, c)
+            form_solves += 1
         else:
-            # +m and -m share one matrix: one solve with two right-hand sides
-            rhs = block.u_half[:, None] * np.column_stack((blocks[mag], blocks[-mag]))
-            x, modal = _solve_block(ops, mag, detuning_phase, rhs, f"m=+-{mag}", scale)
-            per_m[[basis.l_max + mag, basis.l_max - mag]] = _tau_sq_form(block, x)
-        if modal is not None:
-            modal_conditions.append(modal)
+            label = "m=0" if mag == 0 else f"m=+-{mag}"
+            x, modal = _solve_block(ops, mag, detuning_phase, _by_row(block.u_half, c) * c,
+                                    label, scale)
+            values = _tau_sq_form(block, x)
+            if modal is not None:
+                modal_conditions.append(modal)
+        per_m[[basis.l_max + mag, basis.l_max - mag] if mag else basis.l_max] = values
         if collect_condition:
             conditions.append(_condition([_resolvent_matrix(block, s, detuning_phase)
                                           for s in block.sectors]))
@@ -570,13 +682,15 @@ def enhancement_full(
         detail={"flux_residual": ops.flux_residual, "m_blocks": len(blocks),
                 "blocks_solved": top + 1, "skipped_bound": skipped,
                 "modal_solves": len(modal_conditions),
-                "modal_condition": max(modal_conditions, default=None)},
+                "modal_condition": max(modal_conditions, default=None),
+                "form_solves": form_solves},
     )
 
 
-def _solved_magnitudes(geom, blocks, norm_sq, lossless):
+def _solved_magnitudes(geom, blocks, energies, norm_sq, lossless):
     """Highest |m| to solve, and the summed bound on what the skipped |m|
-    pairs above it could add to the value.
+    pairs above it could add to the value; energies[|m|] is the input
+    energy of the pair.
 
     U and P are unitary, |rho_m| <= max(rho1, rho2) and |tau^2_m| <= 1, so
     a pair with input energy e contributes at most e / (1 - max rho)^2. The
@@ -588,12 +702,7 @@ def _solved_magnitudes(geom, blocks, norm_sq, lossless):
     if lossless:
         return top, 0.0
     gain = 1.0 / (1.0 - max(geom.rho1, geom.rho2)) ** 2
-    budget = _SKIP_FLOOR * norm_sq
-    skipped = 0.0
-    while top > 0:
-        energy = float(np.sum(np.abs(blocks[top]) ** 2) + np.sum(np.abs(blocks[-top]) ** 2))
-        if not skipped + gain * energy <= budget:
-            break
-        skipped += gain * energy
-        top -= 1
-    return top, skipped
+    # summed bounds of the pairs |m| = top, top - 1, ..., 1, nondecreasing
+    bounds = np.cumsum(gain * energies[top:0:-1])
+    skip = int(np.count_nonzero(bounds <= _SKIP_FLOOR * norm_sq))
+    return top - skip, float(bounds[skip - 1]) if skip else 0.0

@@ -286,6 +286,17 @@ class TestPlaneWaveCoeffs:
         assert calls == [(40, point.kr)]
         assert f.truncation_tail == float(np.sum(bessel_weights(40, point.kr)[36:]))
 
+    def test_m_energies_sum_each_pair_of_blocks(self):
+        f = plane_wave_coeffs(FieldPoint((4.0, -3.0, 2.0)), 40)
+        energies = f.m_energies()
+        assert energies.shape == (41,)
+        for m in range(41):
+            ref = sum(float(np.sum(np.abs(f.blocks[k]) ** 2)) for k in {m, -m})
+            assert energies[m] == pytest.approx(ref, rel=1e-14, abs=0)
+        assert f.norm_sq() == pytest.approx(float(np.sum(energies)), rel=1e-15)
+        axis = plane_wave_coeffs(FieldPoint.axial(6.0), 40).m_energies()
+        assert axis[0] > 0.0 and not np.any(axis[1:])
+
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion
         f_axis = plane_wave_coeffs(FieldPoint.axial(12.0), 60)

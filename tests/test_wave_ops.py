@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -474,6 +477,21 @@ class TestBlockSkip:
         with pytest.raises(SolverError, match="singular to working precision"):
             enhancement_full(geom, HarmonicBasis(40), FieldPoint((2.0, 1.0, 1.0)), 0.0)
 
+    @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (0.0, 0.0, 7.0)])
+    def test_skip_equals_the_pair_by_pair_loop(self, benchmark_geom, kvec):
+        # the summed bound of the skipped pairs, added one pair at a time
+        # from the top while it stays within the floor
+        coeffs = plane_wave_coeffs(FieldPoint(kvec), 60)
+        energies = coeffs.m_energies()
+        norm_sq = float(np.sum(energies))
+        gain = 1.0 / (1.0 - 0.98) ** 2
+        top, skipped = max(abs(m) for m in coeffs.blocks), 0.0
+        while top > 0 and skipped + gain * energies[top] <= wave_ops._SKIP_FLOOR * norm_sq:
+            skipped += gain * energies[top]
+            top -= 1
+        assert wave_ops._solved_magnitudes(benchmark_geom, coeffs.blocks, energies, norm_sq,
+                                           False) == (top, skipped)
+
     def test_detail_counts_are_deterministic(self, benchmark_geom):
         basis = HarmonicBasis(60)
         point = FieldPoint((8.0, 3.0, -2.0))
@@ -618,6 +636,150 @@ class TestModalSolve:
         solves, eigs = self._sweep(geom, monkeypatch)
         assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
         assert {shape[0] for shape in solves + eigs} == {HarmonicBasis(self.L_MAX).block_ls(0).size}
+
+class TestHermitianForm:
+    L_MAX = 60
+    # on-axis and off-axis points; a fixed-phase scan of them forms every
+    # block it solves at the third point that solves it
+    POINTS = [(0.0, 0.0, 5.0), (0.0, 0.0, -3.0), (5.0, 0.0, 3.0), (12.0, -4.0, 6.0),
+              (2.0, 2.0, -8.0), (0.0, 0.0, 0.0), (-3.0, 1.0, 0.5)]
+    CAVITIES = {
+        "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        "unequal": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9),
+        "defocused": CavityGeometry(KR, THETA_30PCT, THETA_30PCT, 0.98, 0.98, k_delta=0.3),
+    }
+
+    def _scan(self, geom, phi0, points, ops=None):
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(geom, basis) if ops is None else ops
+        return ops, [enhancement_full(geom, basis, FieldPoint(k), phi0, ops=ops)
+                     for k in points]
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.02])
+    @pytest.mark.parametrize("name", sorted(CAVITIES))
+    def test_form_answers_match_direct_solves(self, name, phi0):
+        geom = self.CAVITIES[name]
+        basis = HarmonicBasis(self.L_MAX)
+        ops, results = self._scan(geom, phi0, 3 * self.POINTS)
+        # each pass solves the blocks of each point again, so the third pass
+        # answers every block of every point from its form
+        for r in results[-len(self.POINTS):]:
+            assert r.detail["form_solves"] == r.detail["blocks_solved"] > 0
+            assert r.detail["modal_solves"] == 0
+        assert all(form is not None for *_, form in ops.forms.values())
+        for k, r in zip(3 * self.POINTS, results):
+            # without ops every block is solved directly
+            direct = enhancement_full(geom, basis, FieldPoint(k), phi0)
+            assert direct.detail["form_solves"] == 0
+            assert abs(r.value - direct.value) <= 1e-13 * direct.value
+            assert r.detail["blocks_solved"] == direct.detail["blocks_solved"]
+
+    def test_failed_guard_keeps_no_form(self, benchmark_geom, monkeypatch):
+        form = wave_ops._hermitian_form
+
+        def strict(block, phi0):
+            # no row norm meets a negative limit: the n-column guard fails,
+            # while the direct solves keep the usual limit
+            with monkeypatch.context() as patch:
+                patch.setattr(wave_ops, "_RESIDUAL_LIMIT", -1.0)
+                return form(block, phi0)
+
+        monkeypatch.setattr(wave_ops, "_hermitian_form", strict)
+        ops, results = self._scan(benchmark_geom, 0.01, 2 * self.POINTS)
+        assert ops.forms and all(form is None for *_, form in ops.forms.values())
+        for k, r in zip(2 * self.POINTS, results):
+            assert r.detail["form_solves"] == 0
+            direct = enhancement_full(benchmark_geom, HarmonicBasis(self.L_MAX),
+                                      FieldPoint(k), 0.01)
+            assert r.value == direct.value
+
+    def test_lossless_cavity_never_forms(self):
+        geom = CavityGeometry.symmetric(KR, 1.0, 1.0)
+        basis = HarmonicBasis(40)
+        ops = build_operators(geom, basis, m_values=(0,))
+        for kz in np.linspace(0.5, 4.0, 6):
+            r = enhancement_full(geom, basis, FieldPoint.axial(float(kz)), 0.05, ops=ops)
+            assert math.isfinite(r.value) and r.detail["form_solves"] == 0
+        assert ops.forms == {}
+
+    def test_phase_change_replaces_the_form(self, benchmark_geom):
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), m_values=(0,))
+        axial = [(0.0, 0.0, kz) for kz in (1.0, 2.0, 3.0)]
+        dims = [len(range(self.L_MAX + 1)[s.index]) for s in ops.block(0).sectors]
+        for phi0 in (0.0, 0.01):
+            self._scan(benchmark_geom, phi0, axial[:1], ops)
+            # a new phase drops the old form and restarts the count
+            assert ops.forms == {0: (phi0, 1, None)}
+            self._scan(benchmark_geom, phi0, axial[1:], ops)
+            phase, count, form = ops.forms[0]
+            assert (phase, count) == (phi0, 3)
+            # one real n x n matrix per sector: 8 n^2 bytes
+            assert [f.shape for f in form] == [(n, n) for n in dims]
+            assert sum(f.nbytes for f in form) == sum(8 * n * n for n in dims)
+            assert all(f.dtype == np.float64 for f in form)
+        # two solves at each phase; the form answers do not count towards
+        # _MODAL_AFTER
+        assert ops.solve_counts == {0: 4}
+
+    def test_position_scan_forms_once(self, benchmark_geom, monkeypatch):
+        # count guard: an N-point scan at one phase makes two direct solves
+        # of each block, then one n-column solve per parity sector that
+        # forms it, and from then on no LAPACK call at all
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX))
+        calls = []
+        for name in ("solve", "eig", "inv", "svd"):
+            original = getattr(np.linalg, name)
+
+            def spy(*args, _name=name, _original=original, **kwargs):
+                rhs = np.shape(args[1]) if len(args) > 1 else None
+                calls.append((_name, np.shape(args[0]), rhs))
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        # equal kr and polar angle, so every point solves the same blocks
+        points = [(6.0 * math.cos(phi), 6.0 * math.sin(phi), 4.0)
+                  for phi in np.linspace(0.0, 2.0, 8)]
+        per_point = []
+        details = []
+        for k in points:
+            start = len(calls)
+            details.append(self._scan(benchmark_geom, 0.0, [k], ops)[1][0].detail)
+            per_point.append(calls[start:])
+        solved = details[0]["blocks_solved"]
+        assert solved > 1 and all(d["blocks_solved"] == solved for d in details)
+        sector_ms = [(m, len(range(self.L_MAX - m + 1)[s.index]))
+                     for m in range(solved) for s in ops.block(m).sectors]
+        sectors = [n for _, n in sector_ms]
+        for i in (0, 1):
+            assert [c[0] for c in per_point[i]] == ["solve"] * len(sectors)
+            # one column for m = 0, two for a +-m pair
+            assert [c[2] for c in per_point[i]] == [
+                (n,) if m == 0 else (n, 2) for m, n in sector_ms]
+            assert details[i]["form_solves"] == 0
+        assert per_point[2] == [("solve", (n, n), (n, n)) for n in sectors]
+        assert per_point[3:] == [[]] * (len(points) - 3)
+        assert all(d["form_solves"] == solved for d in details[2:])
+
+
+def test_operator_route_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma when first called, over 1 MB of RSS and
+    # about 12 ms in every process that builds operators
+    code = ("import sys\n"
+            "from cavityqed.structures import CavityGeometry, FieldPoint, HarmonicBasis\n"
+            "from cavityqed.wave_ops import build_operators, enhancement_full\n"
+            "geom = CavityGeometry(1e5, 0.795, 0.6, 0.98, 0.9)\n"
+            "basis = HarmonicBasis(30)\n"
+            "ops = build_operators(geom, basis)\n"
+            "for k in ((0.0, 0.0, 2.0), (3.0, -1.0, 2.0)):\n"
+            "    enhancement_full(geom, basis, FieldPoint(k), 0.01, ops=ops)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(wave_ops.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=env)
+    assert proc.stdout.strip() == "False"
+
 
 class TestClosedCavityModeSum:
     def test_no_mirror_limit(self):
