@@ -2,10 +2,11 @@
 
 The damping response of a dipole samples the resonance line itself; the level
 shift samples its principal-value frequency transform. For the normalized
-resonance line these transforms have closed forms, used as the production
-path. The numerical principal-value engine quadrature.pv_integrate checks
-them: the test suite asserts the agreement, and the `airy-check` scan kind
-of the command line tabulates it.
+resonance line these transforms have closed forms, which the `airy-check`
+scan kind of the command line tabulates against the numerical
+principal-value engine quadrature.pv_integrate; the test suite asserts the
+agreement. The ray route's shift does not read them: its per-ray kernel is
+ray_model._ray_kernels.
 
 The kernels are written in the line-shape coefficient F = 4 rho/(1 - rho)^2
 of a round-trip amplitude rho in [0, 1); for two different mirrors rho is

@@ -27,7 +27,6 @@ from .ray_model import (  # noqa: F401 (airy_resonance_factor: perfbench/tracing
     RAY_VALIDITY_KR,
     _auto_azimuthal_order,
     _ray_kernels,
-    _ray_reflectivities,
     airy_resonance_factor,
     ray_direction_phases,
     ray_integration_nodes,
@@ -137,10 +136,9 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
             stacklevel=3,
         )
     axisym = point.on_axis and orientation.is_axisymmetric
-    theta, w, phi_az = ray_integration_nodes(
+    theta, w, phi_az, rho_f, rho_b = ray_integration_nodes(
         geom, point, diffraction, polar_order, azimuthal_order, axisym
     )
-    rho_f, rho_b = _ray_reflectivities(geom, theta, diffraction)
     meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
     # weight x damping and weight x shift, averaged over each polar row; a
     # row that meets no mirror has damping exactly 1 and shift exactly 0
@@ -154,9 +152,8 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
         if not hit.any():
             continue
         idx = block[hit]
-        phi_eff, x_eff, _, _ = ray_direction_phases(
-            geom, point, phi0, theta[idx, None], phi_az[None, :],
-            aberration=aberration, diffraction=diffraction,
+        phi_eff, x_eff = ray_direction_phases(
+            geom, point, phi0, theta[idx, None], phi_az[None, :], aberration=aberration
         )
         kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
         pol = pol[hit]

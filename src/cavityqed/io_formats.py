@@ -9,6 +9,9 @@ reference the written data file rather than embedding data.
 
 The dataclasses below are the one statement of the scenario format: each
 JSON key is the name of a field, and each default is the field's default.
+CavityGeometry is the exception: its fields other than k_delta have no
+default, and parse_config supplies them (k_radius 1e5, theta_m1 pi/4,
+rho1 0.98, and mirror 2 copying mirror 1's aperture and reflectivity).
 """
 
 from __future__ import annotations

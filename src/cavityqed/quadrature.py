@@ -2,8 +2,9 @@
 
 The sphere is integrated in cos(theta) with Gauss-Legendre rules applied per
 segment, segments being split at the mirror edges where integrands are
-discontinuous, and uniformly in azimuth. Weights carry the dOmega/4pi
-measure, so integrating the constant 1 gives exactly 1.
+discontinuous; the ray route adds a uniform azimuth
+(ray_model.ray_integration_nodes). Weights carry the dOmega/4pi measure, so
+integrating the constant 1 gives exactly 1.
 
 The Gauss-Legendre rule on [-1, 1] is computed here, by Newton's method on
 the three-term Legendre recurrence started from Tricomi's asymptotic nodes
@@ -37,30 +38,15 @@ class PVConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Quadrature nodes on the sphere under the dOmega/4pi measure.
-
-    theta/mu/w_theta describe the polar rule (sum of w_theta is 1);
-    phi_az holds uniformly spaced azimuthal nodes, each of weight
-    1/len(phi_az). Segment edges record where the polar rule was split.
-    """
+    """Polar quadrature nodes under the dOmega/4pi measure of an integrand
+    that does not depend on the azimuth: theta/mu/w_theta describe the
+    polar rule (sum of w_theta is 1). Segment edges record where the polar
+    rule was split."""
 
     theta: np.ndarray
     mu: np.ndarray
     w_theta: np.ndarray
-    phi_az: np.ndarray
     edges: tuple[float, ...]
-
-    @property
-    def n_polar(self) -> int:
-        return self.theta.size
-
-    @property
-    def n_azimuthal(self) -> int:
-        return self.phi_az.size
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate values of shape (n_polar, n_azimuthal)."""
-        return float(np.dot(self.w_theta, np.asarray(values).mean(axis=1)))
 
 
 @functools.lru_cache(maxsize=256)
@@ -143,17 +129,13 @@ def cap_edges(theta_1: float, theta_2: float) -> list[float]:
     return sorted({e for e in (theta_1, math.pi - theta_2) if -1.0 < math.cos(e) < 1.0})
 
 
-def build_grid(theta_edges, order_polar: int, order_azimuthal: int) -> AngularGrid:
-    """Spherical product grid: per-segment Gauss in cos(theta), uniform azimuth."""
-    if order_azimuthal < 2:
-        raise ValueError(f"azimuthal order must be >= 2, got {order_azimuthal}")
+def build_grid(theta_edges, order_polar: int) -> AngularGrid:
+    """Polar grid: per-segment Gauss in cos(theta), split at theta_edges."""
     mu, w = polar_rule(theta_edges, order_polar)
-    phi = 2.0 * math.pi * (np.arange(order_azimuthal) + 0.5) / order_azimuthal
     return AngularGrid(
         theta=np.arccos(np.clip(mu, -1.0, 1.0)),
         mu=mu,
         w_theta=w,
-        phi_az=phi,
         edges=tuple(float(e) for e in np.sort(np.asarray(theta_edges, dtype=float))),
     )
 

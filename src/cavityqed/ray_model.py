@@ -188,18 +188,6 @@ def _cap_masks(theta, theta_0: float, theta_pi: float):
     return on_0, on_pi
 
 
-def _ray_reflectivities(geom: CavityGeometry, theta, diffraction: bool):
-    """Reflectivities (rho_fwd, rho_back) seen at the +Omega and -Omega ends
-    of rays of polar angle theta; both are 0 on a ray that meets no mirror
-    within the (effective) apertures."""
-    th1, th2 = _effective_edges(geom, diffraction)
-    on1_fwd, on2_fwd = _cap_masks(theta, th1, th2)
-    on2_back, on1_back = _cap_masks(theta, th2, th1)
-    rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
-    rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
-    return rho_fwd, rho_back
-
-
 def ray_direction_phases(
     geom: CavityGeometry,
     point: FieldPoint,
@@ -208,14 +196,13 @@ def ray_direction_phases(
     phi_az,
     *,
     aberration: bool = True,
-    diffraction: bool = True,
 ):
     """Per-direction arguments of the ray factors.
 
-    Returns (phi_eff, x_eff, rho_fwd, rho_back): the corrected one-way phase,
-    the corrected standing-wave phase, and the reflectivities seen at the
-    +Omega and -Omega ends of the ray. Shapes follow numpy broadcasting of
-    theta and phi_az.
+    Returns (phi_eff, x_eff): the corrected one-way phase and the corrected
+    standing-wave phase. Shapes follow numpy broadcasting of theta and
+    phi_az. The reflectivities at the ends of each ray come with the nodes,
+    from ray_integration_nodes.
 
     The mispositioning phase of mirror 2 (2 k_delta |cos theta| per
     reflection) is split between phi_eff and x_eff; for a ray hitting only
@@ -228,7 +215,6 @@ def ray_direction_phases(
     sin_th = np.sin(theta)
     kx, ky, kz = point.kvec
     x = kz * mu + sin_th * (kx * np.cos(phi_az) + ky * np.sin(phi_az))
-    rho_fwd, rho_back = _ray_reflectivities(geom, theta, diffraction)
     phi_eff = phi0 + (aberration_phase(point, x, geom.k_radius) if aberration else 0.0)
     x_eff = x
     if geom.k_delta != 0.0:
@@ -238,7 +224,7 @@ def ray_direction_phases(
         phi_eff = phi_eff + 0.25 * (alpha_fwd + alpha_back)
         x_eff = x + 0.25 * (alpha_fwd - alpha_back)
     phi_eff = np.broadcast_to(phi_eff, x.shape) if np.shape(phi_eff) != x.shape else phi_eff
-    return phi_eff, x_eff, np.broadcast_to(rho_fwd, x.shape), np.broadcast_to(rho_back, x.shape)
+    return phi_eff, x_eff
 
 
 def _auto_polar_order(kr: float, base: int | None) -> int:
@@ -252,19 +238,30 @@ def _auto_azimuthal_order(kr_perp: float, base: int | None) -> int:
 
 
 def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order, axisym):
-    """Direction nodes and weights for ray-model integrals: polar Gauss rule
-    split at the (effective) mirror edges, azimuth uniform or collapsed to a
-    single column for axisymmetric integrands. Orders scale with kr unless
-    larger values are requested."""
-    mu, w = polar_rule(cap_edges(*_effective_edges(geom, diffraction)),
-                       _auto_polar_order(point.kr, polar_order))
+    """Direction nodes and weights for ray-model integrals, with the
+    reflectivities met at the +Omega and -Omega ends of each polar row's
+    rays: (theta, w, phi_az, rho_fwd, rho_back), a reflectivity being 0
+    where the ray meets no mirror within the (effective) apertures.
+
+    The reflectivities jump at both caps' edges and at their antipodes, so
+    the polar Gauss rule is split at all four (two for a mirror-symmetric
+    cavity). The azimuth is uniform, or collapsed to a single column for
+    axisymmetric integrands. Orders scale with kr unless larger values are
+    requested."""
+    th1, th2 = _effective_edges(geom, diffraction)
+    edges = sorted(set(cap_edges(th1, th2)) | set(cap_edges(th2, th1)))
+    mu, w = polar_rule(edges, _auto_polar_order(point.kr, polar_order))
     theta = np.arccos(np.clip(mu, -1.0, 1.0))
+    on1_fwd, on2_fwd = _cap_masks(theta, th1, th2)
+    on2_back, on1_back = _cap_masks(theta, th2, th1)
+    rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
+    rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
     if axisym:
         phi = np.zeros(1)
     else:
         n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
         phi = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-    return theta, w, phi
+    return theta, w, phi, rho_fwd, rho_back
 
 
 def cavity_linewidth(rho1: float, rho2: float) -> float:

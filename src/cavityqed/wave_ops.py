@@ -209,8 +209,7 @@ def operator_grid(geom: CavityGeometry, l_max: int) -> AngularGrid:
     segment to integrate products of two degree-l_max Legendre functions
     exactly (plus margin for the defocus phase factor)."""
     order = l_max + 16 + int(2.0 * abs(geom.k_delta))
-    return build_grid(cap_edges(geom.theta_m1, geom.theta_m2), order_polar=order,
-                      order_azimuthal=2)
+    return build_grid(cap_edges(geom.theta_m1, geom.theta_m2), order_polar=order)
 
 
 def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
@@ -409,19 +408,29 @@ def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
     return op @ x
 
 
+def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
+              x: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A x - b on one sector, A = diag(u^2) - z P rho, for x and b of one
+    column or several, without forming A: a real rho takes half the flops
+    of A @ x."""
+    resid = _apply(sector.rho, x)
+    resid *= -z * _by_row(block.parity[sector.index], x)
+    resid += _by_row(block.u_half[sector.index] ** 2, x) * x
+    resid -= b
+    return resid
+
+
 def _modal_solve(block: OperatorBlock, factors, detuning_phase: float,
                  rhs: np.ndarray, scale: float) -> np.ndarray | None:
     """The solution from the modal factors of each sector, or None as soon
-    as a sector's answer fails the residual check, computed as
-    u^2 x - z P (rho x) - rhs without forming the resolvent matrix."""
+    as a sector's answer fails the residual check."""
     z = np.exp(2j * detuning_phase)
     x = np.empty(rhs.shape, dtype=complex)
     for sector, modes in zip(block.sectors, factors):
         b = rhs[sector.index]
         xs = modes.solve(z, b)
-        resid = (_by_row(block.u_half[sector.index] ** 2, xs) * xs
-                 - z * _by_row(block.parity[sector.index], xs) * _apply(sector.rho, xs) - b)
-        if not float(np.max(np.abs(resid))) <= _RESIDUAL_LIMIT * scale:
+        resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
+        if not resid <= _RESIDUAL_LIMIT * scale:
             return None
         x[sector.index] = xs
     return x
@@ -471,6 +480,7 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
                 f"resolvent of {label} block is singular to working precision "
                 f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
             )
+    z = np.exp(2j * detuning_phase)
     x = np.empty(rhs.shape, dtype=complex)
     for sector, a in zip(block.sectors, matrices):
         b = rhs[sector.index]
@@ -478,7 +488,7 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
             xs = np.linalg.solve(a, b)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
-        resid = float(np.max(np.abs(a @ xs - b)))
+        resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
         if not resid <= _RESIDUAL_LIMIT * scale:
             raise SolverError(
                 f"resolvent solve in {label} block has residual {resid:.2e} against "
@@ -524,20 +534,15 @@ def _hermitian_form(block: OperatorBlock, detuning_phase: float):
     z = np.exp(2j * detuning_phase)
     forms = []
     for sector in block.sectors:
-        u = block.u_half[sector.index]
+        rhs = np.diag(block.u_half[sector.index])
         try:
-            x = np.linalg.solve(_resolvent_matrix(block, sector, detuning_phase), np.diag(u))
+            x = np.linalg.solve(_resolvent_matrix(block, sector, detuning_phase), rhs)
         except np.linalg.LinAlgError:
             return None
-        # A X - diag(u) = u^2 X - z P (rho X) - diag(u): a real rho takes
-        # half the flops of A @ X
-        resid = _apply(sector.rho, x)
-        resid *= -z * block.parity[sector.index, None]
-        resid += (u**2)[:, None] * x
-        resid.reshape(-1)[:: u.size + 1] -= u
-        if not np.all(np.linalg.norm(resid, axis=1) <= _RESIDUAL_LIMIT):
+        if not np.all(np.linalg.norm(_residual(block, sector, z, x, rhs), axis=1)
+                      <= _RESIDUAL_LIMIT):
             return None
-        del resid
+        del rhs
         p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         del x
         tp, tq = sector.tau_sq @ p, sector.tau_sq @ q

@@ -61,10 +61,11 @@ class TestPolarizationFactor:
         cases += [(1.0, 24, 24, d / np.linalg.norm(d))
                   for d in np.random.default_rng(7).normal(size=(3, 3))]
         for edge, n_polar, n_azimuthal, d in cases:
-            grid = build_grid([edge], order_polar=n_polar, order_azimuthal=n_azimuthal)
+            grid = build_grid([edge], order_polar=n_polar)
+            phi_az = 2.0 * math.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
             vals = orientation_weight(DipoleOrientation.along(d), grid.theta[:, None],
-                                      grid.phi_az[None, :])
-            assert grid.integrate(vals) == pytest.approx(1.0, abs=1e-13)
+                                      phi_az[None, :])
+            assert float(np.dot(grid.w_theta, vals.mean(axis=1))) == pytest.approx(1.0, abs=1e-13)
 
 
 class TestOrientationIdentities:
@@ -141,9 +142,11 @@ def _two_kernel_response(point, orientation, geom, phi0):
     out separately (cos 4phi denominator, cos^2 x / sin^2 x weights) and
     evaluated on every direction, with the 2-D polarization weight."""
     axisym = point.on_axis and orientation.is_axisymmetric
-    theta, w, phi_az = ray_integration_nodes(geom, point, True, None, None, axisym)
+    theta, w, phi_az, rho_fwd, rho_back = ray_integration_nodes(
+        geom, point, True, None, None, axisym)
     th2, ph2 = theta[:, None], phi_az[None, :]
-    phi, x, rho1, rho2 = ray_direction_phases(geom, point, phi0, th2, ph2)
+    phi, x = ray_direction_phases(geom, point, phi0, th2, ph2)
+    rho1, rho2 = rho_fwd[:, None], rho_back[:, None]
     pol = orientation_weight(orientation, th2, ph2)
     rr = rho1 * rho2
     c2, s2 = np.cos(x) ** 2, np.sin(x) ** 2
@@ -219,6 +222,43 @@ class TestBlockedPass:
         blocked = response(point, orientation, geom, 0.02)
         assert (blocked.gamma_ratio, blocked.shift_ratio) == (whole.gamma_ratio,
                                                               whole.shift_ratio)
+
+
+class TestUnequalCapSplit:
+    # the reflectivities jump at both caps' edges and at their antipodes; a
+    # polar rule split only at {theta_1, pi - theta_2} leaves a jump inside
+    # a segment, off by several 1e-3 at every order
+    UNEQUAL = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+
+    @pytest.mark.parametrize("phi0", [0.0, 0.01])
+    def test_one_mirror_center_value(self, phi0):
+        # each end of a ray through the centre meets the one cap over a
+        # solid-angle fraction (1 - cos theta)/2, with damping 1 + rho cos 2phi0
+        geom = CavityGeometry(KR, THETA_30PCT, 0.0, 0.98, 0.0)
+        got = enhancement_ray(geom, FieldPoint.origin(), phi0,
+                              aberration=False, diffraction=False).value
+        assert abs(got - (1.0 + 0.3 * 0.98 * math.cos(2.0 * phi0))) <= 1e-14
+
+    def test_unequal_caps_center_value(self):
+        # rays within the narrower cap meet both mirrors, with the resonant
+        # factor A; the annulus between the caps meets mirror 1 alone
+        rho1, rho2 = 0.98, 0.9
+        a = (1.0 + rho1) * (1.0 + rho2) / (1.0 - rho1 * rho2)
+        exact = (1.0 + (1.0 - math.cos(0.6)) * (a - 1.0)
+                 + (math.cos(0.6) - math.cos(0.795)) * rho1)
+        got = enhancement_ray(self.UNEQUAL, FieldPoint.origin(), 0.0,
+                              aberration=False, diffraction=False).value
+        assert abs(got - exact) <= 1e-14
+
+    @pytest.mark.parametrize("k_delta", [0.0, 0.3])
+    @pytest.mark.parametrize("tag", ["parallel", "perpendicular", "isotropic"])
+    def test_default_order_is_converged(self, tag, k_delta):
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta)
+        point, orientation = FieldPoint((3.0, 1.0, 2.0)), DipoleOrientation(tag=tag)
+        default = response(point, orientation, geom, 0.01)
+        fine = response(point, orientation, geom, 0.01, polar_order=512)
+        assert abs(default.gamma_ratio - fine.gamma_ratio) <= 1e-13
+        assert abs(default.shift_ratio - fine.shift_ratio) <= 1e-13
 
 
 class TestValidityWarning:

@@ -20,6 +20,7 @@ RETIRED = (
     "perfect_sphere_frequency", "polarization_factor", "serialize_config",
     "asymptotic_radial_bessel", "bessel_weights", "closed_cavity_mode_sum",
     "intracavity_field_coeffs", "_transmission_operator", "read_table_json",
+    "_ray_reflectivities",
 )
 
 
@@ -51,7 +52,9 @@ def test_test_only_names_are_not_in_the_library():
     # the equal-mirror kernel oracles and the reference routines of
     # tests/oracles.py live with the tests
     assert importlib.util.find_spec("cavityqed.checks") is None
-    members = {AngularGrid: ("integrate_polar",), PVResult: ("converged",),
+    members = {AngularGrid: ("integrate_polar", "integrate", "phi_az", "n_polar",
+                             "n_azimuthal"),
+               PVResult: ("converged",),
                FieldPoint: ("as_array",), AngularFunction: ("block",),
                OperatorBlock: ("dense_rho", "dense_tau_sq", "block_diagonal"),
                HarmonicBasis: ("block_dim",)}

@@ -99,10 +99,10 @@ def _direct_operators(geom, l_max, grid, m):
 def _unsplit_grid(l_max):
     """A hand-built grid split at 1.2 rad, away from both mirror edges of
     the unequal cavity, with its nodes in shuffled order."""
-    g = build_grid([1.2], order_polar=l_max + 30, order_azimuthal=2)
-    order = np.random.default_rng(7).permutation(g.n_polar)
+    g = build_grid([1.2], order_polar=l_max + 30)
+    order = np.random.default_rng(7).permutation(g.theta.size)
     return AngularGrid(theta=g.theta[order], mu=g.mu[order], w_theta=g.w_theta[order],
-                       phi_az=g.phi_az, edges=g.edges)
+                       edges=g.edges)
 
 
 @pytest.fixture(scope="module")
@@ -165,8 +165,7 @@ class TestOperators:
 
     def test_flux_identity_detects_insufficient_quadrature(self, benchmark_geom):
         basis = HarmonicBasis(100)
-        coarse = build_grid([THETA_30PCT, math.pi - THETA_30PCT],
-                            order_polar=24, order_azimuthal=2)
+        coarse = build_grid([THETA_30PCT, math.pi - THETA_30PCT], order_polar=24)
         ops = build_operators(benchmark_geom, basis, coarse, m_values=(0,))
         assert ops.flux_residual > 1e-3
 
