@@ -2,7 +2,9 @@
 
 Subcommands: `run` executes a JSON scenario configuration and `reproduce`
 runs a bundled preset (or lists them). Scan points are evaluated one after
-another, in scan order. The comparison of the closed-form dispersive kernels
+another, in scan order. Each scan kind's executor builds its table and
+declares the plot of it that the `.gp` script draws, naming the columns it
+has just built. The comparison of the closed-form dispersive kernels
 with the principal-value quadrature oracle is the `airy-check` scan kind
 (`reproduce airy-check`, or `run` with `scan.kind = "airy-check"`).
 
@@ -26,6 +28,7 @@ from .airy_shift import airy_lorentzian, pv_shift, pv_shift_cos, pv_shift_sin
 from .io_formats import (
     Column,
     ConfigError,
+    Plot,
     ResultTable,
     ScenarioConfig,
     emit_plot_script,
@@ -67,7 +70,7 @@ def _linspace(r) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# scan executors, one per scan kind: each returns (table, summary_lines)
+# scan executors, one per scan kind: each returns (table, plot, summary_lines)
 
 
 def _exec_detuning_sweep(cfg: ScenarioConfig):
@@ -100,43 +103,46 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
     ]
     table = ResultTable(columns, rows,
                         make_provenance(cfg, ["ray"], {"linewidth_rad": width}))
-    return table, summary
+    plot = Plot("phi0", "detuning phase [rad]", (
+        ("damping ratio", (("gamma_perpendicular", "perpendicular"),
+                           ("gamma_parallel", "parallel"))),
+        ("level-shift ratio", (("shift_perpendicular", "perpendicular"),
+                               ("shift_parallel", "parallel")))))
+    return table, plot, summary
 
 
-def _response_rows(cfg: ScenarioConfig, coords, place):
-    """(coordinate, gamma ratio, shift ratio) rows of cfg.dipole at the
-    points place(coordinate), at the scan's fixed detuning."""
+def _profile(cfg: ScenarioConfig, axis: str, coords, place):
+    """Table and plot of the (axis, gamma ratio, shift ratio) rows of
+    cfg.dipole at the points place(coordinate), at the scan's fixed detuning."""
     rows = []
     for c in coords:
         r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0,
                      polar_order=cfg.numerics.polar_order,
                      azimuthal_order=cfg.numerics.azimuthal_order)
         rows.append((float(c), r.gamma_ratio, r.shift_ratio))
-    return rows
+    columns = (Column(axis, "1/k"), Column("gamma_ratio", "ratio"),
+               Column("shift_ratio", "ratio"))
+    table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
+    plot = Plot(axis, f"{axis} [1/k]", (("damping ratio", (("gamma_ratio", "damping"),)),
+                                        ("level-shift ratio", (("shift_ratio", "shift"),))))
+    return table, plot
 
 
 def _exec_axial_profile(cfg: ScenarioConfig):
-    kzs = _linspace(cfg.scan.kz_range)
-    columns = (Column("kz", "1/k"), Column("gamma_ratio", "ratio"),
-               Column("shift_ratio", "ratio"))
-    rows = _response_rows(cfg, kzs, FieldPoint.axial)
+    table, plot = _profile(cfg, "kz", _linspace(cfg.scan.kz_range), FieldPoint.axial)
+    rows = table.rows
     gammas = [r[1] for r in rows]
     summary = [
         f"gamma ratio at kz={rows[0][0]:g}: {gammas[0]:.4g}",
         f"max gamma ratio {max(gammas):.4g} at kz={rows[int(np.argmax(gammas))][0]:g}",
     ]
-    table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
-    return table, summary
+    return table, plot, summary
 
 
 def _exec_radial_map(cfg: ScenarioConfig):
     kxs = _linspace(cfg.scan.kx_range)
-    columns = (Column("kx", "1/k"), Column("gamma_ratio", "ratio"),
-               Column("shift_ratio", "ratio"))
-    rows = _response_rows(cfg, kxs, FieldPoint.transverse)
-    summary = [f"transverse profile over kx in [{kxs[0]:g}, {kxs[-1]:g}]"]
-    table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
-    return table, summary
+    table, plot = _profile(cfg, "kx", kxs, FieldPoint.transverse)
+    return table, plot, [f"transverse profile over kx in [{kxs[0]:g}, {kxs[-1]:g}]"]
 
 
 def _exec_compare(cfg: ScenarioConfig):
@@ -176,13 +182,14 @@ def _exec_compare(cfg: ScenarioConfig):
         accuracy.update(center_full=full0, center_ray=ray0, center_ray_naive=naive0)
     table = ResultTable(columns, rows, make_provenance(cfg, ["full", "ray", "ray-naive"],
                                                        accuracy))
-    return table, summary
+    plot = Plot("kz", "kz [1/k]", (("vacuum-fluctuation ratio",
+                                    (("enhancement_full", "full operator"),
+                                     ("enhancement_ray", "corrected ray"))),))
+    return table, plot, summary
 
 
 def _exec_defocus_study(cfg: ScenarioConfig):
     geom = cfg.geometry
-    if geom.k_delta == 0.0:
-        raise ConfigError(["defocus-study requires geometry.k_delta != 0"])
     reference = dataclasses.replace(geom, k_delta=0.0)
     point = FieldPoint(cfg.scan.point)
     phis = _linspace(cfg.scan.phi0_range)
@@ -208,7 +215,10 @@ def _exec_defocus_study(cfg: ScenarioConfig):
                         make_provenance(cfg, ["ray"],
                                         {"peak_ratio": ratio,
                                          "peak_shift_rad": rows[i_def][0] - rows[i_ref][0]}))
-    return table, summary
+    plot = Plot("phi0", "detuning phase [rad]", (("vacuum-fluctuation ratio",
+                                                  (("enhancement_reference", "aligned"),
+                                                   ("enhancement_defocused", "defocused"))),))
+    return table, plot, summary
 
 
 def pv_oracle_errors(rho: float, phi: float, num_periods: int):
@@ -258,7 +268,12 @@ def _exec_airy_check(cfg: ScenarioConfig):
     table = ResultTable(columns, rows,
                         make_provenance(cfg, ["closed-form", "pv-oracle"],
                                         {"max_rel_error": worst}))
-    return table, summary
+    plot = Plot("phi", "phase [rad]", (("relative error vs quadrature oracle",
+                                        (("rel_err_shift", "shift kernel"),
+                                         ("rel_err_shift_cos", "cos-weighted"),
+                                         ("rel_err_shift_sin", "sin-weighted"))),),
+                style="points", log_y=True)
+    return table, plot, summary
 
 
 _EXECUTORS = {
@@ -274,7 +289,7 @@ _EXECUTORS = {
 def run_scenario(cfg: ScenarioConfig, out_dir: Path):
     """Execute one scenario and write its table, JSON document and plot
     script into out_dir. Returns the summary lines."""
-    table, summary = _EXECUTORS[cfg.scan.kind](cfg)
+    table, plot, summary = _EXECUTORS[cfg.scan.kind](cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.outputs.basename
     written = []
@@ -283,7 +298,7 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path):
         path.write_bytes(write_table(table, fmt))
         written.append(path.name)
     if cfg.outputs.plot_script and "csv" in cfg.outputs.formats:
-        script = emit_plot_script(table, cfg.scan.kind, f"{base}.csv")
+        script = emit_plot_script(table, plot, f"{base}.csv")
         path = out_dir / f"{base}.gp"
         path.write_text(script)
         written.append(path.name)

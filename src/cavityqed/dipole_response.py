@@ -256,6 +256,14 @@ def one_mirror_response(
     Delta'/Gamma_vac = (rho/2) * <pol * sin(2(k Omega.r + phi))> over the cap,
     with phi the mirror distance phase; both vanish into (1, 0) for rho = 0.
     Spherical aberrations are not included in this single-bounce picture.
+
+    The average weighs only the directions toward the cap, not the opposite
+    ends of the same lines, so the modulation is half that of the cavity
+    routes with one mirror: on CavityGeometry(kR, acos 0.7, 0, 0.8, 0) at
+    the centre, phi = 0, this gives 1.1200 = 1 + (1 - cos theta_m) rho/2,
+    where response with both corrections off gives 1.2400 and
+    enhancement_full 1.2395. Acceptance criterion 10 checks this
+    single-bounce form in its small-angle limit.
     """
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")

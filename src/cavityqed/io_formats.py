@@ -5,7 +5,9 @@ tables carry a provenance block (configuration hash, package version, method
 tags) sufficient to re-run the scenario exactly. CSV output follows RFC 4180
 with units bracketed into the header names and 17-significant-digit floats,
 so every value round-trips bit-exactly. Plot scripts target gnuplot and
-reference the written data file rather than embedding data.
+reference the written data file rather than embedding data; the scan's
+executor declares what its script draws (a Plot, by column names), and
+emit_plot_script renders any Plot the same way.
 
 The dataclasses below are the one statement of the scenario format: each
 JSON key is the name of a field, and each default is the field's default.
@@ -39,12 +41,12 @@ __all__ = [
     "Column",
     "ResultTable",
     "write_table",
+    "Plot",
     "emit_plot_script",
     "SCAN_KINDS",
 ]
 
-# scan kind -> the range it scans (None: the kind scans no range); the
-# kinds are also the plot kinds
+# scan kind -> the range it scans (None: the kind scans no range)
 _KIND_RANGE = {
     "detuning-sweep": "phi0_range",
     "axial-profile": "kz_range",
@@ -262,6 +264,8 @@ def parse_config(text: str) -> ScenarioConfig:
     needed = _KIND_RANGE[kind]
     if needed and needed not in s:
         errors.append(f"scan.{needed}: required for kind {kind!r}")
+    if kind == "defocus-study" and k_delta == 0.0:
+        errors.append("geometry.k_delta: defocus-study requires geometry.k_delta != 0")
 
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(
@@ -359,10 +363,6 @@ class ResultTable:
     def column_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.columns)
 
-    def column(self, name: str) -> list:
-        idx = self.column_names().index(name)
-        return [row[idx] for row in self.rows]
-
 
 def make_provenance(cfg: ScenarioConfig, method_tags, accuracy: dict | None = None) -> dict:
     return {
@@ -410,6 +410,19 @@ def write_table(table: ResultTable, fmt: str) -> bytes:
 # --------------------------------------------------------------------------
 # plot scripts (gnuplot)
 
+
+@dataclass(frozen=True)
+class Plot:
+    """What a table's plot script draws: column x, labelled xlabel, against
+    one panel per y-axis, each a (ylabel, ((column, title), ...)) pair, in
+    one line style, optionally on a logarithmic y-axis."""
+    x: str
+    xlabel: str
+    panels: tuple[tuple[str, tuple[tuple[str, str], ...]], ...]
+    style: str = "lines"
+    log_y: bool = False
+
+
 _GNUPLOT_HEADER = """\
 # gnuplot script generated by cavityqed {version}
 # data: {data}
@@ -419,63 +432,23 @@ set grid
 """
 
 
-def emit_plot_script(table: ResultTable, plot_kind: str, data_filename: str) -> str:
-    """Standalone gnuplot script for a written data file; never embeds data."""
-    if plot_kind not in SCAN_KINDS:
-        raise ValueError(f"unknown plot kind {plot_kind!r}; expected one of {SCAN_KINDS}")
-    names = table.column_names()
-
-    def q(name):
-        if name not in names:
-            raise ValueError(f"table lacks columns {[name]} required by plot kind {plot_kind!r}")
-        return names.index(name) + 1
-
+def emit_plot_script(table: ResultTable, plot: Plot, data_filename: str) -> str:
+    """Standalone gnuplot script that draws plot from a written data file of
+    table; never embeds data. A plot of n > 1 panels is a 1xn multiplot."""
+    index = {name: i + 1 for i, name in enumerate(table.column_names())}
+    x = index[plot.x]
+    multiplot = len(plot.panels) > 1
+    lines = [f"set multiplot layout 1,{len(plot.panels)}"] if multiplot else []
+    lines.append(f"set xlabel '{plot.xlabel}'")
+    for ylabel, series in plot.panels:
+        lines.append(f"set ylabel '{ylabel}'")
+        if plot.log_y:
+            lines.append("set logscale y")
+        curves = [f"every ::1 using {x}:{index[column]} with {plot.style} title '{title}'"
+                  for column, title in series]
+        lines.append(f"plot '{data_filename}' " + ", \\\n     '' ".join(curves))
+    if multiplot:
+        lines.append("unset multiplot")
     head = _GNUPLOT_HEADER.format(version=table.provenance.get("code_version", "?"),
                                   data=data_filename)
-    if plot_kind == "detuning-sweep":
-        body = f"""\
-set multiplot layout 1,2
-set xlabel 'detuning phase [rad]'
-set ylabel 'damping ratio'
-plot '{data_filename}' every ::1 using {q("phi0")}:{q("gamma_perpendicular")} with lines title 'perpendicular', \\
-     '' every ::1 using {q("phi0")}:{q("gamma_parallel")} with lines title 'parallel'
-set ylabel 'level-shift ratio'
-plot '{data_filename}' every ::1 using {q("phi0")}:{q("shift_perpendicular")} with lines title 'perpendicular', \\
-     '' every ::1 using {q("phi0")}:{q("shift_parallel")} with lines title 'parallel'
-unset multiplot
-"""
-    elif plot_kind in ("axial-profile", "radial-map"):
-        axis = "kz" if plot_kind == "axial-profile" else "kx"
-        body = f"""\
-set multiplot layout 1,2
-set xlabel '{axis} [1/k]'
-set ylabel 'damping ratio'
-plot '{data_filename}' every ::1 using {q(axis)}:{q("gamma_ratio")} with lines title 'damping'
-set ylabel 'level-shift ratio'
-plot '{data_filename}' every ::1 using {q(axis)}:{q("shift_ratio")} with lines title 'shift'
-unset multiplot
-"""
-    elif plot_kind == "compare":
-        body = f"""\
-set xlabel 'kz [1/k]'
-set ylabel 'vacuum-fluctuation ratio'
-plot '{data_filename}' every ::1 using {q("kz")}:{q("enhancement_full")} with lines title 'full operator', \\
-     '' every ::1 using {q("kz")}:{q("enhancement_ray")} with lines title 'corrected ray'
-"""
-    elif plot_kind == "defocus-study":
-        body = f"""\
-set xlabel 'detuning phase [rad]'
-set ylabel 'vacuum-fluctuation ratio'
-plot '{data_filename}' every ::1 using {q("phi0")}:{q("enhancement_reference")} with lines title 'aligned', \\
-     '' every ::1 using {q("phi0")}:{q("enhancement_defocused")} with lines title 'defocused'
-"""
-    else:
-        body = f"""\
-set xlabel 'phase [rad]'
-set ylabel 'relative error vs quadrature oracle'
-set logscale y
-plot '{data_filename}' every ::1 using {q("phi")}:{q("rel_err_shift")} with points title 'shift kernel', \\
-     '' every ::1 using {q("phi")}:{q("rel_err_shift_cos")} with points title 'cos-weighted', \\
-     '' every ::1 using {q("phi")}:{q("rel_err_shift_sin")} with points title 'sin-weighted'
-"""
-    return head + body
+    return head + "\n".join(lines) + "\n"

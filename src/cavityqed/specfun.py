@@ -116,7 +116,8 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     l = m + i. Normalization satisfies (1/2) * int_{-1}^{1} P_lm(x)^2 dx = 1,
     matching the unit-mean-square harmonics; the Condon-Shortley sign is
     included. The three-term recurrence in l at fixed m is stable to degrees
-    of at least several hundred.
+    of at least several hundred. The array is a transposed view, in Fortran
+    order, of the recurrence's [l, m, point] storage.
     """
     if m < 0:
         raise ValueError(f"m must be nonnegative here, got {m}")
@@ -125,27 +126,14 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.ndim != 1:
         raise ValueError("x must be one-dimensional")
-    n = l_max - m + 1
-    out = np.zeros((x.size, n))
-    u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    pmm = np.ones_like(x)
-    for k in range(1, m + 1):
-        pmm = -u * math.sqrt((2 * k + 1) / (2 * k)) * pmm
-    out[:, 0] = pmm
-    if n > 1:
-        out[:, 1] = math.sqrt(2 * m + 3) * x * pmm
-    for l in range(m + 2, l_max + 1):
-        a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
-        b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-        out[:, l - m] = a * (x * out[:, l - m - 1] - b * out[:, l - m - 2])
-    return out
+    return _legendre(l_max, m, m, x)[:, 0].T
 
 
 @functools.lru_cache(maxsize=4)
 def _column_coefficients(l_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The recurrence coefficients a and b of legendre_table for each
-    l = 2..l_max, as rows over m = 0..l-2, computed once per l_max."""
-    m_sq = np.arange(l_max) ** 2
+    """The coefficients a and b of the recurrence in l for each l = 2..l_max,
+    as columns over m = 0..l-2, computed once per l_max."""
+    m_sq = np.arange(l_max)[:, None] ** 2
     rows = []
     for l in range(2, l_max + 1):
         mm = m_sq[: l - 1]
@@ -154,6 +142,42 @@ def _column_coefficients(l_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...
         a.flags.writeable = b.flags.writeable = False
         rows.append((a, b))
     return tuple(rows)
+
+
+def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
+    """P_lm(x) for every m = m_lo..m_hi <= l_max at every point of x: entry
+    [l - m_lo, m - m_lo, i] is P_lm(x[i]) for l >= m, zero for l < m.
+
+    P_mm is the running product over k = 1..m of -sqrt(1 - x^2) times
+    sqrt((2k+1)/2k), P_{m+1,m} = sqrt(2m+3) x P_mm, and every later l is one
+    step of P_lm = a (x P_{l-1,m} - b P_{l-2,m}) for all m and x at once.
+    """
+    n_m = m_hi - m_lo + 1
+    out = np.zeros((l_max - m_lo + 1, n_m, x.size))
+    k = np.arange(1, m_hi + 1)
+    s = np.sqrt((2 * k + 1) / (2 * k))
+    neg_u = -np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    # P_mm for m = m_lo..m_hi: the product up to m_lo one k at a time, which
+    # keeps a single row, then the running product over the range
+    p_mm = np.ones(x.size)
+    for factor in s[:m_lo]:
+        p_mm = neg_u * factor * p_mm
+    diag = np.empty((n_m, x.size))
+    diag[0] = p_mm
+    np.multiply(s[m_lo:, None], neg_u, out=diag[1:])
+    np.cumprod(diag, axis=0, out=diag)
+    j = np.arange(n_m)
+    out[j, j] = diag
+    j = j[: l_max - m_lo]  # the m < l_max, which have a row l = m + 1
+    out[j + 1, j] = np.sqrt(2 * (m_lo + j) + 3)[:, None] * x * diag[j]
+    mul, sub = np.multiply, np.subtract
+    for l, (a, b) in enumerate(_column_coefficients(l_max)[m_lo:], start=m_lo + 2):
+        r, w = l - m_lo, min(l - 1 - m_lo, n_m)  # the m < l - 1 are w columns
+        row = out[r, :w]
+        mul(x, out[r - 1, :w], out=row)
+        sub(row, mul(b[m_lo: m_lo + w], out[r - 2, :w]), out=row)
+        mul(a[m_lo: m_lo + w], row, out=row)
+    return out
 
 
 @functools.lru_cache(maxsize=4)
@@ -167,28 +191,6 @@ def _lower_triangle(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for a in (l_of, m_of, offsets):
         a.flags.writeable = False
     return l_of, m_of, offsets
-
-
-def _legendre_column(l_max: int, x: float) -> np.ndarray:
-    """Normalized associated Legendre values at one point x for every m at
-    once: entry [l, m] is P_lm(x) for l >= m, zero above the diagonal.
-
-    Runs the recurrence of legendre_table vectorised over m, one loop over l,
-    with the same operations in the same order, so column m from row m on
-    equals legendre_table(l_max, m, [x])[0] bit for bit.
-    """
-    out = np.zeros((l_max + 1, l_max + 1))
-    u = math.sqrt(max(0.0, 1.0 - x * x))
-    pmm = 1.0
-    out[0, 0] = pmm
-    for k in range(1, l_max + 1):
-        pmm = -u * math.sqrt((2 * k + 1) / (2 * k)) * pmm
-        out[k, k] = pmm
-    ms = np.arange(l_max)
-    out[ms + 1, ms] = np.sqrt(2 * ms + 3) * x * out[ms, ms]
-    for l, (a, b) in enumerate(_column_coefficients(l_max), start=2):
-        out[l, : l - 1] = a * (x * out[l - 1, : l - 1] - b * out[l - 2, : l - 1])
-    return out
 
 
 def plane_wave_coeffs(
@@ -237,7 +239,7 @@ def plane_wave_coeffs(
         # column m - 1, so that each block is a slice of one array
         l_of, m_of, offsets = _lower_triangle(l_max)
         ms = np.arange(l_max + 1)
-        ylm_dir = _legendre_column(l_max, math.cos(theta_r))[l_of, m_of]
+        ylm_dir = _legendre(l_max, 0, l_max, np.array([math.cos(theta_r)]))[l_of, m_of, 0]
         ylm_dir = ylm_dir * np.exp(1j * ms * phi_r)[m_of]
         pref_of = pref[l_of]
         positive = np.conj(ylm_dir)

@@ -50,6 +50,26 @@ def bessel_weights(l_max: int, kr: float) -> np.ndarray:
     return (math.pi / 2.0) * (2 * ls + 1) * u**2
 
 
+def scalar_legendre(l_max: int, m: int, x: float) -> list[float]:
+    """P_lm(x) for l = m..l_max by the three-term recurrence in l, one point
+    and one m at a time on Python floats, in the order of operations that
+    specfun states: P_mm = (-u s_m) P_{m-1,m-1} with u = sqrt(1 - x^2) and
+    s_k = sqrt((2k+1)/2k), P_{m+1,m} = (sqrt(2m+3) x) P_mm, and
+    P_lm = a (x P_{l-1,m} - b P_{l-2,m})."""
+    u = math.sqrt(max(0.0, 1.0 - x * x))
+    pmm = 1.0
+    for k in range(1, m + 1):
+        pmm = -u * math.sqrt((2 * k + 1) / (2 * k)) * pmm
+    out = [pmm]
+    if l_max > m:
+        out.append(math.sqrt(2 * m + 3) * x * pmm)
+    for l in range(m + 2, l_max + 1):
+        a = math.sqrt((4 * l * l - 1) / (l * l - m * m))
+        b = math.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+        out.append(a * (x * out[-1] - b * out[-2]))
+    return out
+
+
 def closed_cavity_mode_sum(
     rho: float,
     kr: float,

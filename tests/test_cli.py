@@ -1,12 +1,14 @@
+import csv
 import dataclasses
 import json
 import math
+import re
 import subprocess
 import sys
 
 import pytest
 
-from cavityqed import cli
+from cavityqed import __version__, cli
 from cavityqed.io_formats import SCAN_KINDS
 from cavityqed.presets import PRESETS, preset_config
 from oracles import read_table_json
@@ -51,6 +53,21 @@ def _write_config(tmp_path, doc):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+def _run_tiny(tmp_path, kind):
+    """Run the tiny scenario of a scan kind into tmp_path/out, basename tiny."""
+    # defocus-study needs a defocused cavity
+    k_delta = 0.3 if kind == "defocus-study" else 0.0
+    doc = {
+        "geometry": dict(TINY_SCENARIO["geometry"], k_delta=k_delta),
+        "scan": dict(TINY_SCANS[kind], kind=kind),
+        "numerics": {"l_max": 40},
+        "outputs": {"basename": "tiny"},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    return tmp_path / "out"
 
 
 class TestPresets:
@@ -160,18 +177,9 @@ class TestRun:
 
     @pytest.mark.parametrize("kind", SCAN_KINDS)
     def test_every_scan_kind_runs(self, tmp_path, kind):
-        # defocus-study needs a defocused cavity; its .gp checks its columns
-        k_delta = 0.3 if kind == "defocus-study" else 0.0
-        doc = {
-            "geometry": dict(TINY_SCENARIO["geometry"], k_delta=k_delta),
-            "scan": dict(TINY_SCANS[kind], kind=kind),
-            "numerics": {"l_max": 40},
-            "outputs": {"basename": "tiny"},
-        }
-        cfg = _write_config(tmp_path, doc)
-        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        out = _run_tiny(tmp_path, kind)
         for suffix in (".csv", ".json", ".gp"):
-            assert (tmp_path / "out" / f"tiny{suffix}").exists()
+            assert (out / f"tiny{suffix}").exists()
 
     def test_defocus_study_honours_azimuthal_order(self, tmp_path, monkeypatch):
         # the azimuthal node count of every ray evaluation shows the order
@@ -232,6 +240,58 @@ class TestRun:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
 
+# the exact scripts of two scans: a two-panel multiplot, and points on a log y-axis
+PINNED_SCRIPTS = {
+    "detuning-sweep": f"""\
+# gnuplot script generated by cavityqed {__version__}
+# data: tiny.csv
+set datafile separator ','
+set key autotitle columnhead
+set grid
+set multiplot layout 1,2
+set xlabel 'detuning phase [rad]'
+set ylabel 'damping ratio'
+plot 'tiny.csv' every ::1 using 1:5 with lines title 'perpendicular', \\
+     '' every ::1 using 1:3 with lines title 'parallel'
+set ylabel 'level-shift ratio'
+plot 'tiny.csv' every ::1 using 1:6 with lines title 'perpendicular', \\
+     '' every ::1 using 1:4 with lines title 'parallel'
+unset multiplot
+""",
+    "airy-check": f"""\
+# gnuplot script generated by cavityqed {__version__}
+# data: tiny.csv
+set datafile separator ','
+set key autotitle columnhead
+set grid
+set xlabel 'phase [rad]'
+set ylabel 'relative error vs quadrature oracle'
+set logscale y
+plot 'tiny.csv' every ::1 using 2:4 with points title 'shift kernel', \\
+     '' every ::1 using 2:6 with points title 'cos-weighted', \\
+     '' every ::1 using 2:8 with points title 'sin-weighted'
+""",
+}
+
+
+class TestPlotScripts:
+    @pytest.mark.parametrize("kind", sorted(PINNED_SCRIPTS))
+    def test_script_bytes_pinned(self, tmp_path, kind):
+        out = _run_tiny(tmp_path, kind)
+        assert (out / "tiny.gp").read_text() == PINNED_SCRIPTS[kind]
+
+    @pytest.mark.parametrize("kind", SCAN_KINDS)
+    def test_every_plotted_column_is_in_the_csv(self, tmp_path, kind):
+        out = _run_tiny(tmp_path, kind)
+        with open(out / "tiny.csv", newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+        pairs = re.findall(r"using (\d+):(\d+)", (out / "tiny.gp").read_text())
+        assert pairs
+        for x, y in pairs:
+            assert 1 <= int(x) <= len(header) and 1 <= int(y) <= len(header)
+            assert x != y
+
+
 class TestOtherCommands:
     def test_airy_check_single_rho(self, tmp_path, capsys):
         cfg = _write_config(tmp_path, AIRY_SCENARIO)
@@ -247,8 +307,9 @@ class TestOtherCommands:
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
         assert f"2 reflectivities x {phase_count} phases" in capsys.readouterr().out
         table = read_table_json((tmp_path / "out" / "airy.json").read_bytes())
-        phis = table.column("phi")
-        assert table.column("rho") == [0.5] * phase_count + [0.9] * phase_count
+        rhos = [row[0] for row in table.rows]  # columns rho, phi, ...
+        phis = [row[1] for row in table.rows]
+        assert rhos == [0.5] * phase_count + [0.9] * phase_count
         assert phis[:phase_count] == phis[phase_count:]
         assert len(set(phis[:phase_count])) == phase_count
 
@@ -272,8 +333,9 @@ class TestOtherCommands:
         table = read_table_json((tmp_path / "out" / "airy.json").read_bytes())
         assert all(math.isfinite(v) for row in table.rows for v in row)
         # the plain kernel vanishes at rho = 0; its error there is absolute
-        assert table.column("shift_closed") == [0.0, 0.0]
-        assert max(table.column("rel_err_shift")) < 1e-12
+        # columns rho, phi, shift_closed, rel_err_shift, ...
+        assert [row[2] for row in table.rows] == [0.0, 0.0]
+        assert max(row[3] for row in table.rows) < 1e-12
 
     def test_module_entry_point(self):
         proc = subprocess.run(

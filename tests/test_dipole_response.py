@@ -437,6 +437,19 @@ class TestOneMirror:
         ratio = mod_coeff("perpendicular") / mod_coeff("isotropic")
         assert ratio == pytest.approx(1.5, abs=0.02)
 
+    @pytest.mark.parametrize("phi0", [0.0, 0.3])
+    def test_center_modulation_is_half_the_cavity_routes(self, phi0):
+        # the average weighs only the directions toward the cap; the cavity
+        # routes with the same single mirror count both ends of each line
+        theta_m, rho = math.acos(0.7), 0.8
+        modulation = (1.0 - math.cos(theta_m)) * rho * math.cos(2.0 * phi0)
+        single = one_mirror_response(FieldPoint.origin(), DipoleOrientation.isotropic(),
+                                     rho, phi0, theta_m).gamma_ratio
+        cavity = enhancement_ray(CavityGeometry(KR, theta_m, 0.0, rho, 0.0), FieldPoint.origin(),
+                                 phi0, aberration=False, diffraction=False).value
+        assert abs(single - (1.0 + modulation / 2.0)) <= 1e-14
+        assert abs(cavity - (1.0 + modulation)) <= 1e-14
+
     def test_validation(self):
         with pytest.raises(ValueError):
             one_mirror_response(FieldPoint.origin(), DipoleOrientation.isotropic(), 1.0, 0.0, 0.5)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import warnings
@@ -12,6 +13,7 @@ from cavityqed.io_formats import (
     SCAN_KINDS,
     Column,
     ConfigError,
+    Plot,
     ResultTable,
     config_hash,
     config_to_dict,
@@ -80,6 +82,19 @@ class TestParseConfig:
         text = str(err.value)
         for frag in ("rho1", "k_radius", "scan.kind", "l_max"):
             assert frag in text
+
+    def test_defocus_study_without_defocus_collected_with_the_rest(self):
+        doc = {"scan": {"kind": "defocus-study",
+                        "phi0_range": {"start": -0.1, "stop": 0.1, "count": 3}},
+               "numerics": {"l_max": -1}}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert sorted(v.split(":")[0] for v in err.value.violations) == [
+            "geometry.k_delta", "numerics.l_max"]
+        doc["geometry"] = {"k_delta": 0.3}
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(doc))
+        assert [v.split(":")[0] for v in err.value.violations] == ["numerics.l_max"]
 
     def test_missing_required_range(self):
         with pytest.raises(ConfigError, match="kz_range"):
@@ -415,30 +430,29 @@ class TestResultTable:
             write_table(_table(), "parquet")
 
 
+COMPARE_PLOT = Plot("kz", "kz [1/k]", (("vacuum-fluctuation ratio",
+                                         (("enhancement_full", "full operator"),
+                                          ("enhancement_ray", "corrected ray"))),))
+
 class TestPlotScripts:
     def test_compare_overlay(self):
         cfg = parse_config(BENCHMARK_CONFIG)
         cols = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
                 Column("enhancement_ray", "ratio"))
         t = ResultTable(cols, [(0.0, 29.29, 29.30)], make_provenance(cfg, ["full", "ray"]))
-        script = emit_plot_script(t, "compare", "benchmark.csv")
+        script = emit_plot_script(t, COMPARE_PLOT, "benchmark.csv")
         assert "benchmark.csv" in script
         assert "full operator" in script and "corrected ray" in script
         assert "29.29" not in script  # data is referenced, never embedded
 
-    def test_detuning_dual_panel(self):
+    def test_two_panels_are_a_multiplot(self):
         cfg = parse_config(BENCHMARK_CONFIG)
-        cols = tuple(Column(n) for n in
-                     ("phi0", "gamma_parallel", "gamma_perpendicular",
-                      "shift_parallel", "shift_perpendicular"))
+        cols = tuple(Column(n) for n in ("phi0", "gamma", "shift"))
         t = ResultTable(cols, [], make_provenance(cfg, ["ray"]))
-        script = emit_plot_script(t, "detuning-sweep", "d.csv")
+        plot = Plot("phi0", "phase", (("damping", (("gamma", "g"),)),
+                                      ("shift", (("shift", "s"),))))
+        script = emit_plot_script(t, plot, "d.csv")
         assert "multiplot layout 1,2" in script
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="plot kind"):
-            emit_plot_script(_table(), "hexbin", "x.csv")
-
-    def test_column_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="lacks columns"):
-            emit_plot_script(_table(), "compare", "x.csv")
+        assert script.count("plot 'd.csv'") == 2
+        assert "multiplot" not in emit_plot_script(t, dataclasses.replace(
+            plot, panels=plot.panels[:1]), "d.csv")

@@ -10,6 +10,7 @@ import pkgutil
 from pathlib import Path
 
 import cavityqed
+from cavityqed.io_formats import ResultTable
 from cavityqed.quadrature import AngularGrid, PVResult
 from cavityqed.structures import AngularFunction, FieldPoint, HarmonicBasis
 from cavityqed.wave_ops import OperatorBlock
@@ -20,7 +21,7 @@ RETIRED = (
     "perfect_sphere_frequency", "polarization_factor", "serialize_config",
     "asymptotic_radial_bessel", "bessel_weights", "closed_cavity_mode_sum",
     "intracavity_field_coeffs", "_transmission_operator", "read_table_json",
-    "_ray_reflectivities",
+    "_ray_reflectivities", "_legendre_column",
 )
 
 
@@ -57,7 +58,7 @@ def test_test_only_names_are_not_in_the_library():
                PVResult: ("converged",),
                FieldPoint: ("as_array",), AngularFunction: ("block",),
                OperatorBlock: ("dense_rho", "dense_tau_sq", "block_diagonal"),
-               HarmonicBasis: ("block_dim",)}
+               HarmonicBasis: ("block_dim",), ResultTable: ("column",)}
     assert [f"{cls.__name__}.{name}" for cls, names in members.items()
             for name in names if hasattr(cls, name)] == []
     found = [f"{module.__name__}.{name}" for module in _modules() for name in RETIRED

@@ -6,13 +6,13 @@ import pytest
 from cavityqed.quadrature import build_grid
 from cavityqed.specfun import (
     SQRT_2_OVER_PI,
-    _legendre_column,
+    _legendre,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
 )
 from cavityqed.structures import FieldPoint, TruncationWarning
-from oracles import asymptotic_radial_bessel, bessel_weights
+from oracles import asymptotic_radial_bessel, bessel_weights, scalar_legendre
 
 # High-precision oracle values, frozen from 40-digit arithmetic:
 #   import mpmath as mp; mp.mp.dps = 40
@@ -215,16 +215,31 @@ class TestSphericalHarmonics:
             legendre_table(2, -1, [0.5])
 
 
-class TestLegendreColumn:
-    @pytest.mark.parametrize("l_max", [0, 1, 2, 150])
-    @pytest.mark.parametrize("x", [-1.0, -0.7, 0.0, 0.31, 1.0])
-    def test_rows_equal_legendre_table_bitwise(self, x, l_max):
-        # the poles x = +-1 (u = 0) included
-        column = _legendre_column(l_max, x)
-        assert column.shape == (l_max + 1, l_max + 1)
-        for m in range(l_max + 1):
-            assert np.array_equal(column[m:, m], legendre_table(l_max, m, [x])[0])
-            assert not np.any(column[:m, m])
+# the poles x = +-1, where u = 0, included
+LEGENDRE_POINTS = np.array([-1.0, -0.999999, -0.7, 0.0, 1e-9, 0.31, 0.93, 1.0 - 1e-12, 1.0])
+
+
+class TestLegendreRecurrence:
+    @pytest.mark.parametrize("l_max, ms", [(0, None), (1, None), (2, None), (60, None),
+                                           (150, None), (400, range(0, 401, 19)),
+                                           (1000, (0, 1, 2, 499, 998, 999, 1000))])
+    def test_table_equals_the_scalar_recurrence_bitwise(self, l_max, ms):
+        for m in range(l_max + 1) if ms is None else ms:
+            table = legendre_table(l_max, m, LEGENDRE_POINTS)
+            assert table.shape == (LEGENDRE_POINTS.size, l_max - m + 1)
+            for row, x in zip(table, LEGENDRE_POINTS):
+                assert row.tobytes() == np.array(scalar_legendre(l_max, m, x)).tobytes()
+
+    @pytest.mark.parametrize("l_max, m_lo, m_hi", [(0, 0, 0), (2, 0, 2), (40, 0, 40),
+                                                   (40, 7, 19), (40, 33, 40)])
+    def test_a_range_of_m_equals_each_m_bitwise(self, l_max, m_lo, m_hi):
+        p = _legendre(l_max, m_lo, m_hi, LEGENDRE_POINTS)
+        assert p.shape == (l_max - m_lo + 1, m_hi - m_lo + 1, LEGENDRE_POINTS.size)
+        for m in range(m_lo, m_hi + 1):
+            column = p[:, m - m_lo].T
+            assert column[:, m - m_lo:].tobytes() == legendre_table(
+                l_max, m, LEGENDRE_POINTS).tobytes()
+            assert not np.any(column[:, : m - m_lo])
 
 
 class TestPlaneWaveCoeffs:
