@@ -48,8 +48,6 @@ from .wave_ops import (  # noqa: E402,F401
     operator_grid,
 )
 from .dipole_response import (  # noqa: E402,F401
-    center_closed_forms,
     enhancement_ray,
-    one_mirror_response,
     response,
 )

@@ -221,7 +221,7 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     return table, plot, summary
 
 
-def pv_oracle_errors(rho: float, phi: float, num_periods: int):
+def pv_oracle_errors(rho: float, phi: float):
     """Closed-form shift kernels at (rho, phi) against the principal-value
     quadrature oracle. Returns ((value, relative error), ...) for the plain,
     cos-weighted and sin-weighted kernels, in that order; where a closed
@@ -240,8 +240,7 @@ def pv_oracle_errors(rho: float, phi: float, num_periods: int):
     )
     out = []
     for kernel, closed, period, refine in cases:
-        got = pv_integrate(kernel, period=period, num_periods=num_periods,
-                           refine_points=refine, tol=1e-6)
+        got = pv_integrate(kernel, period=period, refine_points=refine)
         ref = float(closed(phi, rho))
         out.append((ref, abs(got.value - ref) / (abs(ref) or 1.0)))
     return tuple(out)
@@ -260,7 +259,7 @@ def _exec_airy_check(cfg: ScenarioConfig):
     rows = []
     for rho in rhos:
         for phi in phis:
-            (v1, e1), (v2, e2), (v3, e3) = pv_oracle_errors(rho, float(phi), 2048)
+            (v1, e1), (v2, e2), (v3, e3) = pv_oracle_errors(rho, float(phi))
             rows.append((rho, float(phi), v1, e1, v2, e2, v3, e3))
     worst = max(max(r[3], r[5], r[7]) for r in rows)
     summary = [f"max relative error of the closed forms vs the quadrature oracle: {worst:.2e}",

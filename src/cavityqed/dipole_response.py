@@ -8,11 +8,14 @@ principal-value frequency transform of the resonance line. Directions
 missing the mirrors contribute free vacuum to the damping and nothing to
 the shift, so both results reduce to (1, 0) without mirrors.
 
-response is the one angular quadrature of the ray route. It forms both
-kernels in one pass (ray_model._ray_kernels) and only on the polar rows
-whose rays meet a mirror, in blocks of a bounded number of directions.
-The ray-model vacuum-fluctuation ratio, enhancement_ray, is its damping
-ratio for an isotropic dipole, whose weight is 1 in every direction.
+response is the one angular quadrature of the ray route, and it always
+applies both ray corrections (aberration phase and diffraction-shrunk
+apertures). It forms both kernels in one pass (ray_model._ray_kernels) and
+only on the polar rows whose rays meet a mirror, in blocks of a bounded
+number of directions. The ray-model vacuum-fluctuation ratio,
+enhancement_ray, is its damping ratio for an isotropic dipole, whose weight
+is 1 in every direction; only enhancement_ray can switch the corrections
+off, for the naive geometric-ray value.
 """
 
 from __future__ import annotations
@@ -22,10 +25,8 @@ import warnings
 
 import numpy as np
 
-from .quadrature import polar_rule
 from .ray_model import (  # noqa: F401 (airy_resonance_factor: perfbench/tracing.py wraps it here)
     RAY_VALIDITY_KR,
-    _auto_azimuthal_order,
     _ray_kernels,
     airy_resonance_factor,
     ray_direction_phases,
@@ -45,8 +46,6 @@ __all__ = [
     "shift_kernel",
     "response",
     "enhancement_ray",
-    "center_closed_forms",
-    "one_mirror_response",
 ]
 
 # directions per block of polar rows: the ray kernel's temporaries stay a few
@@ -96,19 +95,19 @@ def response(
     geom: CavityGeometry,
     phi0: float,
     *,
-    aberration: bool = True,
-    diffraction: bool = True,
     polar_order: int | None = None,
     azimuthal_order: int | None = None,
 ) -> ResponseResult:
     """Damping-rate and level-shift ratios by angular quadrature of the
-    polarization weight times the ray kernels.
+    polarization weight times the ray kernels, with both corrections of
+    the ray route applied: the spherical-aberration phase and the apertures
+    shrunk by the diffraction losses at the mirror edges (see ray_model).
+    Only enhancement_ray can switch them off.
 
     The damping samples airy_resonance_factor and the shift samples
     shift_kernel. Both are the general two-mirror kernels, so unequal
-    mirrors, unequal apertures and defocus are handled. With both
-    corrections off the ray kernels are the naive geometric-ray ones. The
-    model is validated for kr up to RAY_VALIDITY_KR; beyond that a
+    mirrors, unequal apertures and defocus are handled. The model is
+    validated for kr up to RAY_VALIDITY_KR; beyond that a
     ValidityWarning is issued. A non-finite phi0 raises ValueError.
 
     Both kernels come from one evaluation per direction, made only on the
@@ -118,8 +117,7 @@ def response(
     2**17 directions, so the peak memory does not grow with the
     quadrature orders, and the result does not depend on the block size.
     """
-    return _response(point, orientation, geom, phi0, aberration, diffraction,
-                     polar_order, azimuthal_order)
+    return _response(point, orientation, geom, phi0, True, True, polar_order, azimuthal_order)
 
 
 def _response(point, orientation, geom, phi0, aberration, diffraction,
@@ -197,97 +195,3 @@ def enhancement_ray(
                   aberration, diffraction, polar_order, azimuthal_order)
     tag = "ray" if (aberration or diffraction) else "ray-naive"
     return EnhancementResult(value=r.gamma_ratio, method=tag, detail=r.detail)
-
-
-def center_closed_forms(
-    orientation: DipoleOrientation, theta_m: float, rho: float, phi0: float
-) -> ResponseResult:
-    """Exact closed forms at the center of a symmetric cavity.
-
-    The solid-angle fractions are those of the two caps; the resonance and
-    dispersive factors are evaluated at the detuning phi0. The three tags
-    satisfy (parallel + 2*perpendicular)/3 = isotropic identically. The
-    resonance denominator |1 - rho e^{2i phi0}|^2 is written as
-    (1 - rho)^2 + 4 rho sin^2(phi0) and the transmission 1 - rho^2 as
-    (1 - rho)(1 + rho), so that neither loses digits to cancellation near
-    a resonance.
-    """
-    if orientation.tag is None:
-        raise ValueError("center closed forms are defined for orientation tags")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    c = math.cos(theta_m)
-    s2 = math.sin(theta_m) ** 2
-    t = (1.0 - rho) * (1.0 + rho)
-    d_minus = (1.0 - rho) ** 2 + 4.0 * rho * math.sin(phi0) ** 2
-    airy = t / d_minus
-    disp = rho * math.sin(2.0 * phi0) / d_minus
-    cav = 1.0 - c
-    if orientation.tag == "parallel":
-        w_vac = c * (1.0 + s2 / 2.0)
-        w_cav = cav * (1.0 - c * (1.0 + c) / 2.0)
-    elif orientation.tag == "perpendicular":
-        w_vac = c * (1.0 - s2 / 4.0)
-        w_cav = cav * (1.0 + c * (1.0 + c) / 4.0)
-    else:
-        w_vac = c
-        w_cav = cav
-    return ResponseResult(
-        gamma_ratio=w_vac + w_cav * airy,
-        shift_ratio=w_cav * disp,
-        method="center-closed-form",
-        detail={"orientation": orientation.tag},
-    )
-
-
-def one_mirror_response(
-    point: FieldPoint,
-    orientation: DipoleOrientation,
-    rho: float,
-    phi: float,
-    theta_m: float,
-    *,
-    polar_order: int | None = None,
-    azimuthal_order: int | None = None,
-) -> ResponseResult:
-    """Response in front of a single spherical mirror cap (no resonator).
-
-    Gamma/Gamma_vac = 1 + rho * <pol * cos(2(k Omega.r + phi))> over the cap,
-    Delta'/Gamma_vac = (rho/2) * <pol * sin(2(k Omega.r + phi))> over the cap,
-    with phi the mirror distance phase; both vanish into (1, 0) for rho = 0.
-    Spherical aberrations are not included in this single-bounce picture.
-
-    The average weighs only the directions toward the cap, not the opposite
-    ends of the same lines, so the modulation is half that of the cavity
-    routes with one mirror: on CavityGeometry(kR, acos 0.7, 0, 0.8, 0) at
-    the centre, phi = 0, this gives 1.1200 = 1 + (1 - cos theta_m) rho/2,
-    where response with both corrections off gives 1.2400 and
-    enhancement_full 1.2395. Acceptance criterion 10 checks this
-    single-bounce form in its small-angle limit.
-    """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if not 0.0 < theta_m <= math.pi / 2:
-        raise ValueError(f"theta_m must lie in (0, pi/2], got {theta_m}")
-    order = max(polar_order or 48, 24 + int(1.2 * point.kr * theta_m))
-    # the cap mu in [cos(theta_m), 1] is the last segment of the split rule
-    mu, w = (part[-order:] for part in polar_rule([theta_m], order))
-    theta = np.arccos(np.clip(mu, -1.0, 1.0))
-    axisym = point.on_axis and orientation.is_axisymmetric
-    if axisym:
-        phi_az = np.zeros(1)
-    else:
-        n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
-        phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-    th2, ph2 = theta[:, None], phi_az[None, :]
-    kx, ky, kz = point.kvec
-    x = kz * np.cos(th2) + np.sin(th2) * (kx * np.cos(ph2) + ky * np.sin(ph2))
-    pol = orientation_weight(orientation, th2, ph2)
-    gamma = 1.0 + rho * float(np.dot(w, (pol * np.cos(2.0 * (x + phi))).mean(axis=1)))
-    shift = 0.5 * rho * float(np.dot(w, (pol * np.sin(2.0 * (x + phi))).mean(axis=1)))
-    return ResponseResult(
-        gamma_ratio=gamma,
-        shift_ratio=shift,
-        method="one-mirror",
-        detail={"theta_m": theta_m, "orientation": orientation.label()},
-    )

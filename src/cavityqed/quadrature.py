@@ -11,6 +11,8 @@ the three-term Legendre recurrence started from Tricomi's asymptotic nodes
 (Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013), and cached per
 order. Importing this module therefore loads no scipy module; only
 pv_integrate imports scipy.special, for digamma, when it is called.
+pv_integrate runs one fixed configuration, the one the airy-check scan
+runs; only the period and the refine points are arguments.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = [
 
 
 class PVConvergenceError(RuntimeError):
-    """Principal-value integral failed to reach the requested tolerance."""
+    """Principal-value integral failed to reach its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -144,16 +146,23 @@ def build_grid(theta_edges, order_polar: int) -> AngularGrid:
 class PVResult:
     value: float
     error: float
-    periods: int
     n_nodes: int
 
 
-def _pv_panels(period, subpanels, refine_points, refine_levels):
-    edges = set(np.linspace(0.0, period, subpanels + 1))
+# the one configuration of pv_integrate (see its docstring)
+_PV_PERIODS = 2048
+_PV_ORDER = 16
+_PV_SUBPANELS = 8
+_PV_REFINE_LEVELS = 14
+_PV_TOL = 1e-6
+
+
+def _pv_panels(period, refine_points):
+    edges = set(np.linspace(0.0, period, _PV_SUBPANELS + 1))
     for p in refine_points:
         p = p % period
-        h = period / subpanels / 2.0
-        for _ in range(refine_levels):
+        h = period / _PV_SUBPANELS / 2.0
+        for _ in range(_PV_REFINE_LEVELS):
             for e in (p - h, p + h):
                 if 0.0 < e < period:
                     edges.add(e)
@@ -163,39 +172,30 @@ def _pv_panels(period, subpanels, refine_points, refine_levels):
     return np.array(sorted(edges))
 
 
-def pv_integrate(
-    kernel,
-    *,
-    period: float = math.pi,
-    num_periods: int = 4096,
-    order: int = 16,
-    subpanels: int = 8,
-    refine_points=(),
-    refine_levels: int = 14,
-    tol: float | None = None,
-) -> PVResult:
+def pv_integrate(kernel, *, period: float = math.pi, refine_points=()) -> PVResult:
     """Principal value of the integral of kernel(d)/d over the real line.
 
     kernel must be a vectorized function periodic with the given period and
     with zero mean over one period (both hold for resonance-line kernels).
     The pole at d = 0 is removed by the odd-part pairing
-    (kernel(d) - kernel(-d))/d, the first period is integrated with
-    Gauss-Legendre panels (geometrically refined toward the caller-supplied
-    refine_points, e.g. resonance peaks), and every later period reuses the
-    same kernel values reweighted by 1/(d + n*period); the reweighted sums
-    over the first N periods are evaluated in closed form through digamma
-    differences. Partial sums converge like 1/N in the period count and are
-    accelerated by two Richardson extrapolation levels on a doubling ladder.
+    (kernel(d) - kernel(-d))/d, the first period is split into 8 panels,
+    halved 14 times toward each of the caller-supplied refine_points (e.g.
+    resonance peaks), and integrated with a 16-node Gauss-Legendre rule per
+    panel, and every later period reuses the same kernel values reweighted by
+    1/(d + n*period); the reweighted sums over the first N periods are
+    evaluated in closed form through digamma differences. Partial sums
+    converge like 1/N in the period count and are accelerated by two
+    Richardson extrapolation levels on the doubling ladder 256, 512, 1024,
+    2048 periods. This is the one configuration that the airy-check scan
+    runs.
 
-    Raises PVConvergenceError when tol is given and the error estimate,
-    relative to max(1, |value|), exceeds it.
+    Raises PVConvergenceError when the error estimate, relative to
+    max(1, |value|), exceeds 1e-6.
     """
-    if num_periods < 64:
-        raise ValueError("num_periods must be at least 64")
     from scipy.special import digamma  # the only scipy use; kept off the import path
 
-    edges = _pv_panels(period, subpanels, refine_points, refine_levels)
-    xs, ws = _gauss_legendre(order)
+    edges = _pv_panels(period, refine_points)
+    xs, ws = _gauss_legendre(_PV_ORDER)
     lo, hi = edges[:-1], edges[1:]
     u = (0.5 * (hi - lo)[:, None] * xs[None, :] + 0.5 * (lo + hi)[:, None]).ravel()
     w = (0.5 * (hi - lo)[:, None] * ws[None, :]).ravel()
@@ -204,17 +204,15 @@ def pv_integrate(
     # partial sum over the first N periods reuses the same kernel values:
     # sum_{n<N} 1/(u + nP) = (psi(u/P + N) - psi(u/P)) / P
     base = digamma(u / period)
-    ns = [num_periods // 8, num_periods // 4, num_periods // 2, num_periods]
+    ns = [_PV_PERIODS // 8, _PV_PERIODS // 4, _PV_PERIODS // 2, _PV_PERIODS]
     s = [float(np.dot(wh, digamma(u / period + n) - base)) / period for n in ns]
     r1 = [2.0 * s[i + 1] - s[i] for i in range(3)]
     r2 = [(4.0 * r1[i + 1] - r1[i]) / 3.0 for i in range(2)]
     value = r2[-1]
     error = abs(r2[-1] - r2[-2]) + 0.25 * abs(r2[-1] - r1[-1])
-    result = PVResult(value=float(value), error=float(error),
-                      periods=num_periods, n_nodes=u.size)
-    if tol is not None and error > tol * max(1.0, abs(value)):
+    if error > _PV_TOL * max(1.0, abs(value)):
         raise PVConvergenceError(
             f"principal-value estimate {value:.6e} has error {error:.2e} "
-            f"above tolerance {tol:.1e} after {num_periods} periods"
+            f"above tolerance {_PV_TOL:.1e} after {_PV_PERIODS} periods"
         )
-    return result
+    return PVResult(value=float(value), error=float(error), n_nodes=u.size)

@@ -33,10 +33,11 @@ _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _RESCALE = 1e250
 
 
-def _ratio_cf(l: int, x: float, tol: float = 1e-16) -> float:
+def _ratio_cf(l: int, x: float) -> float:
     """Ratio j_l(x)/j_{l-1}(x) of spherical Bessel functions by the
     continued fraction r_l = 1/(b_l - 1/(b_{l+1} - ...)), b_n = (2n+1)/x,
-    evaluated with the modified Lentz algorithm."""
+    evaluated with the modified Lentz algorithm until a factor is within
+    1e-16 of 1."""
     tiny = 1e-300
     max_iter = int(10 * x) + 2000
     b = (2 * l + 1) / x
@@ -53,7 +54,7 @@ def _ratio_cf(l: int, x: float, tol: float = 1e-16) -> float:
         d = 1.0 / d
         delta = c * d
         f *= delta
-        if abs(delta - 1.0) < tol:
+        if abs(delta - 1.0) < 1e-16:
             return 1.0 / f
     raise RuntimeError(f"Bessel ratio CF did not converge for l={l}, x={x}")
 

@@ -10,7 +10,8 @@ operators are block matrices over l at fixed m:
 * mirror reflection/transmission are multiplication operators by the
   profiles rho(theta), tau(theta), whose matrix elements are integrals of
   normalized Legendre products against the profile, evaluated exactly by
-  per-segment Gauss rules split at the mirror edges. The profiles are
+  per-segment Gauss rules split at the mirror edges (operator_grid, the
+  one grid every operator set uses). The profiles are
   constant on each segment, so one real Legendre Gram matrix per segment
   gives every operator of a block as a linear combination; only a profile
   that varies within a segment (the defocus phase) has a product of its own.
@@ -155,18 +156,14 @@ class _ModalFactors:
 
     def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
         y = self.inverse_scaled @ rhs
-        return self.vectors @ (y / _by_row(1.0 - z * self.eigenvalues, y))
-
-
-def _by_row(diagonal: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A diagonal shaped to scale the rows of x, one column or two."""
-    return diagonal if x.ndim == 1 else diagonal[:, None]
+        return self.vectors @ (y / (1.0 - z * self.eigenvalues)[:, None])
 
 
 @dataclass
 class CavityOperatorSet:
-    """Per-m operator blocks for one geometry/basis; blocks are immutable
-    once built. The +m and -m blocks are identical, so only |m| is keyed.
+    """Per-m operator blocks for one geometry/basis, on the polar grid
+    operator_grid(geometry, basis.l_max); blocks are immutable once built.
+    The +m and -m blocks are identical, so only |m| is keyed.
 
     The set also counts the resolvent solves of each |m| (solve_counts).
     The 58th solve of a block (_MODAL_AFTER) decomposes the round trip of
@@ -186,12 +183,15 @@ class CavityOperatorSet:
 
     geometry: CavityGeometry
     basis: HarmonicBasis
-    grid: AngularGrid
+    grid: AngularGrid = field(init=False, repr=False)
     blocks: dict[int, OperatorBlock] = field(default_factory=dict)
     solve_counts: dict[int, int] = field(default_factory=dict)
     modes: dict[int, tuple[_ModalFactors, ...] | None] = field(default_factory=dict)
     forms: dict[int, tuple[float, int, tuple[np.ndarray, ...] | None]] = field(
         default_factory=dict)
+
+    def __post_init__(self):
+        self.grid = operator_grid(self.geometry, self.basis.l_max)
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -241,15 +241,16 @@ def _parity_sectors(geom: CavityGeometry, dim: int) -> tuple[slice, ...]:
 
 
 def _segment_grams(grid: AngularGrid, l_max: int, m: int, sectors):
-    """Per sector (a slice of the block's l), the polar nodes grouped by
-    segment of the grid (found from grid.edges, so any node order works),
-    each group as (node indices, Legendre rows v_s, weighted rows w_s v_s,
-    real Gram v_s^T diag(w_s) v_s). No Gram couples two sectors."""
+    """Per sector (a slice of the block's l), the polar nodes of each
+    segment of the grid, each as (node indices, Legendre rows v_s, weighted
+    rows w_s v_s, real Gram v_s^T diag(w_s) v_s). A segment is a contiguous
+    run of polar_rule's nodes, which ascend in cos(theta); the runs are
+    taken by ascending theta, the last run first. No Gram couples two
+    sectors."""
     v = legendre_table(l_max, m, grid.mu)
-    segment = np.searchsorted(grid.edges, grid.theta)
-    # np.unique would import numpy.ma; bincount lists the same sorted segments
+    run = grid.mu.size // (len(grid.edges) + 1)
     groups = [(idx, grid.w_theta[idx, None]) for idx in
-              (np.flatnonzero(segment == s) for s in np.flatnonzero(np.bincount(segment)))]
+              (np.arange(start, start + run) for start in range(grid.mu.size - run, -1, -run))]
     per_sector = []
     for sector in sectors:
         columns = v[:, sector]
@@ -310,26 +311,23 @@ def _build_block(geom, basis, grid, m) -> OperatorBlock:
 def build_operators(
     geom: CavityGeometry,
     basis: HarmonicBasis,
-    grid: AngularGrid | None = None,
     m_values=None,
 ) -> CavityOperatorSet:
-    """Assemble per-m cavity operators on a grid split at the mirror edges.
+    """Assemble per-m cavity operators on operator_grid(geom, basis.l_max),
+    the polar grid split at the mirror edges.
 
     m_values defaults to every m in the basis; pass (0,) for on-axis work.
     Each block stores rho (real when k_delta = 0) and tau^2 per parity
     sector (two for a mirror-symmetric cavity, one otherwise), both
     assembled from one real Gram matrix per polar segment and sector; a
     segment where a profile is not constant gets that profile's own
-    weighted product. The grid must resolve Legendre products up to degree
-    2*l_max per segment; operator_grid(geom, l_max) does. An insufficient
-    grid shows up as a large flux_residual: the largest entry of the sum of
-    the segment Grams minus the identity, over the sectors, which is the
-    Gram of |rho|^2 + tau^2 = 1 (an identity that holds pointwise), so it
-    measures quadrature error alone.
+    weighted product. The grid resolves Legendre products up to degree
+    2*l_max per segment. Each block reports flux_residual: the largest
+    entry of the sum of the segment Grams minus the identity, over the
+    sectors, which is the Gram of |rho|^2 + tau^2 = 1 (an identity that
+    holds pointwise), so it measures quadrature error alone.
     """
-    if grid is None:
-        grid = operator_grid(geom, basis.l_max)
-    ops = CavityOperatorSet(geometry=geom, basis=basis, grid=grid)
+    ops = CavityOperatorSet(geometry=geom, basis=basis)
     if m_values is None:
         m_values = range(basis.l_max + 1)
     for m in m_values:
@@ -369,8 +367,8 @@ def _is_lossless(geom: CavityGeometry) -> bool:
 
 def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
                  rhs: np.ndarray, label: str, scale: float):
-    """Solve (U^2 - e^{2i phi0} P rho) x = rhs for block |m|, with one
-    right-hand side or two as columns, sector by sector; returns x and the
+    """Solve (U^2 - e^{2i phi0} P rho) x = rhs for block |m|, for the
+    columns of rhs, sector by sector; returns x and the
     worst ||V||_1 ||V^-1||_1 of the modal factors that answered it (None for
     a direct solve).
 
@@ -410,12 +408,11 @@ def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
               x: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """A x - b on one sector, A = diag(u^2) - z P rho, for x and b of one
-    column or several, without forming A: a real rho takes half the flops
-    of A @ x."""
+    """A x - b on one sector, A = diag(u^2) - z P rho, for the columns of x
+    and b, without forming A: a real rho takes half the flops of A @ x."""
     resid = _apply(sector.rho, x)
-    resid *= -z * _by_row(block.parity[sector.index], x)
-    resid += _by_row(block.u_half[sector.index] ** 2, x) * x
+    resid *= -z * block.parity[sector.index, None]
+    resid += (block.u_half[sector.index] ** 2)[:, None] * x
     resid -= b
     return resid
 
@@ -458,8 +455,8 @@ def _decompose(block: OperatorBlock) -> tuple[_ModalFactors, ...] | None:
 
 
 def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
-    """Solve one m block directly, sector by sector, for one right-hand
-    side or two as columns, and check the largest residual of each sector
+    """Solve one m block directly, sector by sector, for the columns of
+    rhs, and check the largest residual of each sector
     against scale, the norm of the whole input: a block whose right-hand
     side has underflowed towards the subnormal range has no meaningful
     residual relative to itself. A NaN residual fails the check.
@@ -552,34 +549,35 @@ def _hermitian_form(block: OperatorBlock, detuning_phase: float):
 
 
 def _form_values(block: OperatorBlock, form, c: np.ndarray):
-    """c^H K c of the coefficients c, one column or two, summed over the
-    sectors from each sector's M = Re K + Im K: for c = a + ib it is
+    """c^H K c per column of the coefficients c, summed over the sectors
+    from each sector's M = Re K + Im K: for c = a + ib it is
     (a + b).(M a) + (b - a).(M b), one real matrix product per sector."""
-    columns = c.reshape(c.shape[0], -1)
-    values = np.zeros(columns.shape[1])
+    values = np.zeros(c.shape[1])
     for sector, matrix in zip(block.sectors, form):
-        cs = columns[sector.index]
+        cs = c[sector.index]
         a, b = cs.real, cs.imag
         prod = matrix @ np.concatenate((a, b), axis=1)
         ma, mb = prod[:, : a.shape[1]], prod[:, a.shape[1]:]
         values += ((a + b) * ma + (b - a) * mb).sum(axis=0)
-    return values if c.ndim == 2 else float(values[0])
+    return values
 
 
 def _tau_sq_form(block: OperatorBlock, x: np.ndarray):
-    """Re x^H tau^2 x of the solution x, per column for two columns, summed
-    over the sectors. tau^2 is real, so the form is a^T tau^2 a + b^T tau^2 b
-    for x = a + ib, and every column takes the same matrix-vector products
+    """Re x^H tau^2 x per column of the solution x, summed over the
+    sectors. tau^2 is real, so the form is a^T tau^2 a + b^T tau^2 b for
+    x = a + ib, and every column takes the same matrix-vector products
     whether it was solved alone or beside another: near a lossless resonance
     the form cancels to a few parts in 1e3 of its terms, and another
     summation order alone moves it by several 1e-14."""
-    if x.ndim == 2:
-        return np.array([_tau_sq_form(block, column) for column in x.T])
-    form = 0.0
-    for sector in block.sectors:
-        xs = x[sector.index]
-        form += float(xs.real @ (sector.tau_sq @ xs.real) + xs.imag @ (sector.tau_sq @ xs.imag))
-    return form
+    forms = []
+    for column in x.T:
+        form = 0.0
+        for sector in block.sectors:
+            xs = column[sector.index]
+            form += float(xs.real @ (sector.tau_sq @ xs.real)
+                          + xs.imag @ (sector.tau_sq @ xs.imag))
+        forms.append(form)
+    return np.array(forms)
 
 
 def enhancement_full(
@@ -646,8 +644,7 @@ def enhancement_full(
         )
     coeffs = plane_wave_coeffs(point, basis.l_max, tail_tol=tail_tol)
     if ops is None:
-        ops = CavityOperatorSet(geometry=geom, basis=basis,
-                                grid=operator_grid(geom, basis.l_max))
+        ops = CavityOperatorSet(geometry=geom, basis=basis)
     blocks = coeffs.blocks
     energies = coeffs.m_energies()
     norm_sq = float(np.sum(energies))
@@ -660,20 +657,21 @@ def enhancement_full(
     form_solves = 0
     for mag in range(top + 1):
         block = ops.block(mag)
-        # +m and -m share one matrix: one system with two columns
-        c = blocks[0] if mag == 0 else np.column_stack((blocks[mag], blocks[-mag]))
+        # +m and -m share one matrix: one system with a column for each
+        signed = (mag, -mag) if mag else (0,)
+        c = np.column_stack([blocks[m] for m in signed])
         form = _phase_form(ops, mag, detuning_phase)
         if form is not None:
             values = _form_values(block, form, c)
             form_solves += 1
         else:
             label = "m=0" if mag == 0 else f"m=+-{mag}"
-            x, modal = _solve_block(ops, mag, detuning_phase, _by_row(block.u_half, c) * c,
+            x, modal = _solve_block(ops, mag, detuning_phase, block.u_half[:, None] * c,
                                     label, scale)
             values = _tau_sq_form(block, x)
             if modal is not None:
                 modal_conditions.append(modal)
-        per_m[[basis.l_max + mag, basis.l_max - mag] if mag else basis.l_max] = values
+        per_m[[basis.l_max + m for m in signed]] = values
         if collect_condition:
             conditions.append(_condition([_resolvent_matrix(block, s, detuning_phase)
                                           for s in block.sectors]))

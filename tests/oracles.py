@@ -3,8 +3,9 @@
 None of these is on a production path: each restates a quantity by a
 different route than the library takes (an asymptotic form, a closed-sphere
 mode sum, the resolvent applied to the whole intracavity field, a reader of
-the JSON tables the library writes), so that a test can check one against
-the other.
+the JSON tables the library writes, the exact center values of a symmetric
+cavity, a single-bounce mirror), so that a test can check one against the
+other.
 """
 
 from __future__ import annotations
@@ -14,9 +15,17 @@ import math
 
 import numpy as np
 
+from cavityqed.dipole_response import orientation_weight
 from cavityqed.io_formats import Column, ResultTable
+from cavityqed.quadrature import polar_rule
+from cavityqed.ray_model import _auto_azimuthal_order
 from cavityqed.specfun import SQRT_2_OVER_PI, radial_bessel_table
-from cavityqed.structures import AngularFunction
+from cavityqed.structures import (
+    AngularFunction,
+    DipoleOrientation,
+    FieldPoint,
+    ResponseResult,
+)
 from cavityqed.wave_ops import (
     CavityOperatorSet,
     _profile_operator,
@@ -97,14 +106,14 @@ def closed_cavity_mode_sum(
     return float(np.sum(t / denom * bessel_weights(l_max, kr)))
 
 
-def transmission_operator(ops: CavityOperatorSet, m: int) -> tuple[np.ndarray, ...]:
-    """Multiplication operator by tau(theta) for block |m|, one matrix per
-    parity sector, assembled from the segment Grams as the library assembles
-    rho and tau^2; blocks do not store it."""
-    _, tau_sq_vals = mirror_profiles(ops.geometry, ops.grid.theta)
-    index = [s.index for s in ops.block(m).sectors]
+def transmission_operator(geom, grid, l_max: int, block) -> tuple[np.ndarray, ...]:
+    """Multiplication operator by tau(theta) for an operator block built on
+    grid, one matrix per parity sector, assembled from the segment Grams as
+    the library assembles rho and tau^2; blocks do not store it."""
+    _, tau_sq_vals = mirror_profiles(geom, grid.theta)
+    index = [s.index for s in block.sectors]
     return tuple(_profile_operator(parts, np.sqrt(tau_sq_vals))
-                 for parts in _segment_grams(ops.grid, ops.basis.l_max, abs(m), index))
+                 for parts in _segment_grams(grid, l_max, block.m, index))
 
 
 def intracavity_field_coeffs(
@@ -125,13 +134,14 @@ def intracavity_field_coeffs(
     for m, c in sorted(f_in.blocks.items()):
         block = ops.block(m)
         if abs(m) not in taus:
-            taus[abs(m)] = transmission_operator(ops, m)
+            taus[abs(m)] = transmission_operator(ops.geometry, ops.grid, ops.basis.l_max, block)
         uc = block.u_half * c
         rhs = np.empty(block.dim, dtype=complex)
         for sector, tau in zip(block.sectors, taus[abs(m)]):
             rhs[sector.index] = tau @ uc[sector.index]
-        x, _ = _solve_block(ops, m, detuning_phase, block.parity * rhs, f"m={m}", scale)
-        out[m] = block.u_half * (block.parity * x)
+        x, _ = _solve_block(ops, m, detuning_phase, (block.parity * rhs)[:, None],
+                            f"m={m}", scale)
+        out[m] = block.u_half * (block.parity * x[:, 0])
     return AngularFunction(l_max=f_in.l_max, blocks=out,
                            truncation_tail=f_in.truncation_tail)
 
@@ -145,4 +155,98 @@ def read_table_json(data: bytes) -> ResultTable:
         columns=tuple(Column(c["name"], c.get("unit", "")) for c in doc["columns"]),
         rows=[tuple(row) for row in doc["rows"]],
         provenance=doc["provenance"],
+    )
+
+
+def center_closed_forms(
+    orientation: DipoleOrientation, theta_m: float, rho: float, phi0: float
+) -> ResponseResult:
+    """Exact closed forms at the center of a symmetric cavity.
+
+    The solid-angle fractions are those of the two caps; the resonance and
+    dispersive factors are evaluated at the detuning phi0. The three tags
+    satisfy (parallel + 2*perpendicular)/3 = isotropic identically. The
+    resonance denominator |1 - rho e^{2i phi0}|^2 is written as
+    (1 - rho)^2 + 4 rho sin^2(phi0) and the transmission 1 - rho^2 as
+    (1 - rho)(1 + rho), so that neither loses digits to cancellation near
+    a resonance.
+    """
+    if orientation.tag is None:
+        raise ValueError("center closed forms are defined for orientation tags")
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    c = math.cos(theta_m)
+    s2 = math.sin(theta_m) ** 2
+    t = (1.0 - rho) * (1.0 + rho)
+    d_minus = (1.0 - rho) ** 2 + 4.0 * rho * math.sin(phi0) ** 2
+    airy = t / d_minus
+    disp = rho * math.sin(2.0 * phi0) / d_minus
+    cav = 1.0 - c
+    if orientation.tag == "parallel":
+        w_vac = c * (1.0 + s2 / 2.0)
+        w_cav = cav * (1.0 - c * (1.0 + c) / 2.0)
+    elif orientation.tag == "perpendicular":
+        w_vac = c * (1.0 - s2 / 4.0)
+        w_cav = cav * (1.0 + c * (1.0 + c) / 4.0)
+    else:
+        w_vac = c
+        w_cav = cav
+    return ResponseResult(
+        gamma_ratio=w_vac + w_cav * airy,
+        shift_ratio=w_cav * disp,
+        method="center-closed-form",
+        detail={"orientation": orientation.tag},
+    )
+
+
+def one_mirror_response(
+    point: FieldPoint,
+    orientation: DipoleOrientation,
+    rho: float,
+    phi: float,
+    theta_m: float,
+    *,
+    polar_order: int | None = None,
+    azimuthal_order: int | None = None,
+) -> ResponseResult:
+    """Response in front of a single spherical mirror cap (no resonator).
+
+    Gamma/Gamma_vac = 1 + rho * <pol * cos(2(k Omega.r + phi))> over the cap,
+    Delta'/Gamma_vac = (rho/2) * <pol * sin(2(k Omega.r + phi))> over the cap,
+    with phi the mirror distance phase; both vanish into (1, 0) for rho = 0.
+    Spherical aberrations are not included in this single-bounce picture.
+
+    The average weighs only the directions toward the cap, not the opposite
+    ends of the same lines, so the modulation is half that of the cavity
+    routes with one mirror: on CavityGeometry(kR, acos 0.7, 0, 0.8, 0) at
+    the centre, phi = 0, this gives 1.1200 = 1 + (1 - cos theta_m) rho/2,
+    where the ray quadrature with both corrections off gives 1.2400 and
+    enhancement_full 1.2395. Acceptance criterion 10 checks this
+    single-bounce form in its small-angle limit.
+    """
+    if not 0.0 <= rho < 1.0:
+        raise ValueError(f"rho must lie in [0, 1), got {rho}")
+    if not 0.0 < theta_m <= math.pi / 2:
+        raise ValueError(f"theta_m must lie in (0, pi/2], got {theta_m}")
+    order = max(polar_order or 48, 24 + int(1.2 * point.kr * theta_m))
+    # the cap mu in [cos(theta_m), 1] is the last segment of the split rule
+    mu, w = (part[-order:] for part in polar_rule([theta_m], order))
+    theta = np.arccos(np.clip(mu, -1.0, 1.0))
+    axisym = point.on_axis and orientation.is_axisymmetric
+    if axisym:
+        phi_az = np.zeros(1)
+    else:
+        n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
+        phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
+    th2, ph2 = theta[:, None], phi_az[None, :]
+    kx, ky, kz = point.kvec
+    x = kz * np.cos(th2) + np.sin(th2) * (kx * np.cos(ph2) + ky * np.sin(ph2))
+    pol = orientation_weight(orientation, th2, ph2)
+    gamma = 1.0 + rho * float(np.dot(w, (pol * np.cos(2.0 * (x + phi))).mean(axis=1)))
+    shift = 0.5 * rho * float(np.dot(w, (pol * np.sin(2.0 * (x + phi))).mean(axis=1)))
+    return ResponseResult(
+        gamma_ratio=gamma,
+        shift_ratio=shift,
+        method="one-mirror",
+        detail={"theta_m": theta_m, "orientation": orientation.label()},
     )

@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from cavityqed.airy_shift import airy_lorentzian, pv_shift, pv_shift_cos, pv_shift_sin
-from cavityqed.dipole_response import enhancement_ray, one_mirror_response, response
+from cavityqed.dipole_response import enhancement_ray, response
 from cavityqed.quadrature import pv_integrate
 from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint, HarmonicBasis
 from cavityqed.wave_ops import build_operators, enhancement_full
-from oracles import bessel_weights, closed_cavity_mode_sum
+from oracles import bessel_weights, closed_cavity_mode_sum, one_mirror_response
 
 KR = 1.0e5
 RHO = 0.98

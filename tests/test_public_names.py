@@ -4,16 +4,20 @@ the tests needed are not library names, and only the command-line front end
 imports the command-line module."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import cavityqed
+from cavityqed import cli
+from cavityqed.dipole_response import response
 from cavityqed.io_formats import ResultTable
-from cavityqed.quadrature import AngularGrid, PVResult
+from cavityqed.quadrature import AngularGrid, PVResult, pv_integrate
 from cavityqed.structures import AngularFunction, FieldPoint, HarmonicBasis
-from cavityqed.wave_ops import OperatorBlock
+from cavityqed.wave_ops import CavityOperatorSet, OperatorBlock, build_operators
 
 # names that only the tests called: deleted, or moved to tests/oracles.py
 RETIRED = (
@@ -21,7 +25,7 @@ RETIRED = (
     "perfect_sphere_frequency", "polarization_factor", "serialize_config",
     "asymptotic_radial_bessel", "bessel_weights", "closed_cavity_mode_sum",
     "intracavity_field_coeffs", "_transmission_operator", "read_table_json",
-    "_ray_reflectivities", "_legendre_column",
+    "_ray_reflectivities", "_legendre_column", "center_closed_forms", "one_mirror_response",
 )
 
 
@@ -55,12 +59,13 @@ def test_test_only_names_are_not_in_the_library():
     assert importlib.util.find_spec("cavityqed.checks") is None
     members = {AngularGrid: ("integrate_polar", "integrate", "phi_az", "n_polar",
                              "n_azimuthal"),
-               PVResult: ("converged",),
+               PVResult: ("converged", "periods"),
                FieldPoint: ("as_array",), AngularFunction: ("block",),
                OperatorBlock: ("dense_rho", "dense_tau_sq", "block_diagonal"),
                HarmonicBasis: ("block_dim",), ResultTable: ("column",)}
     assert [f"{cls.__name__}.{name}" for cls, names in members.items()
-            for name in names if hasattr(cls, name)] == []
+            for name in names if hasattr(cls, name)
+            or name in {f.name for f in dataclasses.fields(cls)}] == []
     found = [f"{module.__name__}.{name}" for module in _modules() for name in RETIRED
              if hasattr(module, name) or name in getattr(module, "__all__", ())]
     assert found == []
@@ -91,3 +96,20 @@ def test_only_the_cli_imports_the_cli():
                for name in _imported_modules(tree)):
             importers.append(path.name)
     assert importers == []
+
+
+def test_parameters_that_no_program_path_varies_stay_retired():
+    # pv_integrate runs the one configuration of the airy-check scan,
+    # operator blocks always sit on operator_grid, and response always
+    # applies both ray corrections
+    params = {f.__name__: list(inspect.signature(f).parameters)
+              for f in (pv_integrate, cli.pv_oracle_errors, build_operators, response)}
+    assert params == {
+        "pv_integrate": ["kernel", "period", "refine_points"],
+        "pv_oracle_errors": ["rho", "phi"],
+        "build_operators": ["geom", "basis", "m_values"],
+        "response": ["point", "orientation", "geom", "phi0", "polar_order",
+                     "azimuthal_order"],
+    }
+    assert [f.name for f in dataclasses.fields(CavityOperatorSet) if f.init] == [
+        "geometry", "basis", "blocks", "solve_counts", "modes", "forms"]

@@ -217,12 +217,8 @@ class TestPVIntegrate:
         assert abs(res.value - ref) <= max(10 * res.error, 1e-11)
 
     def test_nonconvergence_raises(self):
-        phi, rho = 0.02, 0.995
-        with pytest.raises(PVConvergenceError):
-            pv_integrate(lambda d: airy_lorentzian(phi - d, rho), period=math.pi,
-                         num_periods=64, order=2, subpanels=2, refine_levels=0,
-                         tol=1e-12)
-
-    def test_too_few_periods_rejected(self):
-        with pytest.raises(ValueError):
-            pv_integrate(lambda d: np.cos(d), num_periods=8)
+        # a kernel that is not periodic breaks the precondition: the period
+        # sums of kernel(d)/d = 1 grow without bound, and the extrapolated
+        # estimate (about 33) keeps an error of about 2
+        with pytest.raises(PVConvergenceError, match="after 2048 periods"):
+            pv_integrate(lambda d: d)

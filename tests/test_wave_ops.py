@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from cavityqed.quadrature import AngularGrid, build_grid
+from cavityqed.quadrature import build_grid
 from cavityqed.specfun import legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
     CavityGeometry,
@@ -19,6 +19,7 @@ from cavityqed.structures import (
 from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
+    _build_block,
     _solve_block,
     build_operators,
     enhancement_full,
@@ -98,11 +99,8 @@ def _direct_operators(geom, l_max, grid, m):
 
 def _unsplit_grid(l_max):
     """A hand-built grid split at 1.2 rad, away from both mirror edges of
-    the unequal cavity, with its nodes in shuffled order."""
-    g = build_grid([1.2], order_polar=l_max + 30)
-    order = np.random.default_rng(7).permutation(g.theta.size)
-    return AngularGrid(theta=g.theta[order], mu=g.mu[order], w_theta=g.w_theta[order],
-                       edges=g.edges)
+    the unequal cavity."""
+    return build_grid([1.2], order_polar=l_max + 30)
 
 
 @pytest.fixture(scope="module")
@@ -166,8 +164,7 @@ class TestOperators:
     def test_flux_identity_detects_insufficient_quadrature(self, benchmark_geom):
         basis = HarmonicBasis(100)
         coarse = build_grid([THETA_30PCT, math.pi - THETA_30PCT], order_polar=24)
-        ops = build_operators(benchmark_geom, basis, coarse, m_values=(0,))
-        assert ops.flux_residual > 1e-3
+        assert _build_block(benchmark_geom, basis, coarse, 0).flux_residual > 1e-3
 
 
 class TestSegmentAssembly:
@@ -180,13 +177,12 @@ class TestSegmentAssembly:
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=k_delta)
         basis = HarmonicBasis(self.L_MAX)
         grid = operator_grid(geom, self.L_MAX) if split else _unsplit_grid(self.L_MAX)
-        ops = build_operators(geom, basis, grid, m_values=(m,))
-        b = ops.block(m)
+        b = _build_block(geom, basis, grid, m)
         rho, tau, tau_sq, flux = _direct_operators(geom, self.L_MAX, grid, m)
         assert np.max(np.abs(_dense(b) - rho)) < 1e-13
         assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-13
         assert abs(b.flux_residual - flux) < 1e-13
-        assert np.max(np.abs(transmission_operator(ops, m) - tau)) < 1e-13
+        assert np.max(np.abs(transmission_operator(geom, grid, self.L_MAX, b) - tau)) < 1e-13
         assert _dense(b).dtype == (np.float64 if k_delta == 0.0 else np.complex128)
 
     def test_blocks_store_one_real_rho_and_tau_sq(self, benchmark_geom):
@@ -236,14 +232,14 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("m", [0, 3, 40])
     def test_dense_operators_match_direct_products(self, benchmark_geom, m):
-        grid = operator_grid(benchmark_geom, self.L_MAX)
-        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), grid, m_values=(m,))
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), m_values=(m,))
         b = ops.block(m)
-        rho, tau, tau_sq, flux = _direct_operators(benchmark_geom, self.L_MAX, grid, m)
+        rho, tau, tau_sq, flux = _direct_operators(benchmark_geom, self.L_MAX, ops.grid, m)
         assert np.max(np.abs(_dense(b) - rho)) < 1e-13
         assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-13
         assert abs(b.flux_residual - flux) < 1e-13
-        assert np.max(np.abs(_dense(b, transmission_operator(ops, m)) - tau)) < 1e-13
+        tau_ops = transmission_operator(benchmark_geom, ops.grid, self.L_MAX, b)
+        assert np.max(np.abs(_dense(b, tau_ops) - tau)) < 1e-13
         assert _dense(b).dtype == np.float64
 
     @pytest.mark.parametrize("columns", [1, 2])
@@ -251,12 +247,11 @@ class TestParitySectors:
     def test_sector_answers_match_unsplit_solve(self, benchmark_geom, m, columns):
         # the oracle is the unsplit operator of direct weighted products,
         # whose opposite-parity entries are rounding, not exact zeros
-        grid = operator_grid(benchmark_geom, self.L_MAX)
-        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), grid, m_values=(m,))
+        ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), m_values=(m,))
         block = ops.block(m)
-        rho = _direct_operators(benchmark_geom, self.L_MAX, grid, m)[0]
+        rho = _direct_operators(benchmark_geom, self.L_MAX, ops.grid, m)[0]
         rng = np.random.default_rng(11)
-        shape = (block.dim, columns) if columns == 2 else (block.dim,)
+        shape = (block.dim, columns)
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
         def check(modal):
@@ -530,7 +525,7 @@ class TestModalSolve:
         ops = build_operators(geom, HarmonicBasis(self.L_MAX), m_values=(m,))
         block = ops.block(m)
         rng = np.random.default_rng(5)
-        shape = (block.dim, columns) if columns == 2 else (block.dim,)
+        shape = (block.dim, columns)
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
             assert _solve_block(ops, m, float(phi0), rhs, "m", 1.0)[1] is None
@@ -753,7 +748,7 @@ class TestHermitianForm:
             assert [c[0] for c in per_point[i]] == ["solve"] * len(sectors)
             # one column for m = 0, two for a +-m pair
             assert [c[2] for c in per_point[i]] == [
-                (n,) if m == 0 else (n, 2) for m, n in sector_ms]
+                (n, 1 if m == 0 else 2) for m, n in sector_ms]
             assert details[i]["form_solves"] == 0
         assert per_point[2] == [("solve", (n, n), (n, n)) for n in sectors]
         assert per_point[3:] == [[]] * (len(points) - 3)
