@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from .structures import AngularFunction, FieldPoint, TruncationWarning
+from .structures import AngularFunction, FieldPoint, TruncationWarning, _lower_triangle
 
 __all__ = [
     "radial_bessel_table",
@@ -83,6 +83,8 @@ def radial_bessel_table(l_max: int, kr: float) -> np.ndarray:
         out[0] = 1.0
         for l in range(1, l_max + 1):
             out[l] = out[l - 1] * x / (2 * l + 1)
+            if out[l] == 0.0:
+                break  # every later term is zero as well, as at the origin
         return SQRT_2_OVER_PI * np.array(out)
     j0 = math.sin(x) / x
     if l_max == 0:
@@ -181,19 +183,6 @@ def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _lower_triangle(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries [l, m], l >= m, of an (l_max + 1)-square listed column by
-    column: their l, their m, and the offset at which each column starts."""
-    lengths = l_max + 1 - np.arange(l_max + 1)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    m_of = np.repeat(np.arange(l_max + 1, dtype=np.int32), lengths)
-    l_of = (np.arange(offsets[-1]) - offsets[m_of] + m_of).astype(np.int32)
-    for a in (l_of, m_of, offsets):
-        a.flags.writeable = False
-    return l_of, m_of, offsets
-
-
 def plane_wave_coeffs(
     point: FieldPoint, l_max: int, *, tail_tol: float = 1e-8
 ) -> AngularFunction:
@@ -223,33 +212,29 @@ def plane_wave_coeffs(
             stacklevel=2,
         )
     pref = (-1j) ** ls * _SQRT_PI_OVER_2 * u
-    blocks: dict[int, np.ndarray] = {}
-    if kr == 0.0:
-        b = np.zeros(l_max + 1, dtype=complex)
-        b[0] = 1.0
-        blocks[0] = b
-    elif point.on_axis:
-        # Y_l0 on the axis is sqrt(2l+1) times (sign of kz)^l
-        sign = 1.0 if point.kvec[2] > 0 else -1.0
-        blocks[0] = pref * np.sqrt(2 * ls + 1) * sign**ls
+    if kr == 0.0 or point.on_axis:
+        pairs = np.zeros((l_max + 1, 2), dtype=complex)
+        if kr == 0.0:
+            pairs[0, 0] = 1.0
+        else:
+            # Y_l0 on the axis is sqrt(2l+1) times (sign of kz)^l
+            sign = 1.0 if point.kvec[2] > 0 else -1.0
+            pairs[:, 0] = pref * np.sqrt(2 * ls + 1) * sign**ls
     else:
         kx, ky, kz = point.kvec
         theta_r = math.acos(min(1.0, max(-1.0, kz / kr)))
         phi_r = math.atan2(ky, kx)
         # Y_lm(rhat) for l >= m, column m of the Legendre column after
-        # column m - 1, so that each block is a slice of one array
+        # column m - 1, in the row layout of AngularFunction.pairs
         l_of, m_of, offsets = _lower_triangle(l_max)
         ms = np.arange(l_max + 1)
         ylm_dir = _legendre(l_max, 0, l_max, np.array([math.cos(theta_r)]))[l_of, m_of, 0]
         ylm_dir = ylm_dir * np.exp(1j * ms * phi_r)[m_of]
         pref_of = pref[l_of]
-        positive = np.conj(ylm_dir)
-        np.multiply(pref_of, positive, out=positive)
+        pairs = np.empty((offsets[-1], 2), dtype=complex)
+        np.multiply(pref_of, np.conj(ylm_dir), out=pairs[:, 0])
         # conj(Y_{l,-m}) = (-1)^m Y_{l,m}
         ylm_dir *= 1 - 2 * (m_of % 2)
-        negative = np.multiply(pref_of, ylm_dir, out=ylm_dir)
-        blocks[0] = positive[: offsets[1]]
-        for m in range(1, l_max + 1):
-            blocks[m] = positive[offsets[m]: offsets[m + 1]]
-            blocks[-m] = negative[offsets[m]: offsets[m + 1]]
-    return AngularFunction(l_max=l_max, blocks=blocks, truncation_tail=tail)
+        np.multiply(pref_of, ylm_dir, out=pairs[:, 1])
+        pairs[: offsets[1], 1] = 0.0
+    return AngularFunction(l_max=l_max, pairs=pairs, truncation_tail=tail)

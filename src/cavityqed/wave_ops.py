@@ -42,12 +42,17 @@ from each block's Hermitian form instead: with X = A^-1 diag(u) the
 resolvent applied to the propagator, the value of a block at a point is
 c^H K c, K = X^H tau^2 X, where c are the point's focused-wave
 coefficients and K is the same for every point at that phase. K is formed
-once per block, sector and phase from one checked n-column solve, and every
-later point costs one real matrix product per sector.
+once per block, sector and phase from one checked n-column solve, and
+written straight into its slot of a real 3-D stack: the forms of one phase
+sit in a few stacks ordered by |m|, each over a range of |m| whose sectors
+are zero-padded to the largest of them. A point then reads a prefix of
+each stack, and every formed block it needs costs one gather of its
+coefficients, one batched matrix product and one dot product per stack.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -68,6 +73,7 @@ from .structures import (
     HarmonicBasis,
     SolverError,
     ValidityWarning,
+    _lower_triangle,
 )
 
 __all__ = [
@@ -93,10 +99,16 @@ _MODAL_AFTER = 58
 # detuning phase are solved, the next one forms the block's Hermitian form
 # at that phase. The n-column solve, its guard and X^H tau^2 X cost 2.4-4.0
 # two-column solves of the same block at dims 76-201 on a 2-core Xeon VM
-# (5.9 at dim 401), and an answer from the form 0.08-0.28 ms against
-# 0.6-7 ms for a solve. Buying at the third point keeps any run of points at
-# one phase within about twice the cost of the better route up to dim 201.
+# (5.9 at dim 401), and an answer from the stacked forms 0.010 ms a block
+# over the 44 blocks of an off-axis point at l_max 150 (0.018 ms for the
+# block at dim 151 alone, 0.075 ms at dim 401) against 0.6-7 ms for a
+# solve. Buying at the third point keeps any run of points at one phase
+# within about twice the cost of the better route up to dim 201.
 _FORM_AFTER = 3
+# a stack of forms pads each sector to the largest in its |m| range; a range
+# ends before a sector whose padded square would exceed this many times its
+# own, which bounds the bytes of the stacks by the same factor
+_FORM_PADDING = 1.25
 # share of the input energy that the skipped |m| pairs may add, at most,
 # to the value of enhancement_full
 _SKIP_FLOOR = 1e-16
@@ -160,6 +172,26 @@ class _ModalFactors:
 
 
 @dataclass
+class _PhaseForms:
+    """The Hermitian forms held at one detuning phase. Every point asks the
+    blocks |m| up to its own top, so the blocks asked _FORM_AFTER times or
+    more are those up to the _FORM_AFTER-th highest top asked at this phase
+    (formed_top); tops keeps the highest _FORM_AFTER tops, in descending
+    order. Those blocks are formed, except the ones in failed, whose guard
+    failed and which are solved. stacks[b] holds the slots of band b of
+    _form_bands for the blocks |m| <= formed_top of that band, one
+    zero-padded real matrix per sector; a failed block's slots are zero."""
+
+    tops: list[int] = field(default_factory=list)
+    failed: set[int] = field(default_factory=set)
+    stacks: list[np.ndarray] = field(default_factory=list)
+
+    @property
+    def formed_top(self) -> int:
+        return self.tops[-1] if len(self.tops) == _FORM_AFTER else -1
+
+
+@dataclass
 class CavityOperatorSet:
     """Per-m operator blocks for one geometry/basis, on the polar grid
     operator_grid(geometry, basis.l_max); blocks are immutable once built.
@@ -173,22 +205,23 @@ class CavityOperatorSet:
     residual check, or cannot be computed, keeps None in modes and is solved
     directly from then on.
 
-    forms holds, per |m|, one detuning phase, the number of points asked of
-    the block at that phase, and the block's Hermitian form there: one real
-    n x n matrix per sector (8 n^2 bytes), None until the _FORM_AFTER-th
-    point forms it or when its guard fails. A new phase replaces the entry
-    and restarts its count, so at most one form per block is held. Answers
-    from a form do not count towards _MODAL_AFTER: a phase sweep still goes
-    modal. A lossless cavity is always solved directly and never formed."""
+    forms maps the one detuning phase held to its _PhaseForms: how often
+    the points at that phase have asked each block, and the Hermitian forms
+    of the blocks asked _FORM_AFTER times or more, one real n x n matrix per
+    sector (8 n^2 bytes, at most _FORM_PADDING times that with its padding),
+    stacked by |m|. A point at another phase frees them and restarts every
+    count. Answers from a form do not count towards _MODAL_AFTER: a phase
+    sweep still goes modal. A lossless cavity is always solved directly and
+    never formed."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid = field(init=False, repr=False)
-    blocks: dict[int, OperatorBlock] = field(default_factory=dict)
-    solve_counts: dict[int, int] = field(default_factory=dict)
-    modes: dict[int, tuple[_ModalFactors, ...] | None] = field(default_factory=dict)
-    forms: dict[int, tuple[float, int, tuple[np.ndarray, ...] | None]] = field(
-        default_factory=dict)
+    blocks: dict[int, OperatorBlock] = field(init=False, default_factory=dict)
+    solve_counts: dict[int, int] = field(init=False, default_factory=dict)
+    modes: dict[int, tuple[_ModalFactors, ...] | None] = field(
+        init=False, default_factory=dict)
+    forms: dict[float, _PhaseForms] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         self.grid = operator_grid(self.geometry, self.basis.l_max)
@@ -496,29 +529,107 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
     return x
 
 
-def _phase_form(ops: CavityOperatorSet, m: int, detuning_phase: float):
-    """The Hermitian form of block |m| at detuning_phase (one matrix per
-    sector, see _hermitian_form), or None while the block is to be solved.
-    Counts the points asked of the block at that phase, a new phase
-    replacing the block's entry, and forms the block at the _FORM_AFTER-th;
-    a lossless cavity is never formed."""
+@dataclass(frozen=True)
+class _FormBand:
+    """The slots of the blocks |m| = first..last of a basis in a stack of
+    forms: each block's sectors in turn, every one padded to size, the
+    largest of them; ends[|m| - first] counts the slots up to and including
+    |m|."""
+
+    geometry: CavityGeometry
+    l_max: int
+    first: int
+    last: int
+    size: int
+    ends: np.ndarray
+
+    @functools.cached_property
+    def index(self) -> np.ndarray:
+        """Row j lists the rows of AngularFunction.pairs that slot j reads,
+        its padding reading row 0 against zero rows and columns of the
+        form; built when a stack of the band is first allocated."""
+        offsets = _lower_triangle(self.l_max)[2]
+        index = np.zeros((self.ends[-1], self.size), dtype=np.intp)
+        j = 0
+        for m in range(self.first, self.last + 1):
+            dim = self.l_max + 1 - m
+            for sector in _parity_sectors(self.geometry, dim):
+                rows = offsets[m] + np.arange(dim)[sector]
+                index[j, : rows.size] = rows
+                j += 1
+        index.flags.writeable = False
+        return index
+
+
+@functools.lru_cache(maxsize=4)
+def _form_bands(geom: CavityGeometry, l_max: int) -> tuple[_FormBand, ...]:
+    """The bands of the stacks of forms over every |m| of a basis, in order.
+    Sector sizes do not grow with |m|, the first sector of a block being the
+    larger; a band ends before a block whose last sector, padded to the
+    band's size, would hold more than _FORM_PADDING times its own bytes."""
+    sizes = [[len(range(dim)[s]) for s in _parity_sectors(geom, dim)]
+             for dim in range(l_max + 1, 0, -1)]
+    starts = [0]
+    for m in range(1, l_max + 1):
+        if _FORM_PADDING * sizes[m][-1] ** 2 < sizes[starts[-1]][0] ** 2:
+            starts.append(m)
+    bands = []
+    for first, end in zip(starts, starts[1:] + [l_max + 1]):
+        ends = np.cumsum([len(s) for s in sizes[first:end]])
+        ends.flags.writeable = False
+        bands.append(_FormBand(geom, l_max, first, end - 1, sizes[first][0], ends))
+    return tuple(bands)
+
+
+def _phase_forms(ops: CavityOperatorSet, top: int, detuning_phase: float):
+    """The _PhaseForms of detuning_phase after counting a point that asks
+    the blocks |m| <= top, a new phase freeing the old forms; the blocks
+    asked for the _FORM_AFTER-th time, which follow the formed ones, are
+    formed now. None for a lossless cavity, which is never formed."""
     if _is_lossless(ops.geometry):
         return None
-    key = abs(m)
-    phase, count, form = ops.forms.pop(key, (detuning_phase, 0, None))
-    if phase != detuning_phase:
-        count, form = 0, None  # the old form is not held while a new one is built
-    count += 1
-    if count == _FORM_AFTER:
-        form = _hermitian_form(ops.block(key), detuning_phase)
-    ops.forms[key] = (detuning_phase, count, form)
-    return form
+    state = ops.forms.get(detuning_phase)
+    if state is None:
+        ops.forms.clear()  # the old stacks are not held while new ones are built
+        state = ops.forms[detuning_phase] = _PhaseForms()
+    formed_top = state.formed_top
+    state.tops = sorted(state.tops + [top], reverse=True)[:_FORM_AFTER]
+    if state.formed_top > formed_top:
+        _form_blocks(ops, state, formed_top + 1, state.formed_top, detuning_phase)
+    return state
 
 
-def _hermitian_form(block: OperatorBlock, detuning_phase: float):
-    """Per sector, M = Re K + Im K of K = X^H tau^2 X, with X = A^-1 diag(u)
-    from one n-column solve of the sector's resolvent A; or None when a
-    solve fails or the guard does.
+def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int,
+                 detuning_phase: float):
+    """Form the blocks lo..hi, which follow the formed ones, straight into
+    their slots. Each band up to hi first gets a stack of its slots of
+    |m| <= hi; a band that has one already is copied once into a larger."""
+    bands = _form_bands(ops.geometry, ops.basis.l_max)
+    for b, band in enumerate(bands):
+        if band.first > hi:
+            break
+        need = band.ends[min(hi, band.last) - band.first]
+        shape = (need, band.size, band.size)
+        if b == len(state.stacks):
+            state.stacks.append(np.zeros(shape))
+        elif state.stacks[b].shape[0] < need:
+            grown = np.zeros(shape)
+            grown[: state.stacks[b].shape[0]] = state.stacks[b]
+            state.stacks[b] = grown
+        stack = state.stacks[b]
+        for m in range(max(lo, band.first), min(hi, band.last) + 1):
+            start = band.ends[m - band.first - 1] if m > band.first else 0
+            block = ops.block(m)
+            slots = stack[start: start + len(block.sectors)]
+            if not _hermitian_form(block, detuning_phase, slots):
+                slots[...] = 0.0
+                state.failed.add(m)
+
+
+def _hermitian_form(block: OperatorBlock, detuning_phase: float, slots) -> bool:
+    """Write, per sector, M = Re K + Im K of K = X^H tau^2 X, with X = A^-1
+    diag(u) from one n-column solve of the sector's resolvent A, into the
+    leading n x n of its slot; False when a solve fails or the guard does.
 
     K is Hermitian, so Re K is symmetric and Im K antisymmetric and M holds
     both in one real matrix. The guard keeps the forms only if every row r_i
@@ -529,37 +640,45 @@ def _hermitian_form(block: OperatorBlock, detuning_phase: float):
     norm of its whole input: the guard implies the residual check of
     _checked_solve for every later point."""
     z = np.exp(2j * detuning_phase)
-    forms = []
-    for sector in block.sectors:
+    for sector, slot in zip(block.sectors, slots):
         rhs = np.diag(block.u_half[sector.index])
         try:
             x = np.linalg.solve(_resolvent_matrix(block, sector, detuning_phase), rhs)
         except np.linalg.LinAlgError:
-            return None
+            return False
         if not np.all(np.linalg.norm(_residual(block, sector, z, x, rhs), axis=1)
                       <= _RESIDUAL_LIMIT):
-            return None
+            return False
+        n = rhs.shape[0]
         del rhs
         p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
         del x
         tp, tq = sector.tau_sq @ p, sector.tau_sq @ q
         # Re K = p^T tau^2 p + q^T tau^2 q, Im K = p^T tau^2 q - q^T tau^2 p
-        forms.append(p.T @ (tp + tq) + q.T @ (tq - tp))
-    return tuple(forms)
+        out = slot[:n, :n]
+        np.matmul(p.T, tp + tq, out=out)
+        out += q.T @ (tq - tp)
+    return True
 
 
-def _form_values(block: OperatorBlock, form, c: np.ndarray):
-    """c^H K c per column of the coefficients c, summed over the sectors
-    from each sector's M = Re K + Im K: for c = a + ib it is
-    (a + b).(M a) + (b - a).(M b), one real matrix product per sector."""
-    values = np.zeros(c.shape[1])
-    for sector, matrix in zip(block.sectors, form):
-        cs = c[sector.index]
-        a, b = cs.real, cs.imag
-        prod = matrix @ np.concatenate((a, b), axis=1)
-        ma, mb = prod[:, : a.shape[1]], prod[:, a.shape[1]:]
-        values += ((a + b) * ma + (b - a) * mb).sum(axis=0)
-    return values
+def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, pairs: np.ndarray,
+                   top: int) -> float:
+    """The sum of c^H K c over the blocks |m| <= top, top <= formed_top,
+    and their +-m columns, read from the prefix of each stack: with c = a +
+    ib and M = Re K + Im K it is (a + b).(M a) + (b - a).(M b), and
+    (1 - i) c = (a + b) + i (b - a), so one gather, one batched product and
+    one dot per stack. The zero slots of a failed block add nothing."""
+    value = 0.0
+    if top < 0:
+        return value
+    for band, stack in zip(_form_bands(ops.geometry, ops.basis.l_max), state.stacks):
+        if band.first > top:
+            break
+        k = band.ends[min(top, band.last) - band.first]
+        c = pairs[band.index[:k]]
+        prod = np.matmul(stack[:k], c.view(float))
+        value += float(np.vdot((c * (1 - 1j)).view(float), prod))
+    return value
 
 
 def _tau_sq_form(block: OperatorBlock, x: np.ndarray):
@@ -622,9 +741,14 @@ def enhancement_full(
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its Hermitian form at that
     phase, c^H K c, without a solve; the form's guard implies the same
-    residual check for every point, see _hermitian_form. The value may
-    differ from the solved one in its last digits. detail reports how many
-    of the solved |m| systems were answered from a form (form_solves);
+    residual check for every point, see _hermitian_form. The forms of one
+    phase are held in stacks ordered by |m|, and every formed block of a
+    point is answered together: one gather of the point's coefficients,
+    one batched matrix product and one dot product per stack
+    (_stacked_value). The blocks above the highest formed one, and any
+    whose guard failed, are solved as before. The value may differ from
+    the solved one in its last digits. detail reports how many of the
+    solved |m| systems were answered from a form (form_solves);
     blocks_solved counts the |m| systems answered by any route.
 
     The mirror edge entering the operators is the geometric aperture;
@@ -645,55 +769,53 @@ def enhancement_full(
     coeffs = plane_wave_coeffs(point, basis.l_max, tail_tol=tail_tol)
     if ops is None:
         ops = CavityOperatorSet(geometry=geom, basis=basis)
-    blocks = coeffs.blocks
+    pairs, offsets = coeffs.pairs, coeffs.offsets
     energies = coeffs.m_energies()
     norm_sq = float(np.sum(energies))
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(norm_sq)
-    top, skipped = _solved_magnitudes(geom, blocks, energies, norm_sq, _is_lossless(geom))
-    per_m = np.zeros(2 * basis.l_max + 1)
-    conditions = []
+    top, skipped = _solved_magnitudes(geom, coeffs.top, energies, norm_sq, _is_lossless(geom))
+    state = _phase_forms(ops, top, detuning_phase)
+    formed_top, failed, value = -1, [], 0.0
+    if state is not None:
+        formed_top = min(top, state.formed_top)
+        failed = sorted(m for m in state.failed if m <= formed_top)
+        value = _stacked_value(ops, state, pairs, formed_top)
     modal_conditions = []
-    form_solves = 0
-    for mag in range(top + 1):
+    for mag in failed + list(range(formed_top + 1, top + 1)):
         block = ops.block(mag)
         # +m and -m share one matrix: one system with a column for each
-        signed = (mag, -mag) if mag else (0,)
-        c = np.column_stack([blocks[m] for m in signed])
-        form = _phase_form(ops, mag, detuning_phase)
-        if form is not None:
-            values = _form_values(block, form, c)
-            form_solves += 1
-        else:
-            label = "m=0" if mag == 0 else f"m=+-{mag}"
-            x, modal = _solve_block(ops, mag, detuning_phase, block.u_half[:, None] * c,
-                                    label, scale)
-            values = _tau_sq_form(block, x)
-            if modal is not None:
-                modal_conditions.append(modal)
-        per_m[[basis.l_max + m for m in signed]] = values
-        if collect_condition:
+        c = pairs[offsets[mag]: offsets[mag + 1], : 2 if mag else 1]
+        label = "m=0" if mag == 0 else f"m=+-{mag}"
+        x, modal = _solve_block(ops, mag, detuning_phase, block.u_half[:, None] * c,
+                                label, scale)
+        value += _tau_sq_form(block, x).sum()
+        if modal is not None:
+            modal_conditions.append(modal)
+    conditions = []
+    if collect_condition:
+        for mag in range(top + 1):
+            block = ops.block(mag)
             conditions.append(_condition([_resolvent_matrix(block, s, detuning_phase)
                                           for s in block.sectors]))
-    value = float(np.sum(per_m))
     return EnhancementResult(
-        value=value,
+        value=float(value),
         method="full",
         l_max=basis.l_max,
         truncation_tail=coeffs.truncation_tail,
         condition=max(conditions) if conditions else None,
-        detail={"flux_residual": ops.flux_residual, "m_blocks": len(blocks),
+        detail={"flux_residual": ops.flux_residual, "m_blocks": 2 * coeffs.top + 1,
                 "blocks_solved": top + 1, "skipped_bound": skipped,
                 "modal_solves": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),
-                "form_solves": form_solves},
+                "form_solves": formed_top + 1 - len(failed)},
     )
 
 
-def _solved_magnitudes(geom, blocks, energies, norm_sq, lossless):
-    """Highest |m| to solve, and the summed bound on what the skipped |m|
-    pairs above it could add to the value; energies[|m|] is the input
-    energy of the pair.
+def _solved_magnitudes(geom, top, energies, norm_sq, lossless):
+    """Highest |m| to solve, at most top, the highest the input holds, and
+    the summed bound on what the skipped |m| pairs above it could add to the
+    value; energies[|m|] is the input energy of the pair.
 
     U and P are unitary, |rho_m| <= max(rho1, rho2) and |tau^2_m| <= 1, so
     a pair with input energy e contributes at most e / (1 - max rho)^2. The
@@ -701,7 +823,6 @@ def _solved_magnitudes(geom, blocks, energies, norm_sq, lossless):
     within _SKIP_FLOOR of the input energy. A lossless cavity has no finite
     bound, and every listed block is solved.
     """
-    top = max(abs(m) for m in blocks)
     if lossless:
         return top, 0.0
     gain = 1.0 / (1.0 - max(geom.rho1, geom.rho2)) ** 2

@@ -4,8 +4,8 @@ None of these is on a production path: each restates a quantity by a
 different route than the library takes (an asymptotic form, a closed-sphere
 mode sum, the resolvent applied to the whole intracavity field, a reader of
 the JSON tables the library writes, the exact center values of a symmetric
-cavity, a single-bounce mirror), so that a test can check one against the
-other.
+cavity, a single-bounce mirror, the harmonic coefficients block by block),
+so that a test can check one against the other.
 """
 
 from __future__ import annotations
@@ -116,10 +116,34 @@ def transmission_operator(geom, grid, l_max: int, block) -> tuple[np.ndarray, ..
                  for parts in _segment_grams(grid, l_max, block.m, index))
 
 
+def coefficient_blocks(f: AngularFunction) -> dict[int, np.ndarray]:
+    """The coefficients of f per m held, blocks[m][i] that of Y_{l,m} for
+    l = |m| + i, cut from the rows of f.pairs one |m| at a time."""
+    blocks = {}
+    start = 0
+    for m in range(f.top + 1):
+        stop = start + f.l_max + 1 - m
+        blocks[m] = f.pairs[start:stop, 0]
+        if m:
+            blocks[-m] = f.pairs[start:stop, 1]
+        start = stop
+    return blocks
+
+
+def block_energies(f: AngularFunction) -> np.ndarray:
+    """Squared coefficient norm of each |m| of f, at index |m|, from one
+    np.vdot per m block."""
+    energies = np.zeros(f.l_max + 1)
+    for m, v in coefficient_blocks(f).items():
+        energies[abs(m)] += np.vdot(v, v).real
+    return energies
+
+
 def intracavity_field_coeffs(
-    ops: CavityOperatorSet, detuning_phase: float, f_in: AngularFunction
-) -> AngularFunction:
-    """Extended-field coefficients induced by incoming radiation f_in.
+    ops: CavityOperatorSet, detuning_phase: float, f_in: dict[int, np.ndarray]
+) -> dict[int, np.ndarray]:
+    """Extended-field coefficients induced by incoming radiation whose
+    coefficients per m block are f_in (see coefficient_blocks), per m block.
 
     Solves, per m block, (U^2 - e^{2i phi0} rho P) x = tau U f_in and
     returns U x. The system is solved in its conjugated form
@@ -129,9 +153,9 @@ def intracavity_field_coeffs(
     focus), preserving the norm exactly.
     """
     out: dict[int, np.ndarray] = {}
-    scale = math.sqrt(f_in.norm_sq())
+    scale = math.sqrt(sum(np.vdot(c, c).real for c in f_in.values()))
     taus: dict[int, tuple] = {}  # tau per |m| of this call: +m and -m share it
-    for m, c in sorted(f_in.blocks.items()):
+    for m, c in sorted(f_in.items()):
         block = ops.block(m)
         if abs(m) not in taus:
             taus[abs(m)] = transmission_operator(ops.geometry, ops.grid, ops.basis.l_max, block)
@@ -142,8 +166,7 @@ def intracavity_field_coeffs(
         x, _ = _solve_block(ops, m, detuning_phase, (block.parity * rhs)[:, None],
                             f"m={m}", scale)
         out[m] = block.u_half * (block.parity * x[:, 0])
-    return AngularFunction(l_max=f_in.l_max, blocks=out,
-                           truncation_tail=f_in.truncation_tail)
+    return out
 
 
 def read_table_json(data: bytes) -> ResultTable:

@@ -12,7 +12,13 @@ from cavityqed.specfun import (
     radial_bessel_table,
 )
 from cavityqed.structures import FieldPoint, TruncationWarning
-from oracles import asymptotic_radial_bessel, bessel_weights, scalar_legendre
+from oracles import (
+    asymptotic_radial_bessel,
+    bessel_weights,
+    block_energies,
+    coefficient_blocks,
+    scalar_legendre,
+)
 
 # High-precision oracle values, frozen from 40-digit arithmetic:
 #   import mpmath as mp; mp.mp.dps = 40
@@ -62,6 +68,7 @@ def _numpy_radial_bessel_table(l_max, kr):
 class TestRadialBessel:
     @pytest.mark.parametrize("l_max,kr", [
         (0, 0.0), (0, 2.5), (5, 0.0), (150, 1e-9), (150, 1e-300),    # series, l_max 0
+        (400, 0.0), (400, 5e-9),                                      # series to underflow
         (60, 100.0), (400, 1000.0), (1, 1.5),                         # upward
         (400, 25.0), (400, 100.0), (150, 17.0), (150, math.pi),       # downward; j0 = 0
         (2, 0.5), (1000, 0.01), (400, 1e-8),                          # 0, 19, 16 rescales
@@ -245,9 +252,11 @@ class TestLegendreRecurrence:
 class TestPlaneWaveCoeffs:
     def test_origin_single_coefficient(self):
         f = plane_wave_coeffs(FieldPoint.origin(), 40)
-        assert set(f.blocks) == {0}
-        assert f.blocks[0][0] == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(f.blocks[0][1:])) == 0.0
+        assert f.top == 0 and f.pairs.shape == (41, 2)
+        assert f.pairs[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(f.pairs[1:, 0])) == 0.0
+        # the -0 column of the m = 0 rows is zero
+        assert not np.any(f.pairs[:, 1])
         assert f.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
     def test_parseval_on_axis(self):
@@ -278,12 +287,15 @@ class TestPlaneWaveCoeffs:
         theta_r, phi_r = math.acos(kz / point.kr), math.atan2(ky, kx)
         ls = np.arange(l_max + 1)
         pref = (-1j) ** ls * math.sqrt(math.pi / 2) * radial_bessel_table(l_max, point.kr)
-        assert set(f.blocks) == set(range(-l_max, l_max + 1))
+        blocks = coefficient_blocks(f)
+        assert f.top == l_max and f.pairs.shape == ((l_max + 1) * (l_max + 2) // 2, 2)
+        assert set(blocks) == set(range(-l_max, l_max + 1))
+        assert not np.any(f.pairs[: l_max + 1, 1])
         for m in range(l_max + 1):
             y = legendre_table(l_max, m, [math.cos(theta_r)])[0] * np.exp(1j * m * phi_r)
-            assert np.array_equal(f.blocks[m], pref[m:] * np.conj(y))
+            assert np.array_equal(blocks[m], pref[m:] * np.conj(y))
             if m > 0:
-                assert np.array_equal(f.blocks[-m], pref[m:] * (-1) ** m * y)
+                assert np.array_equal(blocks[-m], pref[m:] * (-1) ** m * y)
 
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 12.0), (4.0, -3.0, 2.0)])
     def test_radial_table_built_once(self, kvec, monkeypatch):
@@ -301,19 +313,21 @@ class TestPlaneWaveCoeffs:
         assert calls == [(40, point.kr)]
         assert f.truncation_tail == float(np.sum(bessel_weights(40, point.kr)[36:]))
 
-    def test_m_energies_sum_each_pair_of_blocks(self):
-        f = plane_wave_coeffs(FieldPoint((4.0, -3.0, 2.0)), 40)
+    @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
+                                      (4.0, -3.0, 2.0), (30.0, 20.0, -50.0)])
+    @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    def test_m_energies_match_the_per_block_vdots(self, kvec, l_max):
+        f = plane_wave_coeffs(FieldPoint(kvec), l_max, tail_tol=math.inf)
         energies = f.m_energies()
-        assert energies.shape == (41,)
-        for m in range(41):
-            ref = sum(float(np.sum(np.abs(f.blocks[k]) ** 2)) for k in {m, -m})
-            assert energies[m] == pytest.approx(ref, rel=1e-14, abs=0)
+        ref = block_energies(f)
+        assert energies.shape == ref.shape == (l_max + 1,)
+        assert np.all(np.abs(energies - ref) <= 1e-15 * ref)
         assert f.norm_sq() == pytest.approx(float(np.sum(energies)), rel=1e-15)
-        axis = plane_wave_coeffs(FieldPoint.axial(6.0), 40).m_energies()
-        assert axis[0] > 0.0 and not np.any(axis[1:])
+        if f.top == 0:
+            assert energies[0] > 0.0 and not np.any(energies[1:])
 
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion
         f_axis = plane_wave_coeffs(FieldPoint.axial(12.0), 60)
         f_gen = plane_wave_coeffs(FieldPoint((1e-11, 0.0, 12.0)), 60)
-        assert np.allclose(f_axis.blocks[0], f_gen.blocks[0], rtol=0, atol=1e-10)
+        assert np.allclose(f_axis.pairs[:, 0], f_gen.pairs[:61, 0], rtol=0, atol=1e-10)

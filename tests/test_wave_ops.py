@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -27,7 +29,12 @@ from cavityqed.wave_ops import (
     operator_grid,
     propagator_phases,
 )
-from oracles import closed_cavity_mode_sum, intracavity_field_coeffs, transmission_operator
+from oracles import (
+    closed_cavity_mode_sum,
+    coefficient_blocks,
+    intracavity_field_coeffs,
+    transmission_operator,
+)
 
 KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
@@ -65,7 +72,7 @@ def _all_blocks_value(ops, point, phi0, dense=False):
     system instead."""
     coeffs = plane_wave_coeffs(point, ops.basis.l_max)
     per_m = []
-    for m, c in sorted(coeffs.blocks.items()):
+    for m, c in sorted(coefficient_blocks(coeffs).items()):
         b = ops.block(m)
         if dense:
             x = np.linalg.solve(_dense_resolvent(b, phi0), b.u_half * c)
@@ -296,9 +303,9 @@ class TestIntracavityField:
         basis = HarmonicBasis(80)
         ops = build_operators(geom, basis, m_values=(0,))
         f_in = plane_wave_coeffs(FieldPoint.axial(20.0), 80)
-        g = intracavity_field_coeffs(ops, 0.13, f_in)
-        assert np.max(np.abs(g.blocks[0] - f_in.blocks[0])) < 1e-12
-        assert g.norm_sq() == pytest.approx(f_in.norm_sq(), rel=1e-13)
+        g = intracavity_field_coeffs(ops, 0.13, coefficient_blocks(f_in))
+        assert np.max(np.abs(g[0] - f_in.pairs[:, 0])) < 1e-12
+        assert np.vdot(g[0], g[0]).real == pytest.approx(f_in.norm_sq(), rel=1e-13)
 
     @pytest.mark.parametrize("phi0", [0.05, 0.07])
     def test_closed_sphere_recovers_per_mode_scalars(self, phi0):
@@ -311,16 +318,15 @@ class TestIntracavityField:
             for i, l in enumerate(basis.block_ls(m)):
                 e = np.zeros(dim, dtype=complex)
                 e[i] = 1.0
-                from cavityqed.structures import AngularFunction
-                g = intracavity_field_coeffs(ops, phi0, AngularFunction(30, {m: e}))
+                g = intracavity_field_coeffs(ops, phi0, {m: e})
                 u2 = np.exp(-1j * l * (l + 1) / KR)
                 u1 = np.exp(-1j * l * (l + 1) / (2 * KR))
                 scalar = u1 / (u2 - (-1.0) ** l * rho * np.exp(2j * phi0)) * u1
                 # g = U x with x the resolvent solution of U^2 x = ... tau=sqrt(1-rho^2)
                 tau = math.sqrt(1 - rho * rho)
                 expected = tau * u1 * u1 / (u2 - (-1.0) ** l * rho * np.exp(2j * phi0))
-                assert g.blocks[m][i] == pytest.approx(expected, rel=1e-11)
-                others = np.delete(g.blocks[m], i)
+                assert g[m][i] == pytest.approx(expected, rel=1e-11)
+                others = np.delete(g[m], i)
                 # rounding noise amplified by the resolvent condition ~1/(1-rho)
                 assert np.max(np.abs(others)) < 1e-11
 
@@ -328,7 +334,7 @@ class TestIntracavityField:
         # a NaN residual must fail the solve guard, not pass it
         f_in = plane_wave_coeffs(FieldPoint.axial(3.0), 60)
         with pytest.raises(SolverError):
-            intracavity_field_coeffs(small_ops, math.nan, f_in)
+            intracavity_field_coeffs(small_ops, math.nan, coefficient_blocks(f_in))
 
 
 class TestEnhancementFull:
@@ -479,11 +485,12 @@ class TestBlockSkip:
         energies = coeffs.m_energies()
         norm_sq = float(np.sum(energies))
         gain = 1.0 / (1.0 - 0.98) ** 2
-        top, skipped = max(abs(m) for m in coeffs.blocks), 0.0
+        # the layout holds every |m| up to l_max off the axis, m = 0 on it
+        top, skipped = (60 if kvec[0] else 0), 0.0
         while top > 0 and skipped + gain * energies[top] <= wave_ops._SKIP_FLOOR * norm_sq:
             skipped += gain * energies[top]
             top -= 1
-        assert wave_ops._solved_magnitudes(benchmark_geom, coeffs.blocks, energies, norm_sq,
+        assert wave_ops._solved_magnitudes(benchmark_geom, coeffs.top, energies, norm_sq,
                                            False) == (top, skipped)
 
     def test_detail_counts_are_deterministic(self, benchmark_geom):
@@ -540,8 +547,7 @@ class TestModalSolve:
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=0.3)
         basis = HarmonicBasis(self.L_MAX)
         f_in = plane_wave_coeffs(FieldPoint((4.0, 1.0, 3.0)), self.L_MAX)
-        ms = {m: c for m, c in f_in.blocks.items() if abs(m) <= 3}
-        f_in = dataclasses.replace(f_in, blocks=ms)
+        f_in = {m: c for m, c in coefficient_blocks(f_in).items() if abs(m) <= 3}
         ops = build_operators(geom, basis, m_values=range(4))
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
             intracavity_field_coeffs(ops, float(phi0), f_in)
@@ -549,9 +555,8 @@ class TestModalSolve:
             got = intracavity_field_coeffs(ops, phi0, f_in)
             ref = intracavity_field_coeffs(build_operators(geom, basis, m_values=range(4)),
                                            phi0, f_in)
-            for m in ms:
-                assert np.max(np.abs(got.blocks[m] - ref.blocks[m])) <= (
-                    1e-11 * np.max(np.abs(ref.blocks[m])))
+            for m in f_in:
+                assert np.max(np.abs(got[m] - ref[m])) <= 1e-11 * np.max(np.abs(ref[m]))
         assert sorted(ops.modes) == [0, 1, 2, 3]
         assert all(f is not None for f in ops.modes.values())
 
@@ -660,7 +665,10 @@ class TestHermitianForm:
         for r in results[-len(self.POINTS):]:
             assert r.detail["form_solves"] == r.detail["blocks_solved"] > 0
             assert r.detail["modal_solves"] == 0
-        assert all(form is not None for *_, form in ops.forms.values())
+        # every block that a point solved is formed
+        (state,) = ops.forms.values()
+        assert state.formed_top == max(r.detail["blocks_solved"] for r in results) - 1
+        assert not state.failed
         for k, r in zip(3 * self.POINTS, results):
             # without ops every block is solved directly
             direct = enhancement_full(geom, basis, FieldPoint(k), phi0)
@@ -671,16 +679,19 @@ class TestHermitianForm:
     def test_failed_guard_keeps_no_form(self, benchmark_geom, monkeypatch):
         form = wave_ops._hermitian_form
 
-        def strict(block, phi0):
+        def strict(*args):
             # no row norm meets a negative limit: the n-column guard fails,
             # while the direct solves keep the usual limit
             with monkeypatch.context() as patch:
                 patch.setattr(wave_ops, "_RESIDUAL_LIMIT", -1.0)
-                return form(block, phi0)
+                return form(*args)
 
         monkeypatch.setattr(wave_ops, "_hermitian_form", strict)
         ops, results = self._scan(benchmark_geom, 0.01, 2 * self.POINTS)
-        assert ops.forms and all(form is None for *_, form in ops.forms.values())
+        (state,) = ops.forms.values()
+        assert state.formed_top >= 0 and state.failed == set(range(state.formed_top + 1))
+        # a failed block's slots hold nothing that a point could read
+        assert state.stacks and not any(np.any(stack) for stack in state.stacks)
         for k, r in zip(2 * self.POINTS, results):
             assert r.detail["form_solves"] == 0
             direct = enhancement_full(benchmark_geom, HarmonicBasis(self.L_MAX),
@@ -700,20 +711,68 @@ class TestHermitianForm:
         ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), m_values=(0,))
         axial = [(0.0, 0.0, kz) for kz in (1.0, 2.0, 3.0)]
         dims = [len(range(self.L_MAX + 1)[s.index]) for s in ops.block(0).sectors]
+        held = None
         for phi0 in (0.0, 0.01):
             self._scan(benchmark_geom, phi0, axial[:1], ops)
-            # a new phase drops the old form and restarts the count
-            assert ops.forms == {0: (phi0, 1, None)}
+            # a new phase frees the old stacks and restarts the count
+            assert list(ops.forms) == [phi0]
+            if held is not None:
+                gc.collect()
+                assert held() is None
+            state = ops.forms[phi0]
+            assert (state.tops, state.formed_top, state.stacks) == ([0], -1, [])
             self._scan(benchmark_geom, phi0, axial[1:], ops)
-            phase, count, form = ops.forms[0]
-            assert (phase, count) == (phi0, 3)
-            # one real n x n matrix per sector: 8 n^2 bytes
-            assert [f.shape for f in form] == [(n, n) for n in dims]
-            assert sum(f.nbytes for f in form) == sum(8 * n * n for n in dims)
-            assert all(f.dtype == np.float64 for f in form)
+            assert (state.tops, state.formed_top, state.failed) == ([0, 0, 0], 0, set())
+            # one slot per sector, padded to the larger: the odd sector of
+            # 30 l is padded to the 31 of the even one
+            (stack,) = state.stacks
+            assert stack.shape == (2, dims[0], dims[0]) and stack.dtype == np.float64
+            assert not np.any(stack[1, dims[1]:]) and not np.any(stack[1, :, dims[1]:])
+            assert stack.nbytes <= wave_ops._FORM_PADDING * sum(8 * n * n for n in dims)
+            held = weakref.ref(stack)
+            del state, stack  # the only reference left is the set's
         # two solves at each phase; the form answers do not count towards
         # _MODAL_AFTER
         assert ops.solve_counts == {0: 4}
+
+    @pytest.mark.parametrize("name", sorted(CAVITIES))
+    def test_stacks_hold_each_form_once_within_the_padding(self, name):
+        # the bytes of one phase's stacks against one real n x n matrix per
+        # formed sector, as forms grow over a scan whose points reach ever
+        # higher |m|
+        geom = self.CAVITIES[name]
+        ops = build_operators(geom, HarmonicBasis(self.L_MAX))
+        points = [(0.0, 0.0, 4.0)] + [(r, 0.3 * r, 2.0) for r in (1.0, 3.0, 6.0, 10.0, 15.0)]
+        for k in 3 * points:
+            self._scan(geom, 0.0, [k], ops)
+            (state,) = ops.forms.values()
+            sizes = [len(range(self.L_MAX - m + 1)[s.index])
+                     for m in range(state.formed_top + 1) for s in ops.block(m).sectors]
+            held = sum(stack.nbytes for stack in state.stacks)
+            assert held <= wave_ops._FORM_PADDING * sum(8 * n * n for n in sizes)
+        assert not state.failed and state.formed_top > 1 and len(state.stacks) > 1
+
+    def test_mixed_route_point_matches_the_per_block_rule(self, benchmark_geom, monkeypatch):
+        # a point whose top passes the highest formed |m| is answered from
+        # the stacks below it and by solves above it; the counts are those
+        # of the rule that counts each |m| on its own
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis)
+        points = [(1.0, 0.5, 2.0), (2.0, -1.0, 1.0), (1.5, 1.0, -2.0), (4.0, 2.0, 3.0),
+                  (9.0, -5.0, 2.0), (3.0, 0.0, -1.0), (12.0, 6.0, -4.0), (0.0, 0.0, 6.0)]
+        asked = np.zeros(basis.l_max + 1, dtype=int)
+        mixed = 0
+        for k in points:
+            r = enhancement_full(benchmark_geom, basis, FieldPoint(k), 0.0, ops=ops)
+            top = r.detail["blocks_solved"] - 1
+            asked[: top + 1] += 1
+            formed = int(np.count_nonzero(asked[: top + 1] >= wave_ops._FORM_AFTER))
+            assert (r.detail["form_solves"], r.detail["modal_solves"]) == (formed, 0)
+            direct = enhancement_full(benchmark_geom, basis, FieldPoint(k), 0.0)
+            assert r.detail["blocks_solved"] == direct.detail["blocks_solved"]
+            assert abs(r.value - direct.value) <= 1e-13 * direct.value
+            mixed += 0 < formed < top + 1
+        assert mixed >= 2
 
     def test_position_scan_forms_once(self, benchmark_geom, monkeypatch):
         # count guard: an N-point scan at one phase makes two direct solves
