@@ -69,6 +69,12 @@ def _linspace(r) -> np.ndarray:
     return np.linspace(r.start, r.stop, r.count)
 
 
+def _ray_orders(cfg: ScenarioConfig) -> dict:
+    """The quadrature orders of every ray-route call of a scenario."""
+    return {"polar_order": cfg.numerics.polar_order,
+            "azimuthal_order": cfg.numerics.azimuthal_order}
+
+
 # --------------------------------------------------------------------------
 # scan executors, one per scan kind: each returns (table, plot, summary_lines)
 
@@ -80,16 +86,14 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
     width = cavity_linewidth(geom.rho1, geom.rho2)
     tags = ("parallel", "perpendicular", "isotropic")
     columns = (Column("phi0", "rad"), Column("phi0_linewidths"),
-               Column("gamma_parallel", "ratio"), Column("shift_parallel", "ratio"),
-               Column("gamma_perpendicular", "ratio"), Column("shift_perpendicular", "ratio"),
-               Column("gamma_isotropic", "ratio"), Column("shift_isotropic", "ratio"))
+               *(Column(f"{ratio}_{tag}", "ratio") for tag in tags
+                 for ratio in ("gamma", "shift")))
+    orders = _ray_orders(cfg)
     rows = []
     for phi0 in phis:
         row = [float(phi0), float(phi0) / width * 2.0]
         for tag in tags:
-            r = response(point, DipoleOrientation(tag=tag), geom, float(phi0),
-                         polar_order=cfg.numerics.polar_order,
-                         azimuthal_order=cfg.numerics.azimuthal_order)
+            r = response(point, DipoleOrientation(tag=tag), geom, float(phi0), **orders)
             row.extend((r.gamma_ratio, r.shift_ratio))
         rows.append(tuple(row))
     g_perp = [r[4] for r in rows]
@@ -114,11 +118,10 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
 def _profile(cfg: ScenarioConfig, axis: str, coords, place):
     """Table and plot of the (axis, gamma ratio, shift ratio) rows of
     cfg.dipole at the points place(coordinate), at the scan's fixed detuning."""
+    orders = _ray_orders(cfg)
     rows = []
     for c in coords:
-        r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0,
-                     polar_order=cfg.numerics.polar_order,
-                     azimuthal_order=cfg.numerics.azimuthal_order)
+        r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0, **orders)
         rows.append((float(c), r.gamma_ratio, r.shift_ratio))
     columns = (Column(axis, "1/k"), Column("gamma_ratio", "ratio"),
                Column("shift_ratio", "ratio"))
@@ -153,18 +156,15 @@ def _exec_compare(cfg: ScenarioConfig):
     columns = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
                Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
                Column("rel_deviation"))
+    orders = _ray_orders(cfg)
     rows = []
     for kz in kzs:
         point = FieldPoint.axial(float(kz))
         full = enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
                                 tail_tol=cfg.numerics.tail_tol).value
-        ray = enhancement_ray(geom, point, cfg.scan.phi0,
-                              polar_order=cfg.numerics.polar_order,
-                              azimuthal_order=cfg.numerics.azimuthal_order).value
-        naive = enhancement_ray(geom, point, cfg.scan.phi0,
-                                aberration=False, diffraction=False,
-                                polar_order=cfg.numerics.polar_order,
-                                azimuthal_order=cfg.numerics.azimuthal_order).value
+        ray = enhancement_ray(geom, point, cfg.scan.phi0, **orders).value
+        naive = enhancement_ray(geom, point, cfg.scan.phi0, aberration=False,
+                                diffraction=False, **orders).value
         rows.append((float(kz), full, ray, naive, abs(full - ray) / full))
     max_dev = max(r[4] for r in rows)
     summary = [f"max |full - ray|/full over the profile: {max_dev:.3%}"]
@@ -195,8 +195,7 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     phis = _linspace(cfg.scan.phi0_range)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),
                Column("enhancement_defocused", "ratio"))
-    orders = {"polar_order": cfg.numerics.polar_order,
-              "azimuthal_order": cfg.numerics.azimuthal_order}
+    orders = _ray_orders(cfg)
     rows = [(float(p),
              enhancement_ray(reference, point, float(p), **orders).value,
              enhancement_ray(geom, point, float(p), **orders).value)

@@ -1,8 +1,8 @@
 """Angular quadrature over the sphere and a principal-value integration engine.
 
-The sphere is integrated in cos(theta) with Gauss-Legendre rules applied per
-segment, segments being split at the mirror edges where integrands are
-discontinuous; the ray route adds a uniform azimuth
+The sphere is integrated in cos(theta) with one Gauss-Legendre map onto
+panels (_panel_rule, which pv_integrate shares), the panels being split at
+the mirror edges where integrands jump; the ray route adds a uniform azimuth
 (ray_model.ray_integration_nodes). Weights carry the dOmega/4pi measure, so
 integrating the constant 1 gives exactly 1.
 
@@ -100,6 +100,14 @@ def _legendre_with_derivative(n: int, x: np.ndarray):
     return p, n * (p_prev - x * p) / (1.0 - x * x)
 
 
+def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
+    """The Gauss-Legendre rule of the given order mapped onto every panel
+    [lo_i, hi_i]: nodes and weights 0.5 (hi - lo) w, panel after panel."""
+    xs, ws = _gauss_legendre(order)
+    half = 0.5 * (hi - lo)[:, None]
+    return (half * xs + 0.5 * (lo + hi)[:, None]).ravel(), (half * ws).ravel()
+
+
 def polar_rule(theta_edges, order: int):
     """Gauss-Legendre nodes/weights in mu = cos(theta), split per segment.
 
@@ -115,12 +123,9 @@ def polar_rule(theta_edges, order: int):
     mus = np.concatenate(([-1.0], np.cos(edges)[::-1], [1.0]))
     if np.any(np.diff(mus) <= 0.0):
         raise ValueError("degenerate segment: repeated theta edge")
-    xs, ws = _gauss_legendre(order)
-    mu_parts, w_parts = [], []
-    for a, b in zip(mus[:-1], mus[1:]):
-        mu_parts.append(0.5 * (b - a) * xs + 0.5 * (a + b))
-        w_parts.append(0.25 * (b - a) * ws)
-    return np.concatenate(mu_parts), np.concatenate(w_parts)
+    mu, w = _panel_rule(mus[:-1], mus[1:], order)
+    w *= 0.5  # the polar half of the dOmega/4pi measure
+    return mu, w
 
 
 def cap_edges(theta_1: float, theta_2: float) -> list[float]:
@@ -195,10 +200,7 @@ def pv_integrate(kernel, *, period: float = math.pi, refine_points=()) -> PVResu
     from scipy.special import digamma  # the only scipy use; kept off the import path
 
     edges = _pv_panels(period, refine_points)
-    xs, ws = _gauss_legendre(_PV_ORDER)
-    lo, hi = edges[:-1], edges[1:]
-    u = (0.5 * (hi - lo)[:, None] * xs[None, :] + 0.5 * (lo + hi)[:, None]).ravel()
-    w = (0.5 * (hi - lo)[:, None] * ws[None, :]).ravel()
+    u, w = _panel_rule(edges[:-1], edges[1:], _PV_ORDER)
     h = np.asarray(kernel(u)) - np.asarray(kernel(-u))
     wh = w * h
     # partial sum over the first N periods reuses the same kernel values:

@@ -218,11 +218,11 @@ def ray_direction_phases(
     phi_eff = phi0 + (aberration_phase(point, x, geom.k_radius) if aberration else 0.0)
     x_eff = x
     if geom.k_delta != 0.0:
+        # a quarter of the phase each; x_eff's sign says which end of the ray,
+        # +Omega (theta >= pi/2) or -Omega, meets mirror 2
         alpha = 2.0 * geom.k_delta * np.abs(mu)
-        alpha_fwd = np.where(theta >= math.pi / 2, alpha, 0.0)
-        alpha_back = alpha - alpha_fwd
-        phi_eff = phi_eff + 0.25 * (alpha_fwd + alpha_back)
-        x_eff = x + 0.25 * (alpha_fwd - alpha_back)
+        phi_eff = phi_eff + 0.25 * alpha
+        x_eff = x + 0.25 * np.where(theta >= math.pi / 2, alpha, -alpha)
     phi_eff = np.broadcast_to(phi_eff, x.shape) if np.shape(phi_eff) != x.shape else phi_eff
     return phi_eff, x_eff
 

@@ -151,24 +151,19 @@ def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
     """P_lm(x) for every m = m_lo..m_hi <= l_max at every point of x: entry
     [l - m_lo, m - m_lo, i] is P_lm(x[i]) for l >= m, zero for l < m.
 
-    P_mm is the running product over k = 1..m of -sqrt(1 - x^2) times
-    sqrt((2k+1)/2k), P_{m+1,m} = sqrt(2m+3) x P_mm, and every later l is one
+    P_mm, the running product over k = 1..m of -sqrt(1 - x^2) times
+    sqrt((2k+1)/2k), is one cumulative product over m = 0..m_hi cut to
+    m_lo..m_hi; P_{m+1,m} = sqrt(2m+3) x P_mm, and every later l is one
     step of P_lm = a (x P_{l-1,m} - b P_{l-2,m}) for all m and x at once.
     """
     n_m = m_hi - m_lo + 1
     out = np.zeros((l_max - m_lo + 1, n_m, x.size))
     k = np.arange(1, m_hi + 1)
-    s = np.sqrt((2 * k + 1) / (2 * k))
-    neg_u = -np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    # P_mm for m = m_lo..m_hi: the product up to m_lo one k at a time, which
-    # keeps a single row, then the running product over the range
-    p_mm = np.ones(x.size)
-    for factor in s[:m_lo]:
-        p_mm = neg_u * factor * p_mm
-    diag = np.empty((n_m, x.size))
-    diag[0] = p_mm
-    np.multiply(s[m_lo:, None], neg_u, out=diag[1:])
-    np.cumprod(diag, axis=0, out=diag)
+    diag = np.empty((m_hi + 1, x.size))
+    diag[0] = 1.0
+    np.multiply(np.sqrt((2 * k + 1) / (2 * k))[:, None],
+                -np.sqrt(np.maximum(0.0, 1.0 - x * x)), out=diag[1:])
+    diag = np.cumprod(diag, axis=0, out=diag)[m_lo:]
     j = np.arange(n_m)
     out[j, j] = diag
     j = j[: l_max - m_lo]  # the m < l_max, which have a row l = m + 1

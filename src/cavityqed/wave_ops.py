@@ -211,12 +211,16 @@ class CavityOperatorSet:
     sector (8 n^2 bytes, at most _FORM_PADDING times that with its padding),
     stacked by |m|. A point at another phase frees them and restarts every
     count. Answers from a form do not count towards _MODAL_AFTER: a phase
-    sweep still goes modal. A lossless cavity is always solved directly and
-    never formed."""
+    sweep still goes modal. lossless, set once, says that a mirror reflects
+    within the singular floor of 1; otherwise |rho| <= max rho < 1 and no
+    block can be singular. A lossless cavity is always solved directly and
+    never formed. A set answers only for the geometry and basis it was
+    built for: enhancement_full rejects any other with ValueError."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid = field(init=False, repr=False)
+    lossless: bool = field(init=False)
     blocks: dict[int, OperatorBlock] = field(init=False, default_factory=dict)
     solve_counts: dict[int, int] = field(init=False, default_factory=dict)
     modes: dict[int, tuple[_ModalFactors, ...] | None] = field(
@@ -225,6 +229,7 @@ class CavityOperatorSet:
 
     def __post_init__(self):
         self.grid = operator_grid(self.geometry, self.basis.l_max)
+        self.lossless = max(self.geometry.rho1, self.geometry.rho2) >= 1.0 - _SINGULAR_FLOOR
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -368,12 +373,12 @@ def build_operators(
     return ops
 
 
-def _resolvent_matrix(block: OperatorBlock, sector: ParitySector, detuning_phase: float):
-    """Round-trip resolvent matrix diag(u^2) - e^{2i phi0} P.rho on one
-    sector of a block, with the parity P applied after the mirror
+def _resolvent_matrix(block: OperatorBlock, sector: ParitySector, z: complex):
+    """Round-trip resolvent matrix diag(u^2) - z P.rho, z = e^{2i phi0}, on
+    one sector of a block, with the parity P applied after the mirror
     multiplication, in one allocation."""
     a = np.multiply(block.parity[sector.index, None], sector.rho, dtype=complex)
-    a *= -np.exp(2j * detuning_phase)
+    a *= -z
     a.reshape(-1)[:: a.shape[0] + 1] += block.u_half[sector.index] ** 2
     return a
 
@@ -390,17 +395,9 @@ def _condition(matrices) -> float:
         return float(max(s[0] for s in values) / min(s[-1] for s in values))
 
 
-def _is_lossless(geom: CavityGeometry) -> bool:
-    """Whether a mirror reflects within the singular floor of 1. U and P are
-    unitary and |rho| <= max(rho1, rho2), so the inverse of every resolvent
-    block has norm at most 1/(1 - max(rho1, rho2)): only such a cavity can
-    have a singular block."""
-    return max(geom.rho1, geom.rho2) >= 1.0 - _SINGULAR_FLOOR
-
-
-def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
-                 rhs: np.ndarray, label: str, scale: float):
-    """Solve (U^2 - e^{2i phi0} P rho) x = rhs for block |m|, for the
+def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
+                 scale: float):
+    """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
     columns of rhs, sector by sector; returns x and the
     worst ||V||_1 ||V^-1||_1 of the modal factors that answered it (None for
     a direct solve).
@@ -417,19 +414,18 @@ def _solve_block(ops: CavityOperatorSet, m: int, detuning_phase: float,
     call."""
     key = abs(m)
     block = ops.block(key)
-    lossless = _is_lossless(ops.geometry)
-    if not lossless:
+    if not ops.lossless:
         count = ops.solve_counts.get(key, 0) + 1
         ops.solve_counts[key] = count
         if count == _MODAL_AFTER:
             ops.modes[key] = _decompose(block)
     factors = ops.modes.get(key)
     if factors is not None:
-        x = _modal_solve(block, factors, detuning_phase, rhs, scale)
+        x = _modal_solve(block, factors, z, rhs, scale)
         if x is not None:
             return x, max(f.condition for f in factors)
         ops.modes[key] = None
-    return _checked_solve(block, detuning_phase, rhs, label, scale, lossless), None
+    return _checked_solve(block, z, rhs, scale, ops.lossless), None
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -450,11 +446,10 @@ def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
     return resid
 
 
-def _modal_solve(block: OperatorBlock, factors, detuning_phase: float,
-                 rhs: np.ndarray, scale: float) -> np.ndarray | None:
+def _modal_solve(block: OperatorBlock, factors, z: complex, rhs: np.ndarray,
+                 scale: float) -> np.ndarray | None:
     """The solution from the modal factors of each sector, or None as soon
     as a sector's answer fails the residual check."""
-    z = np.exp(2j * detuning_phase)
     x = np.empty(rhs.shape, dtype=complex)
     for sector, modes in zip(block.sectors, factors):
         b = rhs[sector.index]
@@ -487,7 +482,7 @@ def _decompose(block: OperatorBlock) -> tuple[_ModalFactors, ...] | None:
     return tuple(factors)
 
 
-def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
+def _checked_solve(block, z, rhs, scale, lossless):
     """Solve one m block directly, sector by sector, for the columns of
     rhs, and check the largest residual of each sector
     against scale, the norm of the whole input: a block whose right-hand
@@ -502,7 +497,8 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
     number of the whole block, over all its sectors, and dim is the
     block's: a sector whose entries are all small can have a modest
     condition number of its own while the block is singular."""
-    matrices = [_resolvent_matrix(block, s, detuning_phase) for s in block.sectors]
+    label = f"m=+-{block.m}" if block.m else "m=0"
+    matrices = [_resolvent_matrix(block, s, z) for s in block.sectors]
     if lossless and all(np.all(np.isfinite(a)) for a in matrices):
         cond = _condition(matrices)
         if not cond * block.dim * np.finfo(float).eps < 1.0:
@@ -510,7 +506,6 @@ def _checked_solve(block, detuning_phase, rhs, label, scale, lossless):
                 f"resolvent of {label} block is singular to working precision "
                 f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
             )
-    z = np.exp(2j * detuning_phase)
     x = np.empty(rhs.shape, dtype=complex)
     for sector, a in zip(block.sectors, matrices):
         b = rhs[sector.index]
@@ -581,12 +576,12 @@ def _form_bands(geom: CavityGeometry, l_max: int) -> tuple[_FormBand, ...]:
     return tuple(bands)
 
 
-def _phase_forms(ops: CavityOperatorSet, top: int, detuning_phase: float):
+def _phase_forms(ops: CavityOperatorSet, top: int, detuning_phase: float, z: complex):
     """The _PhaseForms of detuning_phase after counting a point that asks
     the blocks |m| <= top, a new phase freeing the old forms; the blocks
     asked for the _FORM_AFTER-th time, which follow the formed ones, are
     formed now. None for a lossless cavity, which is never formed."""
-    if _is_lossless(ops.geometry):
+    if ops.lossless:
         return None
     state = ops.forms.get(detuning_phase)
     if state is None:
@@ -595,12 +590,11 @@ def _phase_forms(ops: CavityOperatorSet, top: int, detuning_phase: float):
     formed_top = state.formed_top
     state.tops = sorted(state.tops + [top], reverse=True)[:_FORM_AFTER]
     if state.formed_top > formed_top:
-        _form_blocks(ops, state, formed_top + 1, state.formed_top, detuning_phase)
+        _form_blocks(ops, state, formed_top + 1, state.formed_top, z)
     return state
 
 
-def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int,
-                 detuning_phase: float):
+def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int, z: complex):
     """Form the blocks lo..hi, which follow the formed ones, straight into
     their slots. Each band up to hi first gets a stack of its slots of
     |m| <= hi; a band that has one already is copied once into a larger."""
@@ -621,12 +615,12 @@ def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int,
             start = band.ends[m - band.first - 1] if m > band.first else 0
             block = ops.block(m)
             slots = stack[start: start + len(block.sectors)]
-            if not _hermitian_form(block, detuning_phase, slots):
+            if not _hermitian_form(block, z, slots):
                 slots[...] = 0.0
                 state.failed.add(m)
 
 
-def _hermitian_form(block: OperatorBlock, detuning_phase: float, slots) -> bool:
+def _hermitian_form(block: OperatorBlock, z: complex, slots) -> bool:
     """Write, per sector, M = Re K + Im K of K = X^H tau^2 X, with X = A^-1
     diag(u) from one n-column solve of the sector's resolvent A, into the
     leading n x n of its slot; False when a solve fails or the guard does.
@@ -639,11 +633,10 @@ def _hermitian_form(block: OperatorBlock, detuning_phase: float, slots) -> bool:
     the point's coefficients c_s on the sector have ||c_s||_2 <= scale, the
     norm of its whole input: the guard implies the residual check of
     _checked_solve for every later point."""
-    z = np.exp(2j * detuning_phase)
     for sector, slot in zip(block.sectors, slots):
         rhs = np.diag(block.u_half[sector.index])
         try:
-            x = np.linalg.solve(_resolvent_matrix(block, sector, detuning_phase), rhs)
+            x = np.linalg.solve(_resolvent_matrix(block, sector, z), rhs)
         except np.linalg.LinAlgError:
             return False
         if not np.all(np.linalg.norm(_residual(block, sector, z, x, rhs), axis=1)
@@ -753,11 +746,17 @@ def enhancement_full(
 
     The mirror edge entering the operators is the geometric aperture;
     diffraction losses emerge from the calculation itself. Without ops the
-    blocks are built on demand on operator_grid, the skipped ones never. A
-    non-finite detuning_phase raises ValueError.
+    blocks are built on demand on operator_grid, the skipped ones never. An
+    ops built for another geometry or basis raises ValueError, as does a
+    non-finite detuning_phase; every later step reads the cavity from ops.
     """
     if not math.isfinite(detuning_phase):
         raise ValueError(f"detuning_phase must be finite, got {detuning_phase}")
+    if ops is None:
+        ops = CavityOperatorSet(geometry=geom, basis=basis)
+    elif (ops.geometry, ops.basis) != (geom, basis):
+        raise ValueError(f"operator set built for {ops.geometry} and {ops.basis}, "
+                         f"not for {geom} and {basis}")
     kr = point.kr
     if kr > 0.0 and kr > basis.l_max - 30:
         warnings.warn(
@@ -767,15 +766,14 @@ def enhancement_full(
             stacklevel=2,
         )
     coeffs = plane_wave_coeffs(point, basis.l_max, tail_tol=tail_tol)
-    if ops is None:
-        ops = CavityOperatorSet(geometry=geom, basis=basis)
     pairs, offsets = coeffs.pairs, coeffs.offsets
     energies = coeffs.m_energies()
     norm_sq = float(np.sum(energies))
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(norm_sq)
-    top, skipped = _solved_magnitudes(geom, coeffs.top, energies, norm_sq, _is_lossless(geom))
-    state = _phase_forms(ops, top, detuning_phase)
+    top, skipped = _solved_magnitudes(ops, coeffs.top, energies, norm_sq)
+    z = np.exp(2j * detuning_phase)
+    state = _phase_forms(ops, top, detuning_phase, z)
     formed_top, failed, value = -1, [], 0.0
     if state is not None:
         formed_top = min(top, state.formed_top)
@@ -786,9 +784,7 @@ def enhancement_full(
         block = ops.block(mag)
         # +m and -m share one matrix: one system with a column for each
         c = pairs[offsets[mag]: offsets[mag + 1], : 2 if mag else 1]
-        label = "m=0" if mag == 0 else f"m=+-{mag}"
-        x, modal = _solve_block(ops, mag, detuning_phase, block.u_half[:, None] * c,
-                                label, scale)
+        x, modal = _solve_block(ops, mag, z, block.u_half[:, None] * c, scale)
         value += _tau_sq_form(block, x).sum()
         if modal is not None:
             modal_conditions.append(modal)
@@ -796,7 +792,7 @@ def enhancement_full(
     if collect_condition:
         for mag in range(top + 1):
             block = ops.block(mag)
-            conditions.append(_condition([_resolvent_matrix(block, s, detuning_phase)
+            conditions.append(_condition([_resolvent_matrix(block, s, z)
                                           for s in block.sectors]))
     return EnhancementResult(
         value=float(value),
@@ -812,10 +808,10 @@ def enhancement_full(
     )
 
 
-def _solved_magnitudes(geom, top, energies, norm_sq, lossless):
+def _solved_magnitudes(ops: CavityOperatorSet, top, energies, norm_sq):
     """Highest |m| to solve, at most top, the highest the input holds, and
     the summed bound on what the skipped |m| pairs above it could add to the
-    value; energies[|m|] is the input energy of the pair.
+    value in the cavity of ops; energies[|m|] is the input energy of the pair.
 
     U and P are unitary, |rho_m| <= max(rho1, rho2) and |tau^2_m| <= 1, so
     a pair with input energy e contributes at most e / (1 - max rho)^2. The
@@ -823,9 +819,9 @@ def _solved_magnitudes(geom, top, energies, norm_sq, lossless):
     within _SKIP_FLOOR of the input energy. A lossless cavity has no finite
     bound, and every listed block is solved.
     """
-    if lossless:
+    if ops.lossless:
         return top, 0.0
-    gain = 1.0 / (1.0 - max(geom.rho1, geom.rho2)) ** 2
+    gain = 1.0 / (1.0 - max(ops.geometry.rho1, ops.geometry.rho2)) ** 2
     # summed bounds of the pairs |m| = top, top - 1, ..., 1, nondecreasing
     bounds = np.cumsum(gain * energies[top:0:-1])
     skip = int(np.count_nonzero(bounds <= _SKIP_FLOOR * norm_sq))

@@ -163,8 +163,8 @@ def intracavity_field_coeffs(
         rhs = np.empty(block.dim, dtype=complex)
         for sector, tau in zip(block.sectors, taus[abs(m)]):
             rhs[sector.index] = tau @ uc[sector.index]
-        x, _ = _solve_block(ops, m, detuning_phase, (block.parity * rhs)[:, None],
-                            f"m={m}", scale)
+        x, _ = _solve_block(ops, m, np.exp(2j * detuning_phase),
+                            (block.parity * rhs)[:, None], scale)
         out[m] = block.u_half * (block.parity * x[:, 0])
     return out
 

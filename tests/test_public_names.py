@@ -17,7 +17,8 @@ from cavityqed.dipole_response import response
 from cavityqed.io_formats import ResultTable
 from cavityqed.quadrature import AngularGrid, PVResult, pv_integrate
 from cavityqed.structures import AngularFunction, FieldPoint, HarmonicBasis
-from cavityqed.wave_ops import CavityOperatorSet, OperatorBlock, build_operators
+from cavityqed.wave_ops import (CavityOperatorSet, OperatorBlock, build_operators,
+                                enhancement_full)
 
 # names that only the tests called: deleted, or moved to tests/oracles.py
 RETIRED = (
@@ -101,16 +102,22 @@ def test_only_the_cli_imports_the_cli():
 def test_parameters_that_no_program_path_varies_stay_retired():
     # pv_integrate runs the one configuration of the airy-check scan,
     # operator blocks always sit on operator_grid, and response always
-    # applies both ray corrections
+    # applies both ray corrections; perfbench/worker.py passes the first four
+    # parameters of enhancement_full by position
     params = {f.__name__: list(inspect.signature(f).parameters)
-              for f in (pv_integrate, cli.pv_oracle_errors, build_operators, response)}
+              for f in (pv_integrate, cli.pv_oracle_errors, build_operators, response,
+                        enhancement_full)}
     assert params == {
         "pv_integrate": ["kernel", "period", "refine_points"],
         "pv_oracle_errors": ["rho", "phi"],
         "build_operators": ["geom", "basis", "m_values"],
         "response": ["point", "orientation", "geom", "phi0", "polar_order",
                      "azimuthal_order"],
+        "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops", "tail_tol",
+                             "collect_condition"],
     }
+    kinds = [p.kind for p in inspect.signature(enhancement_full).parameters.values()]
+    assert kinds[:4] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4
     # the caches of an operator set are built by the set, not passed in
     assert [f.name for f in dataclasses.fields(CavityOperatorSet) if f.init] == [
         "geometry", "basis"]

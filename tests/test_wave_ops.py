@@ -22,6 +22,7 @@ from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
     _build_block,
+    CavityOperatorSet,
     _solve_block,
     build_operators,
     enhancement_full,
@@ -263,14 +264,14 @@ class TestParitySectors:
 
         def check(modal):
             for phi0 in self.PHASES:
-                x, modes = _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+                x, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
                 assert (modes is not None) == modal
                 ref = np.linalg.solve(_dense_resolvent(block, float(phi0), rho), rhs)
                 assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
 
         check(modal=False)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1 - self.PHASES.size):
-            _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+            _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
         check(modal=True)
 
     @pytest.mark.parametrize("rho", [0.98, 0.999])
@@ -429,6 +430,22 @@ class TestEnhancementFull:
             with pytest.raises(ValueError):
                 enhancement_full(benchmark_geom, HarmonicBasis(20), FieldPoint.origin(), phi0)
 
+    def test_operator_set_of_another_cavity_or_basis_rejected(self, benchmark_geom):
+        # a set built for rho 0.98 once answered for a rho 0.90 cavity with
+        # 16.78 instead of 3.88, and one of l_max 60 under a basis of l_max 80
+        # failed inside numpy on mismatched shapes
+        basis, point = HarmonicBasis(60), FieldPoint((3.0, 1.0, 2.0))
+        ops = build_operators(benchmark_geom, basis)
+        lossier = dataclasses.replace(benchmark_geom, rho1=0.9, rho2=0.9)
+        for geom, other in ((lossier, basis), (benchmark_geom, HarmonicBasis(80))):
+            with pytest.raises(ValueError, match="operator set built for"):
+                enhancement_full(geom, other, point, 0.0, ops=ops)
+        assert not ops.forms and not ops.solve_counts
+        own = enhancement_full(lossier, basis, point, 0.0)
+        assert own.value == pytest.approx(3.884563331532815, rel=1e-12)
+        assert enhancement_full(benchmark_geom, basis, point, 0.0, ops=ops).value == \
+            enhancement_full(benchmark_geom, basis, point, 0.0).value
+
     def test_condition_estimate_collected_on_request(self, benchmark_geom):
         basis = HarmonicBasis(40)
         r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0,
@@ -490,8 +507,8 @@ class TestBlockSkip:
         while top > 0 and skipped + gain * energies[top] <= wave_ops._SKIP_FLOOR * norm_sq:
             skipped += gain * energies[top]
             top -= 1
-        assert wave_ops._solved_magnitudes(benchmark_geom, coeffs.top, energies, norm_sq,
-                                           False) == (top, skipped)
+        ops = CavityOperatorSet(geometry=benchmark_geom, basis=HarmonicBasis(60))
+        assert wave_ops._solved_magnitudes(ops, coeffs.top, energies, norm_sq) == (top, skipped)
 
     def test_detail_counts_are_deterministic(self, benchmark_geom):
         basis = HarmonicBasis(60)
@@ -535,9 +552,9 @@ class TestModalSolve:
         shape = (block.dim, columns)
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
-            assert _solve_block(ops, m, float(phi0), rhs, "m", 1.0)[1] is None
+            assert _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)[1] is None
         for phi0 in self.PHASES:
-            x, modes = _solve_block(ops, m, float(phi0), rhs, "m", 1.0)
+            x, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
             assert modes is not None
             ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
             # relative to the largest entry of the direct answer
