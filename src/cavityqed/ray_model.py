@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from .quadrature import cap_edges, polar_rule
+from .quadrature import cap_edges, gauss_rules, polar_rule
 from .structures import CavityGeometry, FieldPoint
 
 __all__ = [
@@ -39,6 +39,7 @@ __all__ = [
     "aberration_phase",
     "ray_direction_phases",
     "ray_integration_nodes",
+    "prepare_polar_rules",
     "cavity_linewidth",
     "ApertureCollapseError",
     "ResonanceSingularityError",
@@ -218,11 +219,13 @@ def ray_direction_phases(
     phi_eff = phi0 + (aberration_phase(point, x, geom.k_radius) if aberration else 0.0)
     x_eff = x
     if geom.k_delta != 0.0:
-        # a quarter of the phase each; x_eff's sign says which end of the ray,
-        # +Omega (theta >= pi/2) or -Omega, meets mirror 2
+        # a quarter of the phase each. Reflection phases a_f at the +Omega end
+        # and a_b at the -Omega end move the standing wave as a shift of x by
+        # -(a_f - a_b)/4, so x_eff gains -alpha/4 where the +Omega end
+        # (theta >= pi/2) meets mirror 2 and +alpha/4 where the -Omega end does
         alpha = 2.0 * geom.k_delta * np.abs(mu)
         phi_eff = phi_eff + 0.25 * alpha
-        x_eff = x + 0.25 * np.where(theta >= math.pi / 2, alpha, -alpha)
+        x_eff = x + 0.25 * np.where(theta >= math.pi / 2, -alpha, alpha)
     phi_eff = np.broadcast_to(phi_eff, x.shape) if np.shape(phi_eff) != x.shape else phi_eff
     return phi_eff, x_eff
 
@@ -230,6 +233,12 @@ def ray_direction_phases(
 def _auto_polar_order(kr: float, base: int | None) -> int:
     auto = 48 + int(1.2 * kr)
     return max(base or 64, auto)
+
+
+def prepare_polar_rules(krs, polar_order: int | None) -> None:
+    """Build together the polar Gauss rules that ray_integration_nodes will
+    use at points of the given kr, for a scan that knows all its points."""
+    gauss_rules(_auto_polar_order(kr, polar_order) for kr in krs)
 
 
 def _auto_azimuthal_order(kr_perp: float, base: int | None) -> int:

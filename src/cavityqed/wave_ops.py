@@ -61,7 +61,8 @@ import numpy as np
 
 from .quadrature import AngularGrid, build_grid, cap_edges
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
-from .specfun import (  # noqa: F401 (radial_bessel_table: perfbench/tracing.py wraps it here)
+from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table and radial_bessel_table here)
+    _legendre,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -109,6 +110,12 @@ _FORM_AFTER = 3
 # ends before a sector whose padded square would exceed this many times its
 # own, which bounds the bytes of the stacks by the same factor
 _FORM_PADDING = 1.25
+# bytes of the Legendre table of one chunk of consecutive |m|, built by one
+# recurrence. At l_max 150 (498 nodes) a 2 MB cap takes 26 recurrences for
+# the 151 blocks, and a warm build_operators 0.12-0.15 s against 0.25-0.27 s
+# with one per block on a 2-core Xeon VM; 16 MB saves about 10% more but
+# lifts the traced peak of the build from 13.7 to 39.6 MB (10.1 MB per block)
+_LEGENDRE_CHUNK = 2 * 2**20
 # share of the input energy that the skipped |m| pairs may add, at most,
 # to the value of enhancement_full
 _SKIP_FLOOR = 1e-16
@@ -220,6 +227,7 @@ class CavityOperatorSet:
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid = field(init=False, repr=False)
+    segments: _Segments = field(init=False, repr=False)
     lossless: bool = field(init=False)
     blocks: dict[int, OperatorBlock] = field(init=False, default_factory=dict)
     solve_counts: dict[int, int] = field(init=False, default_factory=dict)
@@ -229,12 +237,13 @@ class CavityOperatorSet:
 
     def __post_init__(self):
         self.grid = operator_grid(self.geometry, self.basis.l_max)
+        self.segments = _segments(self.geometry, self.grid)
         self.lossless = max(self.geometry.rho1, self.geometry.rho2) >= 1.0 - _SINGULAR_FLOOR
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
         if key not in self.blocks:
-            self.blocks[key] = _build_block(self.geometry, self.basis, self.grid, key)
+            self.blocks.update(_build_blocks(self.geometry, self.basis, self.segments, (key,)))
         return self.blocks[key]
 
     @property
@@ -278,17 +287,60 @@ def _parity_sectors(geom: CavityGeometry, dim: int) -> tuple[slice, ...]:
     return (slice(None),)
 
 
-def _segment_grams(grid: AngularGrid, l_max: int, m: int, sectors):
-    """Per sector (a slice of the block's l), the polar nodes of each
-    segment of the grid, each as (node indices, Legendre rows v_s, weighted
-    rows w_s v_s, real Gram v_s^T diag(w_s) v_s). A segment is a contiguous
-    run of polar_rule's nodes, which ascend in cos(theta); the runs are
-    taken by ascending theta, the last run first. No Gram couples two
-    sectors."""
-    v = legendre_table(l_max, m, grid.mu)
+def _legendre_chunks(l_max: int, n_points: int, ms) -> list[tuple[int, int]]:
+    """Ranges m_lo..m_hi of consecutive values of the ascending distinct ms,
+    each as long as its Legendre table of l = m_lo..l_max at n_points
+    stays within _LEGENDRE_CHUNK bytes, and at least one m."""
+    chunks = []
+    for m in ms:
+        if chunks and m == chunks[-1][1] + 1 and (
+                (l_max + 1 - chunks[-1][0]) * (m + 1 - chunks[-1][0]) * n_points * 8
+                <= _LEGENDRE_CHUNK):
+            chunks[-1] = (chunks[-1][0], m)
+        else:
+            chunks.append((m, m))
+    return chunks
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """What every block of one cavity on one grid shares: the grid, the
+    polar nodes of each segment as (node indices, weight column), and per
+    segment each mirror profile's value where it is constant there, or its
+    node values where it is not (the defocus phase). A segment is a
+    contiguous run of polar_rule's nodes, which ascend in cos(theta); the
+    runs are listed by ascending theta, the last run first. rho is real when
+    every reflection profile value is."""
+
+    grid: AngularGrid
+    groups: tuple
+    rho: tuple
+    tau_sq: tuple
+
+
+def _segments(geom: CavityGeometry, grid: AngularGrid) -> _Segments:
+    rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
+    if not np.any(rho_vals.imag):
+        rho_vals = rho_vals.real
     run = grid.mu.size // (len(grid.edges) + 1)
-    groups = [(idx, grid.w_theta[idx, None]) for idx in
-              (np.arange(start, start + run) for start in range(grid.mu.size - run, -1, -run))]
+    groups = tuple((idx, grid.w_theta[idx, None]) for idx in
+                   (np.arange(start, start + run) for start in range(grid.mu.size - run, -1, -run)))
+    return _Segments(grid, groups, _segment_values(rho_vals, groups),
+                     _segment_values(tau_sq_vals, groups))
+
+
+def _segment_values(values: np.ndarray, groups) -> tuple:
+    """Per segment, the profile's value there if it is constant, else its
+    values at the segment's nodes."""
+    return tuple(f[0] if np.all(f == f[0]) else f for f in (values[idx] for idx, _ in groups))
+
+
+def _segment_grams(v: np.ndarray, groups, sectors):
+    """Per sector (a slice of the block's l), per segment of groups (as
+    _Segments holds them), the Legendre rows v_s, the weighted rows
+    w_s v_s and the real Gram v_s^T diag(w_s) v_s. v is the block's
+    Legendre table, P_lm at node i and l = m + j in v[i, j], typically a
+    slice of a table built for a chunk of m. No Gram couples two sectors."""
     per_sector = []
     for sector in sectors:
         columns = v[:, sector]
@@ -296,35 +348,52 @@ def _segment_grams(grid: AngularGrid, l_max: int, m: int, sectors):
         for idx, w in groups:
             v_s = columns[idx]
             wv = w * v_s
-            parts.append((idx, v_s, wv, v_s.T @ wv))
+            parts.append((v_s, wv, v_s.T @ wv))
         per_sector.append(parts)
     return per_sector
 
 
-def _profile_operator(parts, values: np.ndarray) -> np.ndarray:
-    """Multiplication operator by a profile sampled on the polar nodes, as a
-    sum over segments: the profile's value times the segment Gram where it
-    is constant there, its own weighted product where it is not. Real
-    values give a real operator."""
-    out = np.zeros(parts[0][3].shape, dtype=values.dtype)
-    for idx, v_s, wv, gram in parts:
-        f = values[idx]
-        if np.all(f == f[0]):
-            out += f[0] * gram
+def _profile_operator(parts, profile) -> np.ndarray:
+    """Multiplication operator by a profile given per segment (see
+    _Segments), as a sum over segments: the profile's value times the
+    segment Gram where it is constant there, its own weighted product where
+    it is not. Real values give a real operator."""
+    out = np.zeros(parts[0][2].shape, dtype=profile[0].dtype)
+    for (v_s, wv, gram), f in zip(parts, profile):
+        if np.ndim(f) == 0:
+            out += f * gram
         else:
             out += v_s.T @ (f[:, None] * wv)
     return out
 
 
-def _build_block(geom, basis, grid, m) -> OperatorBlock:
-    rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
-    if not np.any(rho_vals.imag):
-        rho_vals = rho_vals.real
+def _build_blocks(geom, basis, segments: _Segments, ms) -> dict[int, OperatorBlock]:
+    """The blocks |m| for the m in ms, on the grid of segments. The
+    Legendre tables of each chunk of consecutive |m| (_legendre_chunks)
+    come from one recurrence, and each block reads its slice."""
+    ms = [abs(m) for m in ms]
+    bad = next((m for m in ms if m > basis.l_max), None)
+    if bad is not None:
+        raise ValueError(f"l_max={basis.l_max} smaller than m={bad}")
+    mu = segments.grid.mu
+    blocks = {}
+    for m_lo, m_hi in _legendre_chunks(basis.l_max, mu.size, sorted(set(ms))):
+        table = _legendre(basis.l_max, m_lo, m_hi, mu)
+        for m in range(m_lo, m_hi + 1):
+            index = _parity_sectors(geom, basis.l_max + 1 - m)
+            grams = _segment_grams(table[m - m_lo:, m - m_lo].T, segments.groups, index)
+            if m == m_hi:
+                del table  # not held while the chunk's last block is assembled
+            blocks[m] = _build_block(geom, basis, segments, m, zip(index, grams))
+    return blocks
+
+
+def _build_block(geom, basis, segments: _Segments, m: int, sector_grams) -> OperatorBlock:
+    """Block m from the (slice, segment Grams) of each of its sectors."""
     ls = basis.block_ls(m)
-    index = _parity_sectors(geom, ls.size)
     sectors = []
     flux_residual = 0.0
-    for sector, parts in zip(index, _segment_grams(grid, basis.l_max, m, index)):
+    for sector, parts in sector_grams:
         # |rho|^2 + tau^2 = 1 holds pointwise, so the flux identity's Gram is
         # the sum of the segment Grams and must come out as the identity; any
         # deviation is pure quadrature error (the operator-product form
@@ -334,8 +403,8 @@ def _build_block(geom, basis, grid, m) -> OperatorBlock:
         ident[np.diag_indices(ident.shape[0])] -= 1.0
         flux_residual = max(flux_residual, float(np.max(np.abs(ident))))
         sectors.append(ParitySector(index=sector,
-                                    rho=_profile_operator(parts, rho_vals),
-                                    tau_sq=_profile_operator(parts, tau_sq_vals)))
+                                    rho=_profile_operator(parts, segments.rho),
+                                    tau_sq=_profile_operator(parts, segments.tau_sq)))
     return OperatorBlock(
         m=m,
         ls=ls,
@@ -355,21 +424,23 @@ def build_operators(
     the polar grid split at the mirror edges.
 
     m_values defaults to every m in the basis; pass (0,) for on-axis work.
-    Each block stores rho (real when k_delta = 0) and tau^2 per parity
-    sector (two for a mirror-symmetric cavity, one otherwise), both
-    assembled from one real Gram matrix per polar segment and sector; a
-    segment where a profile is not constant gets that profile's own
-    weighted product. The grid resolves Legendre products up to degree
-    2*l_max per segment. Each block reports flux_residual: the largest
-    entry of the sum of the segment Grams minus the identity, over the
-    sectors, which is the Gram of |rho|^2 + tau^2 = 1 (an identity that
-    holds pointwise), so it measures quadrature error alone.
+    The blocks are built together (_build_blocks): one Legendre recurrence
+    per chunk of consecutive |m|, each chunk's table capped at
+    _LEGENDRE_CHUNK bytes, and each block reads its slice. Each block
+    stores rho (real when k_delta = 0) and tau^2 per parity sector (two for
+    a mirror-symmetric cavity, one otherwise), both assembled from one real
+    Gram matrix per polar segment and sector; a segment where a profile is
+    not constant gets that profile's own weighted product. The grid
+    resolves Legendre products up to degree 2*l_max per segment. Each block
+    reports flux_residual: the largest entry of the sum of the segment
+    Grams minus the identity, over the sectors, which is the Gram of
+    |rho|^2 + tau^2 = 1 (an identity that holds pointwise), so it measures
+    quadrature error alone. An |m| above l_max raises ValueError.
     """
     ops = CavityOperatorSet(geometry=geom, basis=basis)
     if m_values is None:
         m_values = range(basis.l_max + 1)
-    for m in m_values:
-        ops.block(m)
+    ops.blocks.update(_build_blocks(geom, basis, ops.segments, m_values))
     return ops
 
 

@@ -19,7 +19,7 @@ from cavityqed.dipole_response import orientation_weight
 from cavityqed.io_formats import Column, ResultTable
 from cavityqed.quadrature import polar_rule
 from cavityqed.ray_model import _auto_azimuthal_order
-from cavityqed.specfun import SQRT_2_OVER_PI, radial_bessel_table
+from cavityqed.specfun import SQRT_2_OVER_PI, legendre_table, radial_bessel_table
 from cavityqed.structures import (
     AngularFunction,
     DipoleOrientation,
@@ -30,6 +30,8 @@ from cavityqed.wave_ops import (
     CavityOperatorSet,
     _profile_operator,
     _segment_grams,
+    _segment_values,
+    _segments,
     _solve_block,
     mirror_profiles,
 )
@@ -112,8 +114,10 @@ def transmission_operator(geom, grid, l_max: int, block) -> tuple[np.ndarray, ..
     the library assembles rho and tau^2; blocks do not store it."""
     _, tau_sq_vals = mirror_profiles(geom, grid.theta)
     index = [s.index for s in block.sectors]
-    return tuple(_profile_operator(parts, np.sqrt(tau_sq_vals))
-                 for parts in _segment_grams(grid, l_max, block.m, index))
+    groups = _segments(geom, grid).groups
+    tau = _segment_values(np.sqrt(tau_sq_vals), groups)
+    return tuple(_profile_operator(parts, tau) for parts in
+                 _segment_grams(legendre_table(l_max, block.m, grid.mu), groups, index))
 
 
 def coefficient_blocks(f: AngularFunction) -> dict[int, np.ndarray]:

@@ -1,13 +1,18 @@
 import math
+import random
 import subprocess
 import sys
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+from cavityqed import quadrature
 from cavityqed.airy_shift import airy_lorentzian, pv_shift, pv_shift_cos
+from cavityqed.cli import run_scenario
+from cavityqed.presets import preset_config
 from cavityqed.quadrature import (
     PVConvergenceError,
     _gauss_legendre,
@@ -160,6 +165,45 @@ class TestGaussLegendreRule:
         again_mu, again_w = polar_rule([0.6, 2.1], order=20)
         assert np.array_equal(again_mu, ref_mu)
         assert np.array_equal(again_w, ref_w)
+
+    def test_rules_built_together_equal_rules_built_alone(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
+        orders = list(range(1, 257))
+        random.Random(7).shuffle(orders)
+        for batch in (orders[:3], orders[3:120], orders[120:]):
+            quadrature.gauss_rules(batch + batch[:2])
+        assert sorted(quadrature._rules) == list(range(1, 257))
+        for n in range(1, 257):
+            x, w = _gauss_legendre(n)
+            alone = quadrature._newton_rules([n])[n]
+            assert (x.tobytes(), w.tobytes()) == (alone[0].tobytes(), alone[1].tobytes()), n
+            assert not (x.flags.writeable or w.flags.writeable)
+
+    def test_cache_is_bounded_and_keeps_the_recent_rules(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
+        quadrature.gauss_rules(range(2, 2 + quadrature._RULE_CACHE + 40))
+        assert list(quadrature._rules) == list(range(2, 2 + quadrature._RULE_CACHE))
+        _gauss_legendre(2)
+        _gauss_legendre(1000)
+        assert len(quadrature._rules) == quadrature._RULE_CACHE
+        assert list(quadrature._rules)[-2:] == [2, 1000] and 3 not in quadrature._rules
+
+    def test_axial_profile_runs_one_recurrence_pass_per_newton_iteration(
+            self, monkeypatch, tmp_path):
+        # the preset's 105 polar orders (64..168) are built together, before
+        # its first point, not one Newton solve per order
+        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
+        passes = []
+        original = quadrature._legendre_with_derivative
+
+        def spy(x, orders, sizes):
+            passes.append(len(orders))
+            return original(x, orders, sizes)
+
+        monkeypatch.setattr(quadrature, "_legendre_with_derivative", spy)
+        run_scenario(preset_config("axial-profile"), tmp_path)
+        assert sorted(quadrature._rules) == list(range(64, 169))
+        assert passes[0] == 105 and len(passes) <= 6
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, cavityqed.cli; "

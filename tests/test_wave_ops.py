@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from cavityqed.dipole_response import enhancement_ray
 from cavityqed.quadrature import build_grid
 from cavityqed.specfun import legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
@@ -21,7 +22,8 @@ from cavityqed.structures import (
 from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
-    _build_block,
+    _build_blocks,
+    _segments,
     CavityOperatorSet,
     _solve_block,
     build_operators,
@@ -105,6 +107,11 @@ def _direct_operators(geom, l_max, grid, m):
             float(np.max(np.abs(ident))))
 
 
+def _block_on(geom, basis, grid, m):
+    """Block m of the cavity built on the given polar grid."""
+    return _build_blocks(geom, basis, _segments(geom, grid), (m,))[m]
+
+
 def _unsplit_grid(l_max):
     """A hand-built grid split at 1.2 rad, away from both mirror edges of
     the unequal cavity."""
@@ -172,7 +179,7 @@ class TestOperators:
     def test_flux_identity_detects_insufficient_quadrature(self, benchmark_geom):
         basis = HarmonicBasis(100)
         coarse = build_grid([THETA_30PCT, math.pi - THETA_30PCT], order_polar=24)
-        assert _build_block(benchmark_geom, basis, coarse, 0).flux_residual > 1e-3
+        assert _block_on(benchmark_geom, basis, coarse, 0).flux_residual > 1e-3
 
 
 class TestSegmentAssembly:
@@ -185,7 +192,7 @@ class TestSegmentAssembly:
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=k_delta)
         basis = HarmonicBasis(self.L_MAX)
         grid = operator_grid(geom, self.L_MAX) if split else _unsplit_grid(self.L_MAX)
-        b = _build_block(geom, basis, grid, m)
+        b = _block_on(geom, basis, grid, m)
         rho, tau, tau_sq, flux = _direct_operators(geom, self.L_MAX, grid, m)
         assert np.max(np.abs(_dense(b) - rho)) < 1e-13
         assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-13
@@ -207,6 +214,67 @@ class TestSegmentAssembly:
             stored += sum(v.nbytes for v in fields if isinstance(v, np.ndarray))
             bound += 2 * 8 * (((b.dim + 1) // 2) ** 2 + (b.dim // 2) ** 2) + 64 * b.dim
         assert stored <= bound
+
+
+CHUNK_CAVITIES = {
+    "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+    "unequal": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9),
+    "defocused": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3),
+}
+CHUNK_M_VALUES = (None, (0,), (0, 2, 3, 7, 8, 9, 40), (-3, -2, 5, -1, 59), (4, 4, -4, 1, 0, 1))
+CHUNK_CASES = [(cavity, l_max, ms) for cavity in CHUNK_CAVITIES for l_max in (0, 1, 60, 150)
+               for ms in CHUNK_M_VALUES
+               if ms is None or (l_max >= 60 and max(map(abs, ms)) <= l_max) or ms == (0,)]
+
+
+class TestChunkedAssembly:
+    """build_operators builds the blocks of each chunk of consecutive |m|
+    from one Legendre table; every bit equals the block built alone."""
+
+    @pytest.mark.parametrize("cavity,l_max,m_values", CHUNK_CASES)
+    def test_chunk_built_blocks_equal_blocks_built_alone(self, cavity, l_max, m_values):
+        geom, basis = CHUNK_CAVITIES[cavity], HarmonicBasis(l_max)
+        chunked = build_operators(geom, basis, m_values=m_values)
+        expected = range(l_max + 1) if m_values is None else {abs(m) for m in m_values}
+        assert sorted(chunked.blocks) == sorted(expected)
+        alone = CavityOperatorSet(geometry=geom, basis=basis)
+        for m, b in chunked.blocks.items():
+            ref = alone.block(-m if m % 2 else m)
+            assert b.flux_residual == ref.flux_residual
+            assert np.array_equal(b.ls, ref.ls) and b.u_half.tobytes() == ref.u_half.tobytes()
+            for s, r in zip(b.sectors, ref.sectors, strict=True):
+                assert s.index == r.index
+                assert s.rho.dtype == r.rho.dtype and s.rho.tobytes() == r.rho.tobytes()
+                assert s.tau_sq.tobytes() == r.tau_sq.tobytes()
+
+    def test_m_above_l_max_raises_as_before(self, benchmark_geom):
+        with pytest.raises(ValueError, match=r"^l_max=60 smaller than m=61$"):
+            build_operators(benchmark_geom, HarmonicBasis(60), m_values=(0, -61, 70))
+        with pytest.raises(ValueError, match=r"^l_max=60 smaller than m=61$"):
+            CavityOperatorSet(geometry=benchmark_geom, basis=HarmonicBasis(60)).block(-61)
+
+    def test_one_legendre_recurrence_per_chunk(self, monkeypatch, benchmark_geom):
+        calls = []
+        original = wave_ops._legendre
+
+        def spy(l_max, m_lo, m_hi, x):
+            calls.append((m_lo, m_hi))
+            return original(l_max, m_lo, m_hi, x)
+
+        monkeypatch.setattr(wave_ops, "_legendre", spy)
+        ops = build_operators(benchmark_geom, HarmonicBasis(150))
+        n_bytes = 8 * ops.grid.mu.size
+
+        def table_bytes(lo, hi):
+            return (151 - lo) * (hi - lo + 1) * n_bytes
+
+        assert calls == wave_ops._legendre_chunks(150, ops.grid.mu.size, range(151))
+        assert [m for lo, hi in calls for m in range(lo, hi + 1)] == list(range(151))
+        # each table within the cap, and a chunk ends only where one more m
+        # would exceed it: the cap alone sets the call count
+        assert all(table_bytes(lo, hi) <= wave_ops._LEGENDRE_CHUNK for lo, hi in calls)
+        assert all(table_bytes(lo, hi + 1) > wave_ops._LEGENDRE_CHUNK for lo, hi in calls[:-1])
+        assert len(calls) <= 30
 
 
 class TestParitySectors:
@@ -451,6 +519,25 @@ class TestEnhancementFull:
         r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0,
                              collect_condition=True)
         assert r.condition is not None and r.condition > 1.0
+
+
+def test_defocused_cavity_routes_agree_off_the_centre():
+    # the ray route moves mirror 2's defocus phase into the standing wave
+    # as the operator route does; with the opposite sign the routes
+    # disagreed by 59% at kz = 5, phi0 = -0.13 (their values at kz = +5 and
+    # -5 swapped), and now by at most 6.9% over these points and phases
+    geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3)
+    basis = HarmonicBasis(100)
+    ops = build_operators(geom, basis, m_values=())
+    worst = 0.0
+    for kvec in ((0.0, 0.0, 5.0), (0.0, 0.0, -5.0), (0.0, 0.0, 12.0), (0.0, 0.0, -12.0),
+                 (4.0, 0.0, 3.0)):
+        for phi0 in (0.0, -0.13, -0.3):
+            point = FieldPoint(kvec)
+            full = enhancement_full(geom, basis, point, phi0, ops=ops).value
+            ray = enhancement_ray(geom, point, phi0).value
+            worst = max(worst, abs(full - ray) / full)
+    assert worst < 0.1
 
 
 class TestBlockSkip:
