@@ -21,7 +21,10 @@ has profiles even in cos(theta). Since P_lm(-x) = (-1)^(l-m) P_lm(x), its
 operators couple no l of opposite l - m parity, and every block splits into
 an even and an odd parity sector. Each sector is assembled, solved,
 decomposed and stored on its own, at half the dimension; any other cavity
-keeps one sector holding all l.
+keeps one sector holding all l. A sector that a point's input does not
+reach, its right-hand side exactly zero, has exact zero as its solution and
+costs nothing: at the centre the input is the l = 0 harmonic alone, so only
+the even sector of the m = 0 block is ever solved there.
 
 The vacuum-fluctuation ratio at a point follows from a closure relation
 over incoming far fields: expand the focused-wave kernel at the point,
@@ -30,11 +33,11 @@ by the transmitted-flux profile. Only the fractional part of the huge
 round-trip phase 2kR matters for resonance, so it is supplied separately
 as a detuning phase while kR itself only scales the diagonal phases.
 
-A block that is solved again and again, for a detuning or position scan,
+A sector that is solved again and again, for a detuning or position scan,
 is answered from its modal (Fox-Li) decomposition: with the round trip
 M = U^-2 P rho = V Lambda V^-1 diagonalised once, every later phase and
 right-hand side costs two matrix-vector products instead of a
-factorisation. CavityOperatorSet decides when a block is worth
+factorisation. CavityOperatorSet decides when a sector is worth
 decomposing.
 
 A scan of many points at one detuning phase (a position scan) is answered
@@ -88,13 +91,15 @@ __all__ = [
 ]
 
 _RESIDUAL_LIMIT = 1e-8
-# rent-or-buy: the first _MODAL_AFTER - 1 solves of a block are direct, the
-# next one decomposes it. np.linalg.eig plus the inverse of the eigenvectors
-# cost about 58 direct solves of the same block on a 2-core Xeon VM (285 ms
-# against 4.9 ms at dim 401, 33 ms against 0.56 ms at dim 151 with two
-# columns); the ratio does not depend on dim, as both costs grow as dim^3.
-# Buying once the rent paid reaches the price keeps any run of solves
-# within twice the cost of the better of the two routes for it.
+# rent-or-buy: the first _MODAL_AFTER - 1 solves of a parity sector are
+# direct, the next one decomposes it. np.linalg.eig plus the inverse of the
+# eigenvectors of one sector cost 41-59 checked direct solves of it on a
+# 2-core Xeon VM (best of 7 and of 51: 11-12 ms against 0.19-0.23 ms at dim
+# 76, 45-46 against 0.77-0.94 ms at dim 151, 59-61 against 1.2-1.5 ms at
+# dim 201, with one or two columns); both grow as dim^3, the ratio easing a
+# little towards dim 201. Buying once the rent paid reaches the price keeps
+# any run of solves within about 2.4 times the cost of the better of the two
+# routes for it (twice where the ratio is 58).
 _MODAL_AFTER = 58
 # rent-or-buy: the first _FORM_AFTER - 1 points that a block answers at one
 # detuning phase are solved, the next one forms the block's Hermitian form
@@ -204,13 +209,15 @@ class CavityOperatorSet:
     operator_grid(geometry, basis.l_max); blocks are immutable once built.
     The +m and -m blocks are identical, so only |m| is keyed.
 
-    The set also counts the resolvent solves of each |m| (solve_counts).
-    The 58th solve of a block (_MODAL_AFTER) decomposes the round trip of
-    each of its sectors once (modes, one _ModalFactors per sector, 32 n^2
-    bytes for a sector of n l), and that and every later solve of the block
-    are answered from the modal factors; a block whose factors fail the
-    residual check, or cannot be computed, keeps None in modes and is solved
-    directly from then on.
+    The set also counts the resolvent solves of each parity sector,
+    keyed (|m|, sector position in OperatorBlock.sectors) in solve_counts; a
+    sector whose input is exactly zero is not solved and not counted. The
+    58th solve of a sector (_MODAL_AFTER) decomposes its round trip once
+    (modes, one _ModalFactors under the same key, 32 n^2 bytes for a sector
+    of n l), and that and every later solve of the sector are answered from
+    its modal factors; a sector whose factors fail the residual check, or
+    cannot be computed, keeps None in modes and is solved directly from then
+    on, while the other sector of its block keeps its own factors.
 
     forms maps the one detuning phase held to its _PhaseForms: how often
     the points at that phase have asked each block, and the Hermitian forms
@@ -466,37 +473,62 @@ def _condition(matrices) -> float:
         return float(max(s[0] for s in values) / min(s[-1] for s in values))
 
 
+def _block_condition(block: OperatorBlock, z: complex) -> float:
+    """2-norm condition number of the resolvent of the whole block, over
+    all its sectors (_condition)."""
+    return _condition([_resolvent_matrix(block, s, z) for s in block.sectors])
+
+
 def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
                  scale: float):
     """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
-    columns of rhs, sector by sector; returns x and the
-    worst ||V||_1 ||V^-1||_1 of the modal factors that answered it (None for
-    a direct solve).
+    columns of rhs, sector by sector; returns x, the sectors that were
+    solved and the worst ||V||_1 ||V^-1||_1 of the modal factors that
+    answered one of them (None when none did).
 
-    The first _MODAL_AFTER - 1 solves of a block are direct: the resolvent
-    matrix of each sector and _checked_solve. The next one decomposes the
-    round trip of every sector once, and from then on the block is answered
-    from its modal factors, each sector's answer checked by its residual
-    against the original operator at the same limit as a direct solve. If a
-    sector's answer fails the check, the whole block is solved directly
-    instead, which raises SolverError if it fails too, and the block's
-    factors are dropped for good. A lossless cavity is always solved
-    directly: its singularity check costs as much as a solve on every
-    call."""
+    A sector whose right-hand side is exactly zero is not solved, counted
+    or decomposed: its part of x is exact zero, the solution of a regular
+    system. The solves of every other sector are counted per (|m|, sector):
+    its first _MODAL_AFTER - 1 are direct (_checked_solve), the next one
+    decomposes its round trip once, and from then on it is answered from
+    its modal factors, each answer checked by its residual against the
+    original operator at the same limit as a direct solve. If the check
+    fails, that sector is solved directly instead, which raises SolverError
+    if it fails too, and its factors are dropped for good. A lossless
+    cavity is always solved directly, and its block is first checked for
+    singularity as a whole, the sectors without input included: the check
+    costs as much as a solve on every call."""
     key = abs(m)
     block = ops.block(key)
-    if not ops.lossless:
-        count = ops.solve_counts.get(key, 0) + 1
-        ops.solve_counts[key] = count
-        if count == _MODAL_AFTER:
-            ops.modes[key] = _decompose(block)
-    factors = ops.modes.get(key)
-    if factors is not None:
-        x = _modal_solve(block, factors, z, rhs, scale)
-        if x is not None:
-            return x, max(f.condition for f in factors)
-        ops.modes[key] = None
-    return _checked_solve(block, z, rhs, scale, ops.lossless), None
+    label = f"m=+-{key}" if key else "m=0"
+    if ops.lossless:
+        _singular_guard(block, z, label)
+    x = np.zeros(rhs.shape, dtype=complex)
+    solved, conditions = [], []
+    for s, sector in enumerate(block.sectors):
+        b = rhs[sector.index]
+        if not np.any(b):
+            continue
+        solved.append(sector)
+        sector_key = (key, s)
+        factors = None
+        if not ops.lossless:
+            count = ops.solve_counts.get(sector_key, 0) + 1
+            ops.solve_counts[sector_key] = count
+            if count == _MODAL_AFTER:
+                ops.modes[sector_key] = _decompose(block, sector)
+            factors = ops.modes.get(sector_key)
+        xs = None
+        if factors is not None:
+            xs = _modal_solve(block, sector, factors, z, b, scale)
+            if xs is None:
+                ops.modes[sector_key] = None
+            else:
+                conditions.append(factors.condition)
+        if xs is None:
+            xs = _checked_solve(block, sector, z, b, scale, label)
+        x[sector.index] = xs
+    return x, tuple(solved), max(conditions, default=None)
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -517,82 +549,69 @@ def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
     return resid
 
 
-def _modal_solve(block: OperatorBlock, factors, z: complex, rhs: np.ndarray,
-                 scale: float) -> np.ndarray | None:
-    """The solution from the modal factors of each sector, or None as soon
-    as a sector's answer fails the residual check."""
-    x = np.empty(rhs.shape, dtype=complex)
-    for sector, modes in zip(block.sectors, factors):
-        b = rhs[sector.index]
-        xs = modes.solve(z, b)
-        resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
-        if not resid <= _RESIDUAL_LIMIT * scale:
-            return None
-        x[sector.index] = xs
-    return x
+def _modal_solve(block: OperatorBlock, sector: ParitySector, factors: _ModalFactors,
+                 z: complex, b: np.ndarray, scale: float) -> np.ndarray | None:
+    """The solution on one sector from its modal factors, or None when it
+    fails the residual check."""
+    xs = factors.solve(z, b)
+    resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
+    return xs if resid <= _RESIDUAL_LIMIT * scale else None
 
 
-def _decompose(block: OperatorBlock) -> tuple[_ModalFactors, ...] | None:
-    """Modal factors of the round trip M = U^-2 P rho of each sector of a
-    block, or None when an eigendecomposition fails or is not finite."""
-    factors = []
-    for sector in block.sectors:
-        inv_u_sq = 1.0 / block.u_half[sector.index] ** 2
-        round_trip = (inv_u_sq * block.parity[sector.index])[:, None] * sector.rho
-        try:
-            eigenvalues, vectors = np.linalg.eig(round_trip)
-            del round_trip  # not held while inv works on copies of V
-            inverse = np.linalg.inv(vectors)
-        except np.linalg.LinAlgError:
-            return None
-        if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
-            return None
-        condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
-        inverse *= inv_u_sq
-        factors.append(_ModalFactors(eigenvalues, vectors, inverse, condition))
-    return tuple(factors)
+def _decompose(block: OperatorBlock, sector: ParitySector) -> _ModalFactors | None:
+    """Modal factors of the round trip M = U^-2 P rho of one sector of a
+    block, or None when the eigendecomposition fails or is not finite."""
+    inv_u_sq = 1.0 / block.u_half[sector.index] ** 2
+    round_trip = (inv_u_sq * block.parity[sector.index])[:, None] * sector.rho
+    try:
+        eigenvalues, vectors = np.linalg.eig(round_trip)
+        del round_trip  # not held while inv works on copies of V
+        inverse = np.linalg.inv(vectors)
+    except np.linalg.LinAlgError:
+        return None
+    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
+        return None
+    condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
+    inverse *= inv_u_sq
+    return _ModalFactors(eigenvalues, vectors, inverse, condition)
 
 
-def _checked_solve(block, z, rhs, scale, lossless):
-    """Solve one m block directly, sector by sector, for the columns of
-    rhs, and check the largest residual of each sector
-    against scale, the norm of the whole input: a block whose right-hand
-    side has underflowed towards the subnormal range has no meaningful
-    residual relative to itself. A NaN residual fails the check.
-
-    For a lossless cavity a block on resonance is singular, but rounding in
-    its quadrature-built entries decides whether the solve fails, returns a
-    meaningless finite answer or one with a large residual; such a block is
-    rejected, before it is solved, when its condition number reaches
-    1/(dim * eps), singular to working precision. That is the condition
-    number of the whole block, over all its sectors, and dim is the
+def _singular_guard(block: OperatorBlock, z: complex, label: str):
+    """Raise SolverError when the resolvent of a lossless cavity's block is
+    singular to working precision: its condition number reaches
+    1/(dim * eps). On resonance such a block is singular, but rounding in
+    its quadrature-built entries decides whether a solve fails, returns a
+    meaningless finite answer or one with a large residual. The condition
+    number is that of the whole block, over all its sectors, and dim is the
     block's: a sector whose entries are all small can have a modest
-    condition number of its own while the block is singular."""
-    label = f"m=+-{block.m}" if block.m else "m=0"
-    matrices = [_resolvent_matrix(block, s, z) for s in block.sectors]
-    if lossless and all(np.all(np.isfinite(a)) for a in matrices):
-        cond = _condition(matrices)
-        if not cond * block.dim * np.finfo(float).eps < 1.0:
-            raise SolverError(
-                f"resolvent of {label} block is singular to working precision "
-                f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
-            )
-    x = np.empty(rhs.shape, dtype=complex)
-    for sector, a in zip(block.sectors, matrices):
-        b = rhs[sector.index]
-        try:
-            xs = np.linalg.solve(a, b)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
-        resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
-        if not resid <= _RESIDUAL_LIMIT * scale:
-            raise SolverError(
-                f"resolvent solve in {label} block has residual {resid:.2e} against "
-                f"input norm {scale:.2e} (condition estimate {_condition(matrices):.2e}); "
-                "reflectivity too close to 1 at a degenerate phase, or non-finite input"
-            )
-        x[sector.index] = xs
-    return x
+    condition number of its own while the block is singular. A block with
+    an entry that is not finite, condition NaN, is left to the solve."""
+    cond = _block_condition(block, z)
+    if cond * block.dim * np.finfo(float).eps >= 1.0:
+        raise SolverError(
+            f"resolvent of {label} block is singular to working precision "
+            f"(condition estimate {cond:.2e}): lossless mirror on a cavity resonance"
+        )
+
+
+def _checked_solve(block, sector, z, b, scale, label):
+    """Solve one sector of a block directly for the columns of b, and check
+    its largest residual against scale, the norm of the whole input: a
+    sector whose right-hand side has underflowed towards the subnormal
+    range has no meaningful residual relative to itself. A NaN residual
+    fails the check."""
+    try:
+        xs = np.linalg.solve(_resolvent_matrix(block, sector, z), b)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"resolvent solve failed in {label} block: {exc}") from exc
+    resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
+    if not resid <= _RESIDUAL_LIMIT * scale:
+        raise SolverError(
+            f"resolvent solve in {label} block has residual {resid:.2e} against "
+            f"input norm {scale:.2e} (condition estimate {_block_condition(block, z):.2e}); "
+            "reflectivity too close to 1 at a degenerate phase, or non-finite input"
+        )
+    return xs
 
 
 @dataclass(frozen=True)
@@ -745,17 +764,18 @@ def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, pairs: np.ndarray
     return value
 
 
-def _tau_sq_form(block: OperatorBlock, x: np.ndarray):
-    """Re x^H tau^2 x per column of the solution x, summed over the
-    sectors. tau^2 is real, so the form is a^T tau^2 a + b^T tau^2 b for
-    x = a + ib, and every column takes the same matrix-vector products
-    whether it was solved alone or beside another: near a lossless resonance
-    the form cancels to a few parts in 1e3 of its terms, and another
-    summation order alone moves it by several 1e-14."""
+def _tau_sq_form(sectors, x: np.ndarray):
+    """Re x^H tau^2 x per column of the solution x, summed over the given
+    sectors of its block, those where x is not exact zero. tau^2 is real, so
+    the form is a^T tau^2 a + b^T tau^2 b for x = a + ib, and every column
+    takes the same matrix-vector products whether it was solved alone or
+    beside another: near a lossless resonance the form cancels to a few
+    parts in 1e3 of its terms, and another summation order alone moves it
+    by several 1e-14."""
     forms = []
     for column in x.T:
         form = 0.0
-        for sector in block.sectors:
+        for sector in sectors:
             xs = column[sector.index]
             form += float(xs.real @ (sector.tau_sq @ xs.real)
                           + xs.imag @ (sector.tau_sq @ xs.imag))
@@ -792,15 +812,18 @@ def enhancement_full(
     (skipped_bound); the condition estimate covers the solved systems. A
     block of a mirror-symmetric cavity is solved as its two parity sectors
     (see OperatorBlock), and its condition estimate is still that of the
-    whole block.
+    whole block. A sector whose input is exactly zero, such as the odd
+    sector of the m = 0 block at the centre, is not solved and adds no tau^2
+    form; detail counts those sectors over the solved systems
+    (zero_sectors).
 
-    With a prebuilt ops, a block solved often enough (a scan) is answered
+    With a prebuilt ops, a sector solved often enough (a scan) is answered
     from its modal factors rather than a factorisation, see
     CavityOperatorSet; the answer passes the same residual check, and may
     differ from the direct solve in its last digits. detail reports how
-    many of the solved |m| systems were answered that way (modal_solves)
-    and the worst ||V||_1 ||V^-1||_1 of the factors used (modal_condition,
-    None when none was used).
+    many of the solved |m| systems had a sector answered that way
+    (modal_solves) and the worst ||V||_1 ||V^-1||_1 of the factors used
+    (modal_condition, None when none was used).
 
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its Hermitian form at that
@@ -850,21 +873,18 @@ def enhancement_full(
         formed_top = min(top, state.formed_top)
         failed = sorted(m for m in state.failed if m <= formed_top)
         value = _stacked_value(ops, state, pairs, formed_top)
-    modal_conditions = []
+    modal_conditions, zero_sectors = [], 0
     for mag in failed + list(range(formed_top + 1, top + 1)):
         block = ops.block(mag)
         # +m and -m share one matrix: one system with a column for each
         c = pairs[offsets[mag]: offsets[mag + 1], : 2 if mag else 1]
-        x, modal = _solve_block(ops, mag, z, block.u_half[:, None] * c, scale)
-        value += _tau_sq_form(block, x).sum()
+        x, solved, modal = _solve_block(ops, mag, z, block.u_half[:, None] * c, scale)
+        value += _tau_sq_form(solved, x).sum()
+        zero_sectors += len(block.sectors) - len(solved)
         if modal is not None:
             modal_conditions.append(modal)
-    conditions = []
-    if collect_condition:
-        for mag in range(top + 1):
-            block = ops.block(mag)
-            conditions.append(_condition([_resolvent_matrix(block, s, z)
-                                          for s in block.sectors]))
+    conditions = ([_block_condition(ops.block(mag), z) for mag in range(top + 1)]
+                  if collect_condition else [])
     return EnhancementResult(
         value=float(value),
         method="full",
@@ -875,7 +895,8 @@ def enhancement_full(
                 "blocks_solved": top + 1, "skipped_bound": skipped,
                 "modal_solves": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),
-                "form_solves": formed_top + 1 - len(failed)},
+                "form_solves": formed_top + 1 - len(failed),
+                "zero_sectors": zero_sectors},
     )
 
 

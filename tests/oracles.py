@@ -167,8 +167,8 @@ def intracavity_field_coeffs(
         rhs = np.empty(block.dim, dtype=complex)
         for sector, tau in zip(block.sectors, taus[abs(m)]):
             rhs[sector.index] = tau @ uc[sector.index]
-        x, _ = _solve_block(ops, m, np.exp(2j * detuning_phase),
-                            (block.parity * rhs)[:, None], scale)
+        x = _solve_block(ops, m, np.exp(2j * detuning_phase),
+                         (block.parity * rhs)[:, None], scale)[0]
         out[m] = block.u_half * (block.parity * x[:, 0])
     return out
 

@@ -332,7 +332,7 @@ class TestParitySectors:
 
         def check(modal):
             for phi0 in self.PHASES:
-                x, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
+                x, _, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
                 assert (modes is not None) == modal
                 ref = np.linalg.solve(_dense_resolvent(block, float(phi0), rho), rhs)
                 assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
@@ -639,9 +639,9 @@ class TestModalSolve:
         shape = (block.dim, columns)
         rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
-            assert _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)[1] is None
+            assert _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)[2] is None
         for phi0 in self.PHASES:
-            x, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
+            x, _, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
             assert modes is not None
             ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
             # relative to the largest entry of the direct answer
@@ -661,7 +661,8 @@ class TestModalSolve:
                                            phi0, f_in)
             for m in f_in:
                 assert np.max(np.abs(got[m] - ref[m])) <= 1e-11 * np.max(np.abs(ref[m]))
-        assert sorted(ops.modes) == [0, 1, 2, 3]
+        # one sector per block on this cavity, keyed (|m|, sector)
+        assert sorted(ops.modes) == [(0, 0), (1, 0), (2, 0), (3, 0)]
         assert all(f is not None for f in ops.modes.values())
 
     def test_corrupt_factors_fall_back_to_direct_answer(self, benchmark_geom, monkeypatch):
@@ -670,9 +671,9 @@ class TestModalSolve:
         ops = build_operators(benchmark_geom, basis, m_values=(0,))
         decompose = wave_ops._decompose
 
-        def corrupt(block):
-            return tuple(dataclasses.replace(f, eigenvalues=1.01 * f.eigenvalues)
-                         for f in decompose(block))
+        def corrupt(block, sector):
+            f = decompose(block, sector)
+            return dataclasses.replace(f, eigenvalues=1.01 * f.eigenvalues)
 
         monkeypatch.setattr(wave_ops, "_decompose", corrupt)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
@@ -683,7 +684,8 @@ class TestModalSolve:
             direct = enhancement_full(benchmark_geom, basis, point, phi0)
             assert r.value == direct.value
             assert (r.detail["modal_solves"], r.detail["modal_condition"]) == (0, None)
-        assert ops.modes == {0: None}
+        # the axial point reaches both sectors, and each drops its own factors
+        assert ops.modes == {(0, 0): None, (0, 1): None}
         # four direct block solves, each of the two parity sectors
         assert len(solves) == 4 * 2
 
@@ -708,37 +710,95 @@ class TestModalSolve:
             assert r.detail["modal_solves"] == 0
         assert ops.modes == {}
 
-    def _sweep(self, geom, monkeypatch):
-        """A 200-phase sweep of the m = 0 block: the shapes passed to each
-        np.linalg.solve and np.linalg.eig call, and the details."""
+    def _sweep(self, geom, monkeypatch, point=FieldPoint.axial(3.0)):
+        """A 200-phase sweep of the m = 0 block at point: the shapes passed
+        to each np.linalg.solve and np.linalg.eig call, and the details."""
         basis = HarmonicBasis(self.L_MAX)
         ops = build_operators(geom, basis, m_values=(0,))
         solves = _count_calls(monkeypatch, np.linalg, "solve")
         eigs = _count_calls(monkeypatch, np.linalg, "eig")
-        details = [enhancement_full(geom, basis, FieldPoint.axial(3.0), float(p),
-                                    ops=ops).detail
+        details = [enhancement_full(geom, basis, point, float(p), ops=ops).detail
                    for p in np.linspace(-0.1, 0.1, 200)]
         assert [d["modal_solves"] for d in details] == (
             [0] * (_MODAL_AFTER - 1) + [1] * (200 - _MODAL_AFTER + 1))
         assert details[0]["modal_condition"] is None
         assert 1.0 <= details[-1]["modal_condition"] < 1e6
-        return solves, eigs
+        assert len({d["zero_sectors"] for d in details}) == 1
+        return solves, eigs, details[0]["zero_sectors"]
 
     def test_sweep_decomposes_once(self, benchmark_geom, monkeypatch):
         # count guard: a sweep of one block makes _MODAL_AFTER - 1 direct
         # solves and one eigendecomposition per parity sector, and no more;
         # the mirror-symmetric cavity has two sectors of at most ceil(dim/2)
-        solves, eigs = self._sweep(benchmark_geom, monkeypatch)
-        assert (len(solves), len(eigs)) == (2 * (_MODAL_AFTER - 1), 2)
+        solves, eigs, zero = self._sweep(benchmark_geom, monkeypatch)
+        assert (len(solves), len(eigs), zero) == (2 * (_MODAL_AFTER - 1), 2, 0)
         half = (HarmonicBasis(self.L_MAX).block_ls(0).size + 1) // 2
         assert max(shape[0] for shape in solves + eigs) == half
+
+    def test_centre_sweep_solves_the_even_sector_alone(self, benchmark_geom, monkeypatch):
+        # count guard: at the centre the input is the l = 0 harmonic alone,
+        # so the odd sector gets no solve and no eigendecomposition (two of
+        # each per phase before sectors were answered on their own)
+        solves, eigs, zero = self._sweep(benchmark_geom, monkeypatch, FieldPoint.origin())
+        assert (len(solves), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 1)
+        half = (HarmonicBasis(self.L_MAX).block_ls(0).size + 1) // 2
+        assert {shape[0] for shape in solves + eigs} == {half}
 
     def test_sweep_decomposes_once_unequal_mirrors(self, monkeypatch):
         # one sector holding every l: one eigendecomposition of the whole block
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
-        solves, eigs = self._sweep(geom, monkeypatch)
-        assert (len(solves), len(eigs)) == (_MODAL_AFTER - 1, 1)
-        assert {shape[0] for shape in solves + eigs} == {HarmonicBasis(self.L_MAX).block_ls(0).size}
+        for point in (FieldPoint.axial(3.0), FieldPoint.origin()):
+            with monkeypatch.context() as patch:
+                solves, eigs, zero = self._sweep(geom, patch, point)
+            assert (len(solves), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 0)
+            assert ({shape[0] for shape in solves + eigs}
+                    == {HarmonicBasis(self.L_MAX).block_ls(0).size})
+
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_zero_sector_is_exact_zero_and_leaves_the_other_alone(
+            self, benchmark_geom, empty, columns):
+        # a sector without input is neither solved nor counted nor
+        # decomposed; the other sector's answer is bit for bit the one of
+        # the whole right-hand side, by the direct and by the modal route
+        basis = HarmonicBasis(self.L_MAX)
+        whole, part = (build_operators(benchmark_geom, basis, m_values=(3,))
+                       for _ in range(2))
+        sectors = whole.block(3).sectors
+        rng = np.random.default_rng(7)
+        shape = (whole.block(3).dim, columns)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        cut = rhs.copy()
+        cut[sectors[empty].index] = 0.0
+        full = sectors[1 - empty].index
+        for n, phi0 in enumerate(np.linspace(-0.1, 0.1, _MODAL_AFTER + 3)):
+            z = np.exp(2j * phi0)
+            x, solved, modal = _solve_block(part, 3, z, cut, 1.0)
+            ref, both, ref_modal = _solve_block(whole, 3, z, rhs, 1.0)
+            assert [s.index for s in solved] == [full] and len(both) == 2
+            assert not np.any(x[sectors[empty].index])
+            assert x[full].tobytes() == ref[full].tobytes()
+            assert (modal is None) == (ref_modal is None) == (n < _MODAL_AFTER - 1)
+        assert part.solve_counts == {(3, 1 - empty): _MODAL_AFTER + 3}
+        assert list(part.modes) == [(3, 1 - empty)]
+
+    def test_lossless_guard_judges_the_whole_block_at_the_centre(self):
+        # closed sphere at a phase where the odd sector alone is on
+        # resonance (u_1^2 + z = 0): the centre's input reaches only the even
+        # sector, whose own condition is modest, and the block is still
+        # singular to working precision
+        geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
+        basis = HarmonicBasis(20)
+        ops = build_operators(geom, basis, m_values=(0,))
+        phi0 = math.pi / 2 - 1.0 / KR
+        z = np.exp(2j * phi0)
+        even, odd = ops.block(0).sectors
+        even_cond = wave_ops._condition([wave_ops._resolvent_matrix(ops.block(0), even, z)])
+        assert even_cond * ops.block(0).dim * np.finfo(float).eps < 1e-10
+        for kwargs in ({}, {"ops": ops}):
+            with pytest.raises(SolverError, match="singular to working precision"):
+                enhancement_full(geom, basis, FieldPoint.origin(), phi0, **kwargs)
+        assert ops.solve_counts == {} and ops.modes == {}
 
 class TestHermitianForm:
     L_MAX = 60
@@ -835,9 +895,9 @@ class TestHermitianForm:
             assert stack.nbytes <= wave_ops._FORM_PADDING * sum(8 * n * n for n in dims)
             held = weakref.ref(stack)
             del state, stack  # the only reference left is the set's
-        # two solves at each phase; the form answers do not count towards
-        # _MODAL_AFTER
-        assert ops.solve_counts == {0: 4}
+        # two solves of each sector at each phase; the form answers do not
+        # count towards _MODAL_AFTER
+        assert ops.solve_counts == {(0, 0): 4, (0, 1): 4}
 
     @pytest.mark.parametrize("name", sorted(CAVITIES))
     def test_stacks_hold_each_form_once_within_the_padding(self, name):
