@@ -42,7 +42,6 @@ from .ray_model import (
     ApertureCollapseError,
     ResonanceSingularityError,
     cavity_linewidth,
-    prepare_polar_rules,
 )
 from .structures import (
     DipoleOrientation,
@@ -124,11 +123,9 @@ def _profile(cfg: ScenarioConfig, axis: str, coords, place):
     """Table and plot of the (axis, gamma ratio, shift ratio) rows of
     cfg.dipole at the points place(coordinate), at the scan's fixed detuning."""
     orders = _ray_orders(cfg)
-    points = [place(float(c)) for c in coords]
-    prepare_polar_rules((p.kr for p in points), cfg.numerics.polar_order)
     rows = []
-    for c, point in zip(coords, points):
-        r = response(point, cfg.dipole, cfg.geometry, cfg.scan.phi0, **orders)
+    for c in coords:
+        r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0, **orders)
         rows.append((float(c), r.gamma_ratio, r.shift_ratio))
     columns = (Column(axis, "1/k"), Column("gamma_ratio", "ratio"),
                Column("shift_ratio", "ratio"))
@@ -164,10 +161,9 @@ def _exec_compare(cfg: ScenarioConfig):
                Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
                Column("rel_deviation"))
     orders = _ray_orders(cfg)
-    points = [FieldPoint.axial(float(kz)) for kz in kzs]
-    prepare_polar_rules((p.kr for p in points), cfg.numerics.polar_order)
     rows = []
-    for kz, point in zip(kzs, points):
+    for kz in kzs:
+        point = FieldPoint.axial(float(kz))
         full = enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
                                 tail_tol=cfg.numerics.tail_tol).value
         ray = enhancement_ray(geom, point, cfg.scan.phi0, **orders).value

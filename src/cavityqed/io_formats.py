@@ -26,6 +26,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
+from .specfun import TAIL_TOL
 from .structures import CavityGeometry, DipoleOrientation
 
 __all__ = [
@@ -102,7 +103,7 @@ class NumericsConfig:
     l_max: int = 150
     polar_order: int = 64
     azimuthal_order: int = 32
-    tail_tol: float = 1e-8
+    tail_tol: float = TAIL_TOL
 
 
 @dataclass(frozen=True)

@@ -8,15 +8,9 @@ integrating the constant 1 gives exactly 1.
 
 The Gauss-Legendre rule on [-1, 1] is computed here, by Newton's method on
 the three-term Legendre recurrence started from Tricomi's asymptotic nodes
-(Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013), and held in one
-cache of _RULE_CACHE orders, least recently used first out, as read-only
-arrays. An order the cache lacks is built alone when it is first asked
-for (operator_grid, a one-point scan). A ray scan whose points need many
-orders (48 + int(1.2 kr) per point; the cli's profile and compare scans,
-through ray_model.prepare_polar_rules) asks gauss_rules for all of them
-before its first point: one pass of the recurrence per Newton iteration
-then serves every order, and each rule is bit for bit the one built
-alone. Importing this module loads no scipy module; only
+(Hale & Townsend, SIAM J. Sci. Comput. 35, A652, 2013). Each order is
+built alone when it is first asked for, and the 256 most recently used
+are kept as read-only arrays. Importing this module loads no scipy module; only
 pv_integrate imports scipy.special, for digamma, when it is called.
 pv_integrate runs one fixed configuration, the one the airy-check scan
 runs; only the period and the refine points are arguments.
@@ -24,8 +18,8 @@ runs; only the period and the refine points are arguments.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +28,6 @@ __all__ = [
     "AngularGrid",
     "build_grid",
     "cap_edges",
-    "gauss_rules",
     "polar_rule",
     "pv_integrate",
     "PVResult",
@@ -59,119 +52,53 @@ class AngularGrid:
     edges: tuple[float, ...]
 
 
-# rules held at once; a scan asks for at most this many orders together
-_RULE_CACHE = 256
-_rules: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
-
-
+@functools.lru_cache(maxsize=256)
 def _gauss_legendre(order: int):
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], as read-only
-    arrays shared by every caller of the same order: from the cache, or
-    built alone on a miss."""
-    gauss_rules((order,))
-    _rules.move_to_end(int(order))
-    return _rules[int(order)]
+    arrays shared by every caller of the same order.
 
-
-def gauss_rules(orders) -> None:
-    """Build the rules of every order in orders that the cache lacks, the
-    first _RULE_CACHE of them in the order given, together: one pass of the
-    Legendre recurrence per Newton iteration serves all of them. A scan that
-    knows the orders of all its points asks once, before its first point.
-    The least recently used rules beyond _RULE_CACHE are dropped."""
-    missing = []
-    for order in orders:
-        n = int(order)
-        if n != order or n < 1:
-            raise ValueError(f"Gauss-Legendre order must be a positive integer, got {order}")
-        if n not in _rules and n not in missing:
-            missing.append(n)
-    if not missing:
-        return
-    for n, (nodes, weights) in _newton_rules(missing[:_RULE_CACHE]).items():
-        nodes.flags.writeable = weights.flags.writeable = False
-        _rules[n] = nodes, weights
-    while len(_rules) > _RULE_CACHE:
-        _rules.popitem(last=False)
-
-
-def _newton_rules(orders) -> dict:
-    """The rules of the given distinct orders, by Newton's method from
-    Tricomi's nodes on the nonnegative half of each rule; the rule is
-    mirrored from it, so it is exactly symmetric. Each pass runs the
-    recurrence once over the nodes of every order not yet converged, and
-    each order keeps its own stop test. The weights are
-    2/((1 - x^2) P_n'(x)^2), normalized to sum to 2. Every node goes
-    through the same arithmetic as when its order is built alone, so a
-    rule does not depend on the orders built beside it."""
-    x = {}
-    for n in orders:
-        k = np.arange(1, n // 2 + n % 2 + 1)
-        t = (4 * k - 1) * math.pi / (4 * n + 2)
-        x[n] = np.cos(t) * (1.0 - (n - 1) / (8.0 * n**3)
-                            - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n**4))
-        if n % 2:
-            x[n][-1] = 0.0
-    last = {}
-    active = sorted(orders, reverse=True)
+    Newton's method from Tricomi's nodes runs on the nonnegative half of
+    the nodes only; the rule is mirrored from it, so it is exactly
+    symmetric. The weights are 2/((1 - x^2) P_n'(x)^2), normalized to sum
+    to 2.
+    """
+    n = int(order)
+    if n != order or n < 1:
+        raise ValueError(f"Gauss-Legendre order must be a positive integer, got {order}")
+    k = np.arange(1, n // 2 + n % 2 + 1)
+    t = (4 * k - 1) * math.pi / (4 * n + 2)
+    x = np.cos(t) * (1.0 - (n - 1) / (8.0 * n**3)
+                     - (39.0 - 28.0 / np.sin(t) ** 2) / (384.0 * n**4))
+    if n % 2:
+        x[-1] = 0.0
     # Newton converges quadratically from these guesses: its third correction
     # is at rounding level for n >= 47, its fourth for smaller n
     for _ in range(6):
-        sizes = [x[n].size for n in active]
-        starts = np.cumsum(sizes) - sizes
-        nodes = np.concatenate([x[n] for n in active])
-        p, dp = _legendre_with_derivative(nodes, active, sizes)
-        updated = nodes - p / dp
-        moved = nodes - updated
-        converged = np.maximum.reduceat(np.abs(moved), starts) <= 4.0 * np.finfo(float).eps
-        for n, start, size in zip(active, starts, sizes):
-            run = slice(start, start + size)
-            x[n] = updated[run]
-            last[n] = p[run], dp[run], moved[run]
-        active = [n for n, done in zip(active, converged) if not done]
-        if not active:
+        p, dp = _legendre_with_derivative(n, x)
+        updated = x - p / dp
+        moved, x = x - updated, updated
+        if np.max(np.abs(moved)) <= 4.0 * np.finfo(float).eps:
             break
-    return {n: _weighted_rule(n, x[n], *last[n]) for n in orders}
-
-
-def _weighted_rule(n: int, x, p, dp, moved):
-    """Nodes and weights of the order-n rule from its converged half x and
-    the P_n, P_n' and Newton move of its last pass."""
     # carry P_n' over the last move with P_n'' from Legendre's equation: near
     # x = 1 the weights are 2x/(1 - x^2) times as sensitive as the nodes
-    dp = dp - moved * (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
+    dp -= moved * (2.0 * x * dp - n * (n + 1) * p) / (1.0 - x * x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes = np.concatenate((-x, x[::-1][n % 2:]))
     weights = np.concatenate((w, w[::-1][n % 2:]))
     weights *= 2.0 / weights.sum()
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
-def _legendre_with_derivative(x: np.ndarray, orders, sizes):
-    """P_n(x) and P_n'(x), for |x| < 1, at the nodes of several orders n:
-    x holds one run of sizes[i] nodes per order orders[i], the orders
-    descending. One pass of the recurrence
-    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1} serves them all: its step to
-    P_{k+1} works on the prefix of runs whose order exceeds k, and a run's
-    P_n and P_{n-1} are read at its last step."""
-    ends = np.cumsum(sizes)
+def _legendre_with_derivative(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the recurrence
+    (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}, for |x| < 1."""
     p_prev, p = np.ones_like(x), x.copy()
-    out, out_prev = p.copy(), p_prev.copy()  # an order-1 run needs no step
-    i = len(orders) - 1 - (orders[-1] == 1)  # the lowest order still running
-    c, xs = x.size, x
-    for k in range(1, orders[0]):
-        if ends[i] != c:
-            c = ends[i]
-            p_prev, p, xs = p_prev[:c], p[:c], x[:c]
+    for k in range(1, n):
         p_prev *= -k / (k + 1)
-        p_prev += ((2 * k + 1) / (k + 1)) * xs * p
+        p_prev += ((2 * k + 1) / (k + 1)) * x * p
         p_prev, p = p, p_prev
-        if orders[i] == k + 1:
-            run = slice(ends[i - 1] if i else 0, c)
-            out[run], out_prev[run] = p[run], p_prev[run]
-            i -= 1
-    n = np.repeat(orders, sizes)
-    return out, n * (out_prev - x * out) / (1.0 - x * x)
+    return p, n * (p_prev - x * p) / (1.0 - x * x)
 
 
 def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):

@@ -26,11 +26,15 @@ __all__ = [
     "legendre_table",
     "plane_wave_coeffs",
     "SQRT_2_OVER_PI",
+    "TAIL_TOL",
 ]
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _RESCALE = 1e250
+# the default truncation-tail tolerance of plane_wave_coeffs, and so of
+# enhancement_full and of a scenario's numerics.tail_tol
+TAIL_TOL = 1e-8
 
 
 def _ratio_cf(l: int, x: float) -> float:
@@ -179,7 +183,7 @@ def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
 
 
 def plane_wave_coeffs(
-    point: FieldPoint, l_max: int, *, tail_tol: float = 1e-8
+    point: FieldPoint, l_max: int, *, tail_tol: float = TAIL_TOL
 ) -> AngularFunction:
     """Harmonic coefficients of the focused-wave kernel exp(-i k Omega.r).
 

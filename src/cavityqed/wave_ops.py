@@ -65,6 +65,7 @@ import numpy as np
 from .quadrature import AngularGrid, build_grid, cap_edges
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
 from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table and radial_bessel_table here)
+    TAIL_TOL,
     _legendre,
     legendre_table,
     plane_wave_coeffs,
@@ -790,7 +791,7 @@ def enhancement_full(
     detuning_phase: float,
     *,
     ops: CavityOperatorSet | None = None,
-    tail_tol: float = 1e-8,
+    tail_tol: float = TAIL_TOL,
     collect_condition: bool = False,
 ) -> EnhancementResult:
     """Vacuum-fluctuation ratio at a point from the full operator calculation.

@@ -1,8 +1,6 @@
 import math
-import random
 import subprocess
 import sys
-from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -166,44 +164,37 @@ class TestGaussLegendreRule:
         assert np.array_equal(again_mu, ref_mu)
         assert np.array_equal(again_w, ref_w)
 
-    def test_rules_built_together_equal_rules_built_alone(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
-        orders = list(range(1, 257))
-        random.Random(7).shuffle(orders)
-        for batch in (orders[:3], orders[3:120], orders[120:]):
-            quadrature.gauss_rules(batch + batch[:2])
-        assert sorted(quadrature._rules) == list(range(1, 257))
-        for n in range(1, 257):
-            x, w = _gauss_legendre(n)
-            alone = quadrature._newton_rules([n])[n]
-            assert (x.tobytes(), w.tobytes()) == (alone[0].tobytes(), alone[1].tobytes()), n
-            assert not (x.flags.writeable or w.flags.writeable)
+    def test_cache_holds_256_rules_and_drops_the_least_recently_used(self):
+        _gauss_legendre.cache_clear()
+        for n in range(2, 2 + 256 + 40):
+            _gauss_legendre(n)
+        assert _gauss_legendre.cache_info()[2:] == (256, 256)  # maxsize, currsize
+        oldest = _gauss_legendre(42)  # the 40 first rules are gone
+        assert _gauss_legendre(42) is oldest
+        _gauss_legendre(1000)  # drops 43, now the least recently used
+        hits, misses = _gauss_legendre.cache_info()[:2]
+        for n in (42, 1000, 297):
+            _gauss_legendre(n)
+        assert _gauss_legendre.cache_info()[:2] == (hits + 3, misses)
+        for n in (43, 41):
+            _gauss_legendre(n)
+        assert _gauss_legendre.cache_info()[:2] == (hits + 3, misses + 2)
 
-    def test_cache_is_bounded_and_keeps_the_recent_rules(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
-        quadrature.gauss_rules(range(2, 2 + quadrature._RULE_CACHE + 40))
-        assert list(quadrature._rules) == list(range(2, 2 + quadrature._RULE_CACHE))
-        _gauss_legendre(2)
-        _gauss_legendre(1000)
-        assert len(quadrature._rules) == quadrature._RULE_CACHE
-        assert list(quadrature._rules)[-2:] == [2, 1000] and 3 not in quadrature._rules
+    def test_axial_profile_builds_its_eight_ladder_rules(self, monkeypatch, tmp_path):
+        # the preset's points, kz 0..100, need polar orders 64..168; on the
+        # ladder of multiples of 16 that is 8 Gauss rules, each built once
+        asked = set()
+        original = quadrature._gauss_legendre
 
-    def test_axial_profile_runs_one_recurrence_pass_per_newton_iteration(
-            self, monkeypatch, tmp_path):
-        # the preset's 105 polar orders (64..168) are built together, before
-        # its first point, not one Newton solve per order
-        monkeypatch.setattr(quadrature, "_rules", OrderedDict())
-        passes = []
-        original = quadrature._legendre_with_derivative
+        def spy(order):
+            asked.add(order)
+            return original(order)
 
-        def spy(x, orders, sizes):
-            passes.append(len(orders))
-            return original(x, orders, sizes)
-
-        monkeypatch.setattr(quadrature, "_legendre_with_derivative", spy)
+        monkeypatch.setattr(quadrature, "_gauss_legendre", spy)
+        original.cache_clear()
         run_scenario(preset_config("axial-profile"), tmp_path)
-        assert sorted(quadrature._rules) == list(range(64, 169))
-        assert passes[0] == 105 and len(passes) <= 6
+        assert sorted(asked) == list(range(64, 177, 16))
+        assert original.cache_info().misses == 8
 
     def test_cli_import_loads_no_scipy(self):
         code = ("import sys, cavityqed.cli; "

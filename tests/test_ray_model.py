@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.ray_model import (
     ApertureCollapseError,
+    _auto_polar_order,
     _cap_masks,
     _ray_kernels,
     airy_resonance_factor,
@@ -286,6 +289,15 @@ class TestEnhancementRay:
         a = enhancement_ray(benchmark_geom, FieldPoint((6.0, 0.0, 2.0)), 0.0)
         b = enhancement_ray(benchmark_geom, FieldPoint((0.0, 6.0, 2.0)), 0.0)
         assert a.value == pytest.approx(b.value, rel=1e-12)
+
+
+@given(kr=st.floats(0.0, 2040.0), base=st.none() | st.integers(2, 4096))
+def test_polar_order_ladder_adds_less_than_16(kr, base):
+    # the designed order is the larger of the floor and 48 + int(1.2 kr)
+    designed = max(base or 64, 48 + int(1.2 * kr))
+    order = _auto_polar_order(kr, base)
+    assert designed <= order < designed + 16
+    assert order == (base or 64) or order % 16 == 0
 
 
 class TestCavityLinewidth:
