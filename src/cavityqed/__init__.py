@@ -25,7 +25,6 @@ from .quadrature import (  # noqa: E402,F401
     AngularGrid,
     PVConvergenceError,
     PVResult,
-    build_grid,
     pv_integrate,
 )
 from .airy_shift import (  # noqa: E402,F401

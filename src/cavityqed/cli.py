@@ -167,8 +167,7 @@ def _exec_compare(cfg: ScenarioConfig):
         full = enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
                                 tail_tol=cfg.numerics.tail_tol).value
         ray = enhancement_ray(geom, point, cfg.scan.phi0, **orders).value
-        naive = enhancement_ray(geom, point, cfg.scan.phi0, aberration=False,
-                                diffraction=False, **orders).value
+        naive = enhancement_ray(geom, point, cfg.scan.phi0, corrections=False, **orders).value
         rows.append((float(kz), full, ray, naive, abs(full - ray) / full))
     max_dev = max(r[4] for r in rows)
     summary = [f"max |full - ray|/full over the profile: {max_dev:.3%}"]

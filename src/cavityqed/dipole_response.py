@@ -102,7 +102,7 @@ def response(
     polarization weight times the ray kernels, with both corrections of
     the ray route applied: the spherical-aberration phase and the apertures
     shrunk by the diffraction losses at the mirror edges (see ray_model).
-    Only enhancement_ray can switch them off.
+    Only enhancement_ray can switch them off, both together.
 
     The damping samples airy_resonance_factor and the shift samples
     shift_kernel. Both are the general two-mirror kernels, so unequal
@@ -117,11 +117,11 @@ def response(
     2**17 directions, so the peak memory does not grow with the
     quadrature orders, and the result does not depend on the block size.
     """
-    return _response(point, orientation, geom, phi0, True, True, polar_order, azimuthal_order)
+    return _response(point, orientation, geom, phi0, True, polar_order, azimuthal_order)
 
 
-def _response(point, orientation, geom, phi0, aberration, diffraction,
-              polar_order, azimuthal_order) -> ResponseResult:
+def _response(point, orientation, geom, phi0, corrections, polar_order,
+              azimuthal_order) -> ResponseResult:
     # called only from response and enhancement_ray, so stacklevel 3 names
     # the line that called either of them
     if not math.isfinite(phi0):
@@ -135,7 +135,7 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
         )
     axisym = point.on_axis and orientation.is_axisymmetric
     theta, w, phi_az, rho_f, rho_b = ray_integration_nodes(
-        geom, point, diffraction, polar_order, azimuthal_order, axisym
+        geom, point, corrections, polar_order, azimuthal_order, axisym
     )
     meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
     # weight x damping and weight x shift, averaged over each polar row; a
@@ -151,7 +151,7 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
             continue
         idx = block[hit]
         phi_eff, x_eff = ray_direction_phases(
-            geom, point, phi0, theta[idx, None], phi_az[None, :], aberration=aberration
+            geom, point, phi0, theta[idx, None], phi_az[None, :], aberration=corrections
         )
         kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
         pol = pol[hit]
@@ -164,8 +164,7 @@ def _response(point, orientation, geom, phi0, aberration, diffraction,
         shift_ratio=shift,
         method="ray",
         detail={
-            "aberration": aberration,
-            "diffraction": diffraction,
+            "corrections": corrections,
             "polar_nodes": theta.size,
             "azimuthal_nodes": phi_az.size,
             "orientation": orientation.label(),
@@ -178,8 +177,7 @@ def enhancement_ray(
     point: FieldPoint,
     phi0: float,
     *,
-    aberration: bool = True,
-    diffraction: bool = True,
+    corrections: bool = True,
     polar_order: int | None = None,
     azimuthal_order: int | None = None,
 ) -> EnhancementResult:
@@ -187,11 +185,12 @@ def enhancement_ray(
     an isotropic dipole, i.e. the plain angular average of the per-ray
     resonance factor.
 
-    With both corrections off this is the naive geometric-ray value (method
-    "ray-naive"), which coincides with the operator calculation when all
-    angular-spreading phases are neglected.
+    corrections=False switches off both the aberration phase and the
+    diffraction-shrunk apertures, giving the naive geometric-ray value
+    (method "ray-naive"), which coincides with the operator calculation
+    when all angular-spreading phases are neglected.
     """
     r = _response(point, DipoleOrientation.isotropic(), geom, phi0,
-                  aberration, diffraction, polar_order, azimuthal_order)
-    tag = "ray" if (aberration or diffraction) else "ray-naive"
+                  corrections, polar_order, azimuthal_order)
+    tag = "ray" if corrections else "ray-naive"
     return EnhancementResult(value=r.gamma_ratio, method=tag, detail=r.detail)

@@ -26,6 +26,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
+from .ray_model import _AZIMUTHAL_ORDER_FLOOR, _POLAR_ORDER_FLOOR
 from .specfun import TAIL_TOL
 from .structures import CavityGeometry, DipoleOrientation
 
@@ -65,8 +66,8 @@ _MAX_ORDER = 4096
 _MAX_COUNT = 100_000
 _MAX_PHASE_COUNT = 65_536
 # scan positions |k r|: the ray quadrature's automatic orders grow linearly
-# with kr (polar 48 + 1.2 kr, azimuthal 16 + 2 kr); this keeps both within
-# _MAX_ORDER, the largest order a document may request explicitly
+# with kr (ray_model._auto_polar_order and _auto_azimuthal_order); this keeps
+# both within _MAX_ORDER, the largest order a document may request explicitly
 _MAX_KR = (_MAX_ORDER - 16) // 2
 
 
@@ -101,8 +102,8 @@ class ScanSpec:
 @dataclass(frozen=True)
 class NumericsConfig:
     l_max: int = 150
-    polar_order: int = 64
-    azimuthal_order: int = 32
+    polar_order: int = _POLAR_ORDER_FLOOR
+    azimuthal_order: int = _AZIMUTHAL_ORDER_FLOOR
     tail_tol: float = TAIL_TOL
 
 
@@ -267,6 +268,9 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append(f"scan.{needed}: required for kind {kind!r}")
     if kind == "defocus-study" and k_delta == 0.0:
         errors.append("geometry.k_delta: defocus-study requires geometry.k_delta != 0")
+    if kind == "detuning-sweep" and rho1 * rho2 == 1.0:
+        errors.append("geometry.rho1: detuning-sweep requires rho1 * rho2 < 1, "
+                      "as it counts detuning in linewidths")
 
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(

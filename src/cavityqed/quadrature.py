@@ -1,10 +1,11 @@
 """Angular quadrature over the sphere and a principal-value integration engine.
 
-The sphere is integrated in cos(theta) with one Gauss-Legendre map onto
-panels (_panel_rule, which pv_integrate shares), the panels being split at
-the mirror edges where integrands jump; the ray route adds a uniform azimuth
-(ray_model.ray_integration_nodes). Weights carry the dOmega/4pi measure, so
-integrating the constant 1 gives exactly 1.
+The sphere is integrated in cos(theta) on the AngularGrid of polar_rule:
+one Gauss-Legendre rule on each segment between the mirror edges, where
+integrands jump (_panel_rule, which pv_integrate shares). The operator
+blocks are assembled on it (wave_ops.operator_grid); the ray route adds a
+uniform azimuth (ray_model.ray_integration_nodes). Weights carry the
+dOmega/4pi measure, so integrating the constant 1 gives exactly 1.
 
 The Gauss-Legendre rule on [-1, 1] is computed here, by Newton's method on
 the three-term Legendre recurrence started from Tricomi's asymptotic nodes
@@ -26,7 +27,6 @@ import numpy as np
 
 __all__ = [
     "AngularGrid",
-    "build_grid",
     "cap_edges",
     "polar_rule",
     "pv_integrate",
@@ -41,10 +41,10 @@ class PVConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class AngularGrid:
-    """Polar quadrature nodes under the dOmega/4pi measure of an integrand
-    that does not depend on the azimuth: theta/mu/w_theta describe the
-    polar rule (sum of w_theta is 1). Segment edges record where the polar
-    rule was split."""
+    """The grid of polar_rule: polar quadrature nodes under the dOmega/4pi
+    measure of an integrand that does not depend on the azimuth, ascending
+    in mu = cos(theta) (sum of w_theta is 1), and the sorted theta edges at
+    which the rule was split."""
 
     theta: np.ndarray
     mu: np.ndarray
@@ -109,12 +109,12 @@ def _panel_rule(lo: np.ndarray, hi: np.ndarray, order: int):
     return (half * xs + 0.5 * (lo + hi)[:, None]).ravel(), (half * ws).ravel()
 
 
-def polar_rule(theta_edges, order: int):
-    """Gauss-Legendre nodes/weights in mu = cos(theta), split per segment.
+def polar_rule(theta_edges, order: int) -> AngularGrid:
+    """Polar grid: Gauss-Legendre nodes of the given order in mu = cos(theta)
+    on each segment between the sorted theta_edges, theta = arccos(mu).
 
-    Returns (mu, w) with weights normalized to the polar half of the
-    dOmega/4pi measure: sum(w) = 1 over the full sphere. The arrays are
-    fresh on every call.
+    The weights carry the polar half of the dOmega/4pi measure: sum(w_theta)
+    = 1 over the full sphere. The arrays are fresh on every call.
     """
     if order < 2:
         raise ValueError(f"polar order must be >= 2, got {order}")
@@ -126,7 +126,8 @@ def polar_rule(theta_edges, order: int):
         raise ValueError("degenerate segment: repeated theta edge")
     mu, w = _panel_rule(mus[:-1], mus[1:], order)
     w *= 0.5  # the polar half of the dOmega/4pi measure
-    return mu, w
+    return AngularGrid(theta=np.arccos(np.clip(mu, -1.0, 1.0)), mu=mu, w_theta=w,
+                       edges=tuple(float(e) for e in edges))
 
 
 def cap_edges(theta_1: float, theta_2: float) -> list[float]:
@@ -135,17 +136,6 @@ def cap_edges(theta_1: float, theta_2: float) -> list[float]:
     of its edge rounds to +-1 covers no solid angle in floating point and
     gives no edge (a zero half-aperture is the absent mirror)."""
     return sorted({e for e in (theta_1, math.pi - theta_2) if -1.0 < math.cos(e) < 1.0})
-
-
-def build_grid(theta_edges, order_polar: int) -> AngularGrid:
-    """Polar grid: per-segment Gauss in cos(theta), split at theta_edges."""
-    mu, w = polar_rule(theta_edges, order_polar)
-    return AngularGrid(
-        theta=np.arccos(np.clip(mu, -1.0, 1.0)),
-        mu=mu,
-        w_theta=w,
-        edges=tuple(float(e) for e in np.sort(np.asarray(theta_edges, dtype=float))),
-    )
 
 
 @dataclass(frozen=True)

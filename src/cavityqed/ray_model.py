@@ -49,6 +49,9 @@ RAY_VALIDITY_KR = 100.0
 # rho1*rho2 closer to 1 than this is a lossless line; a resonant phase on it
 # raises ResonanceSingularityError instead of dividing by zero
 _SINGULAR_FLOOR = 1e-9
+# least ray-quadrature orders, and the defaults of numerics.*_order
+_POLAR_ORDER_FLOOR = 64
+_AZIMUTHAL_ORDER_FLOOR = 32
 
 
 class ApertureCollapseError(ValueError):
@@ -237,12 +240,12 @@ def _auto_polar_order(kr: float, base: int | None) -> int:
     # map's shift_ratio by 1.5e-13 and a compare scan's rel_deviation by
     # 2.4e-12, and gives the axial-profile scan 6% more polar nodes
     auto = -(-(48 + int(1.2 * kr)) // 16) * 16
-    return max(base or 64, auto)
+    return max(base or _POLAR_ORDER_FLOOR, auto)
 
 
 def _auto_azimuthal_order(kr_perp: float, base: int | None) -> int:
     auto = 16 + 2 * int(math.ceil(kr_perp))
-    return max(base or 32, auto)
+    return max(base or _AZIMUTHAL_ORDER_FLOOR, auto)
 
 
 def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order, axisym):
@@ -258,10 +261,9 @@ def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order
     requested."""
     th1, th2 = _effective_edges(geom, diffraction)
     edges = sorted(set(cap_edges(th1, th2)) | set(cap_edges(th2, th1)))
-    mu, w = polar_rule(edges, _auto_polar_order(point.kr, polar_order))
-    theta = np.arccos(np.clip(mu, -1.0, 1.0))
-    on1_fwd, on2_fwd = _cap_masks(theta, th1, th2)
-    on2_back, on1_back = _cap_masks(theta, th2, th1)
+    grid = polar_rule(edges, _auto_polar_order(point.kr, polar_order))
+    on1_fwd, on2_fwd = _cap_masks(grid.theta, th1, th2)
+    on2_back, on1_back = _cap_masks(grid.theta, th2, th1)
     rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
     rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
     if axisym:
@@ -269,7 +271,7 @@ def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order
     else:
         n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
         phi = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
-    return theta, w, phi, rho_fwd, rho_back
+    return grid.theta, grid.w_theta, phi, rho_fwd, rho_back
 
 
 def cavity_linewidth(rho1: float, rho2: float) -> float:

@@ -8,7 +8,8 @@ Spherical harmonics are normalized to unit mean square over the sphere,
 orthonormal harmonics. That convention makes Parseval sums read directly as
 angular averages and is used consistently everywhere in the package. No
 harmonic is formed on its own: Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}
-for m >= 0 with P_lm from legendre_table, and Y_{l,-m} = (-1)^m conj(Y_lm).
+for m >= 0 with P_lm from _legendre, one recurrence over a range of m, and
+Y_{l,-m} = (-1)^m conj(Y_lm).
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ operators are block matrices over l at fixed m:
   profiles rho(theta), tau(theta), whose matrix elements are integrals of
   normalized Legendre products against the profile, evaluated exactly by
   per-segment Gauss rules split at the mirror edges (operator_grid, the
-  one grid every operator set uses). The profiles are
-  constant on each segment, so one real Legendre Gram matrix per segment
-  gives every operator of a block as a linear combination; only a profile
-  that varies within a segment (the defocus phase) has a product of its own.
+  one grid every operator set uses). The profiles are constant on each
+  segment, so one real Legendre Gram matrix per segment gives every
+  operator of a block as a linear combination; only a profile that varies
+  within a segment (the defocus phase) has a product of its own.
 
 A mirror-symmetric cavity (equal caps, equal reflectivities, no defocus)
 has profiles even in cos(theta). Since P_lm(-x) = (-1)^(l-m) P_lm(x), its
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import AngularGrid, build_grid, cap_edges
+from .quadrature import AngularGrid, cap_edges, polar_rule
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
 from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table and radial_bessel_table here)
     TAIL_TOL,
@@ -264,7 +264,7 @@ def operator_grid(geom: CavityGeometry, l_max: int) -> AngularGrid:
     segment to integrate products of two degree-l_max Legendre functions
     exactly (plus margin for the defocus phase factor)."""
     order = l_max + 16 + int(2.0 * abs(geom.k_delta))
-    return build_grid(cap_edges(geom.theta_m1, geom.theta_m2), order_polar=order)
+    return polar_rule(cap_edges(geom.theta_m1, geom.theta_m2), order)
 
 
 def mirror_profiles(geom: CavityGeometry, theta: np.ndarray):
@@ -312,18 +312,16 @@ def _legendre_chunks(l_max: int, n_points: int, ms) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _Segments:
-    """What every block of one cavity on one grid shares: the grid, the
-    polar nodes of each segment as (node indices, weight column), and per
-    segment each mirror profile's value where it is constant there, or its
-    node values where it is not (the defocus phase). A segment is a
+    """What every block of one cavity on one grid shares: the grid and, per
+    segment, (node indices, weight column, profiles), where profiles holds
+    rho and tau^2 each as its value where it is constant on the segment, or
+    its node values where it is not (the defocus phase). A segment is a
     contiguous run of polar_rule's nodes, which ascend in cos(theta); the
     runs are listed by ascending theta, the last run first. rho is real when
     every reflection profile value is."""
 
     grid: AngularGrid
-    groups: tuple
-    rho: tuple
-    tau_sq: tuple
+    parts: tuple
 
 
 def _segments(geom: CavityGeometry, grid: AngularGrid) -> _Segments:
@@ -331,48 +329,13 @@ def _segments(geom: CavityGeometry, grid: AngularGrid) -> _Segments:
     if not np.any(rho_vals.imag):
         rho_vals = rho_vals.real
     run = grid.mu.size // (len(grid.edges) + 1)
-    groups = tuple((idx, grid.w_theta[idx, None]) for idx in
-                   (np.arange(start, start + run) for start in range(grid.mu.size - run, -1, -run)))
-    return _Segments(grid, groups, _segment_values(rho_vals, groups),
-                     _segment_values(tau_sq_vals, groups))
-
-
-def _segment_values(values: np.ndarray, groups) -> tuple:
-    """Per segment, the profile's value there if it is constant, else its
-    values at the segment's nodes."""
-    return tuple(f[0] if np.all(f == f[0]) else f for f in (values[idx] for idx, _ in groups))
-
-
-def _segment_grams(v: np.ndarray, groups, sectors):
-    """Per sector (a slice of the block's l), per segment of groups (as
-    _Segments holds them), the Legendre rows v_s, the weighted rows
-    w_s v_s and the real Gram v_s^T diag(w_s) v_s. v is the block's
-    Legendre table, P_lm at node i and l = m + j in v[i, j], typically a
-    slice of a table built for a chunk of m. No Gram couples two sectors."""
-    per_sector = []
-    for sector in sectors:
-        columns = v[:, sector]
-        parts = []
-        for idx, w in groups:
-            v_s = columns[idx]
-            wv = w * v_s
-            parts.append((v_s, wv, v_s.T @ wv))
-        per_sector.append(parts)
-    return per_sector
-
-
-def _profile_operator(parts, profile) -> np.ndarray:
-    """Multiplication operator by a profile given per segment (see
-    _Segments), as a sum over segments: the profile's value times the
-    segment Gram where it is constant there, its own weighted product where
-    it is not. Real values give a real operator."""
-    out = np.zeros(parts[0][2].shape, dtype=profile[0].dtype)
-    for (v_s, wv, gram), f in zip(parts, profile):
-        if np.ndim(f) == 0:
-            out += f * gram
-        else:
-            out += v_s.T @ (f[:, None] * wv)
-    return out
+    parts = []
+    for start in range(grid.mu.size - run, -1, -run):
+        idx = np.arange(start, start + run)
+        profiles = tuple(f[0] if np.all(f == f[0]) else f
+                         for f in (rho_vals[idx], tau_sq_vals[idx]))
+        parts.append((idx, grid.w_theta[idx, None], profiles))
+    return _Segments(grid, tuple(parts))
 
 
 def _build_blocks(geom, basis, segments: _Segments, ms) -> dict[int, OperatorBlock]:
@@ -388,31 +351,45 @@ def _build_blocks(geom, basis, segments: _Segments, ms) -> dict[int, OperatorBlo
     for m_lo, m_hi in _legendre_chunks(basis.l_max, mu.size, sorted(set(ms))):
         table = _legendre(basis.l_max, m_lo, m_hi, mu)
         for m in range(m_lo, m_hi + 1):
-            index = _parity_sectors(geom, basis.l_max + 1 - m)
-            grams = _segment_grams(table[m - m_lo:, m - m_lo].T, segments.groups, index)
+            v = table[m - m_lo:, m - m_lo]
             if m == m_hi:
-                del table  # not held while the chunk's last block is assembled
-            blocks[m] = _build_block(geom, basis, segments, m, zip(index, grams))
+                # a copy, not a view, so that the table is not held while the
+                # chunk's last block is assembled
+                v = v.copy()
+                del table
+            blocks[m] = _build_block(geom, basis, segments, m, v.T)
     return blocks
 
 
-def _build_block(geom, basis, segments: _Segments, m: int, sector_grams) -> OperatorBlock:
-    """Block m from the (slice, segment Grams) of each of its sectors."""
+def _build_block(geom, basis, segments: _Segments, m: int, v: np.ndarray) -> OperatorBlock:
+    """Block m from its Legendre table v, P_lm at node i and l = m + j in
+    v[i, j], in one sweep over the segments of each parity sector. The real
+    Gram v_s^T diag(w_s) v_s of each segment adds to the flux identity, and
+    to rho and tau^2 times the profile's value where the profile is constant
+    on the segment; where it is not, the operator gets the segment's own
+    weighted product. Real profile values give a real operator. No Gram
+    couples two sectors."""
     ls = basis.block_ls(m)
     sectors = []
     flux_residual = 0.0
-    for sector, parts in sector_grams:
+    for index in _parity_sectors(geom, ls.size):
+        columns = v[:, index]
+        ident, operators = 0.0, [0.0, 0.0]
+        for idx, w, profiles in segments.parts:
+            v_s = columns[idx]
+            wv = w * v_s
+            gram = v_s.T @ wv
+            ident += gram
+            for i, f in enumerate(profiles):
+                operators[i] += f * gram if np.ndim(f) == 0 else v_s.T @ (f[:, None] * wv)
         # |rho|^2 + tau^2 = 1 holds pointwise, so the flux identity's Gram is
         # the sum of the segment Grams and must come out as the identity; any
         # deviation is pure quadrature error (the operator-product form
         # rho'rho + tau'tau carries an additional truncation tail near l_max
         # and is not used as the diagnostic)
-        ident = sum(gram for *_, gram in parts)
         ident[np.diag_indices(ident.shape[0])] -= 1.0
         flux_residual = max(flux_residual, float(np.max(np.abs(ident))))
-        sectors.append(ParitySector(index=sector,
-                                    rho=_profile_operator(parts, segments.rho),
-                                    tau_sq=_profile_operator(parts, segments.tau_sq)))
+        sectors.append(ParitySector(index, rho=operators[0], tau_sq=operators[1]))
     return OperatorBlock(
         m=m,
         ls=ls,
@@ -436,14 +413,13 @@ def build_operators(
     per chunk of consecutive |m|, each chunk's table capped at
     _LEGENDRE_CHUNK bytes, and each block reads its slice. Each block
     stores rho (real when k_delta = 0) and tau^2 per parity sector (two for
-    a mirror-symmetric cavity, one otherwise), both assembled from one real
-    Gram matrix per polar segment and sector; a segment where a profile is
-    not constant gets that profile's own weighted product. The grid
-    resolves Legendre products up to degree 2*l_max per segment. Each block
-    reports flux_residual: the largest entry of the sum of the segment
-    Grams minus the identity, over the sectors, which is the Gram of
-    |rho|^2 + tau^2 = 1 (an identity that holds pointwise), so it measures
-    quadrature error alone. An |m| above l_max raises ValueError.
+    a mirror-symmetric cavity, one otherwise), both assembled in one sweep
+    over the polar segments (_build_block). The grid resolves Legendre
+    products up to degree 2*l_max per segment. Each block reports
+    flux_residual: the largest entry of the sum of the segment Grams minus
+    the identity, over the sectors, which is the Gram of |rho|^2 + tau^2 =
+    1 (an identity that holds pointwise), so it measures quadrature error
+    alone. An |m| above l_max raises ValueError.
     """
     ops = CavityOperatorSet(geometry=geom, basis=basis)
     if m_values is None:

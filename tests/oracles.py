@@ -28,10 +28,6 @@ from cavityqed.structures import (
 )
 from cavityqed.wave_ops import (
     CavityOperatorSet,
-    _profile_operator,
-    _segment_grams,
-    _segment_values,
-    _segments,
     _solve_block,
     mirror_profiles,
 )
@@ -110,14 +106,26 @@ def closed_cavity_mode_sum(
 
 def transmission_operator(geom, grid, l_max: int, block) -> tuple[np.ndarray, ...]:
     """Multiplication operator by tau(theta) for an operator block built on
-    grid, one matrix per parity sector, assembled from the segment Grams as
-    the library assembles rho and tau^2; blocks do not store it."""
+    grid, one matrix per parity sector; blocks do not store it. It is summed
+    segment by segment of the grid, each a run of equally many nodes: tau's
+    value times the segment's Legendre Gram where tau is constant there, the
+    segment's own tau-weighted product where it is not."""
     _, tau_sq_vals = mirror_profiles(geom, grid.theta)
-    index = [s.index for s in block.sectors]
-    groups = _segments(geom, grid).groups
-    tau = _segment_values(np.sqrt(tau_sq_vals), groups)
-    return tuple(_profile_operator(parts, tau) for parts in
-                 _segment_grams(legendre_table(l_max, block.m, grid.mu), groups, index))
+    tau = np.sqrt(tau_sq_vals)
+    v = legendre_table(l_max, block.m, grid.mu)
+    run = grid.mu.size // (len(grid.edges) + 1)
+    operators = []
+    for sector in block.sectors:
+        total = 0.0
+        for start in range(0, grid.mu.size, run):
+            nodes = slice(start, start + run)
+            v_s, w_s, tau_s = v[nodes, sector.index], grid.w_theta[nodes], tau[nodes]
+            if np.all(tau_s == tau_s[0]):
+                total = total + tau_s[0] * (v_s.T @ (w_s[:, None] * v_s))
+            else:
+                total = total + v_s.T @ ((tau_s * w_s)[:, None] * v_s)
+        operators.append(total)
+    return tuple(operators)
 
 
 def coefficient_blocks(f: AngularFunction) -> dict[int, np.ndarray]:
@@ -257,8 +265,8 @@ def one_mirror_response(
         raise ValueError(f"theta_m must lie in (0, pi/2], got {theta_m}")
     order = max(polar_order or 48, 24 + int(1.2 * point.kr * theta_m))
     # the cap mu in [cos(theta_m), 1] is the last segment of the split rule
-    mu, w = (part[-order:] for part in polar_rule([theta_m], order))
-    theta = np.arccos(np.clip(mu, -1.0, 1.0))
+    grid = polar_rule([theta_m], order)
+    theta, w = grid.theta[-order:], grid.w_theta[-order:]
     axisym = point.on_axis and orientation.is_axisymmetric
     if axisym:
         phi_az = np.zeros(1)

@@ -57,8 +57,7 @@ def axial_profile(geom, basis150, ops150):
         enhancement_ray(geom, FieldPoint.axial(float(kz)), 0.0).value for kz in kzs
     ])
     naive = np.array([
-        enhancement_ray(geom, FieldPoint.axial(float(kz)), 0.0,
-                        aberration=False, diffraction=False).value
+        enhancement_ray(geom, FieldPoint.axial(float(kz)), 0.0, corrections=False).value
         for kz in kzs
     ])
     return kzs, full, ray, naive
@@ -68,8 +67,7 @@ def test_criterion_01_center_enhancement(geom, basis150, ops150):
     t0 = time.monotonic()
     full = enhancement_full(geom, basis150, FieldPoint.origin(), 0.0, ops=ops150).value
     elapsed = time.monotonic() - t0
-    naive = enhancement_ray(geom, FieldPoint.origin(), 0.0,
-                            aberration=False, diffraction=False).value
+    naive = enhancement_ray(geom, FieldPoint.origin(), 0.0, corrections=False).value
     corrected = enhancement_ray(geom, FieldPoint.origin(), 0.0).value
     correction = naive - corrected
     ok = (

@@ -239,6 +239,24 @@ class TestRun:
         cfg = _write_config(tmp_path, doc)
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("theta_m", [0.5, 0.0], ids=["mirrors", "no-mirrors"])
+    def test_lossless_detuning_sweep_is_config_error(self, tmp_path, capsys, theta_m):
+        # the detuning axis is in linewidths, and a lossless line has none
+        doc = {
+            "geometry": {"theta_m1": theta_m, "rho1": 1.0, "rho2": 1.0},
+            "scan": {"kind": "detuning-sweep", **TINY_SCANS["detuning-sweep"]},
+            "numerics": {"l_max": 40},
+        }
+        for l_max, reported in ((40, []), (-1, ["numerics.l_max"])):
+            doc["numerics"]["l_max"] = l_max
+            cfg = _write_config(tmp_path, doc)
+            code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == cli.EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "geometry.rho1: detuning-sweep requires rho1 * rho2 < 1" in err
+            assert all(key in err for key in reported)
+            assert not (tmp_path / "out").exists()
+
 
 # the exact scripts of two scans: a two-panel multiplot, and points on a log y-axis
 PINNED_SCRIPTS = {

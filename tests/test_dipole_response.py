@@ -18,7 +18,14 @@ from cavityqed.ray_model import (
     ray_direction_phases,
     ray_integration_nodes,
 )
-from cavityqed.structures import CavityGeometry, DipoleOrientation, FieldPoint, ValidityWarning
+from cavityqed.structures import (
+    CavityGeometry,
+    DipoleOrientation,
+    FieldPoint,
+    HarmonicBasis,
+    ValidityWarning,
+)
+from cavityqed.wave_ops import build_operators
 from oracles import center_closed_forms, one_mirror_response
 
 KR = 1.0e5
@@ -54,13 +61,13 @@ class TestPolarizationFactor:
             assert w == pytest.approx(1.5, rel=1e-15)
 
     def test_sphere_average_is_unity(self):
-        from cavityqed.quadrature import build_grid
+        from cavityqed.quadrature import polar_rule
 
         cases = [(1.1, 20, 16, np.array([0.36, -0.48, 0.8]))]
         cases += [(1.0, 24, 24, d / np.linalg.norm(d))
                   for d in np.random.default_rng(7).normal(size=(3, 3))]
         for edge, n_polar, n_azimuthal, d in cases:
-            grid = build_grid([edge], order_polar=n_polar)
+            grid = polar_rule([edge], n_polar)
             phi_az = 2.0 * math.pi * (np.arange(n_azimuthal) + 0.5) / n_azimuthal
             vals = orientation_weight(DipoleOrientation.along(d), grid.theta[:, None],
                                       phi_az[None, :])
@@ -209,6 +216,20 @@ class TestBlockedPass:
         assert r.detail["polar_nodes"] * r.detail["azimuthal_nodes"] > 3_000_000
         assert peak < 40 * 2**20
 
+    def test_operator_build_holds_one_table_and_one_segment(self, benchmark_geom):
+        # the m = 0 block at l_max 400: its 3.8 MiB Legendre table and the
+        # copy of the block's slice peak together, and the sweep over the
+        # segments holds the rows of one segment (0.6 MiB) at a time
+        basis = HarmonicBasis(400)
+        build_operators(benchmark_geom, basis, m_values=(0,))  # Gauss rules cached
+        tracemalloc.start()
+        try:
+            build_operators(benchmark_geom, basis, m_values=(0,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
     @pytest.mark.parametrize("orientation", [DipoleOrientation.perpendicular(),
                                              DipoleOrientation.along((0.6, 0.0, 0.8))])
     def test_result_does_not_depend_on_the_block_size(self, monkeypatch, orientation):
@@ -234,8 +255,7 @@ class TestUnequalCapSplit:
         # each end of a ray through the centre meets the one cap over a
         # solid-angle fraction (1 - cos theta)/2, with damping 1 + rho cos 2phi0
         geom = CavityGeometry(KR, THETA_30PCT, 0.0, 0.98, 0.0)
-        got = enhancement_ray(geom, FieldPoint.origin(), phi0,
-                              aberration=False, diffraction=False).value
+        got = enhancement_ray(geom, FieldPoint.origin(), phi0, corrections=False).value
         assert abs(got - (1.0 + 0.3 * 0.98 * math.cos(2.0 * phi0))) <= 1e-14
 
     def test_unequal_caps_center_value(self):
@@ -245,8 +265,7 @@ class TestUnequalCapSplit:
         a = (1.0 + rho1) * (1.0 + rho2) / (1.0 - rho1 * rho2)
         exact = (1.0 + (1.0 - math.cos(0.6)) * (a - 1.0)
                  + (math.cos(0.6) - math.cos(0.795)) * rho1)
-        got = enhancement_ray(self.UNEQUAL, FieldPoint.origin(), 0.0,
-                              aberration=False, diffraction=False).value
+        got = enhancement_ray(self.UNEQUAL, FieldPoint.origin(), 0.0, corrections=False).value
         assert abs(got - exact) <= 1e-14
 
     @pytest.mark.parametrize("k_delta", [0.0, 0.3])
@@ -327,7 +346,7 @@ class TestCenterClosedForms:
             o = DipoleOrientation(tag=tag)
             closed = center_closed_forms(o, THETA_30PCT, 0.98, phi0)
             quad = dipole_response._response(FieldPoint.origin(), o, benchmark_geom, phi0,
-                                             False, False, None, None)
+                                             False, None, None)
             assert quad.gamma_ratio == pytest.approx(closed.gamma_ratio, rel=1e-12)
             assert quad.shift_ratio == pytest.approx(closed.shift_ratio, rel=1e-12, abs=1e-15)
 
@@ -445,7 +464,7 @@ class TestOneMirror:
         single = one_mirror_response(FieldPoint.origin(), DipoleOrientation.isotropic(),
                                      rho, phi0, theta_m).gamma_ratio
         cavity = enhancement_ray(CavityGeometry(KR, theta_m, 0.0, rho, 0.0), FieldPoint.origin(),
-                                 phi0, aberration=False, diffraction=False).value
+                                 phi0, corrections=False).value
         assert abs(single - (1.0 + modulation / 2.0)) <= 1e-14
         assert abs(cavity - (1.0 + modulation)) <= 1e-14
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import cavityqed
 from cavityqed import cli
-from cavityqed.dipole_response import response
+from cavityqed.dipole_response import enhancement_ray, response
 from cavityqed.io_formats import ResultTable
 from cavityqed.quadrature import AngularGrid, PVResult, pv_integrate
 from cavityqed.structures import AngularFunction, FieldPoint, HarmonicBasis
@@ -27,6 +27,7 @@ RETIRED = (
     "asymptotic_radial_bessel", "bessel_weights", "closed_cavity_mode_sum",
     "intracavity_field_coeffs", "_transmission_operator", "read_table_json",
     "_ray_reflectivities", "_legendre_column", "center_closed_forms", "one_mirror_response",
+    "build_grid",
 )
 
 
@@ -101,18 +102,21 @@ def test_only_the_cli_imports_the_cli():
 
 def test_parameters_that_no_program_path_varies_stay_retired():
     # pv_integrate runs the one configuration of the airy-check scan,
-    # operator blocks always sit on operator_grid, and response always
-    # applies both ray corrections; perfbench/worker.py passes the first four
-    # parameters of enhancement_full by position
+    # operator blocks always sit on operator_grid, response always applies
+    # both ray corrections and enhancement_ray switches them together;
+    # perfbench/worker.py passes the first four parameters of
+    # enhancement_full by position
     params = {f.__name__: list(inspect.signature(f).parameters)
               for f in (pv_integrate, cli.pv_oracle_errors, build_operators, response,
-                        enhancement_full)}
+                        enhancement_ray, enhancement_full)}
     assert params == {
         "pv_integrate": ["kernel", "period", "refine_points"],
         "pv_oracle_errors": ["rho", "phi"],
         "build_operators": ["geom", "basis", "m_values"],
         "response": ["point", "orientation", "geom", "phi0", "polar_order",
                      "azimuthal_order"],
+        "enhancement_ray": ["geom", "point", "phi0", "corrections", "polar_order",
+                            "azimuthal_order"],
         "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops", "tail_tol",
                              "collect_condition"],
     }

@@ -14,7 +14,6 @@ from cavityqed.presets import preset_config
 from cavityqed.quadrature import (
     PVConvergenceError,
     _gauss_legendre,
-    build_grid,
     polar_rule,
     pv_integrate,
 )
@@ -35,7 +34,7 @@ def _sphere_mean(w, values):
 
 class TestGrid:
     def test_weights_normalized(self):
-        grid = build_grid([math.pi / 4, 3 * math.pi / 4], order_polar=16)
+        grid = polar_rule([math.pi / 4, 3 * math.pi / 4], 16)
         assert abs(float(np.sum(grid.w_theta)) - 1.0) < 1e-14
 
     def test_constant_integrates_to_one(self):
@@ -70,29 +69,29 @@ class TestGrid:
 
     @pytest.mark.parametrize("edges", [[0.6, 2.1], [0.6, 2.2]])
     def test_legendre_exactness(self, edges):
-        mu, w = polar_rule(edges, order=16)
+        grid = polar_rule(edges, order=16)
         for n in range(0, 14):
             coeffs = np.zeros(n + 1)
             coeffs[n] = 1.0
-            got = float(np.dot(w, np.polynomial.legendre.legval(mu, coeffs)))
+            got = float(np.dot(grid.w_theta, np.polynomial.legendre.legval(grid.mu, coeffs)))
             assert abs(got - (1.0 if n == 0 else 0.0)) < 1e-12
 
     def test_no_node_on_segment_boundary(self):
         edge = 0.9
-        grid = build_grid([edge], order_polar=16)
+        grid = polar_rule([edge], 16)
         assert np.min(np.abs(grid.theta - edge)) > 1e-6
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            build_grid([0.5, 0.5], order_polar=8)
+            polar_rule([0.5, 0.5], 8)
 
     def test_edges_outside_range_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([0.0, 1.0], order_polar=8)
+            polar_rule([0.0, 1.0], 8)
 
     def test_low_orders_rejected(self):
         with pytest.raises(ValueError):
-            build_grid([1.0], order_polar=1)
+            polar_rule([1.0], 1)
 
 
 RULE_ORDERS = list(range(2, 61)) + [64, 151, 166, 416, 816, 1000]
@@ -156,13 +155,13 @@ class TestGaussLegendreRule:
             w[0] = 0.0
 
     def test_mutating_returned_arrays_leaves_later_calls_unchanged(self):
-        mu, w = polar_rule([0.6, 2.1], order=20)
-        ref_mu, ref_w = mu.copy(), w.copy()
-        mu[:] = 0.0
-        w[:] = 0.0
-        again_mu, again_w = polar_rule([0.6, 2.1], order=20)
-        assert np.array_equal(again_mu, ref_mu)
-        assert np.array_equal(again_w, ref_w)
+        grid = polar_rule([0.6, 2.1], order=20)
+        ref_mu, ref_w = grid.mu.copy(), grid.w_theta.copy()
+        grid.mu[:] = 0.0
+        grid.w_theta[:] = 0.0
+        again = polar_rule([0.6, 2.1], order=20)
+        assert np.array_equal(again.mu, ref_mu)
+        assert np.array_equal(again.w_theta, ref_w)
 
     def test_cache_holds_256_rules_and_drops_the_least_recently_used(self):
         _gauss_legendre.cache_clear()

@@ -245,8 +245,7 @@ class TestAberrationPhase:
 
 class TestEnhancementRay:
     def test_center_naive_value(self, benchmark_geom):
-        r = enhancement_ray(benchmark_geom, FieldPoint.origin(), 0.0,
-                            aberration=False, diffraction=False)
+        r = enhancement_ray(benchmark_geom, FieldPoint.origin(), 0.0, corrections=False)
         assert r.value == pytest.approx(30.4, rel=1e-10)
         assert r.method == "ray-naive"
 
@@ -269,7 +268,7 @@ class TestEnhancementRay:
     def test_vanishing_aperture_is_free_space(self, theta_m):
         # a cap whose edge cosine rounds to 1 covers no solid angle
         geom = CavityGeometry.symmetric(KR, theta_m, 0.9)
-        r = enhancement_ray(geom, FieldPoint((2.0, 1.0, 3.0)), 0.1, diffraction=False)
+        r = enhancement_ray(geom, FieldPoint((2.0, 1.0, 3.0)), 0.1, corrections=False)
         assert r.value == pytest.approx(1.0, abs=1e-12)
 
     def test_defocus_shifts_and_halves_resonance(self, benchmark_geom):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cavityqed.quadrature import build_grid
+from cavityqed.quadrature import polar_rule
 from cavityqed.specfun import (
     SQRT_2_OVER_PI,
     _legendre,
@@ -186,14 +186,14 @@ class TestSphericalHarmonics:
 
     def test_unit_mean_square_y53(self):
         # |Y_53|^2 = P_53(mu)^2 does not depend on the azimuth
-        grid = build_grid([1.0], order_polar=32)
+        grid = polar_rule([1.0], 32)
         p = legendre_table(5, 3, grid.mu)[:, 2]
         mean_sq = float(np.dot(grid.w_theta, p**2))
         assert abs(mean_sq - 1.0) < 1e-10
 
     @pytest.mark.parametrize("edge,order", [(0.8, 40), (0.9, 32)])
     def test_orthonormality_up_to_l20(self, edge, order):
-        grid = build_grid([edge], order_polar=order)
+        grid = polar_rule([edge], order)
         for m in (0, 1, 2, 3, 7):
             v = legendre_table(20, m, grid.mu)
             gram = v.T @ (grid.w_theta[:, None] * v)

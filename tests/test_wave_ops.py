@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cavityqed.dipole_response import enhancement_ray
-from cavityqed.quadrature import build_grid
+from cavityqed.quadrature import polar_rule
 from cavityqed.specfun import legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
     CavityGeometry,
@@ -115,7 +115,7 @@ def _block_on(geom, basis, grid, m):
 def _unsplit_grid(l_max):
     """A hand-built grid split at 1.2 rad, away from both mirror edges of
     the unequal cavity."""
-    return build_grid([1.2], order_polar=l_max + 30)
+    return polar_rule([1.2], l_max + 30)
 
 
 @pytest.fixture(scope="module")
@@ -178,7 +178,7 @@ class TestOperators:
 
     def test_flux_identity_detects_insufficient_quadrature(self, benchmark_geom):
         basis = HarmonicBasis(100)
-        coarse = build_grid([THETA_30PCT, math.pi - THETA_30PCT], order_polar=24)
+        coarse = polar_rule([THETA_30PCT, math.pi - THETA_30PCT], 24)
         assert _block_on(benchmark_geom, basis, coarse, 0).flux_residual > 1e-3
 
 
