@@ -271,6 +271,12 @@ def parse_config(text: str) -> ScenarioConfig:
     if kind == "detuning-sweep" and rho1 * rho2 == 1.0:
         errors.append("geometry.rho1: detuning-sweep requires rho1 * rho2 < 1, "
                       "as it counts detuning in linewidths")
+    if kind != "airy-check" and rho1 + rho2 == 2.0 and max(theta_m1, theta_m2) > 0.0:
+        # every other kind runs the corrected ray route, which shrinks each
+        # mirror by 1/sqrt(kR (1 - rho_av^2)) (ray_model.effective_aperture)
+        errors.append(f"geometry.rho1: {kind} runs the corrected ray route, whose "
+                      "diffraction correction is unbounded for a lossless mirror pair; "
+                      "rho1 = rho2 = 1 needs theta_m1 = theta_m2 = 0 or kind 'airy-check'")
 
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(

@@ -8,8 +8,16 @@ Spherical harmonics are normalized to unit mean square over the sphere,
 orthonormal harmonics. That convention makes Parseval sums read directly as
 angular averages and is used consistently everywhere in the package. No
 harmonic is formed on its own: Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}
-for m >= 0 with P_lm from _legendre, one recurrence over a range of m, and
-Y_{l,-m} = (-1)^m conj(Y_lm).
+for m >= 0 and Y_{l,-m} = (-1)^m conj(Y_lm). P_lm comes from one recurrence
+in l: _legendre runs it over a range of m at many nodes at once (the
+operator blocks), and _point_legendre over every m at one point (the
+focused-wave input), bit for bit the same values.
+
+The focused-wave input at a point is real and free of the point's azimuth:
+with v_l = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), the coefficient of Y_{l,+-m}
+is (-i)^l v_l times a unit phase of the block. _focused_input returns v,
+which the operator route solves and evaluates; plane_wave_coeffs is its
+complex view, with the phases.
 """
 
 from __future__ import annotations
@@ -140,8 +148,8 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
 @functools.lru_cache(maxsize=4)
 def _column_coefficients(l_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The coefficients a and b of the recurrence in l for each l = 2..l_max,
-    as columns over m = 0..l-2, computed once per l_max."""
-    m_sq = np.arange(l_max)[:, None] ** 2
+    as rows over m = 0..l-2, computed once per l_max."""
+    m_sq = np.arange(l_max) ** 2
     rows = []
     for l in range(2, l_max + 1):
         mm = m_sq[: l - 1]
@@ -178,9 +186,91 @@ def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
         r, w = l - m_lo, min(l - 1 - m_lo, n_m)  # the m < l - 1 are w columns
         row = out[r, :w]
         mul(x, out[r - 1, :w], out=row)
-        sub(row, mul(b[m_lo: m_lo + w], out[r - 2, :w]), out=row)
-        mul(a[m_lo: m_lo + w], row, out=row)
+        sub(row, mul(b[m_lo: m_lo + w, None], out[r - 2, :w]), out=row)
+        mul(a[m_lo: m_lo + w, None], row, out=row)
     return out
+
+
+def _point_legendre(l_max: int, x: float) -> np.ndarray:
+    """P_lm(x) for every l, m <= l_max at the one point x, a Python float:
+    entry [l, m], zero for l < m, is bit for bit entry [l, m, 0] of
+    _legendre(l_max, 0, l_max, [x]). The same steps run on 1-D rows, which
+    cost less per step than the (m, point) blocks of the batched recurrence."""
+    n = l_max + 1
+    out = np.zeros((n, n))
+    flat = out.reshape(-1)
+    diag = flat[:: n + 1]
+    diag[0] = 1.0
+    k = np.arange(1, n)
+    np.multiply(np.sqrt((2 * k + 1) / (2 * k)), -math.sqrt(max(0.0, 1.0 - x * x)),
+                out=diag[1:])
+    np.cumprod(diag, out=diag)
+    flat[n:: n + 1] = np.sqrt(2 * np.arange(l_max) + 3) * x * diag[:-1]
+    mul, sub = np.multiply, np.subtract
+    for l, (a, b) in enumerate(_column_coefficients(l_max), start=2):
+        row = out[l, : l - 1]
+        mul(x, out[l - 1, : l - 1], out=row)
+        sub(row, mul(b, out[l - 2, : l - 1]), out=row)
+        mul(a, row, out=row)
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _point_tables(l_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per l_max: the flat index of entry [l, m] of a _point_legendre table
+    for each packed row of AngularFunction, and (-i)^l for l = 0..l_max,
+    exact (numpy's complex power is not, from l = 100 on)."""
+    l_of, m_of, _ = _lower_triangle(l_max)
+    flat = l_of * (l_max + 1) + m_of
+    phase = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(l_max + 1) % 4]
+    for a in (flat, phase):
+        a.flags.writeable = False
+    return flat, phase
+
+
+def _radial_weights(point: FieldPoint, l_max: int, tail_tol: float):
+    """sqrt(pi/2) u_l(kr) for l = 0..l_max, from one radial_bessel_table,
+    and the truncation tail: the input energy (pi/2)(2l+1) u_l^2 of the
+    last five l. A tail above tail_tol warns (TruncationWarning), attributed
+    to the caller of the function that asked."""
+    if l_max < 0:
+        raise ValueError(f"l_max must be nonnegative, got {l_max}")
+    u = radial_bessel_table(l_max, point.kr)
+    ls = np.arange(l_max + 1)
+    top = max(0, l_max - 4)
+    tail = float(np.sum((math.pi / 2.0) * (2 * ls[top:] + 1) * u[top:] ** 2))
+    if tail > tail_tol:
+        warnings.warn(
+            f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={point.kr:.6g} "
+            f"at l_max={l_max}; increase l_max",
+            TruncationWarning,
+            stacklevel=3,
+        )
+    return _SQRT_PI_OVER_2 * u, tail
+
+
+def _direction(point: FieldPoint, l_max: int) -> np.ndarray:
+    """P_lm(cos theta_r) of the point's direction, in the packed rows of
+    AngularFunction. On the axis only m = 0 is held, and P_l0 there is
+    sqrt(2l+1) times (sign of kz)^l; the origin, whose input is l = 0
+    alone, takes either sign."""
+    if point.on_axis:
+        ls = np.arange(l_max + 1)
+        sign = 1.0 if point.kvec[2] > 0 else -1.0
+        return np.sqrt(2 * ls + 1) * sign**ls
+    theta_r = math.acos(min(1.0, max(-1.0, point.kvec[2] / point.kr)))
+    return _point_legendre(l_max, math.cos(theta_r)).reshape(-1)[_point_tables(l_max)[0]]
+
+
+def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL):
+    """v_l = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), one real column in the
+    packed rows of AngularFunction, and the truncation tail (see
+    _radial_weights, which warns above tail_tol). The coefficient of
+    Y_{l,+-m} in plane_wave_coeffs is (-i)^l v_l times a unit phase of its
+    block, so v depends on the point through kr and theta_r alone."""
+    weights, tail = _radial_weights(point, l_max, tail_tol)
+    direction = _direction(point, l_max)
+    return weights[_lower_triangle(l_max)[0][: direction.size]] * direction, tail
 
 
 def plane_wave_coeffs(
@@ -190,47 +280,26 @@ def plane_wave_coeffs(
 
     The coefficient of Y_{l,m}(Omega) is
     (-i)^l sqrt(pi/2) * u_l(kr) * conj(Y_{l,m}(rhat)), with u_l(kr) =
-    J_{l+1/2}(kr)/sqrt(kr) the entry l of radial_bessel_table.
+    J_{l+1/2}(kr)/sqrt(kr) the entry l of radial_bessel_table: the complex
+    view of _focused_input's v, from the same radial weights and Legendre
+    values, with Y_lm(rhat) = P_lm e^{i m phi_r} formed before the radial
+    weight multiplies it.
+
     The squared coefficient norm tends to 1 from below as l_max grows
     (the kernel has unit modulus); the energy left in the last five l
     values is reported as the truncation tail and triggers a
     TruncationWarning above tail_tol.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be nonnegative, got {l_max}")
-    kr = point.kr
-    ls = np.arange(l_max + 1)
-    u = radial_bessel_table(l_max, kr)
-    # the radial weights (pi/2)(2l+1) u_l^2 of the last five l, from the one table
-    top = max(0, l_max - 4)
-    tail = float(np.sum((math.pi / 2.0) * (2 * ls[top:] + 1) * u[top:] ** 2))
-    if tail > tail_tol:
-        warnings.warn(
-            f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={kr:.6g} "
-            f"at l_max={l_max}; increase l_max",
-            TruncationWarning,
-            stacklevel=2,
-        )
-    pref = (-1j) ** ls * _SQRT_PI_OVER_2 * u
-    if kr == 0.0 or point.on_axis:
+    weights, tail = _radial_weights(point, l_max, tail_tol)
+    direction = _direction(point, l_max)
+    l_of, m_of, offsets = _lower_triangle(l_max)
+    pref_of = (_point_tables(l_max)[1] * weights)[l_of[: direction.size]]
+    if point.on_axis:
         pairs = np.zeros((l_max + 1, 2), dtype=complex)
-        if kr == 0.0:
-            pairs[0, 0] = 1.0
-        else:
-            # Y_l0 on the axis is sqrt(2l+1) times (sign of kz)^l
-            sign = 1.0 if point.kvec[2] > 0 else -1.0
-            pairs[:, 0] = pref * np.sqrt(2 * ls + 1) * sign**ls
+        pairs[:, 0] = pref_of * direction
     else:
-        kx, ky, kz = point.kvec
-        theta_r = math.acos(min(1.0, max(-1.0, kz / kr)))
-        phi_r = math.atan2(ky, kx)
-        # Y_lm(rhat) for l >= m, column m of the Legendre column after
-        # column m - 1, in the row layout of AngularFunction.pairs
-        l_of, m_of, offsets = _lower_triangle(l_max)
-        ms = np.arange(l_max + 1)
-        ylm_dir = _legendre(l_max, 0, l_max, np.array([math.cos(theta_r)]))[l_of, m_of, 0]
-        ylm_dir = ylm_dir * np.exp(1j * ms * phi_r)[m_of]
-        pref_of = pref[l_of]
+        kx, ky, _ = point.kvec
+        ylm_dir = direction * np.exp(1j * np.arange(l_max + 1) * math.atan2(ky, kx))[m_of]
         pairs = np.empty((offsets[-1], 2), dtype=complex)
         np.multiply(pref_of, np.conj(ylm_dir), out=pairs[:, 0])
         # conj(Y_{l,-m}) = (-1)^m Y_{l,m}

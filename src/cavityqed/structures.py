@@ -214,8 +214,8 @@ def _lower_triangle(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     column: their l, their m, and the offset at which each column starts."""
     lengths = l_max + 1 - np.arange(l_max + 1)
     offsets = np.concatenate(([0], np.cumsum(lengths)))
-    m_of = np.repeat(np.arange(l_max + 1, dtype=np.int32), lengths)
-    l_of = (np.arange(offsets[-1]) - offsets[m_of] + m_of).astype(np.int32)
+    m_of = np.repeat(np.arange(l_max + 1), lengths)
+    l_of = np.arange(offsets[-1]) - offsets[m_of] + m_of
     for a in (l_of, m_of, offsets):
         a.flags.writeable = False
     return l_of, m_of, offsets

@@ -33,6 +33,14 @@ by the transmitted-flux profile. Only the fractional part of the huge
 round-trip phase 2kR matters for resonance, so it is supplied separately
 as a detuning phase while kR itself only scales the diagonal phases.
 
+The point enters through a real input free of its azimuth: with v_l =
+sqrt(pi/2) u_l(kr) P_lm(cos theta_r) (specfun._focused_input), the kernel's
+coefficient of Y_{l,+-m} is (-i)^l v_l times a unit phase of the block.
+The +m and -m blocks share one matrix, and a unit phase does not change a
+block's value, so each |m| is solved for the one column (-i)^l v and a
++-m pair counts it twice. The value at a point depends on kr and theta_r
+alone, to the last bit.
+
 A sector that is solved again and again, for a detuning or position scan,
 is answered from its modal (Fox-Li) decomposition: with the round trip
 M = U^-2 P rho = V Lambda V^-1 diagonalised once, every later phase and
@@ -41,16 +49,17 @@ factorisation. CavityOperatorSet decides when a sector is worth
 decomposing.
 
 A scan of many points at one detuning phase (a position scan) is answered
-from each block's Hermitian form instead: with X = A^-1 diag(u) the
-resolvent applied to the propagator, the value of a block at a point is
-c^H K c, K = X^H tau^2 X, where c are the point's focused-wave
-coefficients and K is the same for every point at that phase. K is formed
-once per block, sector and phase from one checked n-column solve, and
-written straight into its slot of a real 3-D stack: the forms of one phase
-sit in a few stacks ordered by |m|, each over a range of |m| whose sectors
-are zero-padded to the largest of them. A point then reads a prefix of
-each stack, and every formed block it needs costs one gather of its
-coefficients, one batched matrix product and one dot product per stack.
+from each block's form instead: with Y = A^-1 diag(u (-i)^l) the resolvent
+applied to the propagator and the phases, the value of a block at a point
+is v^T S v, S = w Re(Y^H tau^2 Y) with w = 2 for a +-m pair (1 for m = 0),
+where v is the point's real input on the block and S, real and
+symmetric, is the same for every point at that phase. S is formed once per
+block, sector and phase from one checked n-column solve, and written
+straight into its slot of a real 3-D stack: the forms of one phase sit in
+a few stacks ordered by |m|, each over a range of |m| whose sectors are
+zero-padded to the largest of them. A point then reads a prefix of each
+stack, and every formed block it needs costs one gather of v, one batched
+real matrix-vector product and one dot product per stack.
 """
 
 from __future__ import annotations
@@ -64,9 +73,11 @@ import numpy as np
 
 from .quadrature import AngularGrid, cap_edges, polar_rule
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
-from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table and radial_bessel_table here)
+from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table, plane_wave_coeffs and radial_bessel_table here)
     TAIL_TOL,
+    _focused_input,
     _legendre,
+    _point_tables,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -103,14 +114,14 @@ _RESIDUAL_LIMIT = 1e-8
 # routes for it (twice where the ratio is 58).
 _MODAL_AFTER = 58
 # rent-or-buy: the first _FORM_AFTER - 1 points that a block answers at one
-# detuning phase are solved, the next one forms the block's Hermitian form
-# at that phase. The n-column solve, its guard and X^H tau^2 X cost 2.4-4.0
-# two-column solves of the same block at dims 76-201 on a 2-core Xeon VM
-# (5.9 at dim 401), and an answer from the stacked forms 0.010 ms a block
-# over the 44 blocks of an off-axis point at l_max 150 (0.018 ms for the
-# block at dim 151 alone, 0.075 ms at dim 401) against 0.6-7 ms for a
+# detuning phase are solved, the next one forms the block's real symmetric
+# S at that phase (_hermitian_form). The n-column solve, its guard and S
+# cost 3.6-4.8 one-column solves of the same block at dim 151, 6.4-6.6 at
+# dim 201 and 8.2-8.6 at dim 401 on a 2-core Xeon VM, and an answer from the stacked forms 0.005 ms a block
+# over the 44 blocks of an off-axis point at l_max 150 (0.011-0.012 ms for
+# a block at dim 151 alone, 0.11 ms at dim 401) against 0.4-5 ms for a
 # solve. Buying at the third point keeps any run of points at one phase
-# within about twice the cost of the better route up to dim 201.
+# within about 2-3 times the cost of the better route up to dim 201.
 _FORM_AFTER = 3
 # a stack of forms pads each sector to the largest in its |m| range; a range
 # ends before a sector whose padded square would exceed this many times its
@@ -186,14 +197,15 @@ class _ModalFactors:
 
 @dataclass
 class _PhaseForms:
-    """The Hermitian forms held at one detuning phase. Every point asks the
-    blocks |m| up to its own top, so the blocks asked _FORM_AFTER times or
-    more are those up to the _FORM_AFTER-th highest top asked at this phase
-    (formed_top); tops keeps the highest _FORM_AFTER tops, in descending
-    order. Those blocks are formed, except the ones in failed, whose guard
+    """The forms held at one detuning phase (_hermitian_form). Every point
+    asks the blocks |m| up to its own top, so the blocks asked _FORM_AFTER
+    times or more are those up to the _FORM_AFTER-th highest top asked at
+    this phase (formed_top); tops keeps the highest _FORM_AFTER tops, in
+    descending order. Those blocks are formed, except the ones in failed, whose guard
     failed and which are solved. stacks[b] holds the slots of band b of
     _form_bands for the blocks |m| <= formed_top of that band, one
-    zero-padded real matrix per sector; a failed block's slots are zero."""
+    zero-padded real symmetric matrix per sector; a failed block's slots
+    are zero."""
 
     tops: list[int] = field(default_factory=list)
     failed: set[int] = field(default_factory=set)
@@ -221,10 +233,10 @@ class CavityOperatorSet:
     on, while the other sector of its block keeps its own factors.
 
     forms maps the one detuning phase held to its _PhaseForms: how often
-    the points at that phase have asked each block, and the Hermitian forms
-    of the blocks asked _FORM_AFTER times or more, one real n x n matrix per
-    sector (8 n^2 bytes, at most _FORM_PADDING times that with its padding),
-    stacked by |m|. A point at another phase frees them and restarts every
+    the points at that phase have asked each block, and the forms of the
+    blocks asked _FORM_AFTER times or more, one real symmetric n x n matrix
+    per sector (8 n^2 bytes, at most _FORM_PADDING times that with its
+    padding), stacked by |m|. A point at another phase frees them and restarts every
     count. Answers from a form do not count towards _MODAL_AFTER: a phase
     sweep still goes modal. lossless, set once, says that a mirror reflects
     within the singular floor of 1; otherwise |rho| <= max rho < 1 and no
@@ -460,8 +472,8 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
                  scale: float):
     """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
     columns of rhs, sector by sector; returns x, the sectors that were
-    solved and the worst ||V||_1 ||V^-1||_1 of the modal factors that
-    answered one of them (None when none did).
+    solved and ||V||_1 ||V^-1||_1 of the modal factors of each sector that
+    was answered from them, in a tuple (None when none was).
 
     A sector whose right-hand side is exactly zero is not solved, counted
     or decomposed: its part of x is exact zero, the solution of a regular
@@ -505,7 +517,7 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
         if xs is None:
             xs = _checked_solve(block, sector, z, b, scale, label)
         x[sector.index] = xs
-    return x, tuple(solved), max(conditions, default=None)
+    return x, tuple(solved), tuple(conditions) or None
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -607,9 +619,10 @@ class _FormBand:
 
     @functools.cached_property
     def index(self) -> np.ndarray:
-        """Row j lists the rows of AngularFunction.pairs that slot j reads,
-        its padding reading row 0 against zero rows and columns of the
-        form; built when a stack of the band is first allocated."""
+        """Row j lists the rows of a point's input v (_focused_input, in the
+        packed rows of AngularFunction) that slot j reads, its padding
+        reading row 0 against zero rows and columns of the form; built when
+        a stack of the band is first allocated."""
         offsets = _lower_triangle(self.l_max)[2]
         index = np.zeros((self.ends[-1], self.size), dtype=np.intp)
         j = 0
@@ -666,6 +679,7 @@ def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int, z
     their slots. Each band up to hi first gets a stack of its slots of
     |m| <= hi; a band that has one already is copied once into a larger."""
     bands = _form_bands(ops.geometry, ops.basis.l_max)
+    phase = _point_tables(ops.basis.l_max)[1]
     for b, band in enumerate(bands):
         if band.first > hi:
             break
@@ -682,52 +696,57 @@ def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int, z
             start = band.ends[m - band.first - 1] if m > band.first else 0
             block = ops.block(m)
             slots = stack[start: start + len(block.sectors)]
-            if not _hermitian_form(block, z, slots):
+            if not _hermitian_form(block, z, slots, phase[m:]):
                 slots[...] = 0.0
                 state.failed.add(m)
 
 
-def _hermitian_form(block: OperatorBlock, z: complex, slots) -> bool:
-    """Write, per sector, M = Re K + Im K of K = X^H tau^2 X, with X = A^-1
-    diag(u) from one n-column solve of the sector's resolvent A, into the
-    leading n x n of its slot; False when a solve fails or the guard does.
+def _hermitian_form(block: OperatorBlock, z: complex, slots, phase: np.ndarray) -> bool:
+    """Write, per sector, S = w Re(D^H K D) of K = X^H tau^2 X, with X =
+    A^-1 diag(u) the resolvent A of the sector applied to the propagator,
+    D = diag(phase) = diag((-i)^l) over the block's l and w = 2 for a +-m
+    pair (1 for m = 0), into the leading n x n of its slot; False when a
+    solve fails or the guard does.
 
-    K is Hermitian, so Re K is symmetric and Im K antisymmetric and M holds
-    both in one real matrix. The guard keeps the forms only if every row r_i
-    of A X - diag(u) has ||r_i||_2 <= _RESIDUAL_LIMIT (a NaN fails). A
-    point's solution x = X c then has the residual (A X - diag(u)) c, whose
-    entries are at most ||r_i||_2 ||c_s||_2 <= _RESIDUAL_LIMIT * scale, as
-    the point's coefficients c_s on the sector have ||c_s||_2 <= scale, the
-    norm of its whole input: the guard implies the residual check of
-    _checked_solve for every later point."""
+    A point's input on the block is D v up to a unit phase, v real
+    (_focused_input), and each of the +m and -m columns adds v^T Re(D^H K
+    D) v, so the block's value is v^T S v. With Y = X D = A^-1 diag(u
+    phase), from one n-column solve, Y^H tau^2 Y = D^H K D, and its real
+    part is P^T tau^2 P + Q^T tau^2 Q for Y = P + iQ: a real symmetric S.
+    The guard keeps the forms only if every row r_i of A Y - diag(u phase)
+    has ||r_i||_2 <= _RESIDUAL_LIMIT (a NaN fails). A point's solution Y v
+    then has the residual (A Y - diag(u phase)) v, whose entries are at
+    most ||r_i||_2 ||v_s||_2 <= _RESIDUAL_LIMIT * scale, as the point's
+    input on the sector has ||v_s||_2 <= scale, the norm of its whole
+    input: the guard implies the residual check of _checked_solve for every
+    later point."""
     for sector, slot in zip(block.sectors, slots):
-        rhs = np.diag(block.u_half[sector.index])
+        rhs = np.diag(block.u_half[sector.index] * phase[sector.index])
         try:
-            x = np.linalg.solve(_resolvent_matrix(block, sector, z), rhs)
+            y = np.linalg.solve(_resolvent_matrix(block, sector, z), rhs)
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.linalg.norm(_residual(block, sector, z, x, rhs), axis=1)
+        if not np.all(np.linalg.norm(_residual(block, sector, z, y, rhs), axis=1)
                       <= _RESIDUAL_LIMIT):
             return False
         n = rhs.shape[0]
         del rhs
-        p, q = np.ascontiguousarray(x.real), np.ascontiguousarray(x.imag)
-        del x
-        tp, tq = sector.tau_sq @ p, sector.tau_sq @ q
-        # Re K = p^T tau^2 p + q^T tau^2 q, Im K = p^T tau^2 q - q^T tau^2 p
+        p, q = np.ascontiguousarray(y.real), np.ascontiguousarray(y.imag)
+        del y
         out = slot[:n, :n]
-        np.matmul(p.T, tp + tq, out=out)
-        out += q.T @ (tq - tp)
+        np.matmul(p.T, sector.tau_sq @ p, out=out)
+        out += q.T @ (sector.tau_sq @ q)
+        if block.m:
+            out *= 2.0
     return True
 
 
-def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, pairs: np.ndarray,
+def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, v: np.ndarray,
                    top: int) -> float:
-    """The sum of c^H K c over the blocks |m| <= top, top <= formed_top,
-    and their +-m columns, read from the prefix of each stack: with c = a +
-    ib and M = Re K + Im K it is (a + b).(M a) + (b - a).(M b), and
-    (1 - i) c = (a + b) + i (b - a), so one gather, one batched product and
-    one dot per stack. The zero slots of a failed block add nothing."""
+    """The sum of v^T S v over the blocks |m| <= top, top <= formed_top, of
+    the point's real input v (_focused_input), read from the prefix of each
+    stack: one gather of v, one batched real matrix-vector product and one
+    dot per stack. The zero slots of a failed block add nothing."""
     value = 0.0
     if top < 0:
         return value
@@ -735,29 +754,23 @@ def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, pairs: np.ndarray
         if band.first > top:
             break
         k = band.ends[min(top, band.last) - band.first]
-        c = pairs[band.index[:k]]
-        prod = np.matmul(stack[:k], c.view(float))
-        value += float(np.vdot((c * (1 - 1j)).view(float), prod))
+        c = v[band.index[:k]]
+        value += float(np.vdot(c, np.matmul(stack[:k], c[:, :, None])))
     return value
 
 
-def _tau_sq_form(sectors, x: np.ndarray):
-    """Re x^H tau^2 x per column of the solution x, summed over the given
-    sectors of its block, those where x is not exact zero. tau^2 is real, so
-    the form is a^T tau^2 a + b^T tau^2 b for x = a + ib, and every column
-    takes the same matrix-vector products whether it was solved alone or
-    beside another: near a lossless resonance the form cancels to a few
-    parts in 1e3 of its terms, and another summation order alone moves it
-    by several 1e-14."""
-    forms = []
-    for column in x.T:
-        form = 0.0
-        for sector in sectors:
-            xs = column[sector.index]
-            form += float(xs.real @ (sector.tau_sq @ xs.real)
-                          + xs.imag @ (sector.tau_sq @ xs.imag))
-        forms.append(form)
-    return np.array(forms)
+def _tau_sq_form(sectors, x: np.ndarray) -> float:
+    """Re x^H tau^2 x of the solution x of one column, summed over the
+    given sectors of its block, those where x is not exact zero. tau^2 is
+    real, so the form is a^T tau^2 a + b^T tau^2 b for x = a + ib: near a
+    lossless resonance it cancels to a few parts in 1e3 of its terms, and
+    another summation order alone moves it by several 1e-14."""
+    form = 0.0
+    for sector in sectors:
+        xs = x[sector.index]
+        form += float(xs.real @ (sector.tau_sq @ xs.real)
+                      + xs.imag @ (sector.tau_sq @ xs.imag))
+    return form
 
 
 def enhancement_full(
@@ -778,18 +791,20 @@ def enhancement_full(
     multiplication operator for tau^2 (a quadratic form in the solved
     coefficients), which avoids one truncation stage.
 
-    Only the |m| that can matter are solved. A pair +-m whose input energy
-    is e adds at most e / (1 - max(rho1, rho2))^2 to the value, so the pairs
-    are skipped from the highest |m| down while the sum of their bounds
-    stays within 1e-16 of the input energy; the +m and -m blocks share one
-    matrix and are solved as two right-hand sides of one system. A lossless
-    cavity has no such bound: there every listed block is solved and
-    checked. detail reports the listed blocks (m_blocks), the |m| systems
-    solved (blocks_solved) and the summed bound of the skipped pairs
-    (skipped_bound); the condition estimate covers the solved systems. A
-    block of a mirror-symmetric cavity is solved as its two parity sectors
-    (see OperatorBlock), and its condition estimate is still that of the
-    whole block. A sector whose input is exactly zero, such as the odd
+    The input is the real column v of specfun._focused_input, so the value
+    depends on the point through kr and theta_r alone. Only the |m| that
+    can matter are solved. A pair +-m whose input energy is e adds at most
+    e / (1 - max(rho1, rho2))^2 to the value, so the pairs are skipped from
+    the highest |m| down while the sum of their bounds stays within 1e-16 of
+    the input energy; the +m and -m blocks share one matrix and give the
+    same value, so each |m| is solved for the one column (-i)^l v of its +m
+    block and a pair counts it twice. A lossless cavity has no such bound:
+    there every listed block is solved and checked. detail reports the
+    listed blocks (m_blocks), the |m| systems solved (blocks_solved) and the
+    summed bound of the skipped pairs (skipped_bound); the condition
+    estimate covers the solved systems. A block of a mirror-symmetric cavity
+    is solved as its two parity sectors (see OperatorBlock), and its
+    condition estimate is still that of the whole block. A sector whose input is exactly zero, such as the odd
     sector of the m = 0 block at the centre, is not solved and adds no tau^2
     form; detail counts those sectors over the solved systems
     (zero_sectors).
@@ -799,16 +814,18 @@ def enhancement_full(
     CavityOperatorSet; the answer passes the same residual check, and may
     differ from the direct solve in its last digits. detail reports how
     many of the solved |m| systems had a sector answered that way
-    (modal_solves) and the worst ||V||_1 ||V^-1||_1 of the factors used
-    (modal_condition, None when none was used).
+    (modal_solves), how many sectors were (modal_sectors: a system whose
+    other sector was solved directly counts one) and the worst
+    ||V||_1 ||V^-1||_1 of the factors used (modal_condition, None when none
+    was used).
 
     From the third point at one detuning phase on (a position scan with a
-    prebuilt ops), a block is answered from its Hermitian form at that
-    phase, c^H K c, without a solve; the form's guard implies the same
-    residual check for every point, see _hermitian_form. The forms of one
-    phase are held in stacks ordered by |m|, and every formed block of a
-    point is answered together: one gather of the point's coefficients,
-    one batched matrix product and one dot product per stack
+    prebuilt ops), a block is answered from its form at that phase, v^T S v,
+    without a solve; the form's guard implies the same residual check for
+    every point, see _hermitian_form. The forms of one phase are held in
+    stacks ordered by |m|, and every formed block of a point is answered
+    together: one gather of v, one batched real matrix-vector product and
+    one dot product per stack
     (_stacked_value). The blocks above the highest formed one, and any
     whose guard failed, are solved as before. The value may differ from
     the solved one in its last digits. detail reports how many of the
@@ -836,41 +853,49 @@ def enhancement_full(
             ValidityWarning,
             stacklevel=2,
         )
-    coeffs = plane_wave_coeffs(point, basis.l_max, tail_tol=tail_tol)
-    pairs, offsets = coeffs.pairs, coeffs.offsets
-    energies = coeffs.m_energies()
+    l_max = basis.l_max
+    v, tail = _focused_input(point, l_max, tail_tol)
+    # the input holds m = 0 alone on the axis, every |m| <= l_max off it
+    input_top = 0 if point.on_axis else l_max
+    offsets = _lower_triangle(l_max)[2]
+    energies = np.zeros(l_max + 1)
+    energies[: input_top + 1] = np.add.reduceat(v * v, offsets[: input_top + 1])
+    energies[1:] *= 2.0  # the +m and -m columns of a pair
     norm_sq = float(np.sum(energies))
     # the focused-wave input has unit norm up to its truncation tail
     scale = math.sqrt(norm_sq)
-    top, skipped = _solved_magnitudes(ops, coeffs.top, energies, norm_sq)
+    top, skipped = _solved_magnitudes(ops, input_top, energies, norm_sq)
     z = np.exp(2j * detuning_phase)
     state = _phase_forms(ops, top, detuning_phase, z)
     formed_top, failed, value = -1, [], 0.0
     if state is not None:
         formed_top = min(top, state.formed_top)
         failed = sorted(m for m in state.failed if m <= formed_top)
-        value = _stacked_value(ops, state, pairs, formed_top)
-    modal_conditions, zero_sectors = [], 0
+        value = _stacked_value(ops, state, v, formed_top)
+    phase = _point_tables(l_max)[1]
+    modal_conditions, modal_solves, zero_sectors = [], 0, 0
     for mag in failed + list(range(formed_top + 1, top + 1)):
         block = ops.block(mag)
-        # +m and -m share one matrix: one system with a column for each
-        c = pairs[offsets[mag]: offsets[mag + 1], : 2 if mag else 1]
-        x, solved, modal = _solve_block(ops, mag, z, block.u_half[:, None] * c, scale)
-        value += _tau_sq_form(solved, x).sum()
+        # the -m column is the +m column (-i)^l v times a unit phase, and
+        # gives the same value: one column, counted twice for a pair
+        rhs = block.u_half * (phase[mag:] * v[offsets[mag]: offsets[mag + 1]])
+        x, solved, modal = _solve_block(ops, mag, z, rhs[:, None], scale)
+        value += (2.0 if mag else 1.0) * _tau_sq_form(solved, x[:, 0])
         zero_sectors += len(block.sectors) - len(solved)
         if modal is not None:
-            modal_conditions.append(modal)
+            modal_conditions.extend(modal)
+            modal_solves += 1
     conditions = ([_block_condition(ops.block(mag), z) for mag in range(top + 1)]
                   if collect_condition else [])
     return EnhancementResult(
         value=float(value),
         method="full",
-        l_max=basis.l_max,
-        truncation_tail=coeffs.truncation_tail,
+        l_max=l_max,
+        truncation_tail=tail,
         condition=max(conditions) if conditions else None,
-        detail={"flux_residual": ops.flux_residual, "m_blocks": 2 * coeffs.top + 1,
+        detail={"flux_residual": ops.flux_residual, "m_blocks": 2 * input_top + 1,
                 "blocks_solved": top + 1, "skipped_bound": skipped,
-                "modal_solves": len(modal_conditions),
+                "modal_solves": modal_solves, "modal_sectors": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),
                 "form_solves": formed_top + 1 - len(failed),
                 "zero_sectors": zero_sectors},

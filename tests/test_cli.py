@@ -257,6 +257,34 @@ class TestRun:
             assert all(key in err for key in reported)
             assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("kind", [k for k in TINY_SCANS if k != "airy-check"])
+    def test_lossless_pair_on_the_ray_route_is_config_error(self, tmp_path, capsys, kind):
+        # the corrected ray route shrinks each mirror by a diffraction
+        # correction that a lossless pair does not bound: rejected with the
+        # other violations, before any point, and not as a numerical failure
+        geometry = {"theta_m1": 0.5, "theta_m2": 0.0, "rho1": 1.0, "rho2": 1.0,
+                    "k_delta": 0.3}
+        doc = {"geometry": geometry, "scan": {"kind": kind, **TINY_SCANS[kind]},
+               "numerics": {"l_max": -1}}
+        cfg = _write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "geometry.rho1" in err and "numerics.l_max" in err
+        assert "diffraction correction is unbounded for a lossless mirror pair" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("geometry", [
+        {"theta_m1": 0.0, "rho1": 1.0, "rho2": 1.0},
+        {"theta_m1": 0.5, "theta_m2": 0.0, "rho1": 0.9, "rho2": 0.9},
+    ], ids=["no-mirrors", "one-mirror"])
+    def test_ray_route_without_a_collapsing_mirror_runs(self, tmp_path, geometry):
+        doc = {"geometry": geometry, "scan": {"kind": "axial-profile",
+                                              **TINY_SCANS["axial-profile"]},
+               "numerics": {"l_max": 40}}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+
 
 # the exact scripts of two scans: a two-panel multiplot, and points on a log y-axis
 PINNED_SCRIPTS = {

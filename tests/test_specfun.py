@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityqed.quadrature import polar_rule
 from cavityqed.specfun import (
     SQRT_2_OVER_PI,
+    _focused_input,
     _legendre,
+    _point_legendre,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -248,6 +252,19 @@ class TestLegendreRecurrence:
                 l_max, m, LEGENDRE_POINTS).tobytes()
             assert not np.any(column[:, : m - m_lo])
 
+    @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 150, 400])
+    @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 1e-9, 0.7, 1.0])
+    def test_single_point_equals_the_batched_recurrence_bitwise(self, l_max, x):
+        p = _point_legendre(l_max, x)
+        assert p.shape == (l_max + 1, l_max + 1)
+        assert p.tobytes() == _legendre(l_max, 0, l_max, np.array([x]))[:, :, 0].tobytes()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(x=st.floats(-1.0, 1.0))
+    def test_single_point_equals_the_batched_recurrence_anywhere(self, x):
+        assert (_point_legendre(60, x).tobytes()
+                == _legendre(60, 0, 60, np.array([x]))[:, :, 0].tobytes())
+
 
 class TestPlaneWaveCoeffs:
     def test_origin_single_coefficient(self):
@@ -325,6 +342,33 @@ class TestPlaneWaveCoeffs:
         assert f.norm_sq() == pytest.approx(float(np.sum(energies)), rel=1e-15)
         if f.top == 0:
             assert energies[0] > 0.0 and not np.any(energies[1:])
+
+    @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
+                                      (4.0, -3.0, 2.0), (-7.0, 0.5, -3.0), (30.0, 20.0, -50.0)])
+    @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    def test_coefficients_are_the_real_input_with_its_phases(self, kvec, l_max):
+        # Y_{l,+-m} takes (-i)^l v_l e^{-+i m phi}, v real and free of the
+        # azimuth, within 2 ulp: plane_wave_coeffs forms P_lm e^{i m phi}
+        # before the radial weight multiplies it
+        point = FieldPoint(kvec)
+        f = plane_wave_coeffs(point, l_max, tail_tol=math.inf)
+        v, tail = _focused_input(point, l_max, tail_tol=math.inf)
+        assert v.dtype == np.float64 and v.shape == (f.pairs.shape[0],)
+        assert tail == f.truncation_tail
+        blocks = coefficient_blocks(f)
+        start = 0
+        for m in range(f.top + 1):
+            ls = np.arange(m, l_max + 1)
+            rows = v[start: start + ls.size]
+            start += ls.size
+            turn = np.exp(1j * m * math.atan2(kvec[1], kvec[0]))
+            expected = {m: (-1j) ** (ls % 4) * rows * np.conj(turn)}
+            if m:
+                expected[-m] = (-1j) ** (ls % 4) * rows * (-1) ** m * turn
+            for key, ref in expected.items():
+                for got, want in ((blocks[key].real, ref.real), (blocks[key].imag, ref.imag)):
+                    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
+        assert start == v.size
 
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion

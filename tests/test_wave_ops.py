@@ -11,7 +11,7 @@ import pytest
 
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.quadrature import polar_rule
-from cavityqed.specfun import legendre_table, plane_wave_coeffs
+from cavityqed.specfun import _focused_input, legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
     CavityGeometry,
     FieldPoint,
@@ -68,26 +68,31 @@ def _all_blocks_value(ops, point, phi0, dense=False):
     bound.
 
     Each parity sector of a block is solved as one system of its stored
-    operators, and its tau^2 form taken column by column as enhancement_full
-    does, so that only the skip separates the two: near a lossless resonance
-    the form cancels, and a different solve or summation order alone moves
-    the value by a few 1e-14. dense=True solves every block as one unsplit
-    system instead."""
-    coeffs = plane_wave_coeffs(point, ops.basis.l_max)
+    operators, and its tau^2 form taken as enhancement_full does: the +m
+    column (-i)^l v of the real input v (_focused_input) once, doubled for a
+    +-m pair, so that only the skip separates the two. Near a lossless
+    resonance the form cancels, and a different solve or summation order
+    alone, or the unit phase e^{-i m phi} of plane_wave_coeffs' column,
+    moves the value by a few 1e-14. dense=True solves every block as one
+    unsplit system instead."""
+    l_max = ops.basis.l_max
+    v, _ = _focused_input(point, l_max)
+    offsets = np.concatenate(([0], np.cumsum(np.arange(l_max + 1, 0, -1))))
     per_m = []
-    for m, c in sorted(coefficient_blocks(coeffs).items()):
+    for m in range(1 if point.on_axis else l_max + 1):
         b = ops.block(m)
+        c = (-1j) ** (b.ls % 4) * v[offsets[m]: offsets[m + 1]]
         if dense:
             x = np.linalg.solve(_dense_resolvent(b, phi0), b.u_half * c)
-            per_m.append(float(np.real(np.conj(x) @ (_dense(b, "tau_sq") @ x))))
-            continue
-        value = 0.0
-        for s in b.sectors:
-            a = np.diag(b.u_half[s.index] ** 2) - np.exp(2j * phi0) * (
-                b.parity[s.index, None] * s.rho)
-            x = np.linalg.solve(a, (b.u_half * c)[s.index])
-            value += float(x.real @ (s.tau_sq @ x.real) + x.imag @ (s.tau_sq @ x.imag))
-        per_m.append(value)
+            value = float(np.real(np.conj(x) @ (_dense(b, "tau_sq") @ x)))
+        else:
+            value = 0.0
+            for s in b.sectors:
+                a = np.diag(b.u_half[s.index] ** 2) - np.exp(2j * phi0) * (
+                    b.parity[s.index, None] * s.rho)
+                x = np.linalg.solve(a, (b.u_half * c)[s.index])
+                value += float(x.real @ (s.tau_sq @ x.real) + x.imag @ (s.tau_sq @ x.imag))
+        per_m.append(2.0 * value if m else value)
     return float(np.sum(per_m))
 
 
@@ -435,6 +440,28 @@ class TestEnhancementFull:
         b = enhancement_full(benchmark_geom, basis, FieldPoint((8.0 / math.sqrt(2), 8.0 / math.sqrt(2), 0.0)), 0.0, ops=ops)
         assert a.value == pytest.approx(b.value, rel=1e-10)
 
+    @pytest.mark.parametrize("geom", [
+        CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=0.3),
+    ], ids=["benchmark", "unequal-defocused"])
+    def test_rotation_about_the_axis_keeps_every_bit(self, geom):
+        # points of one kr = 13 and kz = 12 at eight azimuths: the input is
+        # real and free of the azimuth, so the direct solves and the form
+        # answers of a scan give one value each, bit for bit
+        basis = HarmonicBasis(60)
+        points = [FieldPoint(k) for k in [(3.0, 4.0, 12.0), (5.0, 0.0, 12.0), (-4.0, 3.0, 12.0),
+                                          (0.0, 5.0, 12.0), (-3.0, -4.0, 12.0), (4.0, -3.0, 12.0),
+                                          (0.0, -5.0, 12.0), (-5.0, 0.0, 12.0)]]
+        assert {p.kr for p in points} == {13.0}
+        direct = {enhancement_full(geom, basis, p, 0.01).value for p in points}
+        assert len(direct) == 1
+        ops = build_operators(geom, basis)
+        scan = [enhancement_full(geom, basis, p, 0.01, ops=ops) for p in points]
+        assert [r.detail["form_solves"] > 0 for r in scan] == [False] * 2 + [True] * 6
+        assert {r.value for r in scan[:2]} == direct
+        assert len({r.value for r in scan[2:]}) == 1
+        assert abs(scan[-1].value - direct.pop()) <= 1e-13 * scan[-1].value
+
     def test_block_order_does_not_change_value(self, benchmark_geom):
         basis = HarmonicBasis(40)
         point = FieldPoint((5.0, 0.0, 3.0))
@@ -726,6 +753,26 @@ class TestModalSolve:
         assert len({d["zero_sectors"] for d in details}) == 1
         return solves, eigs, details[0]["zero_sectors"]
 
+    def test_mixed_system_counts_its_modal_sector(self, benchmark_geom):
+        # after a centre sweep only the even sector of m = 0 has modal
+        # factors; the first axial point answers it from them and solves
+        # its odd sector directly: one modal system of one modal sector
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        for phi0 in np.linspace(-0.1, 0.1, _MODAL_AFTER):
+            centre = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), float(phi0),
+                                      ops=ops).detail
+        assert (centre["modal_solves"], centre["modal_sectors"]) == (1, 1)
+        assert list(ops.modes) == [(0, 0)]
+        axial = enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), 0.05, ops=ops)
+        assert (axial.detail["modal_solves"], axial.detail["modal_sectors"],
+                axial.detail["zero_sectors"]) == (1, 1, 0)
+        # a sweep there decomposes the odd sector too: both sectors modal
+        for phi0 in np.linspace(0.06, 0.08, _MODAL_AFTER - 1):
+            r = enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), float(phi0),
+                                 ops=ops).detail
+        assert (r["modal_solves"], r["modal_sectors"]) == (1, 2)
+
     def test_sweep_decomposes_once(self, benchmark_geom, monkeypatch):
         # count guard: a sweep of one block makes _MODAL_AFTER - 1 direct
         # solves and one eigendecomposition per parity sector, and no more;
@@ -969,9 +1016,9 @@ class TestHermitianForm:
         sectors = [n for _, n in sector_ms]
         for i in (0, 1):
             assert [c[0] for c in per_point[i]] == ["solve"] * len(sectors)
-            # one column for m = 0, two for a +-m pair
-            assert [c[2] for c in per_point[i]] == [
-                (n, 1 if m == 0 else 2) for m, n in sector_ms]
+            # one column per |m|: the -m column of a pair is the +m one
+            # times a unit phase and is not solved
+            assert [c[2] for c in per_point[i]] == [(n, 1) for _, n in sector_ms]
             assert details[i]["form_solves"] == 0
         assert per_point[2] == [("solve", (n, n), (n, n)) for n in sectors]
         assert per_point[3:] == [[]] * (len(points) - 3)
