@@ -26,7 +26,8 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
-from .ray_model import _AZIMUTHAL_ORDER_FLOOR, _POLAR_ORDER_FLOOR
+from .ray_model import (_AZIMUTHAL_ORDER_FLOOR, _POLAR_ORDER_FLOOR, ApertureCollapseError,
+                        effective_aperture)
 from .specfun import TAIL_TOL
 from .structures import CavityGeometry, DipoleOrientation
 
@@ -271,12 +272,15 @@ def parse_config(text: str) -> ScenarioConfig:
     if kind == "detuning-sweep" and rho1 * rho2 == 1.0:
         errors.append("geometry.rho1: detuning-sweep requires rho1 * rho2 < 1, "
                       "as it counts detuning in linewidths")
-    if kind != "airy-check" and rho1 + rho2 == 2.0 and max(theta_m1, theta_m2) > 0.0:
-        # every other kind runs the corrected ray route, which shrinks each
-        # mirror by 1/sqrt(kR (1 - rho_av^2)) (ray_model.effective_aperture)
-        errors.append(f"geometry.rho1: {kind} runs the corrected ray route, whose "
-                      "diffraction correction is unbounded for a lossless mirror pair; "
-                      "rho1 = rho2 = 1 needs theta_m1 = theta_m2 = 0 or kind 'airy-check'")
+    for i, theta in ((1, theta_m1), (2, theta_m2)):
+        if kind == "airy-check" or theta == 0.0:
+            continue  # no ray route, or no mirror
+        try:
+            effective_aperture(theta, k_radius, rho1, rho2)
+        except ApertureCollapseError as exc:
+            errors.append(f"geometry.theta_m{i}: {kind} runs the corrected ray route, which "
+                          "shrinks each mirror by 1/sqrt(kR (1 - rho_av^2)) of "
+                          f"geometry.k_radius, geometry.rho1 and geometry.rho2: {exc}")
 
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(

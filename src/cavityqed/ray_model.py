@@ -142,7 +142,7 @@ def effective_aperture(theta_m: float, k_radius: float, rho1: float, rho2: float
     loss = 1.0 - rho_av * rho_av
     if loss <= 0:
         raise ApertureCollapseError(
-            "diffraction correction unbounded for a lossless mirror pair; "
+            "diffraction correction is unbounded for a lossless mirror pair; "
             "the ray correction needs loss"
         )
     d_theta = 1.0 / math.sqrt(k_radius * loss)

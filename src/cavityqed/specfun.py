@@ -14,10 +14,12 @@ operator blocks), and _point_legendre over every m at one point (the
 focused-wave input), bit for bit the same values.
 
 The focused-wave input at a point is real and free of the point's azimuth:
-with v_l = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), the coefficient of Y_{l,+-m}
-is (-i)^l v_l times a unit phase of the block. _focused_input returns v,
-which the operator route solves and evaluates; plane_wave_coeffs is its
-complex view, with the phases.
+with v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), the coefficient of
+Y_{l,+-m} is (-i)^l v[|m|, l] times a unit phase of the block. Coefficients
+are stored [|m|, l]: row |m| is block |m|, zero for l < |m|, and a point on
+the axis has the row m = 0 alone. _focused_input returns v, which the
+operator route solves and evaluates; plane_wave_coeffs is its complex view,
+with the phases.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import warnings
 
 import numpy as np
 
-from .structures import AngularFunction, FieldPoint, TruncationWarning, _lower_triangle
+from .structures import AngularFunction, FieldPoint, TruncationWarning
 
 __all__ = [
     "radial_bessel_table",
@@ -216,29 +218,29 @@ def _point_legendre(l_max: int, x: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _point_tables(l_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per l_max: the flat index of entry [l, m] of a _point_legendre table
-    for each packed row of AngularFunction, and (-i)^l for l = 0..l_max,
-    exact (numpy's complex power is not, from l = 100 on)."""
-    l_of, m_of, _ = _lower_triangle(l_max)
-    flat = l_of * (l_max + 1) + m_of
+def _phases(l_max: int) -> np.ndarray:
+    """(-i)^l for l = 0..l_max, exact (numpy's complex power is not, from
+    l = 100 on)."""
     phase = np.array([1.0, -1.0j, -1.0, 1.0j])[np.arange(l_max + 1) % 4]
-    for a in (flat, phase):
-        a.flags.writeable = False
-    return flat, phase
+    phase.flags.writeable = False
+    return phase
 
 
-def _radial_weights(point: FieldPoint, l_max: int, tail_tol: float):
-    """sqrt(pi/2) u_l(kr) for l = 0..l_max, from one radial_bessel_table,
-    and the truncation tail: the input energy (pi/2)(2l+1) u_l^2 of the
-    last five l. A tail above tail_tol warns (TruncationWarning), attributed
-    to the caller of the function that asked."""
-    if l_max < 0:
-        raise ValueError(f"l_max must be nonnegative, got {l_max}")
+def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL):
+    """The real input v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r),
+    zero for l < |m|, and the truncation tail: the input energy
+    (pi/2)(2l+1) u_l^2 of the last five l. Row |m| is the input of block
+    |m|. On the axis v holds the row m = 0 alone, where P_l0 is sqrt(2l+1)
+    times (sign of kz)^l; the origin, whose input is l = 0 alone, takes
+    either sign. The coefficient of Y_{l,+-m} in plane_wave_coeffs is
+    (-i)^l v[|m|, l] times a unit phase of its block, so v depends on the
+    point through kr and theta_r alone. A tail above tail_tol warns
+    (TruncationWarning), attributed to the caller of plane_wave_coeffs or
+    enhancement_full."""
     u = radial_bessel_table(l_max, point.kr)
     ls = np.arange(l_max + 1)
-    top = max(0, l_max - 4)
-    tail = float(np.sum((math.pi / 2.0) * (2 * ls[top:] + 1) * u[top:] ** 2))
+    last = max(0, l_max - 4)
+    tail = float(np.sum((math.pi / 2.0) * (2 * ls[last:] + 1) * u[last:] ** 2))
     if tail > tail_tol:
         warnings.warn(
             f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={point.kr:.6g} "
@@ -246,31 +248,12 @@ def _radial_weights(point: FieldPoint, l_max: int, tail_tol: float):
             TruncationWarning,
             stacklevel=3,
         )
-    return _SQRT_PI_OVER_2 * u, tail
-
-
-def _direction(point: FieldPoint, l_max: int) -> np.ndarray:
-    """P_lm(cos theta_r) of the point's direction, in the packed rows of
-    AngularFunction. On the axis only m = 0 is held, and P_l0 there is
-    sqrt(2l+1) times (sign of kz)^l; the origin, whose input is l = 0
-    alone, takes either sign."""
+    weights = _SQRT_PI_OVER_2 * u
     if point.on_axis:
-        ls = np.arange(l_max + 1)
         sign = 1.0 if point.kvec[2] > 0 else -1.0
-        return np.sqrt(2 * ls + 1) * sign**ls
+        return (weights * (np.sqrt(2 * ls + 1) * sign**ls))[None], tail
     theta_r = math.acos(min(1.0, max(-1.0, point.kvec[2] / point.kr)))
-    return _point_legendre(l_max, math.cos(theta_r)).reshape(-1)[_point_tables(l_max)[0]]
-
-
-def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL):
-    """v_l = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), one real column in the
-    packed rows of AngularFunction, and the truncation tail (see
-    _radial_weights, which warns above tail_tol). The coefficient of
-    Y_{l,+-m} in plane_wave_coeffs is (-i)^l v_l times a unit phase of its
-    block, so v depends on the point through kr and theta_r alone."""
-    weights, tail = _radial_weights(point, l_max, tail_tol)
-    direction = _direction(point, l_max)
-    return weights[_lower_triangle(l_max)[0][: direction.size]] * direction, tail
+    return np.multiply(_point_legendre(l_max, math.cos(theta_r)).T, weights, order="C"), tail
 
 
 def plane_wave_coeffs(
@@ -281,29 +264,20 @@ def plane_wave_coeffs(
     The coefficient of Y_{l,m}(Omega) is
     (-i)^l sqrt(pi/2) * u_l(kr) * conj(Y_{l,m}(rhat)), with u_l(kr) =
     J_{l+1/2}(kr)/sqrt(kr) the entry l of radial_bessel_table: the complex
-    view of _focused_input's v, from the same radial weights and Legendre
-    values, with Y_lm(rhat) = P_lm e^{i m phi_r} formed before the radial
-    weight multiplies it.
+    view (-i)^l v e^{-+i m phi_r} of _focused_input's v, with
+    conj(Y_{l,-m}) = (-1)^m Y_{l,m} on the -m plane.
 
     The squared coefficient norm tends to 1 from below as l_max grows
     (the kernel has unit modulus); the energy left in the last five l
     values is reported as the truncation tail and triggers a
     TruncationWarning above tail_tol.
     """
-    weights, tail = _radial_weights(point, l_max, tail_tol)
-    direction = _direction(point, l_max)
-    l_of, m_of, offsets = _lower_triangle(l_max)
-    pref_of = (_point_tables(l_max)[1] * weights)[l_of[: direction.size]]
-    if point.on_axis:
-        pairs = np.zeros((l_max + 1, 2), dtype=complex)
-        pairs[:, 0] = pref_of * direction
-    else:
-        kx, ky, _ = point.kvec
-        ylm_dir = direction * np.exp(1j * np.arange(l_max + 1) * math.atan2(ky, kx))[m_of]
-        pairs = np.empty((offsets[-1], 2), dtype=complex)
-        np.multiply(pref_of, np.conj(ylm_dir), out=pairs[:, 0])
-        # conj(Y_{l,-m}) = (-1)^m Y_{l,m}
-        ylm_dir *= 1 - 2 * (m_of % 2)
-        np.multiply(pref_of, ylm_dir, out=pairs[:, 1])
-        pairs[: offsets[1], 1] = 0.0
-    return AngularFunction(l_max=l_max, pairs=pairs, truncation_tail=tail)
+    v, tail = _focused_input(point, l_max, tail_tol)
+    m = np.arange(v.shape[0])
+    turn = np.exp(-1j * m * math.atan2(point.kvec[1], point.kvec[0]))[:, None]
+    c = _phases(l_max) * v
+    coeffs = np.empty((2,) + v.shape, dtype=complex)
+    np.multiply(c, turn, out=coeffs[0])
+    np.multiply(c, (1 - 2 * (m % 2))[:, None] * np.conj(turn), out=coeffs[1])
+    coeffs[1, 0] = 0.0
+    return AngularFunction(l_max=l_max, coeffs=coeffs, truncation_tail=tail)

@@ -6,7 +6,6 @@ in the library is a dimensionless optical phase. Angles are radians.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -208,53 +207,33 @@ class HarmonicBasis:
         return np.arange(abs(m), self.l_max + 1)
 
 
-@functools.lru_cache(maxsize=4)
-def _lower_triangle(l_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries [l, m], l >= m, of an (l_max + 1)-square listed column by
-    column: their l, their m, and the offset at which each column starts."""
-    lengths = l_max + 1 - np.arange(l_max + 1)
-    offsets = np.concatenate(([0], np.cumsum(lengths)))
-    m_of = np.repeat(np.arange(l_max + 1), lengths)
-    l_of = np.arange(offsets[-1]) - offsets[m_of] + m_of
-    for a in (l_of, m_of, offsets):
-        a.flags.writeable = False
-    return l_of, m_of, offsets
-
-
 @dataclass
 class AngularFunction:
     """Coefficients of a function on the sphere over normalized harmonics.
 
-    pairs holds them column by column of |m| = 0..top: row offsets[|m|] + i,
-    for l = |m| + i, holds the coefficient of Y_{l,+|m|} in column 0 and
-    that of Y_{l,-|m|} in column 1, which is zero for |m| = 0. top is l_max,
-    or 0 for a function on the axis, which has m = 0 only. Normalization
-    follows the unit-mean-square harmonics, so norm_sq() equals the mean of
-    |f|^2 over the sphere.
+    coeffs[0, |m|, l] is the coefficient of Y_{l,+|m|} and coeffs[1, |m|, l]
+    that of Y_{l,-|m|}, zero for l < |m| and in the row |m| = 0 of
+    coeffs[1]. The rows run over |m| = 0..top: top is l_max, or 0 for a
+    function on the axis, which has m = 0 only. Normalization follows the
+    unit-mean-square harmonics, so norm_sq() equals the mean of |f|^2 over
+    the sphere.
     """
 
     l_max: int
-    pairs: np.ndarray
+    coeffs: np.ndarray
     truncation_tail: float = 0.0
 
     @property
     def top(self) -> int:
-        """Highest |m| held, read from the layout of pairs."""
-        return 0 if self.pairs.shape[0] == self.l_max + 1 else self.l_max
-
-    @property
-    def offsets(self) -> np.ndarray:
-        """Row of pairs at which each |m| = 0..top starts, and one past the
-        last."""
-        return _lower_triangle(self.l_max)[2][: self.top + 2]
+        """Highest |m| held."""
+        return self.coeffs.shape[1] - 1
 
     def m_energies(self) -> np.ndarray:
-        """Squared coefficient norm of each |m|, the +m and -m columns
+        """Squared coefficient norm of each |m|, the +m and -m planes
         together, at index |m| = 0..l_max."""
         energies = np.zeros(self.l_max + 1)
-        # the rows of each |m| are contiguous, four reals a row
-        sq = np.square(self.pairs.view(float)).reshape(-1)
-        energies[: self.top + 1] = np.add.reduceat(sq, 4 * self.offsets[:-1])
+        c = self.coeffs
+        energies[: self.top + 1] = np.sum(c.real * c.real + c.imag * c.imag, axis=(0, 2))
         return energies
 
     def norm_sq(self) -> float:

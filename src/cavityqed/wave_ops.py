@@ -33,9 +33,10 @@ by the transmitted-flux profile. Only the fractional part of the huge
 round-trip phase 2kR matters for resonance, so it is supplied separately
 as a detuning phase while kR itself only scales the diagonal phases.
 
-The point enters through a real input free of its azimuth: with v_l =
-sqrt(pi/2) u_l(kr) P_lm(cos theta_r) (specfun._focused_input), the kernel's
-coefficient of Y_{l,+-m} is (-i)^l v_l times a unit phase of the block.
+The point enters through a real input free of its azimuth: with v[|m|, l] =
+sqrt(pi/2) u_l(kr) P_lm(cos theta_r) (specfun._focused_input, row |m| the
+input of block |m|), the kernel's coefficient of Y_{l,+-m} is
+(-i)^l v[|m|, l] times a unit phase of the block.
 The +m and -m blocks share one matrix, and a unit phase does not change a
 block's value, so each |m| is solved for the one column (-i)^l v and a
 +-m pair counts it twice. The value at a point depends on kr and theta_r
@@ -77,7 +78,7 @@ from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table,
     TAIL_TOL,
     _focused_input,
     _legendre,
-    _point_tables,
+    _phases,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -89,7 +90,6 @@ from .structures import (
     HarmonicBasis,
     SolverError,
     ValidityWarning,
-    _lower_triangle,
 )
 
 __all__ = [
@@ -619,17 +619,17 @@ class _FormBand:
 
     @functools.cached_property
     def index(self) -> np.ndarray:
-        """Row j lists the rows of a point's input v (_focused_input, in the
-        packed rows of AngularFunction) that slot j reads, its padding
-        reading row 0 against zero rows and columns of the form; built when
-        a stack of the band is first allocated."""
-        offsets = _lower_triangle(self.l_max)[2]
+        """Row j lists the entries of a point's flattened input v
+        (_focused_input, [|m|, l]) that slot j reads: entry j of block m,
+        l = m + j, is m (l_max + 2) + j. Its padding reads entry 0 against
+        zero rows and columns of the form. Built when a stack of the band is
+        first allocated."""
         index = np.zeros((self.ends[-1], self.size), dtype=np.intp)
         j = 0
         for m in range(self.first, self.last + 1):
             dim = self.l_max + 1 - m
             for sector in _parity_sectors(self.geometry, dim):
-                rows = offsets[m] + np.arange(dim)[sector]
+                rows = m * (self.l_max + 2) + np.arange(dim)[sector]
                 index[j, : rows.size] = rows
                 j += 1
         index.flags.writeable = False
@@ -679,7 +679,7 @@ def _form_blocks(ops: CavityOperatorSet, state: _PhaseForms, lo: int, hi: int, z
     their slots. Each band up to hi first gets a stack of its slots of
     |m| <= hi; a band that has one already is copied once into a larger."""
     bands = _form_bands(ops.geometry, ops.basis.l_max)
-    phase = _point_tables(ops.basis.l_max)[1]
+    phase = _phases(ops.basis.l_max)
     for b, band in enumerate(bands):
         if band.first > hi:
             break
@@ -708,8 +708,8 @@ def _hermitian_form(block: OperatorBlock, z: complex, slots, phase: np.ndarray) 
     pair (1 for m = 0), into the leading n x n of its slot; False when a
     solve fails or the guard does.
 
-    A point's input on the block is D v up to a unit phase, v real
-    (_focused_input), and each of the +m and -m columns adds v^T Re(D^H K
+    A point's input on the block is D v up to a unit phase, v real (row |m|
+    of _focused_input), and each of the +m and -m columns adds v^T Re(D^H K
     D) v, so the block's value is v^T S v. With Y = X D = A^-1 diag(u
     phase), from one n-column solve, Y^H tau^2 Y = D^H K D, and its real
     part is P^T tau^2 P + Q^T tau^2 Q for Y = P + iQ: a real symmetric S.
@@ -744,10 +744,11 @@ def _hermitian_form(block: OperatorBlock, z: complex, slots, phase: np.ndarray) 
 def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, v: np.ndarray,
                    top: int) -> float:
     """The sum of v^T S v over the blocks |m| <= top, top <= formed_top, of
-    the point's real input v (_focused_input), read from the prefix of each
-    stack: one gather of v, one batched real matrix-vector product and one
-    dot per stack. The zero slots of a failed block add nothing."""
-    value = 0.0
+    the point's real input v (_focused_input, [|m|, l]), read from the
+    prefix of each stack: one gather of the flattened v, one batched real
+    matrix-vector product and one dot per stack. The zero slots of a failed
+    block add nothing."""
+    value, v = 0.0, v.reshape(-1)
     if top < 0:
         return value
     for band, stack in zip(_form_bands(ops.geometry, ops.basis.l_max), state.stacks):
@@ -791,15 +792,16 @@ def enhancement_full(
     multiplication operator for tau^2 (a quadratic form in the solved
     coefficients), which avoids one truncation stage.
 
-    The input is the real column v of specfun._focused_input, so the value
-    depends on the point through kr and theta_r alone. Only the |m| that
-    can matter are solved. A pair +-m whose input energy is e adds at most
-    e / (1 - max(rho1, rho2))^2 to the value, so the pairs are skipped from
-    the highest |m| down while the sum of their bounds stays within 1e-16 of
-    the input energy; the +m and -m blocks share one matrix and give the
-    same value, so each |m| is solved for the one column (-i)^l v of its +m
-    block and a pair counts it twice. A lossless cavity has no such bound:
-    there every listed block is solved and checked. detail reports the
+    The input is the real [|m|, l] array v of specfun._focused_input, whose
+    row |m| is block |m|'s input, so the value depends on the point through
+    kr and theta_r alone. Only the |m| that can matter are solved. A pair
+    +-m whose input energy is e adds at most e / (1 - max(rho1, rho2))^2 to
+    the value, so the pairs are skipped from the highest |m| down while the
+    sum of their bounds stays within 1e-16 of the input energy; the +m and
+    -m blocks share one matrix and give the same value, so each |m| is
+    solved for the one column (-i)^l v[|m|, |m|:] of its +m block and a pair
+    counts it twice. A lossless cavity has no such bound: there every listed
+    block is solved and checked. detail reports the
     listed blocks (m_blocks), the |m| systems solved (blocks_solved) and the
     summed bound of the skipped pairs (skipped_bound); the condition
     estimate covers the solved systems. A block of a mirror-symmetric cavity
@@ -856,10 +858,9 @@ def enhancement_full(
     l_max = basis.l_max
     v, tail = _focused_input(point, l_max, tail_tol)
     # the input holds m = 0 alone on the axis, every |m| <= l_max off it
-    input_top = 0 if point.on_axis else l_max
-    offsets = _lower_triangle(l_max)[2]
+    input_top = v.shape[0] - 1
     energies = np.zeros(l_max + 1)
-    energies[: input_top + 1] = np.add.reduceat(v * v, offsets[: input_top + 1])
+    energies[: input_top + 1] = np.sum(v * v, axis=1)
     energies[1:] *= 2.0  # the +m and -m columns of a pair
     norm_sq = float(np.sum(energies))
     # the focused-wave input has unit norm up to its truncation tail
@@ -872,13 +873,13 @@ def enhancement_full(
         formed_top = min(top, state.formed_top)
         failed = sorted(m for m in state.failed if m <= formed_top)
         value = _stacked_value(ops, state, v, formed_top)
-    phase = _point_tables(l_max)[1]
+    phase = _phases(l_max)
     modal_conditions, modal_solves, zero_sectors = [], 0, 0
     for mag in failed + list(range(formed_top + 1, top + 1)):
         block = ops.block(mag)
         # the -m column is the +m column (-i)^l v times a unit phase, and
         # gives the same value: one column, counted twice for a pair
-        rhs = block.u_half * (phase[mag:] * v[offsets[mag]: offsets[mag + 1]])
+        rhs = block.u_half * (phase[mag:] * v[mag, mag:])
         x, solved, modal = _solve_block(ops, mag, z, rhs[:, None], scale)
         value += (2.0 if mag else 1.0) * _tau_sq_form(solved, x[:, 0])
         zero_sectors += len(block.sectors) - len(solved)

@@ -130,15 +130,12 @@ def transmission_operator(geom, grid, l_max: int, block) -> tuple[np.ndarray, ..
 
 def coefficient_blocks(f: AngularFunction) -> dict[int, np.ndarray]:
     """The coefficients of f per m held, blocks[m][i] that of Y_{l,m} for
-    l = |m| + i, cut from the rows of f.pairs one |m| at a time."""
+    l = |m| + i, cut from row |m| of the +m and -m planes of f.coeffs."""
     blocks = {}
-    start = 0
     for m in range(f.top + 1):
-        stop = start + f.l_max + 1 - m
-        blocks[m] = f.pairs[start:stop, 0]
+        blocks[m] = f.coeffs[0, m, m:]
         if m:
-            blocks[-m] = f.pairs[start:stop, 1]
-        start = stop
+            blocks[-m] = f.coeffs[1, m, m:]
     return blocks
 
 

@@ -274,6 +274,21 @@ class TestRun:
         assert "diffraction correction is unbounded for a lossless mirror pair" in err
         assert not (tmp_path / "out").exists()
 
+    def test_mirror_narrower_than_its_diffraction_correction_is_config_error(
+            self, tmp_path, capsys):
+        # kR 1e5 and rho 0.98 shrink each mirror by 0.01589 rad, more than
+        # mirror 1's 0.01: rejected at parse time, not as a numerical failure
+        doc = {"geometry": {"k_radius": 1e5, "theta_m1": 0.01, "theta_m2": 0.7, "rho1": 0.98},
+               "scan": {"kind": "axial-profile",
+                        "kz_range": {"start": 0, "stop": 5, "count": 3}}}
+        cfg = _write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "geometry.theta_m1" in err and "geometry.theta_m2" not in err
+        assert "diffraction correction 0.01589 exceeds aperture 0.01" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("geometry", [
         {"theta_m1": 0.0, "rho1": 1.0, "rho2": 1.0},
         {"theta_m1": 0.5, "theta_m2": 0.0, "rho1": 0.9, "rho2": 0.9},

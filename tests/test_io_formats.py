@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cavityqed import cli
 from cavityqed.io_formats import (
+    _KIND_RANGE,
     SCAN_KINDS,
     Column,
     ConfigError,
@@ -337,8 +338,56 @@ def test_any_document_is_rejected_or_roundtrips(doc):
     assert _dump(parse_config(text)) == text
 
 
+def _valid(keys, required=()):
+    """An object of plausible values only, each key valid on its own."""
+    return st.fixed_dictionaries({key: keys[key] for key in required},
+                                 optional={key: v for key, v in keys.items()
+                                           if key not in required})
+
+
+_VALID_RANGE = st.fixed_dictionaries({"start": _NUMBER, "stop": _NUMBER,
+                                      "count": st.integers(2, 5)})
+# kR >= 1e3 and rho <= 0.99 bound the ray route's diffraction correction
+# 1/sqrt(kR (1 - rho_av^2)) by 0.224, below every nonzero aperture drawn
+_APERTURE = st.one_of(st.just(0.0), st.floats(0.3, 1.5))
+_RAY_GEOMETRY = {"k_radius": st.floats(1e3, 1e6), "theta_m1": _APERTURE,
+                 "theta_m2": _APERTURE, "rho1": st.floats(0.0, 0.99),
+                 "rho2": st.floats(0.0, 0.99), "k_delta": _NUMBER}
+_VALID_SCAN = {"phi0": _NUMBER, "point": st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+               "phi0_range": _VALID_RANGE, "kz_range": _VALID_RANGE, "kx_range": _VALID_RANGE,
+               "rhos": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
+               "phase_count": st.integers(2, 64)}
+_VALID_DIPOLE = st.one_of(
+    _valid({"orientation": _KNOWN_KEYS["dipole"]["orientation"]}),
+    st.fixed_dictionaries({"vector": st.lists(st.floats(-5.0, 5.0), min_size=3,
+                                              max_size=3).filter(any)}))
+
+
+def _runnable(kind):
+    """Documents of one scan kind that parse: the range the kind requires,
+    a nonzero defocus for defocus-study, and on the ray route (every kind
+    but airy-check) a geometry whose apertures survive the diffraction
+    correction."""
+    geometry = dict(_KNOWN_KEYS["geometry"] if kind == "airy-check" else _RAY_GEOMETRY)
+    geometry_keys, sections = (), ("scan",)
+    if kind == "defocus-study":
+        geometry["k_delta"] = st.one_of(st.floats(-1.0, -0.05), st.floats(0.05, 1.0))
+        geometry_keys, sections = ("k_delta",), ("scan", "geometry")
+    scan_keys = ("kind", _KIND_RANGE[kind]) if _KIND_RANGE[kind] else ("kind",)
+    return _valid({"geometry": _valid(geometry, geometry_keys),
+                   "scan": _valid(dict(_VALID_SCAN, kind=st.just(kind)), scan_keys),
+                   "dipole": _VALID_DIPOLE, "numerics": _valid(_KNOWN_KEYS["numerics"]),
+                   "outputs": _valid(_KNOWN_KEYS["outputs"])}, sections)
+
+
+# three documents in four are valid by construction, one in four is drawn
+# from the whole space of _DOCUMENTS, where most are rejected
+_ACCEPTABLE = st.sampled_from([st.sampled_from(SCAN_KINDS).flatmap(_runnable)] * 3
+                              + [_DOCUMENTS]).flatmap(lambda s: s)
+
+
 @settings(max_examples=50, deadline=None, derandomize=True)
-@given(doc=_DOCUMENTS)
+@given(doc=_ACCEPTABLE)
 def test_any_accepted_document_runs_to_finite_rows_or_a_documented_exit(doc, tmp_path_factory):
     # the examples counted are the accepted documents, each run end to end
     try:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from cavityqed.specfun import (
     plane_wave_coeffs,
     radial_bessel_table,
 )
-from cavityqed.structures import FieldPoint, TruncationWarning
+from cavityqed.structures import CavityGeometry, FieldPoint, HarmonicBasis, TruncationWarning
+from cavityqed.wave_ops import enhancement_full
 from oracles import (
     asymptotic_radial_bessel,
     bessel_weights,
@@ -269,11 +271,11 @@ class TestLegendreRecurrence:
 class TestPlaneWaveCoeffs:
     def test_origin_single_coefficient(self):
         f = plane_wave_coeffs(FieldPoint.origin(), 40)
-        assert f.top == 0 and f.pairs.shape == (41, 2)
-        assert f.pairs[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert np.max(np.abs(f.pairs[1:, 0])) == 0.0
-        # the -0 column of the m = 0 rows is zero
-        assert not np.any(f.pairs[:, 1])
+        assert f.top == 0 and f.coeffs.shape == (2, 1, 41)
+        assert f.coeffs[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert np.max(np.abs(f.coeffs[0, 0, 1:])) == 0.0
+        # the -0 plane of the m = 0 row is zero
+        assert not np.any(f.coeffs[1])
         assert f.norm_sq() == pytest.approx(1.0, abs=1e-15)
 
     def test_parseval_on_axis(self):
@@ -289,30 +291,31 @@ class TestPlaneWaveCoeffs:
             plane_wave_coeffs(FieldPoint.axial(100.0), 100)
 
     def test_no_warning_with_margin(self):
-        import warnings
-
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             plane_wave_coeffs(FieldPoint.axial(50.0), 120)
 
     def test_off_axis_blocks_match_per_m_tables(self):
-        # the per-m legendre_table loop the Legendre column replaced
+        # the per-m legendre_table loop the Legendre table replaced:
+        # (-i)^l sqrt(pi/2) u_l P_lm e^{-+i m phi}, (-1)^m on the -m plane
         point = FieldPoint((4.0, -3.0, 2.0))
         l_max = 40
         f = plane_wave_coeffs(point, l_max)
         kx, ky, kz = point.kvec
         theta_r, phi_r = math.acos(kz / point.kr), math.atan2(ky, kx)
         ls = np.arange(l_max + 1)
-        pref = (-1j) ** ls * math.sqrt(math.pi / 2) * radial_bessel_table(l_max, point.kr)
+        weights = math.sqrt(math.pi / 2) * radial_bessel_table(l_max, point.kr)
         blocks = coefficient_blocks(f)
-        assert f.top == l_max and f.pairs.shape == ((l_max + 1) * (l_max + 2) // 2, 2)
+        assert f.top == l_max and f.coeffs.shape == (2, l_max + 1, l_max + 1)
         assert set(blocks) == set(range(-l_max, l_max + 1))
-        assert not np.any(f.pairs[: l_max + 1, 1])
+        assert not np.any(f.coeffs[1, 0])
         for m in range(l_max + 1):
-            y = legendre_table(l_max, m, [math.cos(theta_r)])[0] * np.exp(1j * m * phi_r)
-            assert np.array_equal(blocks[m], pref[m:] * np.conj(y))
+            c = (-1j) ** (ls[m:] % 4) * (legendre_table(l_max, m, [math.cos(theta_r)])[0]
+                                          * weights[m:])
+            assert np.array_equal(blocks[m], c * np.exp(-1j * m * phi_r))
             if m > 0:
-                assert np.array_equal(blocks[-m], pref[m:] * (-1) ** m * y)
+                assert np.array_equal(blocks[-m], c * ((-1) ** m * np.exp(1j * m * phi_r)))
+            assert not np.any(f.coeffs[:, m, :m])
 
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 12.0), (4.0, -3.0, 2.0)])
     def test_radial_table_built_once(self, kvec, monkeypatch):
@@ -347,31 +350,45 @@ class TestPlaneWaveCoeffs:
                                       (4.0, -3.0, 2.0), (-7.0, 0.5, -3.0), (30.0, 20.0, -50.0)])
     @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
     def test_coefficients_are_the_real_input_with_its_phases(self, kvec, l_max):
-        # Y_{l,+-m} takes (-i)^l v_l e^{-+i m phi}, v real and free of the
-        # azimuth, within 2 ulp: plane_wave_coeffs forms P_lm e^{i m phi}
-        # before the radial weight multiplies it
+        # Y_{l,+-m} takes (-i)^l v[|m|, l] e^{-+i m phi}, v real and free of
+        # the azimuth, exactly: plane_wave_coeffs is the complex view of v
         point = FieldPoint(kvec)
         f = plane_wave_coeffs(point, l_max, tail_tol=math.inf)
         v, tail = _focused_input(point, l_max, tail_tol=math.inf)
-        assert v.dtype == np.float64 and v.shape == (f.pairs.shape[0],)
+        assert v.dtype == np.float64 and v.shape == f.coeffs.shape[1:]
         assert tail == f.truncation_tail
-        blocks = coefficient_blocks(f)
-        start = 0
-        for m in range(f.top + 1):
-            ls = np.arange(m, l_max + 1)
-            rows = v[start: start + ls.size]
-            start += ls.size
-            turn = np.exp(1j * m * math.atan2(kvec[1], kvec[0]))
-            expected = {m: (-1j) ** (ls % 4) * rows * np.conj(turn)}
-            if m:
-                expected[-m] = (-1j) ** (ls % 4) * rows * (-1) ** m * turn
-            for key, ref in expected.items():
-                for got, want in ((blocks[key].real, ref.real), (blocks[key].imag, ref.imag)):
-                    assert np.all(np.abs(got - want) <= 2 * np.spacing(np.abs(want)))
-        assert start == v.size
+        ls = np.arange(l_max + 1)
+        m = np.arange(f.top + 1)[:, None]
+        turn = np.exp(-1j * m * math.atan2(kvec[1], kvec[0]))
+        c = (-1j) ** (ls % 4) * v
+        assert np.array_equal(f.coeffs[0], c * turn)
+        assert np.array_equal(f.coeffs[1, 1:], (c * ((-1) ** m * np.conj(turn)))[1:])
+        assert not np.any(f.coeffs[1, 0])
+
+    @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
+                                      (4.0, -3.0, 2.0), (-7.0, 0.5, -3.0), (1e-11, 0.0, 12.0)])
+    @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    def test_focused_input_has_one_row_per_magnitude(self, kvec, l_max):
+        # row |m| is block |m| over l = 0..l_max, exactly zero for l < |m|;
+        # on the axis the input has the row m = 0 alone
+        point = FieldPoint(kvec)
+        v, _ = _focused_input(point, l_max, tail_tol=math.inf)
+        rows = 1 if point.on_axis else l_max + 1
+        assert v.shape == (rows, l_max + 1) and v.flags.c_contiguous
+        assert not np.any(np.tril(np.ones((rows, l_max + 1), dtype=bool), -1) & (v != 0.0))
+
+    def test_truncation_warning_names_the_caller(self):
+        for call in (lambda: plane_wave_coeffs(FieldPoint.axial(100.0), 100),
+                     lambda: enhancement_full(CavityGeometry.symmetric(1e5, 0.5, 0.9),
+                                              HarmonicBasis(100), FieldPoint.axial(100.0),
+                                              0.0)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.filename for w in caught if w.category is TruncationWarning] == [__file__]
 
     def test_axis_matches_general_path(self):
         # the m = 0 fast path must agree with the generic expansion
         f_axis = plane_wave_coeffs(FieldPoint.axial(12.0), 60)
         f_gen = plane_wave_coeffs(FieldPoint((1e-11, 0.0, 12.0)), 60)
-        assert np.allclose(f_axis.pairs[:, 0], f_gen.pairs[:61, 0], rtol=0, atol=1e-10)
+        assert np.allclose(f_axis.coeffs[0, 0], f_gen.coeffs[0, 0], rtol=0, atol=1e-10)
