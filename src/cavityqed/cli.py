@@ -317,8 +317,13 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, strict: bool) -> int:
         print(line)
     validity = [w for w in caught
                 if issubclass(w.category, (TruncationWarning, ValidityWarning))]
+    sources: dict[tuple, list] = {}  # one line per category and warning line
     for w in validity:
-        print(f"warning: {w.message}", file=sys.stderr)
+        sources.setdefault((w.category, w.filename, w.lineno), []).append(w)
+    for first, *rest in sources.values():
+        more = f", {len(rest)} more like it" if rest else ""
+        print(f"warning: {first.message} ({Path(first.filename).name}:{first.lineno}{more})",
+              file=sys.stderr)
     if strict and validity:
         print("strict mode: validity warnings escalated to failure", file=sys.stderr)
         return EXIT_STRICT

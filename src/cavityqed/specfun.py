@@ -9,9 +9,8 @@ orthonormal harmonics. That convention makes Parseval sums read directly as
 angular averages and is used consistently everywhere in the package. No
 harmonic is formed on its own: Y_lm(theta, phi) = P_lm(cos theta) e^{i m phi}
 for m >= 0 and Y_{l,-m} = (-1)^m conj(Y_lm). P_lm comes from one recurrence
-in l: _legendre runs it over a range of m at many nodes at once (the
-operator blocks), and _point_legendre over every m at one point (the
-focused-wave input), bit for bit the same values.
+in l, _legendre: over a range of m at many nodes at once for the operator
+blocks, and over every m at one point for the focused-wave input.
 
 The focused-wave input at a point is real and free of the point's azimuth:
 with v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r), the coefficient of
@@ -19,7 +18,7 @@ Y_{l,+-m} is (-i)^l v[|m|, l] times a unit phase of the block. Coefficients
 are stored [|m|, l]: row |m| is block |m|, zero for l < |m|, and a point on
 the axis has the row m = 0 alone. _focused_input returns v, which the
 operator route solves and evaluates; plane_wave_coeffs is its complex view,
-with the phases.
+with the phases. Off the axis v is zero above the input's reach in l.
 """
 
 from __future__ import annotations
@@ -46,6 +45,9 @@ _RESCALE = 1e250
 # the default truncation-tail tolerance of plane_wave_coeffs, and so of
 # enhancement_full and of a scenario's numerics.tail_tol
 TAIL_TOL = 1e-8
+# share of the input energy that the cut above a point's reach, and the
+# skipped |m| pairs of enhancement_full, may each add to a full-route value
+_SKIP_FLOOR = 1e-16
 
 
 def _ratio_cf(l: int, x: float) -> float:
@@ -147,73 +149,59 @@ def legendre_table(l_max: int, m: int, x) -> np.ndarray:
     return _legendre(l_max, m, m, x)[:, 0].T
 
 
-@functools.lru_cache(maxsize=4)
-def _column_coefficients(l_max: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+_COLUMNS: list[tuple[np.ndarray, np.ndarray]] = []
+
+
+def _column_coefficients(l_max: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The coefficients a and b of the recurrence in l for each l = 2..l_max,
-    as rows over m = 0..l-2, computed once per l_max."""
-    m_sq = np.arange(l_max) ** 2
-    rows = []
-    for l in range(2, l_max + 1):
-        mm = m_sq[: l - 1]
-        a = np.sqrt((4 * l * l - 1) / (l * l - mm))
-        b = np.sqrt(((l - 1) ** 2 - mm) / (4 * (l - 1) ** 2 - 1))
-        a.flags.writeable = b.flags.writeable = False
-        rows.append((a, b))
-    return tuple(rows)
+    as rows over m = 0..l-2. Rows do not depend on l_max, so one table serves
+    every l_max; it grows by a copy, so no list is grown by two callers."""
+    global _COLUMNS
+    rows = _COLUMNS
+    if len(rows) < l_max - 1:
+        rows = _COLUMNS = list(rows)
+        m_sq = np.arange(l_max) ** 2
+        for l in range(len(rows) + 2, l_max + 1):
+            mm = m_sq[: l - 1]
+            a = np.sqrt((4 * l * l - 1) / (l * l - mm))
+            b = np.sqrt(((l - 1) ** 2 - mm) / (4 * (l - 1) ** 2 - 1))
+            a.flags.writeable = b.flags.writeable = False
+            rows.append((a, b))
+    return rows[: max(0, l_max - 1)]
 
 
-def _legendre(l_max: int, m_lo: int, m_hi: int, x: np.ndarray) -> np.ndarray:
-    """P_lm(x) for every m = m_lo..m_hi <= l_max at every point of x: entry
-    [l - m_lo, m - m_lo, i] is P_lm(x[i]) for l >= m, zero for l < m.
+def _legendre(l_max: int, m_lo: int, m_hi: int, x) -> np.ndarray:
+    """P_lm(x) for every m = m_lo..m_hi <= l_max at x, a 1-D array of nodes
+    or one Python float: entry [l - m_lo, m - m_lo, i] is P_lm(x[i]), or
+    [l - m_lo, m - m_lo] at the one point, for l >= m, zero for l < m.
 
     P_mm, the running product over k = 1..m of -sqrt(1 - x^2) times
     sqrt((2k+1)/2k), is one cumulative product over m = 0..m_hi cut to
     m_lo..m_hi; P_{m+1,m} = sqrt(2m+3) x P_mm, and every later l is one
     step of P_lm = a (x P_{l-1,m} - b P_{l-2,m}) for all m and x at once.
-    """
+    The steps broadcast over the shape of x: a float gets the values of
+    the array [x] bit for bit."""
     n_m = m_hi - m_lo + 1
-    out = np.zeros((l_max - m_lo + 1, n_m, x.size))
+    span = (None,) * np.ndim(x)
+    out = np.zeros((l_max - m_lo + 1, n_m) + np.shape(x))
     k = np.arange(1, m_hi + 1)
-    diag = np.empty((m_hi + 1, x.size))
+    diag = np.empty((m_hi + 1,) + np.shape(x))
     diag[0] = 1.0
-    np.multiply(np.sqrt((2 * k + 1) / (2 * k))[:, None],
+    np.multiply(np.sqrt((2 * k + 1) / (2 * k))[(slice(None),) + span],
                 -np.sqrt(np.maximum(0.0, 1.0 - x * x)), out=diag[1:])
     diag = np.cumprod(diag, axis=0, out=diag)[m_lo:]
     j = np.arange(n_m)
     out[j, j] = diag
     j = j[: l_max - m_lo]  # the m < l_max, which have a row l = m + 1
-    out[j + 1, j] = np.sqrt(2 * (m_lo + j) + 3)[:, None] * x * diag[j]
+    out[j + 1, j] = np.sqrt(2 * (m_lo + j) + 3)[(slice(None),) + span] * x * diag[j]
     mul, sub = np.multiply, np.subtract
     for l, (a, b) in enumerate(_column_coefficients(l_max)[m_lo:], start=m_lo + 2):
         r, w = l - m_lo, min(l - 1 - m_lo, n_m)  # the m < l - 1 are w columns
+        c = (slice(m_lo, m_lo + w),) + span
         row = out[r, :w]
         mul(x, out[r - 1, :w], out=row)
-        sub(row, mul(b[m_lo: m_lo + w, None], out[r - 2, :w]), out=row)
-        mul(a[m_lo: m_lo + w, None], row, out=row)
-    return out
-
-
-def _point_legendre(l_max: int, x: float) -> np.ndarray:
-    """P_lm(x) for every l, m <= l_max at the one point x, a Python float:
-    entry [l, m], zero for l < m, is bit for bit entry [l, m, 0] of
-    _legendre(l_max, 0, l_max, [x]). The same steps run on 1-D rows, which
-    cost less per step than the (m, point) blocks of the batched recurrence."""
-    n = l_max + 1
-    out = np.zeros((n, n))
-    flat = out.reshape(-1)
-    diag = flat[:: n + 1]
-    diag[0] = 1.0
-    k = np.arange(1, n)
-    np.multiply(np.sqrt((2 * k + 1) / (2 * k)), -math.sqrt(max(0.0, 1.0 - x * x)),
-                out=diag[1:])
-    np.cumprod(diag, out=diag)
-    flat[n:: n + 1] = np.sqrt(2 * np.arange(l_max) + 3) * x * diag[:-1]
-    mul, sub = np.multiply, np.subtract
-    for l, (a, b) in enumerate(_column_coefficients(l_max), start=2):
-        row = out[l, : l - 1]
-        mul(x, out[l - 1, : l - 1], out=row)
-        sub(row, mul(b, out[l - 2, : l - 1]), out=row)
-        mul(a, row, out=row)
+        sub(row, mul(b[c], out[r - 2, :w]), out=row)
+        mul(a[c], row, out=row)
     return out
 
 
@@ -226,21 +214,25 @@ def _phases(l_max: int) -> np.ndarray:
     return phase
 
 
-def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL):
+def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
+                   gain: float = math.inf):
     """The real input v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r),
-    zero for l < |m|, and the truncation tail: the input energy
-    (pi/2)(2l+1) u_l^2 of the last five l. Row |m| is the input of block
-    |m|. On the axis v holds the row m = 0 alone, where P_l0 is sqrt(2l+1)
-    times (sign of kz)^l; the origin, whose input is l = 0 alone, takes
-    either sign. The coefficient of Y_{l,+-m} in plane_wave_coeffs is
-    (-i)^l v[|m|, l] times a unit phase of its block, so v depends on the
-    point through kr and theta_r alone. A tail above tail_tol warns
-    (TruncationWarning), attributed to the caller of plane_wave_coeffs or
-    enhancement_full."""
+    zero for l < |m|, its truncation tail and the bound of its cut. Row |m|
+    is the input of block |m|; on the axis v holds the row m = 0 alone,
+    where P_l0 is sqrt(2l+1) times (sign of kz)^l, and the origin, whose
+    input is l = 0 alone, takes either sign. v depends on the point through
+    kr and theta_r alone: plane_wave_coeffs adds the phases.
+
+    The tail is the input energy e_l = (pi/2)(2l+1) u_l^2 of the last five
+    l; above tail_tol it warns (TruncationWarning), attributed to the caller
+    of plane_wave_coeffs or enhancement_full. Off the axis v stops at its
+    reach, the first l whose energy beyond, E_d, of E in all, bounds the cut
+    by gain (2 sqrt(E E_d) + E_d) <= _SKIP_FLOOR E, the most it can move a
+    form x^H K x with ||K|| <= gain; an infinite gain cuts none."""
     u = radial_bessel_table(l_max, point.kr)
     ls = np.arange(l_max + 1)
-    last = max(0, l_max - 4)
-    tail = float(np.sum((math.pi / 2.0) * (2 * ls[last:] + 1) * u[last:] ** 2))
+    energy = (math.pi / 2.0) * (2 * ls + 1) * u**2
+    tail = float(np.sum(energy[max(0, l_max - 4):]))
     if tail > tail_tol:
         warnings.warn(
             f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={point.kr:.6g} "
@@ -251,9 +243,19 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL):
     weights = _SQRT_PI_OVER_2 * u
     if point.on_axis:
         sign = 1.0 if point.kvec[2] > 0 else -1.0
-        return (weights * (np.sqrt(2 * ls + 1) * sign**ls))[None], tail
-    theta_r = math.acos(min(1.0, max(-1.0, point.kvec[2] / point.kr)))
-    return np.multiply(_point_legendre(l_max, math.cos(theta_r)).T, weights, order="C"), tail
+        return (weights * (np.sqrt(2 * ls + 1) * sign**ls))[None], tail, 0.0
+    reach, cut = l_max, 0.0
+    if gain < math.inf:
+        beyond = np.append(np.cumsum(energy[:0:-1])[::-1], 0.0)  # energy above each l
+        total = beyond[0] + energy[0]
+        bounds = gain * (2.0 * np.sqrt(total * beyond) + beyond)
+        # bounds fall with l, so the l that keep too little are a prefix
+        reach = int(np.count_nonzero(bounds > _SKIP_FLOOR * total))
+        cut = float(bounds[reach])
+    cos_theta = math.cos(math.acos(min(1.0, max(-1.0, point.kvec[2] / point.kr))))
+    v, n = np.zeros((l_max + 1, l_max + 1)), reach + 1
+    np.multiply(_legendre(reach, 0, reach, cos_theta).T, weights[:n], out=v[:n, :n])
+    return v, tail, cut
 
 
 def plane_wave_coeffs(
@@ -272,7 +274,7 @@ def plane_wave_coeffs(
     values is reported as the truncation tail and triggers a
     TruncationWarning above tail_tol.
     """
-    v, tail = _focused_input(point, l_max, tail_tol)
+    v, tail, _ = _focused_input(point, l_max, tail_tol)
     m = np.arange(v.shape[0])
     turn = np.exp(-1j * m * math.atan2(point.kvec[1], point.kvec[0]))[:, None]
     c = _phases(l_max) * v

@@ -33,14 +33,12 @@ by the transmitted-flux profile. Only the fractional part of the huge
 round-trip phase 2kR matters for resonance, so it is supplied separately
 as a detuning phase while kR itself only scales the diagonal phases.
 
-The point enters through a real input free of its azimuth: with v[|m|, l] =
-sqrt(pi/2) u_l(kr) P_lm(cos theta_r) (specfun._focused_input, row |m| the
-input of block |m|), the kernel's coefficient of Y_{l,+-m} is
-(-i)^l v[|m|, l] times a unit phase of the block.
-The +m and -m blocks share one matrix, and a unit phase does not change a
-block's value, so each |m| is solved for the one column (-i)^l v and a
-+-m pair counts it twice. The value at a point depends on kr and theta_r
-alone, to the last bit.
+The point enters through the real input v of specfun._focused_input, free
+of its azimuth: the kernel's coefficient of Y_{l,+-m} is (-i)^l v[|m|, l]
+times a unit phase of the block. The +m and -m blocks share one matrix,
+and a unit phase does not change a block's value, so each |m| is solved
+for the one column (-i)^l v and a +-m pair counts it twice. The value at a
+point depends on kr and theta_r alone, to the last bit.
 
 A sector that is solved again and again, for a detuning or position scan,
 is answered from its modal (Fox-Li) decomposition: with the round trip
@@ -76,6 +74,7 @@ from .quadrature import AngularGrid, cap_edges, polar_rule
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
 from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table, plane_wave_coeffs and radial_bessel_table here)
     TAIL_TOL,
+    _SKIP_FLOOR,
     _focused_input,
     _legendre,
     _phases,
@@ -133,9 +132,6 @@ _FORM_PADDING = 1.25
 # with one per block on a 2-core Xeon VM; 16 MB saves about 10% more but
 # lifts the traced peak of the build from 13.7 to 39.6 MB (10.1 MB per block)
 _LEGENDRE_CHUNK = 2 * 2**20
-# share of the input energy that the skipped |m| pairs may add, at most,
-# to the value of enhancement_full
-_SKIP_FLOOR = 1e-16
 
 
 def propagator_phases(ls: np.ndarray, k_radius: float) -> np.ndarray:
@@ -236,19 +232,23 @@ class CavityOperatorSet:
     the points at that phase have asked each block, and the forms of the
     blocks asked _FORM_AFTER times or more, one real symmetric n x n matrix
     per sector (8 n^2 bytes, at most _FORM_PADDING times that with its
-    padding), stacked by |m|. A point at another phase frees them and restarts every
-    count. Answers from a form do not count towards _MODAL_AFTER: a phase
-    sweep still goes modal. lossless, set once, says that a mirror reflects
-    within the singular floor of 1; otherwise |rho| <= max rho < 1 and no
-    block can be singular. A lossless cavity is always solved directly and
-    never formed. A set answers only for the geometry and basis it was
-    built for: enhancement_full rejects any other with ValueError."""
+    padding), stacked by |m|. A point at another phase frees them and
+    restarts every count. Answers from a form do not count towards
+    _MODAL_AFTER: a phase sweep still goes modal. lossless, set once, says
+    that a mirror reflects within the singular floor of 1; otherwise |rho|
+    <= max rho < 1 and no block can be singular. A lossless cavity is always
+    solved directly and never formed. gain = 1 / (1 - max rho)^2, infinite
+    when lossless, is the most that an input of unit energy gives any block,
+    as U and P are unitary, |rho| <= max rho and |tau^2| <= 1. A set answers
+    only for the geometry and basis it was built for: enhancement_full
+    rejects any other with ValueError."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
     grid: AngularGrid = field(init=False, repr=False)
     segments: _Segments = field(init=False, repr=False)
     lossless: bool = field(init=False)
+    gain: float = field(init=False)
     blocks: dict[int, OperatorBlock] = field(init=False, default_factory=dict)
     solve_counts: dict[int, int] = field(init=False, default_factory=dict)
     modes: dict[int, tuple[_ModalFactors, ...] | None] = field(
@@ -258,7 +258,9 @@ class CavityOperatorSet:
     def __post_init__(self):
         self.grid = operator_grid(self.geometry, self.basis.l_max)
         self.segments = _segments(self.geometry, self.grid)
-        self.lossless = max(self.geometry.rho1, self.geometry.rho2) >= 1.0 - _SINGULAR_FLOOR
+        rho = max(self.geometry.rho1, self.geometry.rho2)
+        self.lossless = rho >= 1.0 - _SINGULAR_FLOOR
+        self.gain = math.inf if self.lossless else 1.0 / (1.0 - rho) ** 2
 
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
@@ -792,47 +794,42 @@ def enhancement_full(
     multiplication operator for tau^2 (a quadratic form in the solved
     coefficients), which avoids one truncation stage.
 
-    The input is the real [|m|, l] array v of specfun._focused_input, whose
-    row |m| is block |m|'s input, so the value depends on the point through
-    kr and theta_r alone. Only the |m| that can matter are solved. A pair
-    +-m whose input energy is e adds at most e / (1 - max(rho1, rho2))^2 to
-    the value, so the pairs are skipped from the highest |m| down while the
-    sum of their bounds stays within 1e-16 of the input energy; the +m and
-    -m blocks share one matrix and give the same value, so each |m| is
-    solved for the one column (-i)^l v[|m|, |m|:] of its +m block and a pair
-    counts it twice. A lossless cavity has no such bound: there every listed
-    block is solved and checked. detail reports the
-    listed blocks (m_blocks), the |m| systems solved (blocks_solved) and the
-    summed bound of the skipped pairs (skipped_bound); the condition
-    estimate covers the solved systems. A block of a mirror-symmetric cavity
-    is solved as its two parity sectors (see OperatorBlock), and its
-    condition estimate is still that of the whole block. A sector whose input is exactly zero, such as the odd
-    sector of the m = 0 block at the centre, is not solved and adds no tau^2
-    form; detail counts those sectors over the solved systems
+    The input is the real [|m|, l] array v of specfun._focused_input, row
+    |m| the input of block |m|, so the value depends on the point through
+    kr and theta_r alone; each |m| is solved for one column, counted twice
+    for a +-m pair. Only the input that can matter is solved: an input of
+    energy e gives a block at most e ops.gain, so off the axis v stops at
+    its reach in l, and the +-m pairs are skipped from the highest |m| down
+    while the sum of their bounds stays within 1e-16 of the input energy. A
+    lossless cavity has no such bound: there every l is kept and every
+    listed block is solved and checked. detail reports the listed blocks
+    (m_blocks), the |m| systems solved (blocks_solved) and the bound of all
+    input left unsolved, the cut and the skipped pairs (skipped_bound). The
+    condition estimate covers the solved systems, each as a whole block,
+    also where a mirror-symmetric cavity solves it as its two parity sectors
+    (see OperatorBlock). A sector whose input is exactly zero, such as the
+    odd sector of the m = 0 block at the centre, is not solved and adds no
+    tau^2 form; detail counts those sectors over the solved systems
     (zero_sectors).
 
     With a prebuilt ops, a sector solved often enough (a scan) is answered
     from its modal factors rather than a factorisation, see
     CavityOperatorSet; the answer passes the same residual check, and may
-    differ from the direct solve in its last digits. detail reports how
-    many of the solved |m| systems had a sector answered that way
-    (modal_solves), how many sectors were (modal_sectors: a system whose
-    other sector was solved directly counts one) and the worst
-    ||V||_1 ||V^-1||_1 of the factors used (modal_condition, None when none
-    was used).
+    differ from the direct solve in its last digits. detail reports how many
+    of the solved |m| systems had a sector answered that way (modal_solves),
+    how many sectors were (modal_sectors: a system whose other sector was
+    solved directly counts one) and the worst ||V||_1 ||V^-1||_1 of the
+    factors used (modal_condition, None when none was used).
 
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its form at that phase, v^T S v,
-    without a solve; the form's guard implies the same residual check for
-    every point, see _hermitian_form. The forms of one phase are held in
-    stacks ordered by |m|, and every formed block of a point is answered
-    together: one gather of v, one batched real matrix-vector product and
-    one dot product per stack
-    (_stacked_value). The blocks above the highest formed one, and any
-    whose guard failed, are solved as before. The value may differ from
-    the solved one in its last digits. detail reports how many of the
-    solved |m| systems were answered from a form (form_solves);
-    blocks_solved counts the |m| systems answered by any route.
+    without a solve (_stacked_value); the form's guard implies the same
+    residual check for every point, see _hermitian_form. The blocks above
+    the highest formed one, and any whose guard failed, are solved as
+    before. The value may differ from the solved one in its last digits.
+    detail reports how many of the solved |m| systems were answered from a
+    form (form_solves); blocks_solved counts the |m| systems answered by
+    any route.
 
     The mirror edge entering the operators is the geometric aperture;
     diffraction losses emerge from the calculation itself. Without ops the
@@ -856,7 +853,7 @@ def enhancement_full(
             stacklevel=2,
         )
     l_max = basis.l_max
-    v, tail = _focused_input(point, l_max, tail_tol)
+    v, tail, cut = _focused_input(point, l_max, tail_tol, ops.gain)
     # the input holds m = 0 alone on the axis, every |m| <= l_max off it
     input_top = v.shape[0] - 1
     energies = np.zeros(l_max + 1)
@@ -895,7 +892,7 @@ def enhancement_full(
         truncation_tail=tail,
         condition=max(conditions) if conditions else None,
         detail={"flux_residual": ops.flux_residual, "m_blocks": 2 * input_top + 1,
-                "blocks_solved": top + 1, "skipped_bound": skipped,
+                "blocks_solved": top + 1, "skipped_bound": skipped + cut,
                 "modal_solves": modal_solves, "modal_sectors": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),
                 "form_solves": formed_top + 1 - len(failed),
@@ -906,18 +903,13 @@ def enhancement_full(
 def _solved_magnitudes(ops: CavityOperatorSet, top, energies, norm_sq):
     """Highest |m| to solve, at most top, the highest the input holds, and
     the summed bound on what the skipped |m| pairs above it could add to the
-    value in the cavity of ops; energies[|m|] is the input energy of the pair.
-
-    U and P are unitary, |rho_m| <= max(rho1, rho2) and |tau^2_m| <= 1, so
-    a pair with input energy e contributes at most e / (1 - max rho)^2. The
-    |m| pairs are skipped from the top down while the summed bound stays
-    within _SKIP_FLOOR of the input energy. A lossless cavity has no finite
-    bound, and every listed block is solved.
-    """
+    value; energies[|m|] is the input energy of the pair, which adds at most
+    that times ops.gain. The pairs are skipped from the top down while the
+    summed bound stays within _SKIP_FLOOR of the input energy; a lossless
+    cavity skips none."""
     if ops.lossless:
         return top, 0.0
-    gain = 1.0 / (1.0 - max(ops.geometry.rho1, ops.geometry.rho2)) ** 2
     # summed bounds of the pairs |m| = top, top - 1, ..., 1, nondecreasing
-    bounds = np.cumsum(gain * energies[top:0:-1])
+    bounds = np.cumsum(ops.gain * energies[top:0:-1])
     skip = int(np.count_nonzero(bounds <= _SKIP_FLOOR * norm_sq))
     return top - skip, float(bounds[skip - 1]) if skip else 0.0

@@ -134,6 +134,26 @@ class TestRun:
                          "--strict"]) == cli.EXIT_STRICT
         assert "warning" in capsys.readouterr().err
 
+    def test_warnings_print_one_line_per_source(self, tmp_path, capsys):
+        # a 101-point compare scan to kz 200 at l_max 150 warns 177 times from
+        # four sources: the ray range of the corrected and of the naive ray
+        # call (50 each), kr beyond l_max - 30 (40) and the truncation tail (37)
+        doc = {"scan": {"kind": "compare",
+                        "kz_range": {"start": 0.0, "stop": 200.0, "count": 101},
+                        "phi0": 0.0},
+               "numerics": {"l_max": 150}, "outputs": {"basename": "scan"}}
+        cfg = _write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        counts = [int(re.search(r", (\d+) more like it\)$", line)[1]) + 1 for line in lines]
+        assert all(line.startswith("warning: ") for line in lines)
+        assert counts == [50, 50, 40, 37]
+        assert ["ray-model range" in line for line in lines] == [True, True, False, False]
+        assert "l_max-30" in lines[2] and "truncation tail" in lines[3]
+        assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"),
+                         "--strict"]) == cli.EXIT_STRICT
+        assert len(capsys.readouterr().err.splitlines()) == 5
+
     def test_compare_scenario_summary(self, tmp_path, capsys):
         doc = {
             "geometry": TINY_SCENARIO["geometry"],

@@ -11,7 +11,6 @@ from cavityqed.specfun import (
     SQRT_2_OVER_PI,
     _focused_input,
     _legendre,
-    _point_legendre,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -257,14 +256,14 @@ class TestLegendreRecurrence:
     @pytest.mark.parametrize("l_max", [0, 1, 2, 7, 150, 400])
     @pytest.mark.parametrize("x", [-1.0, -0.3, 0.0, 1e-9, 0.7, 1.0])
     def test_single_point_equals_the_batched_recurrence_bitwise(self, l_max, x):
-        p = _point_legendre(l_max, x)
+        p = _legendre(l_max, 0, l_max, x)
         assert p.shape == (l_max + 1, l_max + 1)
         assert p.tobytes() == _legendre(l_max, 0, l_max, np.array([x]))[:, :, 0].tobytes()
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(x=st.floats(-1.0, 1.0))
     def test_single_point_equals_the_batched_recurrence_anywhere(self, x):
-        assert (_point_legendre(60, x).tobytes()
+        assert (_legendre(60, 0, 60, x).tobytes()
                 == _legendre(60, 0, 60, np.array([x]))[:, :, 0].tobytes())
 
 
@@ -354,7 +353,7 @@ class TestPlaneWaveCoeffs:
         # the azimuth, exactly: plane_wave_coeffs is the complex view of v
         point = FieldPoint(kvec)
         f = plane_wave_coeffs(point, l_max, tail_tol=math.inf)
-        v, tail = _focused_input(point, l_max, tail_tol=math.inf)
+        v, tail, _ = _focused_input(point, l_max, tail_tol=math.inf)
         assert v.dtype == np.float64 and v.shape == f.coeffs.shape[1:]
         assert tail == f.truncation_tail
         ls = np.arange(l_max + 1)
@@ -372,10 +371,45 @@ class TestPlaneWaveCoeffs:
         # row |m| is block |m| over l = 0..l_max, exactly zero for l < |m|;
         # on the axis the input has the row m = 0 alone
         point = FieldPoint(kvec)
-        v, _ = _focused_input(point, l_max, tail_tol=math.inf)
+        v, _, _ = _focused_input(point, l_max, tail_tol=math.inf)
         rows = 1 if point.on_axis else l_max + 1
         assert v.shape == (rows, l_max + 1) and v.flags.c_contiguous
         assert not np.any(np.tril(np.ones((rows, l_max + 1), dtype=bool), -1) & (v != 0.0))
+
+    def test_off_axis_input_runs_the_recurrence_to_its_reach(self, monkeypatch):
+        # at kr 5 the input energy beyond l ~ 30 can move a value of the
+        # benchmark cavity (gain 1/(1 - 0.98)^2) by less than 1e-16 of the
+        # input energy: one Legendre table up to there, and v zero above it
+        from cavityqed import specfun
+
+        calls = []
+
+        def spy(l_max, m_lo, m_hi, x):
+            calls.append((l_max, m_lo, m_hi, np.shape(x)))
+            return _legendre(l_max, m_lo, m_hi, x)
+
+        monkeypatch.setattr(specfun, "_legendre", spy)
+        point, l_max, gain = FieldPoint((3.0, 0.0, 4.0)), 150, 1.0 / (1.0 - 0.98) ** 2
+        v, _, cut = _focused_input(point, l_max, gain=gain)
+        (reach, *rest), = calls
+        assert rest == [0, reach, ()] and 20 < reach < 40
+        whole, _, none = _focused_input(point, l_max)
+        assert calls[1] == (l_max, 0, l_max, ()) and none == 0.0
+        n = reach + 1
+        assert v.shape == whole.shape
+        assert v[:n, :n].tobytes() == whole[:n, :n].tobytes()
+        assert not np.any(v[:, n:]) and np.any(whole[:, n:])
+        # the first l whose energy beyond, e_d, keeps gain (2 sqrt(e e_d) +
+        # e_d) within the floor of the input energy e
+        energy = bessel_weights(l_max, point.kr)
+        total = float(np.sum(energy))
+
+        def bound(l):
+            beyond = float(np.sum(energy[l + 1:]))
+            return gain * (2.0 * math.sqrt(total * beyond) + beyond)
+
+        assert cut == pytest.approx(bound(reach), rel=1e-12)
+        assert 0.0 < cut <= specfun._SKIP_FLOOR * total < bound(reach - 1)
 
     def test_truncation_warning_names_the_caller(self):
         for call in (lambda: plane_wave_coeffs(FieldPoint.axial(100.0), 100),

@@ -76,7 +76,7 @@ def _all_blocks_value(ops, point, phi0, dense=False):
     moves the value by a few 1e-14. dense=True solves every block as one
     unsplit system instead."""
     l_max = ops.basis.l_max
-    v, _ = _focused_input(point, l_max)
+    v, _, _ = _focused_input(point, l_max)
     per_m = []
     for m in range(1 if point.on_axis else l_max + 1):
         b = ops.block(m)
@@ -566,6 +566,52 @@ def test_defocused_cavity_routes_agree_off_the_centre():
     assert worst < 0.1
 
 
+# Worst abs(full - ray) / full over the centre, kz = +5, -5 and 12, (4, 0, 3)
+# and (10, 0, 0) at l_max 150, kR 1e5, per detuning phase 0, +0.01 and -0.01,
+# as measured with these points and the default ray orders (the worst of
+# the benchmark cavity at phi0 = -0.01 is kz = -5: full 5.3665, ray 4.7475).
+# Each envelope is 1.2 times its measurement: on resonance every family
+# agrees within 1%, on the red side the benchmark cavity and the unequal
+# apertures by 11-12%.
+_ROUTE_AGREEMENT = {
+    "symmetric-0.98": (CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+                       (0.003233, 0.033853, 0.115348)),
+    "symmetric-0.5": (CavityGeometry.symmetric(KR, THETA_30PCT, 0.5),
+                      (0.001671, 0.001626, 0.001716)),
+    "rho-0.98/0.9": (CavityGeometry(KR, THETA_30PCT, THETA_30PCT, 0.98, 0.9),
+                     (0.001556, 0.031146, 0.037858)),
+    "apertures-0.795/0.6": (CavityGeometry(KR, THETA_30PCT, 0.6, 0.98, 0.98),
+                            (0.009293, 0.029034, 0.121202)),
+    "rho-and-apertures": (CavityGeometry(KR, THETA_30PCT, 0.6, 0.98, 0.9),
+                          (0.009032, 0.017147, 0.037695)),
+    "one-mirror": (CavityGeometry(KR, THETA_30PCT, 0.0, 0.98, 0.0),
+                   (0.001848, 0.008358, 0.008316)),
+    "defocus-0.3": (CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3),
+                    (0.009654, 0.007870, 0.011612)),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_ROUTE_AGREEMENT))
+def test_routes_agree_within_the_measured_map(family):
+    # the two routes check each other on every cavity family; the red side
+    # (phi0 = -0.01) is lopsided, the full line above the ray line at its
+    # worst point, so a sign fault in either route fails here. The two
+    # off-axis points run the full route's cut input on every family.
+    geom, measured = _ROUTE_AGREEMENT[family]
+    basis = HarmonicBasis(150)
+    ops = CavityOperatorSet(geometry=geom, basis=basis)
+    points = [FieldPoint(k) for k in ((0.0, 0.0, 0.0), (0.0, 0.0, 5.0), (0.0, 0.0, -5.0),
+                                      (0.0, 0.0, 12.0), (4.0, 0.0, 3.0), (10.0, 0.0, 0.0))]
+    for phi0, worst in zip((0.0, 0.01, -0.01), measured):
+        full = np.array([enhancement_full(geom, basis, p, phi0, ops=ops).value
+                         for p in points])
+        ray = np.array([enhancement_ray(geom, p, phi0).value for p in points])
+        deviation = np.abs(full - ray) / full
+        assert np.max(deviation) <= 1.2 * worst, (phi0, deviation)
+    i = int(np.argmax(deviation))
+    assert full[i] > ray[i], (points[i], full[i], ray[i])
+
+
 class TestBlockSkip:
     def test_high_l_max_solves_only_the_blocks_with_energy(self, benchmark_geom):
         # 501 blocks are listed at l_max 250, but beyond |m| ~ 18 their share
@@ -593,6 +639,56 @@ class TestBlockSkip:
         r_free = enhancement_full(free, basis, point, 0.0)
         assert r.detail["blocks_solved"] > r_free.detail["blocks_solved"]
         assert r_free.detail["blocks_solved"] < basis.l_max + 1
+
+    @pytest.mark.parametrize("l_max", [60, 150])
+    @pytest.mark.parametrize("geom", [
+        CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        CavityGeometry.symmetric(KR, THETA_30PCT, 0.999),
+        CavityGeometry(KR, THETA_30PCT, 0.6, 0.98, 0.9),
+    ], ids=["benchmark", "rho-0.999", "unequal"])
+    def test_cut_input_stays_within_its_bound(self, geom, l_max, monkeypatch):
+        # the input cut at its reach against the whole input, on one
+        # operator set: each point at a phase of its own asks every block
+        # twice, below _FORM_AFTER, so both values are direct solves
+        from cavityqed import specfun
+
+        def uncut(point, l_max, tail_tol, gain):
+            return specfun._focused_input(point, l_max, tail_tol)
+
+        basis = HarmonicBasis(l_max)
+        ops = CavityOperatorSet(geometry=geom, basis=basis)
+        rng = np.random.default_rng(l_max)
+        for i in range(3):
+            direction = rng.normal(size=3)
+            kvec = rng.uniform(1.0, l_max - 30) * direction / np.linalg.norm(direction)
+            point, phi0 = FieldPoint(tuple(kvec)), 0.003 * i
+            cut = enhancement_full(geom, basis, point, phi0, ops=ops)
+            with monkeypatch.context() as patch:
+                patch.setattr(wave_ops, "_focused_input", uncut)
+                whole = enhancement_full(geom, basis, point, phi0, ops=ops)
+            assert cut.detail.keys() == whole.detail.keys()
+            for key in cut.detail.keys() - {"skipped_bound"}:
+                assert cut.detail[key] == whole.detail[key], key
+            # skipped_bound adds the cut's bound, at most 1e-16 of the input
+            # energy (below 1), and that is below one rounding of the value:
+            # allow a last-bit flip of a solve, which a cut too early would
+            # exceed many times
+            bound = _focused_input(point, l_max, gain=ops.gain)[2]
+            assert bound <= 1e-16
+            assert (cut.detail["skipped_bound"] - whole.detail["skipped_bound"]
+                    == pytest.approx(bound, rel=1e-9, abs=1e-40))
+            assert (abs(cut.value - whole.value)
+                    <= cut.detail["skipped_bound"] + 4 * np.spacing(whole.value))
+
+    def test_lossless_cavity_keeps_the_whole_input(self):
+        geom = CavityGeometry.symmetric(KR, 1.0, 1.0)
+        ops = CavityOperatorSet(geometry=geom, basis=HarmonicBasis(60))
+        assert ops.gain == math.inf
+        point = FieldPoint((30.0, 0.0, -4.0))
+        v, _, cut = _focused_input(point, 60, gain=ops.gain)
+        assert cut == 0.0
+        assert v.tobytes() == _focused_input(point, 60)[0].tobytes()
+        assert np.all(v[:, -1] != 0.0)
 
     def test_lossless_open_cavity_solves_every_listed_block(self):
         geom = CavityGeometry.symmetric(KR, 1.0, 1.0)
