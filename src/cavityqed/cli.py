@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: `run` executes a JSON scenario configuration and `reproduce`
-runs a bundled preset (or lists them). Scan points are evaluated one after
-another, in scan order. Each scan kind's executor builds its table and
-declares the plot of it that the `.gp` script draws, naming the columns it
-has just built. The comparison of the closed-form dispersive kernels
-with the principal-value quadrature oracle is the `airy-check` scan kind
-(`reproduce airy-check`, or `run` with `scan.kind = "airy-check"`).
+runs a bundled preset (or lists them). A ray-route column is one call of
+dipole_response._ray_scan over the whole scan, per geometry and correction
+setting; full-route points are evaluated one after another, in scan order.
+Each scan kind's executor builds its table and declares the plot of it
+that the `.gp` script draws, naming the columns it has just built. The
+comparison of the closed-form dispersive kernels with the principal-value
+quadrature oracle is the `airy-check` scan kind (`reproduce airy-check`,
+or `run` with `scan.kind = "airy-check"`).
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 validity warning escalated by --strict.
@@ -51,7 +53,8 @@ from .structures import (
     TruncationWarning,
     ValidityWarning,
 )
-from .dipole_response import enhancement_ray, response
+# response and enhancement_ray stay importable here: perfbench/tracing.py wraps them
+from .dipole_response import _ray_scan, enhancement_ray, response  # noqa: F401
 from .wave_ops import build_operators, enhancement_full
 
 EXIT_OK = 0
@@ -73,10 +76,11 @@ def _linspace(r) -> np.ndarray:
     return np.linspace(r.start, r.stop, r.count)
 
 
-def _ray_orders(cfg: ScenarioConfig) -> dict:
-    """The quadrature orders of every ray-route call of a scenario."""
-    return {"polar_order": cfg.numerics.polar_order,
-            "azimuthal_order": cfg.numerics.azimuthal_order}
+def _ray_values(cfg: ScenarioConfig, geom, points, phases, orientations, corrections=True):
+    """Ray-route ratios of a scan at the scenario's quadrature orders, indexed
+    [ratio, point, phase, orientation]: one dipole_response._ray_scan call."""
+    return _ray_scan(geom, points, phases, orientations, corrections,
+                     cfg.numerics.polar_order, cfg.numerics.azimuthal_order)[0]
 
 
 # --------------------------------------------------------------------------
@@ -92,18 +96,12 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
     columns = (Column("phi0", "rad"), Column("phi0_linewidths"),
                *(Column(f"{ratio}_{tag}", "ratio") for tag in tags
                  for ratio in ("gamma", "shift")))
-    orders = _ray_orders(cfg)
-    rows = []
-    for phi0 in phis:
-        row = [float(phi0), float(phi0) / width * 2.0]
-        for tag in tags:
-            r = response(point, DipoleOrientation(tag=tag), geom, float(phi0), **orders)
-            row.extend((r.gamma_ratio, r.shift_ratio))
-        rows.append(tuple(row))
-    g_perp = [r[4] for r in rows]
-    s_perp = [r[5] for r in rows]
-    i_peak = int(np.argmax(g_perp))
-    i_shift = int(np.argmax(np.abs(s_perp)))
+    values = _ray_values(cfg, geom, [point], phis, [DipoleOrientation(tag=t) for t in tags])
+    # per phase, (gamma, shift) of each tag in turn
+    rows = [(float(phi0), float(phi0) / width * 2.0, *values[:, 0, j].T.ravel().tolist())
+            for j, phi0 in enumerate(phis)]
+    g_perp, s_perp = values[:, 0, :, 1].tolist()
+    i_peak, i_shift = int(np.argmax(g_perp)), int(np.argmax(np.abs(s_perp)))
     summary = [
         f"cavity linewidth (FWHM of the round-trip line): {width:.6g} rad",
         f"peak perpendicular damping {g_perp[i_peak]:.4g} at phi0 = {rows[i_peak][0]:+.5g} rad",
@@ -122,11 +120,9 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
 def _profile(cfg: ScenarioConfig, axis: str, coords, place):
     """Table and plot of the (axis, gamma ratio, shift ratio) rows of
     cfg.dipole at the points place(coordinate), at the scan's fixed detuning."""
-    orders = _ray_orders(cfg)
-    rows = []
-    for c in coords:
-        r = response(place(float(c)), cfg.dipole, cfg.geometry, cfg.scan.phi0, **orders)
-        rows.append((float(c), r.gamma_ratio, r.shift_ratio))
+    points = [place(float(c)) for c in coords]
+    values = _ray_values(cfg, cfg.geometry, points, [cfg.scan.phi0], [cfg.dipole])
+    rows = list(zip(map(float, coords), *values[:, :, 0, 0].tolist()))
     columns = (Column(axis, "1/k"), Column("gamma_ratio", "ratio"),
                Column("shift_ratio", "ratio"))
     table = ResultTable(columns, rows, make_provenance(cfg, ["ray"]))
@@ -160,15 +156,13 @@ def _exec_compare(cfg: ScenarioConfig):
     columns = (Column("kz", "1/k"), Column("enhancement_full", "ratio"),
                Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
                Column("rel_deviation"))
-    orders = _ray_orders(cfg)
-    rows = []
-    for kz in kzs:
-        point = FieldPoint.axial(float(kz))
-        full = enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
-                                tail_tol=cfg.numerics.tail_tol).value
-        ray = enhancement_ray(geom, point, cfg.scan.phi0, **orders).value
-        naive = enhancement_ray(geom, point, cfg.scan.phi0, corrections=False, **orders).value
-        rows.append((float(kz), full, ray, naive, abs(full - ray) / full))
+    points = [FieldPoint.axial(float(kz)) for kz in kzs]
+    ray, naive = (_ray_values(cfg, geom, points, [cfg.scan.phi0], [DipoleOrientation.isotropic()],
+                              corrections)[0, :, 0, 0].tolist() for corrections in (True, False))
+    fulls = [enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
+                              tail_tol=cfg.numerics.tail_tol).value for point in points]
+    rows = [(float(kz), full, r, n, abs(full - r) / full)
+            for kz, full, r, n in zip(kzs, fulls, ray, naive)]
     max_dev = max(r[4] for r in rows)
     summary = [f"max |full - ray|/full over the profile: {max_dev:.3%}"]
     accuracy = {"max_rel_deviation": max_dev, "l_max": cfg.numerics.l_max}
@@ -198,13 +192,9 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     phis = _linspace(cfg.scan.phi0_range)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),
                Column("enhancement_defocused", "ratio"))
-    orders = _ray_orders(cfg)
-    rows = [(float(p),
-             enhancement_ray(reference, point, float(p), **orders).value,
-             enhancement_ray(geom, point, float(p), **orders).value)
-            for p in phis]
-    refs = [r[1] for r in rows]
-    defs_ = [r[2] for r in rows]
+    refs, defs_ = (_ray_values(cfg, g, [point], phis, [DipoleOrientation.isotropic()])
+                   [0, 0, :, 0].tolist() for g in (reference, geom))
+    rows = list(zip(phis.tolist(), refs, defs_))
     i_ref, i_def = int(np.argmax(refs)), int(np.argmax(defs_))
     ratio = defs_[i_def] / refs[i_ref]
     summary = [

@@ -8,14 +8,14 @@ principal-value frequency transform of the resonance line. Directions
 missing the mirrors contribute free vacuum to the damping and nothing to
 the shift, so both results reduce to (1, 0) without mirrors.
 
-response is the one angular quadrature of the ray route, and it always
-applies both ray corrections (aberration phase and diffraction-shrunk
-apertures). It forms both kernels in one pass (ray_model._ray_kernels) and
-only on the polar rows whose rays meet a mirror, in blocks of a bounded
-number of directions. The ray-model vacuum-fluctuation ratio,
-enhancement_ray, is its damping ratio for an isotropic dipole, whose weight
-is 1 in every direction; only enhancement_ray can switch the corrections
-off, for the naive geometric-ray value.
+_ray_scan is the one angular quadrature of the ray route: over a scan's
+points, phases and dipole orientations, it forms both kernels
+(ray_model._ray_kernels) once per point and phase, only on the polar rows
+whose rays meet a mirror, in blocks of a bounded number of directions.
+response, with both ray corrections (aberration phase, diffraction-shrunk
+apertures), and enhancement_ray, the isotropic damping ratio (weight 1 in
+every direction), are its one-point cases; only enhancement_ray can switch
+the corrections off, for the naive geometric-ray value.
 """
 
 from __future__ import annotations
@@ -27,6 +27,8 @@ import numpy as np
 
 from .ray_model import (  # noqa: F401 (airy_resonance_factor: perfbench/tracing.py wraps it here)
     RAY_VALIDITY_KR,
+    _auto_azimuthal_order,
+    _auto_polar_order,
     _ray_kernels,
     airy_resonance_factor,
     ray_direction_phases,
@@ -98,78 +100,86 @@ def response(
     polar_order: int | None = None,
     azimuthal_order: int | None = None,
 ) -> ResponseResult:
-    """Damping-rate and level-shift ratios by angular quadrature of the
-    polarization weight times the ray kernels, with both corrections of
-    the ray route applied: the spherical-aberration phase and the apertures
-    shrunk by the diffraction losses at the mirror edges (see ray_model).
-    Only enhancement_ray can switch them off, both together.
+    """Damping-rate and level-shift ratios at one point: the one-point case
+    of _ray_scan, with both ray corrections applied (the spherical-aberration
+    phase and the diffraction-shrunk apertures, see ray_model); only
+    enhancement_ray can switch them off, both together.
 
     The damping samples airy_resonance_factor and the shift samples
-    shift_kernel. Both are the general two-mirror kernels, so unequal
-    mirrors, unequal apertures and defocus are handled. The model is
-    validated for kr up to RAY_VALIDITY_KR; beyond that a
-    ValidityWarning is issued. A non-finite phi0 raises ValueError.
-
-    Both kernels come from one evaluation per direction, made only on the
-    polar rows whose rays meet a mirror; every other row adds its mean
-    weight to the damping and nothing to the shift, which is what the
-    kernels give there exactly. The rows are taken in blocks of at most
-    2**17 directions, so the peak memory does not grow with the
-    quadrature orders, and the result does not depend on the block size.
+    shift_kernel, the general two-mirror kernels, so unequal mirrors,
+    unequal apertures and defocus are handled. Beyond RAY_VALIDITY_KR, the
+    validated range, a ValidityWarning is issued; a non-finite phi0 raises
+    ValueError.
     """
-    return _response(point, orientation, geom, phi0, True, polar_order, azimuthal_order)
+    values, nodes = _ray_scan(geom, [point], [phi0], [orientation], True, polar_order,
+                              azimuthal_order)
+    return ResponseResult(*values[:, 0, 0, 0].tolist(), "ray",
+                          {"corrections": True, **nodes[0], "orientation": orientation.label()})
 
 
-def _response(point, orientation, geom, phi0, corrections, polar_order,
-              azimuthal_order) -> ResponseResult:
-    # called only from response and enhancement_ray, so stacklevel 3 names
-    # the line that called either of them
-    if not math.isfinite(phi0):
-        raise ValueError(f"phi0 must be finite, got {phi0}")
-    if point.kr > RAY_VALIDITY_KR:
-        warnings.warn(
-            f"kr={point.kr:.3g} beyond the validated ray-model range "
-            f"(kr <= {RAY_VALIDITY_KR:g})",
-            ValidityWarning,
-            stacklevel=3,
-        )
-    axisym = point.on_axis and orientation.is_axisymmetric
-    theta, w, phi_az, rho_f, rho_b = ray_integration_nodes(
-        geom, point, corrections, polar_order, azimuthal_order, axisym
-    )
-    meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
-    # weight x damping and weight x shift, averaged over each polar row; a
-    # row that meets no mirror has damping exactly 1 and shift exactly 0
-    rows = np.zeros((2, theta.size))
-    step = max(1, _BLOCK_DIRECTIONS // phi_az.size)
-    for start in range(0, theta.size, step):
-        block = np.arange(start, min(start + step, theta.size))
-        pol = orientation_weight(orientation, theta[block, None], phi_az[None, :])
-        rows[0, block] = pol.mean(axis=1)
-        hit = meets_mirror[block]
-        if not hit.any():
-            continue
-        idx = block[hit]
-        phi_eff, x_eff = ray_direction_phases(
-            geom, point, phi0, theta[idx, None], phi_az[None, :], aberration=corrections
-        )
-        kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
-        pol = pol[hit]
-        for row, kernel in zip(rows, kernels):
-            row[idx] = (pol * kernel).mean(axis=1)
-    gamma = float(np.dot(w, rows[0]))
-    shift = float(np.dot(w, rows[1]))
-    return ResponseResult(
-        gamma_ratio=gamma,
-        shift_ratio=shift,
-        method="ray",
-        detail={
-            "corrections": corrections,
-            "polar_nodes": theta.size,
-            "azimuthal_nodes": phi_az.size,
-            "orientation": orientation.label(),
-        },
-    )
+def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azimuthal_order):
+    """Damping and shift ratios of every (point, phase, orientation) of a
+    scan, as an array indexed [ratio, point, phase, orientation], and each
+    point's node counts ({"polar_nodes": ..., "azimuthal_nodes": ...}).
+
+    Each value is bit for bit the one-point call's. Points whose resolved
+    orders match share one node set, and each (point, phase) evaluates its
+    direction phases and kernels once for all orientations. The azimuth
+    collapses to one column only where the point is on the axis and every
+    orientation of the call is axisymmetric, so a vector orientation among
+    tags moves the tags' values by rounding. One phase's rows are held at a
+    time, in blocks of at most _BLOCK_DIRECTIONS directions: the peak memory
+    grows with neither the phase count nor the orders, and the values do not
+    depend on the block size. With corrections, each point beyond
+    RAY_VALIDITY_KR warns once; the naive, uncorrected route does not.
+    """
+    for phi0 in phases:
+        if not math.isfinite(phi0):
+            raise ValueError(f"phi0 must be finite, got {phi0}")
+    axisym_weights = all(o.is_axisymmetric for o in orientations)
+    values = np.zeros((2, len(points), len(phases), len(orientations)))
+    node_sets, counts = {}, []
+    for i, point in enumerate(points):
+        if corrections and point.kr > RAY_VALIDITY_KR:
+            # called only from response, enhancement_ray and cli._ray_values,
+            # so stacklevel 3 names the line that called one of them
+            warnings.warn(f"kr={point.kr:.3g} beyond the validated ray-model range "
+                          f"(kr <= {RAY_VALIDITY_KR:g})", ValidityWarning, stacklevel=3)
+        axisym = point.on_axis and axisym_weights
+        key = (_auto_polar_order(point.kr, polar_order),
+               None if axisym else _auto_azimuthal_order(point.kr_perp, azimuthal_order))
+        if key not in node_sets:
+            node_sets[key] = ray_integration_nodes(
+                geom, point, corrections, polar_order, azimuthal_order, axisym)
+        theta, w, phi_az, rho_f, rho_b = node_sets[key]
+        counts.append({"polar_nodes": theta.size, "azimuthal_nodes": phi_az.size})
+        meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
+        step = max(1, _BLOCK_DIRECTIONS // phi_az.size)
+        blocks = [np.arange(s, min(s + step, theta.size)) for s in range(0, theta.size, step)]
+        for j, phi0 in enumerate(phases):
+            # weight x damping and weight x shift of each orientation,
+            # averaged over each polar row; a row that meets no mirror has
+            # damping exactly 1 and shift exactly 0
+            rows = np.zeros((len(orientations), 2, theta.size))
+            for block in blocks:
+                pols = [orientation_weight(o, theta[block, None], phi_az[None, :])
+                        for o in orientations]
+                for pol, o_rows in zip(pols, rows):
+                    o_rows[0, block] = pol.mean(axis=1)
+                hit = meets_mirror[block]
+                if not hit.any():
+                    continue
+                idx = block[hit]
+                phi_eff, x_eff = ray_direction_phases(geom, point, phi0, theta[idx, None],
+                                                      phi_az[None, :], aberration=corrections)
+                kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
+                for pol, o_rows in zip(pols, rows):
+                    pol = pol[hit]
+                    for row, kernel in zip(o_rows, kernels):
+                        row[idx] = (pol * kernel).mean(axis=1)
+            for k, (gamma_row, shift_row) in enumerate(rows):
+                values[:, i, j, k] = np.dot(w, gamma_row), np.dot(w, shift_row)
+    return values, counts
 
 
 def enhancement_ray(
@@ -190,7 +200,8 @@ def enhancement_ray(
     (method "ray-naive"), which coincides with the operator calculation
     when all angular-spreading phases are neglected.
     """
-    r = _response(point, DipoleOrientation.isotropic(), geom, phi0,
-                  corrections, polar_order, azimuthal_order)
-    tag = "ray" if corrections else "ray-naive"
-    return EnhancementResult(value=r.gamma_ratio, method=tag, detail=r.detail)
+    values, nodes = _ray_scan(geom, [point], [phi0], [DipoleOrientation.isotropic()],
+                              corrections, polar_order, azimuthal_order)
+    return EnhancementResult(float(values[0, 0, 0, 0]), "ray" if corrections else "ray-naive",
+                             detail={"corrections": corrections, **nodes[0],
+                                     "orientation": "isotropic"})

@@ -17,9 +17,8 @@ near (but not at) the center:
 A ray's damping factor (airy_resonance_factor) and its shift kernel
 (dipole_response.shift_kernel) are the two halves of one evaluation,
 _ray_kernels, which takes both from cos 2phi, sin 2phi, cos 2x and sin 2x.
-The angular quadrature over these ray factors is dipole_response.response;
-the vacuum-fluctuation ratio, dipole_response.enhancement_ray, is its
-isotropic damping ratio.
+The angular quadrature over these ray factors is dipole_response._ray_scan,
+whose one-point cases are response and enhancement_ray.
 """
 
 from __future__ import annotations

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import json
 import math
 import re
@@ -135,9 +134,10 @@ class TestRun:
         assert "warning" in capsys.readouterr().err
 
     def test_warnings_print_one_line_per_source(self, tmp_path, capsys):
-        # a 101-point compare scan to kz 200 at l_max 150 warns 177 times from
-        # four sources: the ray range of the corrected and of the naive ray
-        # call (50 each), kr beyond l_max - 30 (40) and the truncation tail (37)
+        # a 101-point compare scan to kz 200 at l_max 150 warns 127 times from
+        # three sources: the ray range of the corrected ray column (50; the
+        # naive column is its uncorrected reference and does not warn), kr
+        # beyond l_max - 30 (40) and the truncation tail (37)
         doc = {"scan": {"kind": "compare",
                         "kz_range": {"start": 0.0, "stop": 200.0, "count": 101},
                         "phi0": 0.0},
@@ -147,12 +147,12 @@ class TestRun:
         lines = capsys.readouterr().err.splitlines()
         counts = [int(re.search(r", (\d+) more like it\)$", line)[1]) + 1 for line in lines]
         assert all(line.startswith("warning: ") for line in lines)
-        assert counts == [50, 50, 40, 37]
-        assert ["ray-model range" in line for line in lines] == [True, True, False, False]
-        assert "l_max-30" in lines[2] and "truncation tail" in lines[3]
+        assert counts == [50, 40, 37]
+        assert ["ray-model range" in line for line in lines] == [True, False, False]
+        assert "l_max-30" in lines[1] and "truncation tail" in lines[2]
         assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "b"),
                          "--strict"]) == cli.EXIT_STRICT
-        assert len(capsys.readouterr().err.splitlines()) == 5
+        assert len(capsys.readouterr().err.splitlines()) == 4
 
     def test_compare_scenario_summary(self, tmp_path, capsys):
         doc = {
@@ -204,14 +204,14 @@ class TestRun:
     def test_defocus_study_honours_azimuthal_order(self, tmp_path, monkeypatch):
         # the azimuthal node count of every ray evaluation shows the order
         # that reached it; at kr_perp = 6 the automatic count is 28
-        real, nodes = cli.enhancement_ray, []
+        real, nodes = cli._ray_scan, []
 
         def recording(*args, **kwargs):
-            r = real(*args, **kwargs)
-            nodes.append(r.detail["azimuthal_nodes"])
-            return r
+            values, counts = real(*args, **kwargs)
+            nodes.extend(c["azimuthal_nodes"] for c in counts)
+            return values, counts
 
-        monkeypatch.setattr(cli, "enhancement_ray", recording)
+        monkeypatch.setattr(cli, "_ray_scan", recording)
         for order in (32, 96):
             nodes.clear()
             doc = {
@@ -224,15 +224,18 @@ class TestRun:
             cfg = _write_config(tmp_path, doc)
             out = tmp_path / str(order)
             assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            assert nodes == [order] * 6
+            # one scan of the one point for each of the two geometries
+            assert nodes == [order] * 2
 
     def test_non_finite_result_exits_numerical(self, tmp_path, monkeypatch, capsys):
-        real = cli.response
+        real = cli._ray_scan
 
-        def nan_response(*args, **kwargs):
-            return dataclasses.replace(real(*args, **kwargs), gamma_ratio=math.nan)
+        def nan_scan(*args, **kwargs):
+            values, counts = real(*args, **kwargs)
+            values[0] = math.nan  # every damping ratio
+            return values, counts
 
-        monkeypatch.setattr(cli, "response", nan_response)
+        monkeypatch.setattr(cli, "_ray_scan", nan_scan)
         doc = dict(TINY_SCENARIO, scan={"kind": "radial-map", **TINY_SCANS["radial-map"]})
         cfg = _write_config(tmp_path, doc)
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])

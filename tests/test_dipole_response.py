@@ -244,6 +244,84 @@ class TestBlockedPass:
                                                               whole.shift_ratio)
 
 
+class TestRayScan:
+    # _ray_scan shares each node set among the points of one resolved order
+    # and each (point, phase)'s kernels among the orientations; every value
+    # is bit for bit the one-point call's
+    GEOMETRIES = {
+        "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        "unequal": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9),
+        "defocus": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3),
+    }
+    POINTS = [FieldPoint.origin(), FieldPoint.axial(5.0), FieldPoint.axial(120.0),
+              FieldPoint((4.0, 0.0, 3.0)), FieldPoint((10.0, 0.0, 0.0))]
+    PHASES = [-0.01, 0.0, 0.013]
+
+    @pytest.mark.parametrize("corrections", [True, False])
+    @pytest.mark.parametrize("orientations", [
+        [DipoleOrientation(tag=tag) for tag in ("parallel", "perpendicular", "isotropic")],
+        [DipoleOrientation.along((0.6, 0.0, 0.8))]], ids=["tags", "vector"])
+    @pytest.mark.parametrize("family", sorted(GEOMETRIES))
+    def test_scan_equals_the_one_point_calls(self, family, orientations, corrections):
+        geom = self.GEOMETRIES[family]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ValidityWarning)
+            values, nodes = dipole_response._ray_scan(geom, self.POINTS, self.PHASES,
+                                                      orientations, corrections, None, None)
+        # one warning for the one point beyond the ray range, on the corrected route only
+        assert len(caught) == (1 if corrections else 0)
+        assert values.shape == (2, len(self.POINTS), len(self.PHASES), len(orientations))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ValidityWarning)
+            for i, point in enumerate(self.POINTS):
+                for j, phi0 in enumerate(self.PHASES):
+                    for k, o in enumerate(orientations):
+                        one, one_nodes = dipole_response._ray_scan(
+                            geom, [point], [phi0], [o], corrections, None, None)
+                        assert one_nodes == [nodes[i]]
+                        assert values[:, i, j, k].tolist() == one[:, 0, 0, 0].tolist()
+                        if corrections:
+                            r = response(point, o, geom, phi0)
+                            assert values[:, i, j, k].tolist() == [r.gamma_ratio,
+                                                                   r.shift_ratio]
+                    if orientations[-1].tag == "isotropic":
+                        e = enhancement_ray(geom, point, phi0, corrections=corrections)
+                        assert values[0, i, j, -1] == e.value
+
+    def test_points_of_one_order_share_a_node_set(self, benchmark_geom, monkeypatch):
+        # on the 16-step ladder, kz 0..100 needs 8 polar orders
+        built = []
+        real = dipole_response.ray_integration_nodes
+
+        def spy(*args):
+            built.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(dipole_response, "ray_integration_nodes", spy)
+        points = [FieldPoint.axial(float(kz)) for kz in np.linspace(0.0, 100.0, 201)]
+        dipole_response._ray_scan(benchmark_geom, points, [0.0],
+                                  [DipoleOrientation.isotropic()], True, None, None)
+        assert len(built) == 8
+
+    def test_memory_does_not_grow_with_the_phase_count(self, benchmark_geom):
+        # one phase's rows are held at a time: rows held for every phase
+        # would take about 25 MB at 500 phases, three tags and 1024 nodes
+        tags = [DipoleOrientation(tag=tag) for tag in ("parallel", "perpendicular", "isotropic")]
+
+        def peak(count):
+            phases = np.linspace(-0.05, 0.05, count)
+            tracemalloc.start()
+            try:
+                dipole_response._ray_scan(benchmark_geom, [FieldPoint.origin()], phases, tags,
+                                          True, 1024, None)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1)  # the Gauss rule is cached
+        assert peak(500) - peak(1) < 2**20
+
+
 class TestUnequalCapSplit:
     # the reflectivities jump at both caps' edges and at their antipodes; a
     # polar rule split only at {theta_1, pi - theta_2} leaves a jump inside
@@ -292,6 +370,14 @@ class TestValidityWarning:
                 warnings.simplefilter("always", ValidityWarning)
                 call()
             assert [w.filename for w in caught] == [__file__], name
+
+    def test_naive_route_does_not_warn(self, benchmark_geom):
+        # the validated range is the corrected model's; the naive value is
+        # its uncorrected reference
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ValidityWarning)
+            enhancement_ray(benchmark_geom, FieldPoint.axial(120.0), 0.0, corrections=False)
+        assert caught == []
 
 
 class TestFreeSpaceAndAverages:
@@ -345,10 +431,11 @@ class TestCenterClosedForms:
         for tag in ("parallel", "perpendicular", "isotropic"):
             o = DipoleOrientation(tag=tag)
             closed = center_closed_forms(o, THETA_30PCT, 0.98, phi0)
-            quad = dipole_response._response(FieldPoint.origin(), o, benchmark_geom, phi0,
-                                             False, None, None)
-            assert quad.gamma_ratio == pytest.approx(closed.gamma_ratio, rel=1e-12)
-            assert quad.shift_ratio == pytest.approx(closed.shift_ratio, rel=1e-12, abs=1e-15)
+            values, _ = dipole_response._ray_scan(benchmark_geom, [FieldPoint.origin()], [phi0],
+                                                  [o], False, None, None)
+            gamma, shift = values[:, 0, 0, 0]
+            assert gamma == pytest.approx(closed.gamma_ratio, rel=1e-12)
+            assert shift == pytest.approx(closed.shift_ratio, rel=1e-12, abs=1e-15)
 
     def test_vector_orientation_rejected(self):
         with pytest.raises(ValueError):
