@@ -18,7 +18,7 @@ Y_{l,+-m} is (-i)^l v[|m|, l] times a unit phase of the block. Coefficients
 are stored [|m|, l]: row |m| is block |m|, zero for l < |m|, and a point on
 the axis has the row m = 0 alone. _focused_input returns v, which the
 operator route solves and evaluates; plane_wave_coeffs is its complex view,
-with the phases. Off the axis v is zero above the input's reach in l.
+with the phases. Off the axis v stops at the input's reach in l and |m|.
 """
 
 from __future__ import annotations
@@ -228,7 +228,8 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
     of plane_wave_coeffs or enhancement_full. Off the axis v stops at its
     reach, the first l whose energy beyond, E_d, of E in all, bounds the cut
     by gain (2 sqrt(E E_d) + E_d) <= _SKIP_FLOOR E, the most it can move a
-    form x^H K x with ||K|| <= gain; an infinite gain cuts none."""
+    form x^H K x with ||K|| <= gain, and holds the rows |m| <= reach alone;
+    an infinite gain cuts none."""
     u = radial_bessel_table(l_max, point.kr)
     ls = np.arange(l_max + 1)
     energy = (math.pi / 2.0) * (2 * ls + 1) * u**2
@@ -253,8 +254,8 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
         reach = int(np.count_nonzero(bounds > _SKIP_FLOOR * total))
         cut = float(bounds[reach])
     cos_theta = math.cos(math.acos(min(1.0, max(-1.0, point.kvec[2] / point.kr))))
-    v, n = np.zeros((l_max + 1, l_max + 1)), reach + 1
-    np.multiply(_legendre(reach, 0, reach, cos_theta).T, weights[:n], out=v[:n, :n])
+    v, n = np.zeros((reach + 1, l_max + 1)), reach + 1
+    np.multiply(_legendre(reach, 0, reach, cos_theta).T, weights[:n], out=v[:, :n])
     return v, tail, cut
 
 

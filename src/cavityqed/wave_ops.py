@@ -41,11 +41,11 @@ for the one column (-i)^l v and a +-m pair counts it twice. The value at a
 point depends on kr and theta_r alone, to the last bit.
 
 A sector that is solved again and again, for a detuning or position scan,
-is answered from its modal (Fox-Li) decomposition: with the round trip
-M = U^-2 P rho = V Lambda V^-1 diagonalised once, every later phase and
-right-hand side costs two matrix-vector products instead of a
-factorisation. CavityOperatorSet decides when a sector is worth
-decomposing.
+is answered from its modal (Fox-Li) decomposition: with rho = B D^T of
+its numerical rank r and the r x r core D^T U^-2 P B of the round trip
+U^-2 P rho diagonalised once, every later phase and right-hand side costs
+two n x r matrix-vector products instead of a factorisation.
+CavityOperatorSet decides when a sector is worth decomposing.
 
 A scan of many points at one detuning phase (a position scan) is answered
 from each block's form instead: with Y = A^-1 diag(u (-i)^l) the resolvent
@@ -103,15 +103,15 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-8
 # rent-or-buy: the first _MODAL_AFTER - 1 solves of a parity sector are
-# direct, the next one decomposes it. np.linalg.eig plus the inverse of the
-# eigenvectors of one sector cost 41-59 checked direct solves of it on a
-# 2-core Xeon VM (best of 7 and of 51: 11-12 ms against 0.19-0.23 ms at dim
-# 76, 45-46 against 0.77-0.94 ms at dim 151, 59-61 against 1.2-1.5 ms at
-# dim 201, with one or two columns); both grow as dim^3, the ratio easing a
-# little towards dim 201. Buying once the rent paid reaches the price keeps
-# any run of solves within about 2.4 times the cost of the better of the two
-# routes for it (twice where the ratio is 58).
-_MODAL_AFTER = 58
+# direct, the next one decomposes it (_decompose: the SVD of rho, then eig
+# and inv of the rank-r core). That costs 19-26 checked direct solves of the
+# sector on a 2-core Xeon VM (best of 7 and of 51, one or two columns:
+# 2.2-2.5 ms against 0.11-0.12 ms at dim 76, 9.8-11.5 against 0.43-0.52 ms
+# at dim 151, 18-22 against 0.76-0.96 ms at dim 201), against 33-54 for eig
+# and inv of the whole n x n round trip in the same session. Buying once the
+# rent paid reaches the price keeps any run of solves within about 2.3 times
+# the cost of the better of the two routes for it.
+_MODAL_AFTER = 25
 # rent-or-buy: the first _FORM_AFTER - 1 points that a block answers at one
 # detuning phase are solved, the next one forms the block's real symmetric
 # S at that phase (_hermitian_form). The n-column solve, its guard and S
@@ -175,20 +175,22 @@ class OperatorBlock:
 
 @dataclass(frozen=True)
 class _ModalFactors:
-    """Eigendecomposition of the round trip M = U^-2 P rho of one sector of
-    a block, M = V diag(eigenvalues) V^-1, kept as V and V^-1 U^-2, so that
-    the resolvent solution of (U^2 - z P rho) x = b is
-    V [(V^-1 U^-2 b) / (1 - z lambda)] for any z = e^{2i phi0} and any b.
-    condition is ||V||_1 ||V^-1||_1."""
+    """Modal factors of one sector of a block through the rank-r core of
+    its rho = B D^T (_decompose): C = D^T U^-2 P B = W diag(eigenvalues)
+    W^-1, kept as L = U^-2 P B W (n x r) and R = W^-1 D^T U^-2 (r x n), so
+    that by (I - zBD)^-1 = I + zB(I - zDB)^-1 D the resolvent solution of
+    (U^2 - z P rho) x = b is U^-2 b + z L [(R b) / (1 - z lambda)] for any
+    z = e^{2i phi0} and any b. condition is ||W||_1 ||W^-1||_1."""
 
     eigenvalues: np.ndarray
-    vectors: np.ndarray
-    inverse_scaled: np.ndarray  # V^-1 U^-2
+    left: np.ndarray       # L = U^-2 P B W
+    right: np.ndarray      # R = W^-1 D^T U^-2
+    inv_u_sq: np.ndarray   # the diagonal of U^-2
     condition: float
 
     def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        y = self.inverse_scaled @ rhs
-        return self.vectors @ (y / (1.0 - z * self.eigenvalues)[:, None])
+        y = (self.right @ rhs) * (z / (1.0 - z * self.eigenvalues))[:, None]
+        return self.inv_u_sq[:, None] * rhs + self.left @ y
 
 
 @dataclass
@@ -221,12 +223,13 @@ class CavityOperatorSet:
     The set also counts the resolvent solves of each parity sector,
     keyed (|m|, sector position in OperatorBlock.sectors) in solve_counts; a
     sector whose input is exactly zero is not solved and not counted. The
-    58th solve of a sector (_MODAL_AFTER) decomposes its round trip once
-    (modes, one _ModalFactors under the same key, 32 n^2 bytes for a sector
-    of n l), and that and every later solve of the sector are answered from
-    its modal factors; a sector whose factors fail the residual check, or
-    cannot be computed, keeps None in modes and is solved directly from then
-    on, while the other sector of its block keeps its own factors.
+    25th solve of a sector (_MODAL_AFTER) decomposes it once through the
+    r x r core of its rho's numerical rank r (modes, one _ModalFactors under
+    the same key, 32 n r bytes for a sector of n l), and that and every
+    later solve of the sector are answered from its modal factors; a sector
+    whose factors fail the residual check, or cannot be computed, keeps
+    None in modes and is solved directly from then on, while the other
+    sector of its block keeps its own factors.
 
     forms maps the one detuning phase held to its _PhaseForms: how often
     the points at that phase have asked each block, and the forms of the
@@ -474,14 +477,14 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
                  scale: float):
     """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
     columns of rhs, sector by sector; returns x, the sectors that were
-    solved and ||V||_1 ||V^-1||_1 of the modal factors of each sector that
-    was answered from them, in a tuple (None when none was).
+    solved and the condition ||W||_1 ||W^-1||_1 of the modal factors of each
+    sector that was answered from them, in a tuple (None when none was).
 
     A sector whose right-hand side is exactly zero is not solved, counted
     or decomposed: its part of x is exact zero, the solution of a regular
     system. The solves of every other sector are counted per (|m|, sector):
     its first _MODAL_AFTER - 1 are direct (_checked_solve), the next one
-    decomposes its round trip once, and from then on it is answered from
+    decomposes it once (_decompose), and from then on it is answered from
     its modal factors, each answer checked by its residual against the
     original operator at the same limit as a direct solve. If the check
     fails, that sector is solved directly instead, which raises SolverError
@@ -550,21 +553,28 @@ def _modal_solve(block: OperatorBlock, sector: ParitySector, factors: _ModalFact
 
 
 def _decompose(block: OperatorBlock, sector: ParitySector) -> _ModalFactors | None:
-    """Modal factors of the round trip M = U^-2 P rho of one sector of a
-    block, or None when the eigendecomposition fails or is not finite."""
+    """Modal factors of one sector of a block, or None when a decomposition
+    fails or is not finite. The SVD rho = U_s S V_s^H, cut to its numerical
+    rank r (the singular values above S_max n eps, np.linalg.matrix_rank's
+    rule), gives B = U_s S^1/2 and D^T = S^1/2 V_s^H; a rank-0 core (no
+    mirror) leaves U^-2 b alone."""
     inv_u_sq = 1.0 / block.u_half[sector.index] ** 2
-    round_trip = (inv_u_sq * block.parity[sector.index])[:, None] * sector.rho
     try:
-        eigenvalues, vectors = np.linalg.eig(round_trip)
-        del round_trip  # not held while inv works on copies of V
-        inverse = np.linalg.inv(vectors)
+        u_s, s, v_sh = np.linalg.svd(sector.rho)
+        r = int(np.count_nonzero(s > s[0] * s.size * np.finfo(float).eps))
+        root = np.sqrt(s[:r])
+        b = (inv_u_sq * block.parity[sector.index])[:, None] * (u_s[:, :r] * root)  # U^-2 P B
+        d_t = root[:, None] * v_sh[:r]
+        del u_s, v_sh  # not held while eig and inv work on the core
+        eigenvalues, w = np.linalg.eig(d_t @ b)
+        w_inv = np.linalg.inv(w)
     except np.linalg.LinAlgError:
         return None
-    if not (np.all(np.isfinite(eigenvalues)) and np.all(np.isfinite(inverse))):
+    left, right = b @ w, (w_inv @ d_t) * inv_u_sq
+    if not all(np.all(np.isfinite(a)) for a in (eigenvalues, left, right)):
         return None
-    condition = float(np.linalg.norm(vectors, 1) * np.linalg.norm(inverse, 1))
-    inverse *= inv_u_sq
-    return _ModalFactors(eigenvalues, vectors, inverse, condition)
+    condition = float(np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1))
+    return _ModalFactors(eigenvalues, left, right, inv_u_sq, condition)
 
 
 def _singular_guard(block: OperatorBlock, z: complex, label: str):
@@ -799,10 +809,10 @@ def enhancement_full(
     kr and theta_r alone; each |m| is solved for one column, counted twice
     for a +-m pair. Only the input that can matter is solved: an input of
     energy e gives a block at most e ops.gain, so off the axis v stops at
-    its reach in l, and the +-m pairs are skipped from the highest |m| down
-    while the sum of their bounds stays within 1e-16 of the input energy. A
-    lossless cavity has no such bound: there every l is kept and every
-    listed block is solved and checked. detail reports the listed blocks
+    its reach in l and in |m|, and the +-m pairs are skipped from the
+    highest |m| down while the sum of their bounds stays within 1e-16 of
+    the input energy. A lossless cavity has no such bound: there every l
+    is kept and every listed block is solved and checked. detail reports the listed blocks
     (m_blocks), the |m| systems solved (blocks_solved) and the bound of all
     input left unsolved, the cut and the skipped pairs (skipped_bound). The
     condition estimate covers the solved systems, each as a whole block,
@@ -813,13 +823,13 @@ def enhancement_full(
     (zero_sectors).
 
     With a prebuilt ops, a sector solved often enough (a scan) is answered
-    from its modal factors rather than a factorisation, see
-    CavityOperatorSet; the answer passes the same residual check, and may
-    differ from the direct solve in its last digits. detail reports how many
-    of the solved |m| systems had a sector answered that way (modal_solves),
-    how many sectors were (modal_sectors: a system whose other sector was
-    solved directly counts one) and the worst ||V||_1 ||V^-1||_1 of the
-    factors used (modal_condition, None when none was used).
+    from the modal factors of its rank-r core, see CavityOperatorSet; the
+    answer passes the same residual check, and may differ from the direct
+    solve in its last digits. detail reports how many of the solved |m|
+    systems had a sector answered that way (modal_solves), how many sectors
+    were (modal_sectors: a system whose other sector was solved directly
+    counts one) and the worst ||W||_1 ||W^-1||_1 of the core eigenvectors
+    used (modal_condition, None when none was used; 0 for a rank-0 core).
 
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its form at that phase, v^T S v,
@@ -854,7 +864,7 @@ def enhancement_full(
         )
     l_max = basis.l_max
     v, tail, cut = _focused_input(point, l_max, tail_tol, ops.gain)
-    # the input holds m = 0 alone on the axis, every |m| <= l_max off it
+    # the input holds m = 0 alone on the axis, the |m| up to its reach off it
     input_top = v.shape[0] - 1
     energies = np.zeros(l_max + 1)
     energies[: input_top + 1] = np.sum(v * v, axis=1)
@@ -891,7 +901,8 @@ def enhancement_full(
         l_max=l_max,
         truncation_tail=tail,
         condition=max(conditions) if conditions else None,
-        detail={"flux_residual": ops.flux_residual, "m_blocks": 2 * input_top + 1,
+        detail={"flux_residual": ops.flux_residual,
+                "m_blocks": 1 if point.on_axis else 2 * l_max + 1,
                 "blocks_solved": top + 1, "skipped_bound": skipped + cut,
                 "modal_solves": modal_solves, "modal_sectors": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),

@@ -396,7 +396,7 @@ class TestPlaneWaveCoeffs:
         whole, _, none = _focused_input(point, l_max)
         assert calls[1] == (l_max, 0, l_max, ()) and none == 0.0
         n = reach + 1
-        assert v.shape == whole.shape
+        assert v.shape == (n, l_max + 1) and whole.shape == (l_max + 1, l_max + 1)
         assert v[:n, :n].tobytes() == whole[:n, :n].tobytes()
         assert not np.any(v[:, n:]) and np.any(whole[:, n:])
         # the first l whose energy beyond, e_d, keeps gain (2 sqrt(e e_d) +

@@ -895,22 +895,102 @@ class TestModalSolve:
 
     def test_centre_sweep_solves_the_even_sector_alone(self, benchmark_geom, monkeypatch):
         # count guard: at the centre the input is the l = 0 harmonic alone,
-        # so the odd sector gets no solve and no eigendecomposition (two of
-        # each per phase before sectors were answered on their own)
+        # so the odd sector gets no solve and no decomposition (two of each
+        # per phase before sectors were answered on their own); the even
+        # sector's decomposition is one SVD of its rho and one eig of the
+        # r x r core of rho's numerical rank, r < n
+        svds = _count_calls(monkeypatch, np.linalg, "svd")
         solves, eigs, zero = self._sweep(benchmark_geom, monkeypatch, FieldPoint.origin())
-        assert (len(solves), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 1)
+        assert (len(solves), len(svds), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 1, 1)
         half = (HarmonicBasis(self.L_MAX).block_ls(0).size + 1) // 2
-        assert {shape[0] for shape in solves + eigs} == {half}
+        assert {shape[0] for shape in solves + svds} == {half}
+        (r, c), = eigs
+        assert r == c < half
 
     def test_sweep_decomposes_once_unequal_mirrors(self, monkeypatch):
-        # one sector holding every l: one eigendecomposition of the whole block
+        # one sector holding every l: one SVD of the whole block's rho and
+        # one eig of the r x r core of its numerical rank, r < n
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+        n = HarmonicBasis(self.L_MAX).block_ls(0).size
         for point in (FieldPoint.axial(3.0), FieldPoint.origin()):
             with monkeypatch.context() as patch:
+                svds = _count_calls(patch, np.linalg, "svd")
                 solves, eigs, zero = self._sweep(geom, patch, point)
-            assert (len(solves), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 0)
-            assert ({shape[0] for shape in solves + eigs}
-                    == {HarmonicBasis(self.L_MAX).block_ls(0).size})
+            assert (len(solves), len(svds), len(eigs), zero) == (_MODAL_AFTER - 1, 1, 1, 0)
+            assert {shape[0] for shape in solves + svds} == {n}
+            (r, c), = eigs
+            assert r == c < n
+
+    def _modal_errors(self, ops, phases, rhs):
+        """Solve block 0 of ops at each phase (_solve_block); the largest
+        deviation of each modal answer from np.linalg.solve, relative to
+        the largest entry of the direct answer (None for a direct one)."""
+        block = ops.block(0)
+        errors = []
+        for phi0 in phases:
+            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
+            ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
+            errors.append(None if modal is None
+                          else np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+        return errors
+
+    def test_unequal_mirrors_modal_answer_matches_direct_solve(self):
+        # regression: the eigenvectors of the whole round trip of this
+        # block had ||V||_1 ||V^-1||_1 = 8.7e8, and its modal answers
+        # departed from the direct solve by 2.0e-8; those of the rank-r core
+        # are within 1e-13
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+        ops = build_operators(geom, HarmonicBasis(150), m_values=(0,))
+        rng = np.random.default_rng(5)
+        shape = (ops.block(0).dim, 1)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        errors = self._modal_errors(
+            ops, np.linspace(-0.05, 0.05, _MODAL_AFTER + 20), rhs)
+        assert errors[: _MODAL_AFTER - 1] == [None] * (_MODAL_AFTER - 1)
+        assert max(errors[_MODAL_AFTER - 1:]) <= 1e-12
+
+    def test_unequal_mirrors_sweep_keeps_its_modes(self):
+        # regression: at l_max 400 (||V||_1 ||V^-1||_1 = 7.5e9) the first
+        # modal answer failed the residual check, and a 70-phase sweep
+        # ended with modes[(0, 0)] None and every later phase solved directly
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+        basis = HarmonicBasis(400)
+        ops = build_operators(geom, basis, m_values=(0,))
+        point = FieldPoint.axial(3.0)
+        for phi0 in np.linspace(-0.05, 0.05, 70):
+            r = enhancement_full(geom, basis, point, float(phi0), ops=ops)
+            direct = _all_blocks_value(ops, point, float(phi0))
+            assert abs(r.value - direct) <= 1e-12 * direct
+        assert r.detail["modal_solves"] == 1 and ops.modes[(0, 0)] is not None
+
+    def test_complex_rho_sweep_is_answered_modally(self):
+        # defocus makes rho complex symmetric: the same one path (SVD, rank
+        # rule, eig of the core), factors of n x r with r < n
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3)
+        ops = build_operators(geom, HarmonicBasis(150), m_values=(0,))
+        assert np.iscomplexobj(ops.block(0).sectors[0].rho)
+        rng = np.random.default_rng(6)
+        shape = (ops.block(0).dim, 1)
+        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        errors = self._modal_errors(ops, np.linspace(-0.05, 0.05, _MODAL_AFTER + 20), rhs)
+        assert max(errors[_MODAL_AFTER - 1:]) <= 1e-12
+        factors = ops.modes[(0, 0)]
+        n, r = factors.left.shape
+        assert factors.right.shape == (r, n) and 0 < r < n
+
+    def test_mirrorless_cavity_has_a_rank_zero_core(self):
+        # rho = 0: the core is 0 x 0, and the modal answer is U^-2 b exactly
+        geom = CavityGeometry.symmetric(KR, 0.0, 0.98)
+        ops = build_operators(geom, HarmonicBasis(30), m_values=(0,))
+        block = ops.block(0)
+        rng = np.random.default_rng(8)
+        rhs = rng.standard_normal((block.dim, 1)) + 1j * rng.standard_normal((block.dim, 1))
+        for phi0 in np.linspace(-0.05, 0.05, _MODAL_AFTER + 1):
+            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
+        assert modal is not None
+        for s, sector in enumerate(block.sectors):
+            assert ops.modes[(0, s)].eigenvalues.shape == (0,)
+        assert np.array_equal(x[:, 0], (1.0 / block.u_half**2) * rhs[:, 0])
 
     @pytest.mark.parametrize("columns", [1, 2])
     @pytest.mark.parametrize("empty", [0, 1])
