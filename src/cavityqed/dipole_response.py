@@ -127,16 +127,22 @@ def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azim
     direction phases and kernels once for all orientations. The azimuth
     collapses to one column only where the point is on the axis and every
     orientation of the call is axisymmetric, so a vector orientation among
-    tags moves the tags' values by rounding. One phase's rows are held at a
+    tags moves the tags' values by rounding. A point with ky = 0 whose
+    orientations all weigh the azimuth evenly (the tags, a vector with
+    d_y = 0) evaluates only the first n/2 of an even order's n columns, the
+    mirrors of the rest, which moves values by rounding; the counts report
+    n. One phase's rows and one block's orientation weights are held at a
     time, in blocks of at most _BLOCK_DIRECTIONS directions: the peak memory
-    grows with neither the phase count nor the orders, and the values do not
-    depend on the block size. With corrections, each point beyond
-    RAY_VALIDITY_KR warns once; the naive, uncorrected route does not.
+    grows with neither the phase count nor the orders, the values do not
+    depend on the block size, and a point in one block is weighed once for
+    all its phases. With corrections, each point beyond RAY_VALIDITY_KR
+    warns once; the naive, uncorrected route does not.
     """
     for phi0 in phases:
         if not math.isfinite(phi0):
             raise ValueError(f"phi0 must be finite, got {phi0}")
     axisym_weights = all(o.is_axisymmetric for o in orientations)
+    even_weights = all(o.vector is None or o.vector[1] == 0.0 for o in orientations)
     values = np.zeros((2, len(points), len(phases), len(orientations)))
     node_sets, counts = {}, []
     for i, point in enumerate(points):
@@ -153,20 +159,25 @@ def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azim
                 geom, point, corrections, polar_order, azimuthal_order, axisym)
         theta, w, phi_az, rho_f, rho_b = node_sets[key]
         counts.append({"polar_nodes": theta.size, "azimuthal_nodes": phi_az.size})
+        if phi_az.size % 2 == 0 and point.kvec[1] == 0.0 and even_weights:
+            phi_az = phi_az[:phi_az.size // 2]  # the mirrors of the other half
         meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
         step = max(1, _BLOCK_DIRECTIONS // phi_az.size)
         blocks = [np.arange(s, min(s + step, theta.size)) for s in range(0, theta.size, step)]
+        weighed = None  # the block whose row means and mirror-row weights are held
         for j, phi0 in enumerate(phases):
             # weight x damping and weight x shift of each orientation,
             # averaged over each polar row; a row that meets no mirror has
             # damping exactly 1 and shift exactly 0
             rows = np.zeros((len(orientations), 2, theta.size))
             for block in blocks:
-                pols = [orientation_weight(o, theta[block, None], phi_az[None, :])
-                        for o in orientations]
-                for pol, o_rows in zip(pols, rows):
-                    o_rows[0, block] = pol.mean(axis=1)
                 hit = meets_mirror[block]
+                if block is not weighed:
+                    pols = [orientation_weight(o, theta[block, None], phi_az[None, :])
+                            for o in orientations]
+                    means, pols = [p.mean(axis=1) for p in pols], [p[hit] for p in pols]
+                    weighed = block
+                rows[:, 0, block] = means
                 if not hit.any():
                     continue
                 idx = block[hit]
@@ -174,7 +185,6 @@ def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azim
                                                       phi_az[None, :], aberration=corrections)
                 kernels = _ray_kernels(phi_eff, x_eff, rho_f[idx, None], rho_b[idx, None])
                 for pol, o_rows in zip(pols, rows):
-                    pol = pol[hit]
                     for row, kernel in zip(o_rows, kernels):
                         row[idx] = (pol * kernel).mean(axis=1)
             for k, (gamma_row, shift_row) in enumerate(rows):

@@ -21,10 +21,12 @@ has profiles even in cos(theta). Since P_lm(-x) = (-1)^(l-m) P_lm(x), its
 operators couple no l of opposite l - m parity, and every block splits into
 an even and an odd parity sector. Each sector is assembled, solved,
 decomposed and stored on its own, at half the dimension; any other cavity
-keeps one sector holding all l. A sector that a point's input does not
-reach, its right-hand side exactly zero, has exact zero as its solution and
-costs nothing: at the centre the input is the l = 0 harmonic alone, so only
-the even sector of the m = 0 block is ever solved there.
+keeps one sector holding all l. A sector's products are even in
+cos(theta), so it is assembled on the half cos(theta) >= 0 of the mirrored
+operator_grid at doubled weights (_Segments). A sector that a point's input
+does not reach, its right-hand side exactly zero, has exact zero as its
+solution and costs nothing: at the centre the input is the l = 0 harmonic
+alone, so only the even sector of the m = 0 block is ever solved there.
 
 The vacuum-fluctuation ratio at a point follows from a closure relation
 over incoming far fields: expand the focused-wave kernel at the point,
@@ -127,10 +129,10 @@ _FORM_AFTER = 3
 # own, which bounds the bytes of the stacks by the same factor
 _FORM_PADDING = 1.25
 # bytes of the Legendre table of one chunk of consecutive |m|, built by one
-# recurrence. At l_max 150 (498 nodes) a 2 MB cap takes 26 recurrences for
-# the 151 blocks, and a warm build_operators 0.12-0.15 s against 0.25-0.27 s
-# with one per block on a 2-core Xeon VM; 16 MB saves about 10% more but
-# lifts the traced peak of the build from 13.7 to 39.6 MB (10.1 MB per block)
+# recurrence. At l_max 150 (249 folded nodes) a 2 MB cap takes 13 recurrences
+# for the 151 blocks, and a warm build_operators 0.040-0.064 s against
+# 0.096-0.143 s with one per block on a 2-core Xeon VM; 16 MB takes 3, saves
+# about 5% more and lifts the traced peak from 12.0 to 26.5 MB (10.3 per block)
 _LEGENDRE_CHUNK = 2 * 2**20
 
 
@@ -329,30 +331,42 @@ def _legendre_chunks(l_max: int, n_points: int, ms) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class _Segments:
-    """What every block of one cavity on one grid shares: the grid and, per
-    segment, (node indices, weight column, profiles), where profiles holds
-    rho and tau^2 each as its value where it is constant on the segment, or
-    its node values where it is not (the defocus phase). A segment is a
-    contiguous run of polar_rule's nodes, which ascend in cos(theta); the
-    runs are listed by ascending theta, the last run first. rho is real when
-    every reflection profile value is."""
+    """What every block of one cavity on one grid shares: the polar nodes mu
+    that the blocks run on and, per segment, (node indices into mu, weight
+    column, profiles), where profiles holds rho and tau^2 each as its value
+    where it is constant on the segment, or its node values where it is not
+    (the defocus phase). A segment is a contiguous run of polar_rule's
+    nodes, which ascend in cos(theta); the runs are listed by ascending
+    theta, the last run first. rho is real when every reflection profile
+    value is.
 
-    grid: AngularGrid
+    For a cavity with two parity sectors, whose products are all even in
+    mu, mu keeps the upper half of the mirrored rule (node i pairs with
+    N - 1 - i) at doubled weights, the middle node of an odd N, its own
+    mirror, at its own. That is exact for an even integrand, as a Gauss
+    rule of half the order on [0, cos(theta_m)] would not be."""
+
+    mu: np.ndarray
     parts: tuple
 
 
 def _segments(geom: CavityGeometry, grid: AngularGrid) -> _Segments:
+    n = grid.mu.size
+    # the first fold nodes are dropped; their mirrors double their weights
+    fold = n // 2 if len(_parity_sectors(geom, 2)) == 2 else 0
+    w = grid.w_theta.copy()
+    w[n - fold:] *= 2.0
     rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
     if not np.any(rho_vals.imag):
         rho_vals = rho_vals.real
-    run = grid.mu.size // (len(grid.edges) + 1)
+    run = n // (len(grid.edges) + 1)
     parts = []
-    for start in range(grid.mu.size - run, -1, -run):
-        idx = np.arange(start, start + run)
+    for start in range(n - run, fold - run, -run):
+        idx = np.arange(max(start, fold), start + run)
         profiles = tuple(f[0] if np.all(f == f[0]) else f
                          for f in (rho_vals[idx], tau_sq_vals[idx]))
-        parts.append((idx, grid.w_theta[idx, None], profiles))
-    return _Segments(grid, tuple(parts))
+        parts.append((idx - fold, w[idx, None], profiles))
+    return _Segments(grid.mu[fold:], tuple(parts))
 
 
 def _build_blocks(geom, basis, segments: _Segments, ms) -> dict[int, OperatorBlock]:
@@ -363,7 +377,7 @@ def _build_blocks(geom, basis, segments: _Segments, ms) -> dict[int, OperatorBlo
     bad = next((m for m in ms if m > basis.l_max), None)
     if bad is not None:
         raise ValueError(f"l_max={basis.l_max} smaller than m={bad}")
-    mu = segments.grid.mu
+    mu = segments.mu
     blocks = {}
     for m_lo, m_hi in _legendre_chunks(basis.l_max, mu.size, sorted(set(ms))):
         table = _legendre(basis.l_max, m_lo, m_hi, mu)

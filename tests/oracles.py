@@ -18,7 +18,12 @@ import numpy as np
 from cavityqed.dipole_response import orientation_weight
 from cavityqed.io_formats import Column, ResultTable
 from cavityqed.quadrature import polar_rule
-from cavityqed.ray_model import _auto_azimuthal_order
+from cavityqed.ray_model import (
+    _auto_azimuthal_order,
+    _ray_kernels,
+    ray_direction_phases,
+    ray_integration_nodes,
+)
 from cavityqed.specfun import SQRT_2_OVER_PI, legendre_table, radial_bessel_table
 from cavityqed.structures import (
     AngularFunction,
@@ -28,6 +33,7 @@ from cavityqed.structures import (
 )
 from cavityqed.wave_ops import (
     CavityOperatorSet,
+    _Segments,
     _solve_block,
     mirror_profiles,
 )
@@ -282,3 +288,41 @@ def one_mirror_response(
         method="one-mirror",
         detail={"theta_m": theta_m, "orientation": orientation.label()},
     )
+
+
+def full_rule_segments(geom, grid) -> _Segments:
+    """The segments of wave_ops._segments without the mirror fold: every
+    node of the grid at its own weight, for any cavity. Blocks built on them
+    are the reference for the folded assembly of a cavity with two parity
+    sectors, and equal the library's bit for bit on any other cavity."""
+    rho_vals, tau_sq_vals = mirror_profiles(geom, grid.theta)
+    if not np.any(rho_vals.imag):
+        rho_vals = rho_vals.real
+    run = grid.mu.size // (len(grid.edges) + 1)
+    parts = []
+    for start in range(grid.mu.size - run, -1, -run):
+        idx = np.arange(start, start + run)
+        profiles = tuple(f[0] if np.all(f == f[0]) else f
+                         for f in (rho_vals[idx], tau_sq_vals[idx]))
+        parts.append((idx, grid.w_theta[idx, None], profiles))
+    return _Segments(grid.mu, tuple(parts))
+
+
+def unfolded_ray_response(point, orientation, geom, phi0, *, polar_order=None,
+                          azimuthal_order=None) -> tuple[float, float]:
+    """Damping and shift ratios of the corrected ray route with every
+    direction of its node set evaluated: each polar row's mean over all n
+    azimuths, where dipole_response._ray_scan folds a ky = 0 point to n/2.
+    The kernels are exactly 1 and 0 on a row that meets no mirror, whose
+    damping row is the weight's own mean, so the arithmetic is the unfolded
+    scan's, bit for bit."""
+    axisym = point.on_axis and orientation.is_axisymmetric
+    theta, w, phi_az, rho_f, rho_b = ray_integration_nodes(
+        geom, point, True, polar_order, azimuthal_order, axisym)
+    th, ph = theta[:, None], phi_az[None, :]
+    phi_eff, x_eff = ray_direction_phases(geom, point, phi0, th, ph, aberration=True)
+    kernels = _ray_kernels(phi_eff, x_eff, rho_f[:, None], rho_b[:, None])
+    pol = orientation_weight(orientation, th, ph)
+    gamma, shift = ((pol * k).mean(axis=1) for k in kernels)
+    gamma = np.where((rho_f != 0.0) | (rho_b != 0.0), gamma, pol.mean(axis=1))
+    return float(np.dot(w, gamma)), float(np.dot(w, shift))

@@ -26,7 +26,7 @@ from cavityqed.structures import (
     ValidityWarning,
 )
 from cavityqed.wave_ops import build_operators
-from oracles import center_closed_forms, one_mirror_response
+from oracles import center_closed_forms, one_mirror_response, unfolded_ray_response
 
 KR = 1.0e5
 THETA_30PCT = math.acos(0.7)
@@ -217,9 +217,10 @@ class TestBlockedPass:
         assert peak < 40 * 2**20
 
     def test_operator_build_holds_one_table_and_one_segment(self, benchmark_geom):
-        # the m = 0 block at l_max 400: its 3.8 MiB Legendre table and the
-        # copy of the block's slice peak together, and the sweep over the
-        # segments holds the rows of one segment (0.6 MiB) at a time
+        # the m = 0 block at l_max 400: its 1.9 MiB Legendre table on the
+        # 624 nodes of the folded rule and the copy of the block's slice peak
+        # together, and the sweep over the segments holds the rows of one
+        # segment (0.6 MiB) at a time; 5.4 MiB in all (7.7 on all 1248 nodes)
         basis = HarmonicBasis(400)
         build_operators(benchmark_geom, basis, m_values=(0,))  # Gauss rules cached
         tracemalloc.start()
@@ -303,6 +304,20 @@ class TestRayScan:
                                   [DipoleOrientation.isotropic()], True, None, None)
         assert len(built) == 8
 
+    def test_a_point_in_one_block_is_weighed_once(self, benchmark_geom, monkeypatch):
+        calls = []
+        real = dipole_response.orientation_weight
+
+        def spy(orientation, theta, phi_az):
+            calls.append(orientation)
+            return real(orientation, theta, phi_az)
+
+        monkeypatch.setattr(dipole_response, "orientation_weight", spy)
+        tags = [DipoleOrientation(tag=tag) for tag in ("parallel", "perpendicular", "isotropic")]
+        dipole_response._ray_scan(benchmark_geom, [FieldPoint((3.0, 1.0, 2.0))],
+                                  [-0.01, 0.0, 0.01, 0.02], tags, True, None, None)
+        assert calls == tags
+
     def test_memory_does_not_grow_with_the_phase_count(self, benchmark_geom):
         # one phase's rows are held at a time: rows held for every phase
         # would take about 25 MB at 500 phases, three tags and 1024 nodes
@@ -320,6 +335,96 @@ class TestRayScan:
 
         peak(1)  # the Gauss rule is cached
         assert peak(500) - peak(1) < 2**20
+
+
+class TestAzimuthFold:
+    # a point with ky = 0, every orientation's weight even in the azimuth,
+    # evaluates the first n/2 of its n azimuthal columns; the oracle takes
+    # every column, as the unfolded scan did
+    GEOMETRIES = {
+        "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        "unequal-defocus": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, 0.3),
+    }
+    ORIENTATIONS = {
+        "parallel": DipoleOrientation.parallel(),
+        "perpendicular": DipoleOrientation.perpendicular(),
+        "isotropic": DipoleOrientation.isotropic(),
+        "vector-dy0": DipoleOrientation.along((0.6, 0.0, 0.8)),
+    }
+    FOLDED = [FieldPoint((10.0, 0.0, 0.0)), FieldPoint((4.0, 0.0, 3.0)),
+              FieldPoint((-7.0, 0.0, 20.0)), FieldPoint((60.0, 0.0, 5.0))]
+
+    @staticmethod
+    def _columns(monkeypatch):
+        """The azimuthal columns of each ray_direction_phases call."""
+        seen, real = [], dipole_response.ray_direction_phases
+
+        def spy(geom, point, phi0, theta, phi_az, **kw):
+            seen.append(np.shape(phi_az)[-1])
+            return real(geom, point, phi0, theta, phi_az, **kw)
+
+        monkeypatch.setattr(dipole_response, "ray_direction_phases", spy)
+        return seen
+
+    @pytest.mark.parametrize("azimuthal_order", [None, 40, 45], ids=["auto", "even", "odd"])
+    @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
+    @pytest.mark.parametrize("family", sorted(GEOMETRIES))
+    def test_folded_points_match_the_unfolded_quadrature(self, family, orientation,
+                                                         azimuthal_order):
+        geom, o = self.GEOMETRIES[family], self.ORIENTATIONS[orientation]
+        for point in self.FOLDED:
+            r = response(point, o, geom, 0.013, azimuthal_order=azimuthal_order)
+            gamma, shift = unfolded_ray_response(point, o, geom, 0.013,
+                                                 azimuthal_order=azimuthal_order)
+            assert abs(r.gamma_ratio - gamma) <= 1e-15 * abs(gamma)
+            assert abs(r.shift_ratio - shift) <= 1e-15 * abs(shift)
+            nodes = ray_integration_nodes(geom, point, True, None, azimuthal_order, False)
+            assert r.detail["azimuthal_nodes"] == nodes[2].size
+
+    def test_odd_order_is_not_folded(self, benchmark_geom, monkeypatch):
+        # the self-mirrored column phi = pi would need its own weight
+        seen = self._columns(monkeypatch)
+        point, o = FieldPoint((10.0, 0.0, 0.0)), DipoleOrientation.parallel()
+        r = response(point, o, benchmark_geom, 0.013, azimuthal_order=45)
+        assert seen == [45] and r.detail["azimuthal_nodes"] == 45
+        assert (r.gamma_ratio, r.shift_ratio) == unfolded_ray_response(
+            point, o, benchmark_geom, 0.013, azimuthal_order=45)
+
+    def test_ky_zero_evaluates_half_the_azimuth(self, benchmark_geom, monkeypatch):
+        seen = self._columns(monkeypatch)
+        r = response(FieldPoint((10.0, 0.0, 3.0)), DipoleOrientation.perpendicular(),
+                     benchmark_geom, 0.013)
+        assert r.detail["azimuthal_nodes"] == 36 and seen == [18]
+
+    @pytest.mark.parametrize("point,orientation", [
+        (FieldPoint((7.0, -3.0, 11.0)), DipoleOrientation.perpendicular()),
+        (FieldPoint((10.0, 0.0, 3.0)), DipoleOrientation.along((0.6, 0.3, 0.7))),
+    ], ids=["ky", "vector-dy"])
+    def test_other_points_are_not_folded(self, benchmark_geom, monkeypatch, point,
+                                         orientation):
+        seen = self._columns(monkeypatch)
+        r = response(point, orientation, benchmark_geom, 0.013)
+        assert seen == [r.detail["azimuthal_nodes"]]
+        assert (r.gamma_ratio, r.shift_ratio) == unfolded_ray_response(
+            point, orientation, benchmark_geom, 0.013)
+
+    def test_scan_folds_point_by_point(self, benchmark_geom, monkeypatch):
+        # kr_perp 10 for all three: one azimuthal order, folded for ky = 0 only
+        seen = self._columns(monkeypatch)
+        points = [FieldPoint((10.0, 0.0, 2.0)), FieldPoint((8.0, 6.0, 2.0)),
+                  FieldPoint((-10.0, 0.0, 2.0))]
+        o = DipoleOrientation.parallel()
+        values, nodes = dipole_response._ray_scan(benchmark_geom, points, [0.013], [o], True,
+                                                  None, None)
+        assert seen == [18, 36, 18]
+        assert [n["azimuthal_nodes"] for n in nodes] == [36, 36, 36]
+        for i, point in enumerate(points):
+            gamma, shift = unfolded_ray_response(point, o, benchmark_geom, 0.013)
+            if point.kvec[1] == 0.0:
+                assert abs(values[0, i, 0, 0] - gamma) <= 1e-15 * abs(gamma)
+                assert abs(values[1, i, 0, 0] - shift) <= 1e-15 * abs(shift)
+            else:
+                assert values[:, i, 0, 0].tolist() == [gamma, shift]
 
 
 class TestUnequalCapSplit:

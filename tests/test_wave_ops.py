@@ -37,6 +37,7 @@ from cavityqed.wave_ops import (
 from oracles import (
     closed_cavity_mode_sum,
     coefficient_blocks,
+    full_rule_segments,
     intracavity_field_coeffs,
     transmission_operator,
 )
@@ -269,18 +270,78 @@ class TestChunkedAssembly:
 
         monkeypatch.setattr(wave_ops, "_legendre", spy)
         ops = build_operators(benchmark_geom, HarmonicBasis(150))
-        n_bytes = 8 * ops.grid.mu.size
+        # the recurrence runs on the folded half of the mirror-symmetric rule
+        n_nodes = ops.segments.mu.size
+        n_bytes = 8 * n_nodes
 
         def table_bytes(lo, hi):
             return (151 - lo) * (hi - lo + 1) * n_bytes
 
-        assert calls == wave_ops._legendre_chunks(150, ops.grid.mu.size, range(151))
+        assert calls == wave_ops._legendre_chunks(150, n_nodes, range(151))
         assert [m for lo, hi in calls for m in range(lo, hi + 1)] == list(range(151))
         # each table within the cap, and a chunk ends only where one more m
         # would exceed it: the cap alone sets the call count
         assert all(table_bytes(lo, hi) <= wave_ops._LEGENDRE_CHUNK for lo, hi in calls)
         assert all(table_bytes(lo, hi + 1) > wave_ops._LEGENDRE_CHUNK for lo, hi in calls[:-1])
         assert len(calls) <= 30
+
+
+class TestMirrorFold:
+    """A cavity with two parity sectors assembles its blocks on the half of
+    its mirrored rule from the middle up, at doubled weights; every other
+    cavity on the whole rule."""
+
+    FULL_RULE = {
+        "unequal": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9),
+        "unequal-aperture": CavityGeometry(KR, 0.795, 0.6, 0.98, 0.98),
+        "one-mirror": CavityGeometry(KR, 0.795, 0.0, 0.98, 0.0),
+        "defocused": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3),
+    }
+
+    @pytest.mark.parametrize("l_max,nodes", [(150, 498), (151, 501)], ids=["even", "odd"])
+    def test_folded_operators_match_direct_products(self, benchmark_geom, l_max, nodes):
+        # order 166 per segment, or 167 with the centre node at weight 1.
+        # rho of m = 0 at l_max 151 is 1.3e-14 off the direct products on
+        # the whole rule as well, hence its 2e-14
+        ms = (0, 1, 2, 75, l_max - 1, l_max)
+        ops = build_operators(benchmark_geom, HarmonicBasis(l_max), m_values=ms)
+        assert ops.grid.mu.size == nodes and ops.segments.mu.size == nodes - nodes // 2
+        weights = np.concatenate([w[:, 0] for _, w, _ in ops.segments.parts])
+        assert weights.sum() == pytest.approx(1.0, abs=1e-15)
+        # the middle panel's upper half starts at the middle node, doubled
+        # unless it is its own mirror
+        middle = ops.segments.parts[-1][1][0, 0]
+        assert middle == ops.grid.w_theta[nodes // 2] * (1.0 if nodes % 2 else 2.0)
+        for m in ms:
+            b = ops.block(m)
+            rho, _, tau_sq, flux = _direct_operators(benchmark_geom, l_max, ops.grid, m)
+            assert np.max(np.abs(_dense(b) - rho)) < 2e-14
+            assert np.max(np.abs(_dense(b, "tau_sq") - tau_sq)) < 1e-14
+            assert abs(b.flux_residual - flux) < 1e-14
+
+    def test_symmetric_recurrence_runs_on_half_the_nodes(self, benchmark_geom, monkeypatch):
+        nodes = []
+        original = wave_ops._legendre
+
+        def spy(l_max, m_lo, m_hi, x):
+            nodes.append(x)
+            return original(l_max, m_lo, m_hi, x)
+
+        monkeypatch.setattr(wave_ops, "_legendre", spy)
+        ops = build_operators(benchmark_geom, HarmonicBasis(150))
+        assert nodes and all(np.array_equal(x, ops.grid.mu[249:]) for x in nodes)
+
+    @pytest.mark.parametrize("cavity", sorted(FULL_RULE))
+    def test_other_cavities_are_assembled_on_the_whole_rule(self, cavity):
+        geom, basis = self.FULL_RULE[cavity], HarmonicBasis(60)
+        ops = build_operators(geom, basis)
+        assert np.array_equal(ops.segments.mu, ops.grid.mu)
+        ref = _build_blocks(geom, basis, full_rule_segments(geom, ops.grid), range(61))
+        for m, b in ops.blocks.items():
+            assert b.flux_residual == ref[m].flux_residual
+            for s, r in zip(b.sectors, ref[m].sectors, strict=True):
+                assert s.rho.dtype == r.rho.dtype and s.rho.tobytes() == r.rho.tobytes()
+                assert s.tau_sq.tobytes() == r.tau_sq.tobytes()
 
 
 class TestParitySectors:
