@@ -214,6 +214,15 @@ def _phases(l_max: int) -> np.ndarray:
     return phase
 
 
+def _warn_tail(tail: float, tail_tol: float, kr: float, l_max: int, stacklevel: int):
+    """TruncationWarning when tail exceeds tail_tol, attributed to the frame
+    that stacklevel, counted from here, names."""
+    if tail > tail_tol:
+        warnings.warn(f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={kr:.6g} "
+                      f"at l_max={l_max}; increase l_max", TruncationWarning,
+                      stacklevel=stacklevel)
+
+
 def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
                    gain: float = math.inf):
     """The real input v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r),
@@ -224,8 +233,8 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
     kr and theta_r alone: plane_wave_coeffs adds the phases.
 
     The tail is the input energy e_l = (pi/2)(2l+1) u_l^2 of the last five
-    l; above tail_tol it warns (TruncationWarning), attributed to the caller
-    of plane_wave_coeffs or enhancement_full. Off the axis v stops at its
+    l; above tail_tol it warns (TruncationWarning, _warn_tail), attributed
+    to the caller of plane_wave_coeffs. Off the axis v stops at its
     reach, the first l whose energy beyond, E_d, of E in all, bounds the cut
     by gain (2 sqrt(E E_d) + E_d) <= _SKIP_FLOOR E, the most it can move a
     form x^H K x with ||K|| <= gain, and holds the rows |m| <= reach alone;
@@ -234,13 +243,7 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
     ls = np.arange(l_max + 1)
     energy = (math.pi / 2.0) * (2 * ls + 1) * u**2
     tail = float(np.sum(energy[max(0, l_max - 4):]))
-    if tail > tail_tol:
-        warnings.warn(
-            f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={point.kr:.6g} "
-            f"at l_max={l_max}; increase l_max",
-            TruncationWarning,
-            stacklevel=3,
-        )
+    _warn_tail(tail, tail_tol, point.kr, l_max, stacklevel=4)
     weights = _SQRT_PI_OVER_2 * u
     if point.on_axis:
         sign = 1.0 if point.kvec[2] > 0 else -1.0

@@ -59,8 +59,9 @@ block, sector and phase from one checked n-column solve, and written
 straight into its slot of a real 3-D stack: the forms of one phase sit in
 a few stacks ordered by |m|, each over a range of |m| whose sectors are
 zero-padded to the largest of them. A point then reads a prefix of each
-stack, and every formed block it needs costs one gather of v, one batched
-real matrix-vector product and one dot product per stack.
+stack, each slot up to the point's reach in l, and every formed block it
+needs costs one gather of v, one batched real matrix-vector product and
+one dot product per stack.
 """
 
 from __future__ import annotations
@@ -80,6 +81,7 @@ from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table,
     _focused_input,
     _legendre,
     _phases,
+    _warn_tail,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -182,7 +184,8 @@ class _ModalFactors:
     W^-1, kept as L = U^-2 P B W (n x r) and R = W^-1 D^T U^-2 (r x n), so
     that by (I - zBD)^-1 = I + zB(I - zDB)^-1 D the resolvent solution of
     (U^2 - z P rho) x = b is U^-2 b + z L [(R b) / (1 - z lambda)] for any
-    z = e^{2i phi0} and any b. condition is ||W||_1 ||W^-1||_1."""
+    z = e^{2i phi0} and any b: project takes (U^-2 b, R b), which do not
+    depend on z, and solve the rest. condition is ||W||_1 ||W^-1||_1."""
 
     eigenvalues: np.ndarray
     left: np.ndarray       # L = U^-2 P B W
@@ -190,9 +193,12 @@ class _ModalFactors:
     inv_u_sq: np.ndarray   # the diagonal of U^-2
     condition: float
 
-    def solve(self, z: complex, rhs: np.ndarray) -> np.ndarray:
-        y = (self.right @ rhs) * (z / (1.0 - z * self.eigenvalues))[:, None]
-        return self.inv_u_sq[:, None] * rhs + self.left @ y
+    def project(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.inv_u_sq[:, None] * rhs, self.right @ rhs
+
+    def solve(self, z: complex, projected: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        scaled, right = projected
+        return scaled + self.left @ (right * (z / (1.0 - z * self.eigenvalues))[:, None])
 
 
 @dataclass
@@ -214,6 +220,25 @@ class _PhaseForms:
     @property
     def formed_top(self) -> int:
         return self.tops[-1] if len(self.tops) == _FORM_AFTER else -1
+
+
+@dataclass
+class _HeldPoint:
+    """What enhancement_full computes once per point kvec: the input v of
+    _focused_input with its tail, reach, the last l where v is not zero, the
+    input norm scale, top of _solved_magnitudes, the bound of the cut and
+    the skipped pairs, and per modal sector, keyed as solve_counts, the
+    factors and the projections (_ModalFactors.project) of the point's
+    right-hand side on them."""
+
+    kvec: tuple[float, float, float]
+    v: np.ndarray
+    tail: float
+    reach: int
+    scale: float
+    top: int
+    skipped: float
+    projections: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -246,7 +271,8 @@ class CavityOperatorSet:
     when lossless, is the most that an input of unit energy gives any block,
     as U and P are unitary, |rho| <= max rho and |tau^2| <= 1. A set answers
     only for the geometry and basis it was built for: enhancement_full
-    rejects any other with ValueError."""
+    rejects any other with ValueError. The set holds the last point asked
+    (_HeldPoint), which a call at another point frees and replaces."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
@@ -259,6 +285,8 @@ class CavityOperatorSet:
     modes: dict[int, tuple[_ModalFactors, ...] | None] = field(
         init=False, default_factory=dict)
     forms: dict[float, _PhaseForms] = field(init=False, default_factory=dict)
+    flux_residual: float = field(init=False, default=0.0)
+    _held: _HeldPoint | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         self.grid = operator_grid(self.geometry, self.basis.l_max)
@@ -270,12 +298,12 @@ class CavityOperatorSet:
     def block(self, m: int) -> OperatorBlock:
         key = abs(m)
         if key not in self.blocks:
-            self.blocks.update(_build_blocks(self.geometry, self.basis, self.segments, (key,)))
+            self._add(_build_blocks(self.geometry, self.basis, self.segments, (key,)))
         return self.blocks[key]
 
-    @property
-    def flux_residual(self) -> float:
-        return max((b.flux_residual for b in self.blocks.values()), default=0.0)
+    def _add(self, blocks: dict[int, OperatorBlock]):
+        self.blocks.update(blocks)
+        self.flux_residual = max([self.flux_residual, *(b.flux_residual for b in blocks.values())])
 
 
 def operator_grid(geom: CavityGeometry, l_max: int) -> AngularGrid:
@@ -455,7 +483,7 @@ def build_operators(
     ops = CavityOperatorSet(geometry=geom, basis=basis)
     if m_values is None:
         m_values = range(basis.l_max + 1)
-    ops.blocks.update(_build_blocks(geom, basis, ops.segments, m_values))
+    ops._add(_build_blocks(geom, basis, ops.segments, m_values))
     return ops
 
 
@@ -488,7 +516,7 @@ def _block_condition(block: OperatorBlock, z: complex) -> float:
 
 
 def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
-                 scale: float):
+                 scale: float, projections: dict | None = None):
     """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
     columns of rhs, sector by sector; returns x, the sectors that were
     solved and the condition ||W||_1 ||W^-1||_1 of the modal factors of each
@@ -505,7 +533,11 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
     if it fails too, and its factors are dropped for good. A lossless
     cavity is always solved directly, and its block is first checked for
     singularity as a whole, the sectors without input included: the check
-    costs as much as a solve on every call."""
+    costs as much as a solve on every call.
+
+    A modal answer takes the projections of rhs from projections (the held
+    point's, for its own rhs) where they come from the same factors, and
+    keeps new ones there; without it, rhs is projected on every call."""
     key = abs(m)
     block = ops.block(key)
     label = f"m=+-{key}" if key else "m=0"
@@ -513,6 +545,7 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
         _singular_guard(block, z, label)
     x = np.zeros(rhs.shape, dtype=complex)
     solved, conditions = [], []
+    projections = {} if projections is None else projections
     for s, sector in enumerate(block.sectors):
         b = rhs[sector.index]
         if not np.any(b):
@@ -528,7 +561,10 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
             factors = ops.modes.get(sector_key)
         xs = None
         if factors is not None:
-            xs = _modal_solve(block, sector, factors, z, b, scale)
+            projected = projections.get(sector_key)
+            if projected is None or projected[0] is not factors:
+                projected = projections[sector_key] = (factors, factors.project(b))
+            xs = _modal_solve(block, sector, factors, z, b, scale, projected[1])
             if xs is None:
                 ops.modes[sector_key] = None
             else:
@@ -540,9 +576,10 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """op @ x for a complex x, without casting a real op to complex."""
+    """op @ x for complex columns x, without casting a real op to complex: a
+    real op takes one real product over x viewed as float (n, 2k)."""
     if np.isrealobj(op):
-        return op @ x.real + 1j * (op @ x.imag)
+        return (op @ np.ascontiguousarray(x).view(np.float64)).view(complex)
     return op @ x
 
 
@@ -558,10 +595,10 @@ def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
 
 
 def _modal_solve(block: OperatorBlock, sector: ParitySector, factors: _ModalFactors,
-                 z: complex, b: np.ndarray, scale: float) -> np.ndarray | None:
-    """The solution on one sector from its modal factors, or None when it
-    fails the residual check."""
-    xs = factors.solve(z, b)
+                 z: complex, b: np.ndarray, scale: float, projected) -> np.ndarray | None:
+    """The solution on one sector from its modal factors and the
+    projections of b on them, or None when it fails the residual check."""
+    xs = factors.solve(z, projected)
     resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
     return xs if resid <= _RESIDUAL_LIMIT * scale else None
 
@@ -768,21 +805,26 @@ def _hermitian_form(block: OperatorBlock, z: complex, slots, phase: np.ndarray) 
 
 
 def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, v: np.ndarray,
-                   top: int) -> float:
+                   top: int, reach: int) -> float:
     """The sum of v^T S v over the blocks |m| <= top, top <= formed_top, of
-    the point's real input v (_focused_input, [|m|, l]), read from the
-    prefix of each stack: one gather of the flattened v, one batched real
-    matrix-vector product and one dot per stack. The zero slots of a failed
-    block add nothing."""
+    the point's real input v (_focused_input, [|m|, l]), zero for l above
+    reach, read from the prefix of each stack: one gather of the flattened
+    v, one batched real matrix-vector product and one dot per stack. Each
+    slot is read up to n, the positions of the band's first sector with l
+    <= reach: no slot of the band holds a lower l at the same position. The
+    zero slots of a failed block add nothing."""
     value, v = 0.0, v.reshape(-1)
     if top < 0:
         return value
-    for band, stack in zip(_form_bands(ops.geometry, ops.basis.l_max), state.stacks):
+    l_max = ops.basis.l_max
+    for band, stack in zip(_form_bands(ops.geometry, l_max), state.stacks):
         if band.first > top:
             break
         k = band.ends[min(top, band.last) - band.first]
-        c = v[band.index[:k]]
-        value += float(np.vdot(c, np.matmul(stack[:k], c[:, :, None])))
+        first = _parity_sectors(ops.geometry, l_max + 1 - band.first)[0]
+        n = min(band.size, len(range(reach + 1 - band.first)[first]))
+        c = v[band.index[:k, :n]]
+        value += float(np.vdot(c, np.matmul(stack[:k, :n, :n], c[:, :, None])))
     return value
 
 
@@ -845,6 +887,10 @@ def enhancement_full(
     counts one) and the worst ||W||_1 ||W^-1||_1 of the core eigenvectors
     used (modal_condition, None when none was used; 0 for a rank-0 core).
 
+    A call at the point ops holds, such as the next phase of a detuning
+    sweep, reuses its input, skip bound and modal projections (_HeldPoint);
+    the tail is judged against each call's tail_tol.
+
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its form at that phase, v^T S v,
     without a solve (_stacked_value); the form's guard implies the same
@@ -877,23 +923,30 @@ def enhancement_full(
             stacklevel=2,
         )
     l_max = basis.l_max
-    v, tail, cut = _focused_input(point, l_max, tail_tol, ops.gain)
-    # the input holds m = 0 alone on the axis, the |m| up to its reach off it
-    input_top = v.shape[0] - 1
-    energies = np.zeros(l_max + 1)
-    energies[: input_top + 1] = np.sum(v * v, axis=1)
-    energies[1:] *= 2.0  # the +m and -m columns of a pair
-    norm_sq = float(np.sum(energies))
-    # the focused-wave input has unit norm up to its truncation tail
-    scale = math.sqrt(norm_sq)
-    top, skipped = _solved_magnitudes(ops, input_top, energies, norm_sq)
+    held = ops._held
+    if held is None or held.kvec != point.kvec:
+        held = ops._held = None  # the old point is not held while the new one is built
+        v, tail, cut = _focused_input(point, l_max, math.inf, ops.gain)
+        # the input holds m = 0 alone on the axis, the |m| up to its reach off it
+        input_top = v.shape[0] - 1
+        energies = np.zeros(l_max + 1)
+        energies[: input_top + 1] = np.sum(v * v, axis=1)
+        energies[1:] *= 2.0  # the +m and -m columns of a pair
+        norm_sq = float(np.sum(energies))
+        top, skipped = _solved_magnitudes(ops, input_top, energies, norm_sq)
+        reach = int(np.flatnonzero(np.any(v, axis=0))[-1])
+        # the focused-wave input has unit norm up to its truncation tail
+        held = ops._held = _HeldPoint(point.kvec, v, tail, reach, math.sqrt(norm_sq), top,
+                                      skipped + cut)
+    _warn_tail(held.tail, tail_tol, kr, l_max, stacklevel=3)
+    v, top, scale = held.v, held.top, held.scale
     z = np.exp(2j * detuning_phase)
     state = _phase_forms(ops, top, detuning_phase, z)
     formed_top, failed, value = -1, [], 0.0
     if state is not None:
         formed_top = min(top, state.formed_top)
         failed = sorted(m for m in state.failed if m <= formed_top)
-        value = _stacked_value(ops, state, v, formed_top)
+        value = _stacked_value(ops, state, v, formed_top, held.reach)
     phase = _phases(l_max)
     modal_conditions, modal_solves, zero_sectors = [], 0, 0
     for mag in failed + list(range(formed_top + 1, top + 1)):
@@ -901,7 +954,7 @@ def enhancement_full(
         # the -m column is the +m column (-i)^l v times a unit phase, and
         # gives the same value: one column, counted twice for a pair
         rhs = block.u_half * (phase[mag:] * v[mag, mag:])
-        x, solved, modal = _solve_block(ops, mag, z, rhs[:, None], scale)
+        x, solved, modal = _solve_block(ops, mag, z, rhs[:, None], scale, held.projections)
         value += (2.0 if mag else 1.0) * _tau_sq_form(solved, x[:, 0])
         zero_sectors += len(block.sectors) - len(solved)
         if modal is not None:
@@ -913,11 +966,11 @@ def enhancement_full(
         value=float(value),
         method="full",
         l_max=l_max,
-        truncation_tail=tail,
+        truncation_tail=held.tail,
         condition=max(conditions) if conditions else None,
         detail={"flux_residual": ops.flux_residual,
                 "m_blocks": 1 if point.on_axis else 2 * l_max + 1,
-                "blocks_solved": top + 1, "skipped_bound": skipped + cut,
+                "blocks_solved": top + 1, "skipped_bound": held.skipped,
                 "modal_solves": modal_solves, "modal_sectors": len(modal_conditions),
                 "modal_condition": max(modal_conditions, default=None),
                 "form_solves": formed_top + 1 - len(failed),

@@ -52,3 +52,19 @@ def test_against_lists_the_largest_change_per_series(tmp_path):
         "  rows.ratio: max rel 0.25, max abs 0.5, 1 of 2 moved",
         "1 of 5 files byte-identical",
     ]
+
+
+def test_against_exits_1_when_a_file_differs(tmp_path, monkeypatch, capsys):
+    module = _load()
+    files = {"presets/a.csv": "kz [1/k],ratio\n0,1.0\n", "full-route.json": "{}"}
+    _write(tmp_path / "old", files)
+    outputs = {}
+    monkeypatch.setattr(module, "write_outputs", lambda out: _write(out, outputs))
+    outputs.update(files)
+    assert module.main([str(tmp_path / "same"), "--against", str(tmp_path / "old")]) == 0
+    assert capsys.readouterr().out.endswith("2 of 2 files byte-identical\n")
+    outputs["presets/a.csv"] = "kz [1/k],ratio\n0,1.5\n"
+    assert module.main([str(tmp_path / "new"), "--against", str(tmp_path / "old")]) == 1
+    assert "presets/a.csv: differs" in capsys.readouterr().out
+    # the one-directory form only prints the digests
+    assert module.main([str(tmp_path / "alone")]) == 0

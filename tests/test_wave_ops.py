@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.quadrature import polar_rule
-from cavityqed.specfun import _focused_input, legendre_table, plane_wave_coeffs
+from cavityqed.specfun import _focused_input, _phases, legendre_table, plane_wave_coeffs
 from cavityqed.structures import (
     CavityGeometry,
     FieldPoint,
     HarmonicBasis,
     SolverError,
+    TruncationWarning,
     ValidityWarning,
 )
 from cavityqed import wave_ops
@@ -182,6 +183,16 @@ class TestOperators:
 
     def test_flux_identity_residual_small_on_adequate_grid(self, small_ops):
         assert small_ops.flux_residual < 1e-10
+
+    def test_set_flux_residual_is_the_largest_of_its_blocks(self, benchmark_geom):
+        # kept as blocks are added, by build_operators and by block()
+        ops = build_operators(benchmark_geom, HarmonicBasis(60), m_values=(40,))
+        assert ops.flux_residual == ops.block(40).flux_residual
+        for m in (0, 7, 60):
+            ops.block(m)
+            assert ops.flux_residual == max(b.flux_residual for b in ops.blocks.values())
+        assert CavityOperatorSet(geometry=benchmark_geom,
+                                 basis=HarmonicBasis(60)).flux_residual == 0.0
 
     def test_flux_identity_detects_insufficient_quadrature(self, benchmark_geom):
         basis = HarmonicBasis(100)
@@ -717,6 +728,33 @@ class TestBlockSkip:
         assert r.detail["blocks_solved"] > r_free.detail["blocks_solved"]
         assert r_free.detail["blocks_solved"] < basis.l_max + 1
 
+    @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (2.0, 2.0, -8.0)])
+    def test_tau_sq_form_error_is_pinned_near_lossless(self, kvec):
+        # the error of _tau_sq_form against a 34-digit evaluation of the same
+        # stored tau^2 and solution x, per block: measured worst 1.5e-14,
+        # 2.5e-14 and 3.1e-14 of the form at these points (numpy 2.4 and
+        # OpenBLAS 0.3.31 on x86-64); the bound adds a margin of 1.9e-14, so
+        # that a summation order which moves the form more must say so
+        mpmath = pytest.importorskip("mpmath")
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.999)
+        ops = build_operators(geom, HarmonicBasis(60))
+        v, _, _ = _focused_input(FieldPoint(kvec), 60, gain=ops.gain)
+        phase = _phases(60)
+        worst = 0.0
+        with mpmath.workdps(34):
+            for m in range(v.shape[0]):
+                block = ops.block(m)
+                rhs = block.u_half * (phase[m:] * v[m, m:])
+                x, solved, _ = _solve_block(ops, m, 1.0 + 0j, rhs[:, None], 1.0)
+                exact = mpmath.mpf(0)
+                for sector in solved:
+                    for part in (x[sector.index, 0].real, x[sector.index, 0].imag):
+                        a = [mpmath.mpf(float(e)) for e in part]
+                        exact += mpmath.fdot(a, [mpmath.fdot(row, a) for row in sector.tau_sq])
+                form = wave_ops._tau_sq_form(solved, x[:, 0])
+                worst = max(worst, float(abs(form - exact) / exact))
+        assert 0.0 < worst <= 5e-14
+
     @pytest.mark.parametrize("l_max", [60, 150])
     @pytest.mark.parametrize("geom", [
         CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
@@ -724,16 +762,17 @@ class TestBlockSkip:
         CavityGeometry(KR, THETA_30PCT, 0.6, 0.98, 0.9),
     ], ids=["benchmark", "rho-0.999", "unequal"])
     def test_cut_input_stays_within_its_bound(self, geom, l_max, monkeypatch):
-        # the input cut at its reach against the whole input, on one
-        # operator set: each point at a phase of its own asks every block
-        # twice, below _FORM_AFTER, so both values are direct solves
+        # the input cut at its reach against the whole input, each on an
+        # operator set of its own, as a set holds the input of the point it
+        # was last asked: each point at a phase of its own asks every block
+        # once, below _FORM_AFTER, so both values are direct solves
         from cavityqed import specfun
 
         def uncut(point, l_max, tail_tol, gain):
             return specfun._focused_input(point, l_max, tail_tol)
 
         basis = HarmonicBasis(l_max)
-        ops = CavityOperatorSet(geometry=geom, basis=basis)
+        ops, other = (CavityOperatorSet(geometry=geom, basis=basis) for _ in range(2))
         rng = np.random.default_rng(l_max)
         for i in range(3):
             direction = rng.normal(size=3)
@@ -742,7 +781,7 @@ class TestBlockSkip:
             cut = enhancement_full(geom, basis, point, phi0, ops=ops)
             with monkeypatch.context() as patch:
                 patch.setattr(wave_ops, "_focused_input", uncut)
-                whole = enhancement_full(geom, basis, point, phi0, ops=ops)
+                whole = enhancement_full(geom, basis, point, phi0, ops=other)
             assert cut.detail.keys() == whole.detail.keys()
             for key in cut.detail.keys() - {"skipped_bound"}:
                 assert cut.detail[key] == whole.detail[key], key
@@ -1275,6 +1314,129 @@ class TestHermitianForm:
         assert per_point[2] == [("solve", (n, n), (n, n)) for n in sectors]
         assert per_point[3:] == [[]] * (len(points) - 3)
         assert all(d["form_solves"] == solved for d in details[2:])
+
+
+class TestHeldPoint:
+    L_MAX = 60
+    PHASES = [float(p) for p in np.linspace(-0.1, 0.1, 241)]
+    CAVITIES = {
+        "benchmark": CavityGeometry.symmetric(KR, THETA_30PCT, 0.98),
+        "defocused": CavityGeometry(KR, THETA_30PCT, THETA_30PCT, 0.98, 0.98, k_delta=0.3),
+    }
+
+    @pytest.mark.parametrize("kvec, modal", [((0.0, 0.0, 0.0), [(0, 0)]),
+                                             ((0.0, 0.0, 3.0), [(0, 0), (0, 1)])])
+    def test_sweep_pays_for_its_point_once(self, benchmark_geom, monkeypatch, kvec, modal):
+        # count guard: one input and skip bound for the whole sweep, and one
+        # projection of the point's right-hand side per modal sector
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        inputs = _count_calls(monkeypatch, wave_ops, "_focused_input")
+        projected = []
+        project = wave_ops._ModalFactors.project
+
+        def spy(factors, rhs):
+            projected.append(next(k for k, f in ops.modes.items() if f is factors))
+            return project(factors, rhs)
+
+        monkeypatch.setattr(wave_ops._ModalFactors, "project", spy)
+        for phi0 in self.PHASES:
+            r = enhancement_full(benchmark_geom, basis, FieldPoint(kvec), phi0, ops=ops)
+        assert r.detail["modal_sectors"] == len(modal)
+        assert len(inputs) == 1
+        assert projected == modal
+
+    def test_new_point_replaces_the_held_one(self, benchmark_geom, monkeypatch):
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        first, second = FieldPoint.axial(3.0), FieldPoint.axial(-2.0)
+        for phi0 in self.PHASES[:_MODAL_AFTER + 1]:
+            enhancement_full(benchmark_geom, basis, first, phi0, ops=ops)
+        held = ops._held
+        assert held.kvec == first.kvec and sorted(held.projections) == [(0, 0), (0, 1)]
+        old_input = weakref.ref(held.v)
+        del held
+        focused_input, freed = wave_ops._focused_input, []
+
+        def spy(*args):
+            # the old point is freed before the new one's input is built
+            gc.collect()
+            freed.append(old_input() is None)
+            return focused_input(*args)
+
+        monkeypatch.setattr(wave_ops, "_focused_input", spy)
+        r = enhancement_full(benchmark_geom, basis, second, 0.05, ops=ops)
+        assert freed == [True]
+        assert ops._held.kvec == second.kvec and r.detail["modal_sectors"] == 2
+        # the new point's projections, from the same factors as the old ones
+        assert {k: p[0] for k, p in ops._held.projections.items()} == {
+            k: ops.modes[k] for k in [(0, 0), (0, 1)]}
+        direct = enhancement_full(benchmark_geom, basis, second, 0.05)
+        assert abs(r.value - direct.value) <= 1e-12 * direct.value
+
+    def test_direct_solve_block_callers_get_no_projections(self, benchmark_geom, monkeypatch):
+        # after a sweep has projected the held point's input, a caller of
+        # _solve_block with a right-hand side of its own projects its own,
+        # on every call, and leaves the held projections alone
+        basis = HarmonicBasis(self.L_MAX)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        for phi0 in self.PHASES[:_MODAL_AFTER + 1]:
+            enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), phi0, ops=ops)
+        held = dict(ops._held.projections)
+        project = _count_calls(monkeypatch, wave_ops._ModalFactors, "project")
+        block = ops.block(0)
+        rng = np.random.default_rng(11)
+        for phi0 in (0.0, 0.02, 0.04):
+            rhs = rng.standard_normal((block.dim, 1)) + 1j * rng.standard_normal((block.dim, 1))
+            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
+            assert modal is not None
+            ref = np.linalg.solve(_dense_resolvent(block, phi0), rhs)
+            assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+        assert len(project) == 3 * 2
+        assert ops._held.projections == held
+
+    def test_truncated_point_warns_on_every_call(self):
+        # the held input keeps its tail, and every call judges it against
+        # its own tail_tol, attributed to the line of the call
+        import warnings
+
+        geom = CavityGeometry.symmetric(KR, 0.5, 0.9)
+        basis = HarmonicBasis(100)
+        ops = build_operators(geom, basis, m_values=(0,))
+        point = FieldPoint.axial(100.0)
+        tail = _focused_input(point, 100, math.inf)[1]
+
+        def call(phi0, tol=wave_ops.TAIL_TOL):
+            return enhancement_full(geom, basis, point, phi0, ops=ops, tail_tol=tol)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for phi0 in (0.0, 0.01, 0.02):
+                call(phi0)
+            call(0.03, tol=1.0)
+            call(0.04, tol=1e-9)
+        found = [w for w in caught if w.category is TruncationWarning]
+        assert [str(w.message) for w in found] == [
+            f"truncation tail {tail:.3e} exceeds {tol:.1e} for kr=100 at l_max=100; "
+            "increase l_max" for tol in (1e-8, 1e-8, 1e-8, 1e-9)]
+        assert {(w.filename, w.lineno) for w in found} == {
+            (__file__, call.__code__.co_firstlineno + 1)}
+
+    @pytest.mark.parametrize("name", sorted(CAVITIES))
+    def test_held_sweep_equals_a_sweep_that_holds_nothing(self, name):
+        # one set reuses the point's input and projections over the sweep;
+        # the other drops its held point before every phase, so it builds
+        # both again each time: every value, and every detail, to the bit
+        geom = self.CAVITIES[name]
+        basis = HarmonicBasis(self.L_MAX)
+        held, fresh = (build_operators(geom, basis) for _ in range(2))
+        point = FieldPoint((4.0, 1.0, 3.0))
+        for phi0 in self.PHASES[::6]:
+            a = enhancement_full(geom, basis, point, phi0, ops=held)
+            fresh._held = None
+            b = enhancement_full(geom, basis, point, phi0, ops=fresh)
+            assert a.value.hex() == b.value.hex() and a.detail == b.detail
+        assert a.detail["modal_solves"] == a.detail["blocks_solved"] > 1
 
 
 def test_operator_route_does_not_import_numpy_ma():

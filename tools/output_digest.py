@@ -15,8 +15,9 @@ directories) to tell whether a change moves any output bit. With
 --against OTHER_DIR, the OUT_DIR of a run on the other tree, it then lists
 each file that differs from OTHER_DIR's and, for each numeric series in it
 that moved (a CSV or JSON-table column, a JSON list or lone number), the
-largest relative and absolute change. The script reads perfbench/ and
-writes nothing there.
+largest relative and absolute change, and exits 1 unless every file is
+byte-identical to OTHER_DIR's. Without --against it exits 0. The script
+reads perfbench/ and writes nothing there.
 """
 
 from __future__ import annotations
@@ -147,13 +148,8 @@ def compare_trees(out: Path, other: Path) -> list[str]:
     return lines
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path)
-    parser.add_argument("--against", type=Path, metavar="OTHER_DIR",
-                        help="the OUT_DIR of a run on another tree, to compare with")
-    args = parser.parse_args(argv)
-    out = args.out_dir
+def write_outputs(out: Path) -> None:
+    """Write every output the benchmark checks under out."""
     for preset in PRESETS:
         _run_cli(["reproduce", preset, "--out", str(out / "presets")])
     for phi0 in RADIAL_PHI0:
@@ -167,11 +163,24 @@ def main(argv=None) -> int:
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text(encoding="utf-8"))
     (out / "full-route.json").write_text(
         json.dumps(full_route_values(reference), indent=1) + "\n", encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path)
+    parser.add_argument("--against", type=Path, metavar="OTHER_DIR",
+                        help="the OUT_DIR of a run on another tree, to compare with")
+    args = parser.parse_args(argv)
+    out = args.out_dir
+    write_outputs(out)
     for path in sorted(p for p in out.rglob("*") if p.is_file()):
         print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
-    if args.against is not None:
-        print("\n".join(compare_trees(out, args.against)))
-    return 0
+    if args.against is None:
+        return 0
+    lines = compare_trees(out, args.against)
+    print("\n".join(lines))
+    # every line but the closing count reports a file that differs
+    return 1 if len(lines) > 1 else 0
 
 
 if __name__ == "__main__":
