@@ -10,8 +10,9 @@ comparison of the closed-form dispersive kernels with the principal-value
 quadrature oracle is the `airy-check` scan kind (`reproduce airy-check`,
 or `run` with `scan.kind = "airy-check"`).
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure,
-4 validity warning escalated by --strict.
+Exit codes: 0 success, 2 configuration error (an unreadable config file
+and an output directory that cannot be created included), 3 numerical
+failure, 4 validity warning escalated by --strict.
 """
 
 from __future__ import annotations
@@ -76,13 +77,6 @@ def _linspace(r) -> np.ndarray:
     return np.linspace(r.start, r.stop, r.count)
 
 
-def _ray_values(cfg: ScenarioConfig, geom, points, phases, orientations, corrections=True):
-    """Ray-route ratios of a scan at the scenario's quadrature orders, indexed
-    [ratio, point, phase, orientation]: one dipole_response._ray_scan call."""
-    return _ray_scan(geom, points, phases, orientations, corrections,
-                     cfg.numerics.polar_order, cfg.numerics.azimuthal_order)[0]
-
-
 # --------------------------------------------------------------------------
 # scan executors, one per scan kind: each returns (table, plot, summary_lines)
 
@@ -96,7 +90,7 @@ def _exec_detuning_sweep(cfg: ScenarioConfig):
     columns = (Column("phi0", "rad"), Column("phi0_linewidths"),
                *(Column(f"{ratio}_{tag}", "ratio") for tag in tags
                  for ratio in ("gamma", "shift")))
-    values = _ray_values(cfg, geom, [point], phis, [DipoleOrientation(tag=t) for t in tags])
+    values = _ray_scan(geom, [point], phis, [DipoleOrientation(tag=t) for t in tags], True)[0]
     # per phase, (gamma, shift) of each tag in turn
     rows = [(float(phi0), float(phi0) / width * 2.0, *values[:, 0, j].T.ravel().tolist())
             for j, phi0 in enumerate(phis)]
@@ -121,7 +115,7 @@ def _profile(cfg: ScenarioConfig, axis: str, coords, place):
     """Table and plot of the (axis, gamma ratio, shift ratio) rows of
     cfg.dipole at the points place(coordinate), at the scan's fixed detuning."""
     points = [place(float(c)) for c in coords]
-    values = _ray_values(cfg, cfg.geometry, points, [cfg.scan.phi0], [cfg.dipole])
+    values = _ray_scan(cfg.geometry, points, [cfg.scan.phi0], [cfg.dipole], True)[0]
     rows = list(zip(map(float, coords), *values[:, :, 0, 0].tolist()))
     columns = (Column(axis, "1/k"), Column("gamma_ratio", "ratio"),
                Column("shift_ratio", "ratio"))
@@ -157,8 +151,8 @@ def _exec_compare(cfg: ScenarioConfig):
                Column("enhancement_ray", "ratio"), Column("enhancement_ray_naive", "ratio"),
                Column("rel_deviation"))
     points = [FieldPoint.axial(float(kz)) for kz in kzs]
-    ray, naive = (_ray_values(cfg, geom, points, [cfg.scan.phi0], [DipoleOrientation.isotropic()],
-                              corrections)[0, :, 0, 0].tolist() for corrections in (True, False))
+    ray, naive = (_ray_scan(geom, points, [cfg.scan.phi0], [DipoleOrientation.isotropic()],
+                            corrections)[0][0, :, 0, 0].tolist() for corrections in (True, False))
     fulls = [enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
                               tail_tol=cfg.numerics.tail_tol).value for point in points]
     rows = [(float(kz), full, r, n, abs(full - r) / full)
@@ -192,7 +186,7 @@ def _exec_defocus_study(cfg: ScenarioConfig):
     phis = _linspace(cfg.scan.phi0_range)
     columns = (Column("phi0", "rad"), Column("enhancement_reference", "ratio"),
                Column("enhancement_defocused", "ratio"))
-    refs, defs_ = (_ray_values(cfg, g, [point], phis, [DipoleOrientation.isotropic()])
+    refs, defs_ = (_ray_scan(g, [point], phis, [DipoleOrientation.isotropic()], True)[0]
                    [0, 0, :, 0].tolist() for g in (reference, geom))
     rows = list(zip(phis.tolist(), refs, defs_))
     i_ref, i_def = int(np.argmax(refs)), int(np.argmax(defs_))
@@ -279,9 +273,8 @@ _EXECUTORS = {
 
 def run_scenario(cfg: ScenarioConfig, out_dir: Path):
     """Execute one scenario and write its table, JSON document and plot
-    script into out_dir. Returns the summary lines."""
+    script into the existing directory out_dir. Returns the summary lines."""
     table, plot, summary = _EXECUTORS[cfg.scan.kind](cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     base = cfg.outputs.basename
     written = []
     for fmt in cfg.outputs.formats:
@@ -299,6 +292,11 @@ def run_scenario(cfg: ScenarioConfig, out_dir: Path):
 
 
 def _execute(cfg: ScenarioConfig, out_dir: Path, strict: bool) -> int:
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out_dir}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", TruncationWarning)
         warnings.simplefilter("always", ValidityWarning)
@@ -321,12 +319,13 @@ def _execute(cfg: ScenarioConfig, out_dir: Path, strict: bool) -> int:
 
 
 def _cmd_run(args) -> int:
-    path = Path(args.config)
-    if not path.exists():
-        print(f"config file not found: {path}", file=sys.stderr)
+    try:
+        text = Path(args.config).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        print(f"cannot read config file {args.config}: {reason}", file=sys.stderr)
         return EXIT_CONFIG
-    cfg = parse_config(path.read_text(encoding="utf-8"))
-    return _execute(cfg, Path(args.out), args.strict)
+    return _execute(parse_config(text), Path(args.out), args.strict)
 
 
 def _cmd_reproduce(args) -> int:

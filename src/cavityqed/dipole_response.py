@@ -27,9 +27,8 @@ import numpy as np
 
 from .ray_model import (  # noqa: F401 (airy_resonance_factor: perfbench/tracing.py wraps it here)
     RAY_VALIDITY_KR,
-    _auto_azimuthal_order,
-    _auto_polar_order,
     _ray_kernels,
+    _ray_orders,
     airy_resonance_factor,
     ray_direction_phases,
     ray_integration_nodes,
@@ -96,9 +95,6 @@ def response(
     orientation: DipoleOrientation,
     geom: CavityGeometry,
     phi0: float,
-    *,
-    polar_order: int | None = None,
-    azimuthal_order: int | None = None,
 ) -> ResponseResult:
     """Damping-rate and level-shift ratios at one point: the one-point case
     of _ray_scan, with both ray corrections applied (the spherical-aberration
@@ -111,27 +107,27 @@ def response(
     validated range, a ValidityWarning is issued; a non-finite phi0 raises
     ValueError.
     """
-    values, nodes = _ray_scan(geom, [point], [phi0], [orientation], True, polar_order,
-                              azimuthal_order)
+    values, nodes = _ray_scan(geom, [point], [phi0], [orientation], True)
     return ResponseResult(*values[:, 0, 0, 0].tolist(), "ray",
                           {"corrections": True, **nodes[0], "orientation": orientation.label()})
 
 
-def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azimuthal_order):
+def _ray_scan(geom, points, phases, orientations, corrections):
     """Damping and shift ratios of every (point, phase, orientation) of a
     scan, as an array indexed [ratio, point, phase, orientation], and each
     point's node counts ({"polar_nodes": ..., "azimuthal_nodes": ...}).
 
-    Each value is bit for bit the one-point call's. Points whose resolved
-    orders match share one node set, and each (point, phase) evaluates its
-    direction phases and kernels once for all orientations. The azimuth
-    collapses to one column only where the point is on the axis and every
-    orientation of the call is axisymmetric, so a vector orientation among
-    tags moves the tags' values by rounding. A point with ky = 0 whose
-    orientations all weigh the azimuth evenly (the tags, a vector with
-    d_y = 0) evaluates only the first n/2 of an even order's n columns, the
-    mirrors of the rest, which moves values by rounding; the counts report
-    n. One phase's rows and one block's orientation weights are held at a
+    Each value is bit for bit the one-point call's. Each point's orders are
+    computed once (ray_model._ray_orders); points whose orders match share
+    one node set, and each (point, phase) evaluates its direction phases
+    and kernels once for all orientations. The azimuth collapses to one
+    column only where the point is on the axis and every orientation of
+    the call is axisymmetric, so a vector orientation among tags moves the
+    tags' values by rounding. A point with ky = 0 whose orientations all
+    weigh the azimuth evenly (the tags, a vector with d_y = 0) evaluates
+    only the first n/2 of its n columns (every order is even), the mirrors
+    of the rest, which moves values by rounding; the counts report n. One
+    phase's rows and one block's orientation weights are held at a
     time, in blocks of at most _BLOCK_DIRECTIONS directions: the peak memory
     grows with neither the phase count nor the orders, the values do not
     depend on the block size, and a point in one block is weighed once for
@@ -147,19 +143,17 @@ def _ray_scan(geom, points, phases, orientations, corrections, polar_order, azim
     node_sets, counts = {}, []
     for i, point in enumerate(points):
         if corrections and point.kr > RAY_VALIDITY_KR:
-            # called only from response, enhancement_ray and cli._ray_values,
-            # so stacklevel 3 names the line that called one of them
+            # stacklevel 3 names the line that called response or
+            # enhancement_ray, or the caller of a cli executor
             warnings.warn(f"kr={point.kr:.3g} beyond the validated ray-model range "
                           f"(kr <= {RAY_VALIDITY_KR:g})", ValidityWarning, stacklevel=3)
         axisym = point.on_axis and axisym_weights
-        key = (_auto_polar_order(point.kr, polar_order),
-               None if axisym else _auto_azimuthal_order(point.kr_perp, azimuthal_order))
-        if key not in node_sets:
-            node_sets[key] = ray_integration_nodes(
-                geom, point, corrections, polar_order, azimuthal_order, axisym)
-        theta, w, phi_az, rho_f, rho_b = node_sets[key]
+        orders = _ray_orders(geom, point, corrections, axisym)
+        if orders not in node_sets:
+            node_sets[orders] = ray_integration_nodes(geom, corrections, orders)
+        theta, w, phi_az, rho_f, rho_b = node_sets[orders]
         counts.append({"polar_nodes": theta.size, "azimuthal_nodes": phi_az.size})
-        if phi_az.size % 2 == 0 and point.kvec[1] == 0.0 and even_weights:
+        if not axisym and point.kvec[1] == 0.0 and even_weights:
             phi_az = phi_az[:phi_az.size // 2]  # the mirrors of the other half
         meets_mirror = (rho_f != 0.0) | (rho_b != 0.0)
         step = max(1, _BLOCK_DIRECTIONS // phi_az.size)
@@ -198,8 +192,6 @@ def enhancement_ray(
     phi0: float,
     *,
     corrections: bool = True,
-    polar_order: int | None = None,
-    azimuthal_order: int | None = None,
 ) -> EnhancementResult:
     """Vacuum-fluctuation ratio from the ray picture: the damping ratio of
     an isotropic dipole, i.e. the plain angular average of the per-ray
@@ -211,7 +203,7 @@ def enhancement_ray(
     when all angular-spreading phases are neglected.
     """
     values, nodes = _ray_scan(geom, [point], [phi0], [DipoleOrientation.isotropic()],
-                              corrections, polar_order, azimuthal_order)
+                              corrections)
     return EnhancementResult(float(values[0, 0, 0, 0]), "ray" if corrections else "ray-naive",
                              detail={"corrections": corrections, **nodes[0],
                                      "orientation": "isotropic"})

@@ -26,8 +26,7 @@ import math
 from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
-from .ray_model import (_AZIMUTHAL_ORDER_FLOOR, _POLAR_ORDER_FLOOR, ApertureCollapseError,
-                        effective_aperture)
+from .ray_model import ApertureCollapseError, effective_aperture
 from .specfun import TAIL_TOL
 from .structures import CavityGeometry, DipoleOrientation
 
@@ -63,13 +62,13 @@ SCAN_KINDS = tuple(_KIND_RANGE)
 # upper bounds on the sizes a scenario may ask for; they keep a typing slip
 # from starting hours of work or gigabytes of operator blocks
 _MAX_L = 1000
-_MAX_ORDER = 4096
 _MAX_COUNT = 100_000
 _MAX_PHASE_COUNT = 65_536
 # scan positions |k r|: the ray quadrature's automatic orders grow linearly
 # with kr (ray_model._auto_polar_order and _auto_azimuthal_order); this keeps
-# both within _MAX_ORDER, the largest order a document may request explicitly
-_MAX_KR = (_MAX_ORDER - 16) // 2
+# both within 4220 (the azimuthal order of a hemisphere-wide mirror at kr 2040),
+# about 1e7 directions a point
+_MAX_KR = 2040
 
 
 class ConfigError(ValueError):
@@ -103,8 +102,6 @@ class ScanSpec:
 @dataclass(frozen=True)
 class NumericsConfig:
     l_max: int = 150
-    polar_order: int = _POLAR_ORDER_FLOOR
-    azimuthal_order: int = _AZIMUTHAL_ORDER_FLOOR
     tail_tol: float = TAIL_TOL
 
 
@@ -286,12 +283,6 @@ def parse_config(text: str) -> ScenarioConfig:
     numerics = NumericsConfig(
         l_max=_get(n, "l_max", NumericsConfig.l_max, errors, "numerics", int,
                    constraint=lambda v: 0 <= v <= _MAX_L, describe=f"integer in [0, {_MAX_L}]"),
-        polar_order=_get(n, "polar_order", NumericsConfig.polar_order, errors, "numerics", int,
-                         constraint=lambda v: 2 <= v <= _MAX_ORDER,
-                         describe=f"integer in [2, {_MAX_ORDER}]"),
-        azimuthal_order=_get(n, "azimuthal_order", NumericsConfig.azimuthal_order, errors,
-                             "numerics", int, constraint=lambda v: 2 <= v <= _MAX_ORDER,
-                             describe=f"integer in [2, {_MAX_ORDER}]"),
         tail_tol=float(_get(n, "tail_tol", NumericsConfig.tail_tol, errors, "numerics",
                             (int, float), constraint=lambda v: v > 0,
                             describe="positive number")),

@@ -48,7 +48,7 @@ RAY_VALIDITY_KR = 100.0
 # rho1*rho2 closer to 1 than this is a lossless line; a resonant phase on it
 # raises ResonanceSingularityError instead of dividing by zero
 _SINGULAR_FLOOR = 1e-9
-# least ray-quadrature orders, and the defaults of numerics.*_order
+# least ray-quadrature orders
 _POLAR_ORDER_FLOOR = 64
 _AZIMUTHAL_ORDER_FLOOR = 32
 
@@ -231,7 +231,7 @@ def ray_direction_phases(
     return phi_eff, x_eff
 
 
-def _auto_polar_order(kr: float, base: int | None) -> int:
+def _auto_polar_order(kr: float) -> int:
     # the designed order 48 + int(1.2 kr) is rounded up to a multiple of 16,
     # so a scan to kr 100 needs 8 Gauss rules rather than 105. The values
     # are converged at the designed order: the rounding moves the presets'
@@ -239,37 +239,55 @@ def _auto_polar_order(kr: float, base: int | None) -> int:
     # map's shift_ratio by 1.5e-13 and a compare scan's rel_deviation by
     # 2.4e-12, and gives the axial-profile scan 6% more polar nodes
     auto = -(-(48 + int(1.2 * kr)) // 16) * 16
-    return max(base or _POLAR_ORDER_FLOOR, auto)
+    return max(_POLAR_ORDER_FLOOR, auto)
 
 
-def _auto_azimuthal_order(kr_perp: float, base: int | None) -> int:
-    auto = 16 + 2 * int(math.ceil(kr_perp))
-    return max(base or _AZIMUTHAL_ORDER_FLOOR, auto)
+def _auto_azimuthal_order(kr_perp: float, sin_theta: float) -> int:
+    # a row's kernels carry cos 2x, x = kr_perp sin(theta) cos(phi) + const,
+    # and n uniform columns alias its Bessel term J_n(z), z = 2 kr_perp
+    # sin(theta), of Debye exponent n(alpha - tanh alpha), cosh alpha = n/z
+    # (DLMF 10.19.3). The order is the least even n from 16 + 2 ceil(kr_perp)
+    # up whose exponent reaches 24 at the widest cap's sin_theta: 16 + 2
+    # ceil(kr_perp) on the benchmark's diffraction-shrunk caps, and within
+    # 1e-13 of 4n up to theta_m = pi/2 (tests)
+    n = max(_AZIMUTHAL_ORDER_FLOOR, 16 + 2 * math.ceil(kr_perp))
+    z = 2.0 * kr_perp * sin_theta
+    while z > 0.0 and (n <= z or n * math.acosh(n / z) - math.sqrt(n * n - z * z) < 24.0):
+        n += 2
+    return n
 
 
-def ray_integration_nodes(geom, point, diffraction, polar_order, azimuthal_order, axisym):
-    """Direction nodes and weights for ray-model integrals, with the
-    reflectivities met at the +Omega and -Omega ends of each polar row's
-    rays: (theta, w, phi_az, rho_fwd, rho_back), a reflectivity being 0
-    where the ray meets no mirror within the (effective) apertures.
+def _ray_orders(geom: CavityGeometry, point: FieldPoint, diffraction: bool, axisym: bool):
+    """(polar, azimuthal) orders of a point's ray quadrature; the azimuthal
+    order is None (one column) where the integrand is axisymmetric."""
+    widest = max(_effective_edges(geom, diffraction))
+    return (_auto_polar_order(point.kr),
+            None if axisym else _auto_azimuthal_order(point.kr_perp, math.sin(widest)))
+
+
+def ray_integration_nodes(geom, diffraction, orders):
+    """Direction nodes and weights for ray-model integrals at the given
+    (polar, azimuthal) orders (_ray_orders), with the reflectivities met at
+    the +Omega and -Omega ends of each polar row's rays: (theta, w, phi_az,
+    rho_fwd, rho_back), a reflectivity being 0 where the ray meets no
+    mirror within the (effective) apertures.
 
     The reflectivities jump at both caps' edges and at their antipodes, so
     the polar Gauss rule is split at all four (two for a mirror-symmetric
-    cavity). The azimuth is uniform, or collapsed to a single column for
-    axisymmetric integrands. Orders scale with kr unless larger values are
-    requested."""
+    cavity). The azimuth is uniform, or a single column where the
+    azimuthal order is None (axisymmetric integrands)."""
+    polar_order, azimuthal_order = orders
     th1, th2 = _effective_edges(geom, diffraction)
     edges = sorted(set(cap_edges(th1, th2)) | set(cap_edges(th2, th1)))
-    grid = polar_rule(edges, _auto_polar_order(point.kr, polar_order))
+    grid = polar_rule(edges, polar_order)
     on1_fwd, on2_fwd = _cap_masks(grid.theta, th1, th2)
     on2_back, on1_back = _cap_masks(grid.theta, th2, th1)
     rho_fwd = np.where(on1_fwd, geom.rho1, 0.0) + np.where(on2_fwd, geom.rho2, 0.0)
     rho_back = np.where(on1_back, geom.rho1, 0.0) + np.where(on2_back, geom.rho2, 0.0)
-    if axisym:
+    if azimuthal_order is None:
         phi = np.zeros(1)
     else:
-        n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
-        phi = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
+        phi = 2.0 * math.pi * (np.arange(azimuthal_order) + 0.5) / azimuthal_order
     return grid.theta, grid.w_theta, phi, rho_fwd, rho_back
 
 

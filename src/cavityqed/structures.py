@@ -248,7 +248,6 @@ class EnhancementResult:
     method: str
     l_max: Optional[int] = None
     truncation_tail: Optional[float] = None
-    condition: Optional[float] = None
     detail: dict = field(default_factory=dict)
 
 

@@ -850,7 +850,6 @@ def enhancement_full(
     *,
     ops: CavityOperatorSet | None = None,
     tail_tol: float = TAIL_TOL,
-    collect_condition: bool = False,
 ) -> EnhancementResult:
     """Vacuum-fluctuation ratio at a point from the full operator calculation.
 
@@ -868,12 +867,10 @@ def enhancement_full(
     its reach in l and in |m|, and the +-m pairs are skipped from the
     highest |m| down while the sum of their bounds stays within 1e-16 of
     the input energy. A lossless cavity has no such bound: there every l
-    is kept and every listed block is solved and checked. detail reports the listed blocks
-    (m_blocks), the |m| systems solved (blocks_solved) and the bound of all
-    input left unsolved, the cut and the skipped pairs (skipped_bound). The
-    condition estimate covers the solved systems, each as a whole block,
-    also where a mirror-symmetric cavity solves it as its two parity sectors
-    (see OperatorBlock). A sector whose input is exactly zero, such as the
+    is kept and every listed block is solved and checked. detail reports
+    the listed blocks (m_blocks), the |m| systems solved (blocks_solved)
+    and the bound of all input left unsolved, the cut and the skipped pairs
+    (skipped_bound). A sector whose input is exactly zero, such as the
     odd sector of the m = 0 block at the centre, is not solved and adds no
     tau^2 form; detail counts those sectors over the solved systems
     (zero_sectors).
@@ -960,14 +957,11 @@ def enhancement_full(
         if modal is not None:
             modal_conditions.extend(modal)
             modal_solves += 1
-    conditions = ([_block_condition(ops.block(mag), z) for mag in range(top + 1)]
-                  if collect_condition else [])
     return EnhancementResult(
         value=float(value),
         method="full",
         l_max=l_max,
         truncation_tail=held.tail,
-        condition=max(conditions) if conditions else None,
         detail={"flux_residual": ops.flux_residual,
                 "m_blocks": 1 if point.on_axis else 2 * l_max + 1,
                 "blocks_solved": top + 1, "skipped_bound": held.skipped,

@@ -21,6 +21,7 @@ from cavityqed.quadrature import polar_rule
 from cavityqed.ray_model import (
     _auto_azimuthal_order,
     _ray_kernels,
+    _ray_orders,
     ray_direction_phases,
     ray_integration_nodes,
 )
@@ -243,9 +244,6 @@ def one_mirror_response(
     rho: float,
     phi: float,
     theta_m: float,
-    *,
-    polar_order: int | None = None,
-    azimuthal_order: int | None = None,
 ) -> ResponseResult:
     """Response in front of a single spherical mirror cap (no resonator).
 
@@ -266,7 +264,7 @@ def one_mirror_response(
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     if not 0.0 < theta_m <= math.pi / 2:
         raise ValueError(f"theta_m must lie in (0, pi/2], got {theta_m}")
-    order = max(polar_order or 48, 24 + int(1.2 * point.kr * theta_m))
+    order = max(48, 24 + int(1.2 * point.kr * theta_m))
     # the cap mu in [cos(theta_m), 1] is the last segment of the split rule
     grid = polar_rule([theta_m], order)
     theta, w = grid.theta[-order:], grid.w_theta[-order:]
@@ -274,7 +272,7 @@ def one_mirror_response(
     if axisym:
         phi_az = np.zeros(1)
     else:
-        n_az = _auto_azimuthal_order(point.kr_perp, azimuthal_order)
+        n_az = _auto_azimuthal_order(point.kr_perp, math.sin(theta_m))
         phi_az = 2.0 * math.pi * (np.arange(n_az) + 0.5) / n_az
     th2, ph2 = theta[:, None], phi_az[None, :]
     kx, ky, kz = point.kvec
@@ -308,8 +306,7 @@ def full_rule_segments(geom, grid) -> _Segments:
     return _Segments(grid.mu, tuple(parts))
 
 
-def unfolded_ray_response(point, orientation, geom, phi0, *, polar_order=None,
-                          azimuthal_order=None) -> tuple[float, float]:
+def unfolded_ray_response(point, orientation, geom, phi0) -> tuple[float, float]:
     """Damping and shift ratios of the corrected ray route with every
     direction of its node set evaluated: each polar row's mean over all n
     azimuths, where dipole_response._ray_scan folds a ky = 0 point to n/2.
@@ -318,7 +315,7 @@ def unfolded_ray_response(point, orientation, geom, phi0, *, polar_order=None,
     scan's, bit for bit."""
     axisym = point.on_axis and orientation.is_axisymmetric
     theta, w, phi_az, rho_f, rho_b = ray_integration_nodes(
-        geom, point, True, polar_order, azimuthal_order, axisym)
+        geom, True, _ray_orders(geom, point, True, axisym))
     th, ph = theta[:, None], phi_az[None, :]
     phi_eff, x_eff = ray_direction_phases(geom, point, phi0, th, ph, aberration=True)
     kernels = _ray_kernels(phi_eff, x_eff, rho_f[:, None], rho_b[:, None])

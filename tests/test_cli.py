@@ -104,6 +104,39 @@ class TestRun:
         code = cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path)])
         assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == (f"cannot read config file {tmp_path / 'nope.json'}: "
+                                           "No such file or directory\n")
+
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.json"
+        cfg.write_bytes(json.dumps(TINY_SCENARIO).replace("tiny", "t\u00e9").encode("latin-1"))
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"cannot read config file {cfg}: not UTF-8 text\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_directory_as_config_file(self, tmp_path, capsys):
+        code = cli.main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err == f"cannot read config file {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("out", ["a-file", "a-file/below"])
+    def test_output_directory_that_cannot_be_made_fails_before_the_scan(
+            self, tmp_path, capsys, monkeypatch, out):
+        # --out names an existing file, or a directory below one
+        (tmp_path / "a-file").write_text("x")
+        cfg = _write_config(tmp_path, TINY_SCENARIO)
+
+        def no_scan(cfg):
+            raise AssertionError("the scan ran")
+
+        monkeypatch.setitem(cli._EXECUTORS, "axial-profile", no_scan)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / out)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"cannot create output directory {tmp_path / out}: ")
+        assert err.count("\n") == 1
+        assert (tmp_path / "a-file").read_text() == "x"
 
     def test_invalid_config_reports_violations(self, tmp_path, capsys):
         doc = dict(TINY_SCENARIO)
@@ -201,31 +234,15 @@ class TestRun:
         for suffix in (".csv", ".json", ".gp"):
             assert (out / f"tiny{suffix}").exists()
 
-    def test_defocus_study_honours_azimuthal_order(self, tmp_path, monkeypatch):
-        # the azimuthal node count of every ray evaluation shows the order
-        # that reached it; at kr_perp = 6 the automatic count is 28
-        real, nodes = cli._ray_scan, []
-
-        def recording(*args, **kwargs):
-            values, counts = real(*args, **kwargs)
-            nodes.extend(c["azimuthal_nodes"] for c in counts)
-            return values, counts
-
-        monkeypatch.setattr(cli, "_ray_scan", recording)
-        for order in (32, 96):
-            nodes.clear()
-            doc = {
-                "geometry": dict(TINY_SCENARIO["geometry"], k_delta=0.3),
-                "scan": {"kind": "defocus-study", "point": [6.0, 0.0, 1.0],
-                         "phi0_range": {"start": -0.1, "stop": 0.1, "count": 3}},
-                "numerics": {"azimuthal_order": order},
-                "outputs": {"basename": "d"},
-            }
-            cfg = _write_config(tmp_path, doc)
-            out = tmp_path / str(order)
-            assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-            # one scan of the one point for each of the two geometries
-            assert nodes == [order] * 2
+    @pytest.mark.parametrize("key", ["polar_order", "azimuthal_order"])
+    def test_retired_order_keys_are_unknown(self, tmp_path, capsys, key):
+        # the ray quadrature sets its own orders; a document that still
+        # names one is rejected as any unknown key
+        doc = dict(TINY_SCENARIO, numerics={"l_max": 40, key: 64})
+        cfg = _write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines()[1:] == [f"  - numerics.{key}: unknown key"]
 
     def test_non_finite_result_exits_numerical(self, tmp_path, monkeypatch, capsys):
         real = cli._ray_scan

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cavityqed import dipole_response
+from cavityqed import dipole_response, ray_model
 from cavityqed.dipole_response import (
     enhancement_ray,
     orientation_weight,
@@ -14,6 +14,7 @@ from cavityqed.dipole_response import (
 )
 from cavityqed.ray_model import (
     ResonanceSingularityError,
+    _ray_orders,
     airy_resonance_factor,
     ray_direction_phases,
     ray_integration_nodes,
@@ -149,7 +150,7 @@ def _two_kernel_response(point, orientation, geom, phi0):
     evaluated on every direction, with the 2-D polarization weight."""
     axisym = point.on_axis and orientation.is_axisymmetric
     theta, w, phi_az, rho_fwd, rho_back = ray_integration_nodes(
-        geom, point, True, None, None, axisym)
+        geom, True, _ray_orders(geom, point, True, axisym))
     th2, ph2 = theta[:, None], phi_az[None, :]
     phi, x = ray_direction_phases(geom, point, phi0, th2, ph2)
     rho1, rho2 = rho_fwd[:, None], rho_back[:, None]
@@ -203,13 +204,15 @@ class TestTwoKernelOracle:
 
 
 class TestBlockedPass:
-    def test_memory_is_bounded_at_large_orders(self, benchmark_geom):
+    def test_memory_is_bounded_at_large_orders(self, benchmark_geom, monkeypatch):
         # 3072 polar rows x 1024 azimuths: about 3.1 million directions
+        monkeypatch.setattr(ray_model, "_POLAR_ORDER_FLOOR", 1024)
+        monkeypatch.setattr(ray_model, "_AZIMUTHAL_ORDER_FLOOR", 1024)
         point = FieldPoint((30.0, 20.0, 33.0))
         tracemalloc.start()
         try:
             r = response(point, DipoleOrientation.along((0.6, 0.0, 0.8)), benchmark_geom,
-                         0.01, polar_order=1024, azimuthal_order=1024)
+                         0.01)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -268,7 +271,7 @@ class TestRayScan:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", ValidityWarning)
             values, nodes = dipole_response._ray_scan(geom, self.POINTS, self.PHASES,
-                                                      orientations, corrections, None, None)
+                                                      orientations, corrections)
         # one warning for the one point beyond the ray range, on the corrected route only
         assert len(caught) == (1 if corrections else 0)
         assert values.shape == (2, len(self.POINTS), len(self.PHASES), len(orientations))
@@ -278,7 +281,7 @@ class TestRayScan:
                 for j, phi0 in enumerate(self.PHASES):
                     for k, o in enumerate(orientations):
                         one, one_nodes = dipole_response._ray_scan(
-                            geom, [point], [phi0], [o], corrections, None, None)
+                            geom, [point], [phi0], [o], corrections)
                         assert one_nodes == [nodes[i]]
                         assert values[:, i, j, k].tolist() == one[:, 0, 0, 0].tolist()
                         if corrections:
@@ -295,13 +298,13 @@ class TestRayScan:
         real = dipole_response.ray_integration_nodes
 
         def spy(*args):
-            built.append(args[1])
+            built.append(args[2])
             return real(*args)
 
         monkeypatch.setattr(dipole_response, "ray_integration_nodes", spy)
         points = [FieldPoint.axial(float(kz)) for kz in np.linspace(0.0, 100.0, 201)]
         dipole_response._ray_scan(benchmark_geom, points, [0.0],
-                                  [DipoleOrientation.isotropic()], True, None, None)
+                                  [DipoleOrientation.isotropic()], True)
         assert len(built) == 8
 
     def test_a_point_in_one_block_is_weighed_once(self, benchmark_geom, monkeypatch):
@@ -315,12 +318,13 @@ class TestRayScan:
         monkeypatch.setattr(dipole_response, "orientation_weight", spy)
         tags = [DipoleOrientation(tag=tag) for tag in ("parallel", "perpendicular", "isotropic")]
         dipole_response._ray_scan(benchmark_geom, [FieldPoint((3.0, 1.0, 2.0))],
-                                  [-0.01, 0.0, 0.01, 0.02], tags, True, None, None)
+                                  [-0.01, 0.0, 0.01, 0.02], tags, True)
         assert calls == tags
 
-    def test_memory_does_not_grow_with_the_phase_count(self, benchmark_geom):
+    def test_memory_does_not_grow_with_the_phase_count(self, benchmark_geom, monkeypatch):
         # one phase's rows are held at a time: rows held for every phase
         # would take about 25 MB at 500 phases, three tags and 1024 nodes
+        monkeypatch.setattr(ray_model, "_POLAR_ORDER_FLOOR", 1024)
         tags = [DipoleOrientation(tag=tag) for tag in ("parallel", "perpendicular", "isotropic")]
 
         def peak(count):
@@ -328,7 +332,7 @@ class TestRayScan:
             tracemalloc.start()
             try:
                 dipole_response._ray_scan(benchmark_geom, [FieldPoint.origin()], phases, tags,
-                                          True, 1024, None)
+                                          True)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -366,29 +370,20 @@ class TestAzimuthFold:
         monkeypatch.setattr(dipole_response, "ray_direction_phases", spy)
         return seen
 
-    @pytest.mark.parametrize("azimuthal_order", [None, 40, 45], ids=["auto", "even", "odd"])
+    @pytest.mark.parametrize("floor", [32, 40], ids=["auto", "even"])
     @pytest.mark.parametrize("orientation", sorted(ORIENTATIONS))
     @pytest.mark.parametrize("family", sorted(GEOMETRIES))
-    def test_folded_points_match_the_unfolded_quadrature(self, family, orientation,
-                                                         azimuthal_order):
+    def test_folded_points_match_the_unfolded_quadrature(self, family, orientation, floor,
+                                                         monkeypatch):
+        # a floor of 40 raises the order of the point at kr_perp 4
+        monkeypatch.setattr(ray_model, "_AZIMUTHAL_ORDER_FLOOR", floor)
         geom, o = self.GEOMETRIES[family], self.ORIENTATIONS[orientation]
         for point in self.FOLDED:
-            r = response(point, o, geom, 0.013, azimuthal_order=azimuthal_order)
-            gamma, shift = unfolded_ray_response(point, o, geom, 0.013,
-                                                 azimuthal_order=azimuthal_order)
+            r = response(point, o, geom, 0.013)
+            gamma, shift = unfolded_ray_response(point, o, geom, 0.013)
             assert abs(r.gamma_ratio - gamma) <= 1e-15 * abs(gamma)
             assert abs(r.shift_ratio - shift) <= 1e-15 * abs(shift)
-            nodes = ray_integration_nodes(geom, point, True, None, azimuthal_order, False)
-            assert r.detail["azimuthal_nodes"] == nodes[2].size
-
-    def test_odd_order_is_not_folded(self, benchmark_geom, monkeypatch):
-        # the self-mirrored column phi = pi would need its own weight
-        seen = self._columns(monkeypatch)
-        point, o = FieldPoint((10.0, 0.0, 0.0)), DipoleOrientation.parallel()
-        r = response(point, o, benchmark_geom, 0.013, azimuthal_order=45)
-        assert seen == [45] and r.detail["azimuthal_nodes"] == 45
-        assert (r.gamma_ratio, r.shift_ratio) == unfolded_ray_response(
-            point, o, benchmark_geom, 0.013, azimuthal_order=45)
+            assert r.detail["azimuthal_nodes"] == _ray_orders(geom, point, True, False)[1]
 
     def test_ky_zero_evaluates_half_the_azimuth(self, benchmark_geom, monkeypatch):
         seen = self._columns(monkeypatch)
@@ -414,8 +409,7 @@ class TestAzimuthFold:
         points = [FieldPoint((10.0, 0.0, 2.0)), FieldPoint((8.0, 6.0, 2.0)),
                   FieldPoint((-10.0, 0.0, 2.0))]
         o = DipoleOrientation.parallel()
-        values, nodes = dipole_response._ray_scan(benchmark_geom, points, [0.013], [o], True,
-                                                  None, None)
+        values, nodes = dipole_response._ray_scan(benchmark_geom, points, [0.013], [o], True)
         assert seen == [18, 36, 18]
         assert [n["azimuthal_nodes"] for n in nodes] == [36, 36, 36]
         for i, point in enumerate(points):
@@ -453,13 +447,38 @@ class TestUnequalCapSplit:
 
     @pytest.mark.parametrize("k_delta", [0.0, 0.3])
     @pytest.mark.parametrize("tag", ["parallel", "perpendicular", "isotropic"])
-    def test_default_order_is_converged(self, tag, k_delta):
+    def test_default_order_is_converged(self, tag, k_delta, monkeypatch):
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta)
         point, orientation = FieldPoint((3.0, 1.0, 2.0)), DipoleOrientation(tag=tag)
         default = response(point, orientation, geom, 0.01)
-        fine = response(point, orientation, geom, 0.01, polar_order=512)
+        monkeypatch.setattr(ray_model, "_POLAR_ORDER_FLOOR", 512)
+        fine = response(point, orientation, geom, 0.01)
         assert abs(default.gamma_ratio - fine.gamma_ratio) <= 1e-13
         assert abs(default.shift_ratio - fine.shift_ratio) <= 1e-13
+
+
+@pytest.mark.parametrize("tag", ["parallel", "isotropic"])
+@pytest.mark.parametrize("theta_m", [1.2, 1.5, math.pi / 2], ids=["1.2", "1.5", "pi/2"])
+def test_wide_mirrors_resolve_at_the_automatic_azimuthal_order(theta_m, tag, monkeypatch):
+    # a row's kernels carry cos 2x with x = kr_perp sin(theta) cos(phi), so
+    # the azimuth must resolve bandwidth 2 kr_perp sin(theta); 16 + 2
+    # ceil(kr_perp) columns alone are off 4 times the order by up to 5.2e-5
+    # in gamma and 1.2e-4 in the shift (relative) on these caps, and the
+    # automatic order stays within 9.5e-14 of gamma for both
+    geom = CavityGeometry.symmetric(KR, theta_m, 0.98)
+    orientation = DipoleOrientation(tag=tag)
+    for kx in (10.0, 30.0, 60.0, 100.0):
+        point = FieldPoint((kx, 0.0, 0.0))
+        for phi0 in (0.0, 0.013):
+            auto = response(point, orientation, geom, phi0)
+            n = auto.detail["azimuthal_nodes"]
+            with monkeypatch.context() as m:
+                m.setattr(ray_model, "_AZIMUTHAL_ORDER_FLOOR", 4 * n)
+                fine = response(point, orientation, geom, phi0)
+            assert fine.detail["azimuthal_nodes"] == 4 * n
+            scale = fine.gamma_ratio
+            assert abs(auto.gamma_ratio - fine.gamma_ratio) <= 3e-13 * scale, (kx, phi0)
+            assert abs(auto.shift_ratio - fine.shift_ratio) <= 3e-13 * scale, (kx, phi0)
 
 
 class TestValidityWarning:
@@ -537,7 +556,7 @@ class TestCenterClosedForms:
             o = DipoleOrientation(tag=tag)
             closed = center_closed_forms(o, THETA_30PCT, 0.98, phi0)
             values, _ = dipole_response._ray_scan(benchmark_geom, [FieldPoint.origin()], [phi0],
-                                                  [o], False, None, None)
+                                                  [o], False)
             gamma, shift = values[:, 0, 0, 0]
             assert gamma == pytest.approx(closed.gamma_ratio, rel=1e-12)
             assert shift == pytest.approx(closed.shift_ratio, rel=1e-12, abs=1e-15)

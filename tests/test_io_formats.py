@@ -61,8 +61,6 @@ class TestParseConfig:
     def test_minimal_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.numerics.l_max == 150
-        assert cfg.numerics.polar_order == 64
-        assert cfg.numerics.azimuthal_order == 32
         assert cfg.geometry.k_radius == 1e5
         assert cfg.dipole.tag == "isotropic"
         assert cfg.scan.kz_range.count == 5
@@ -203,8 +201,7 @@ class TestParseConfig:
         assert [v.split(":")[0] for v in err.value.violations] == [path]
 
     @pytest.mark.parametrize("path,bound", [
-        ("numerics.l_max", 1000), ("numerics.polar_order", 4096),
-        ("numerics.azimuthal_order", 4096), ("scan.kz_range.count", 100_000),
+        ("numerics.l_max", 1000), ("scan.kz_range.count", 100_000),
         ("scan.phi0_range.count", 100_000), ("scan.kx_range.count", 100_000),
         ("scan.phase_count", 65_536), ("scan.kz_range.start", 2040),
         ("scan.kz_range.stop", 2040),
@@ -224,10 +221,11 @@ class TestParseConfig:
         assert str(bound) in err.value.violations[0]
 
     def test_scan_positions_are_bounded(self):
-        # a far point would make the ray quadrature's automatic orders explode;
-        # the bound keeps them within the largest order a document may request
-        assert _auto_polar_order(2040, None) <= 4096
-        assert _auto_azimuthal_order(2040, None) <= 4096
+        # a far point would make the ray quadrature's automatic orders
+        # explode; the bound keeps both within 4220, the azimuthal order of
+        # a hemisphere-wide mirror at kr 2040
+        assert _auto_polar_order(2040) <= 4220
+        assert max(_auto_azimuthal_order(2040, s) for s in (0.0, 0.5, 1.0)) == 4220
         parse_config(json.dumps(_minimal_with("scan.point", [1224.0, 0.0, 1632.0])))
         for path, value in (("scan.point", [1224.0, 0.0, 1632.1]),
                             ("scan.kz_range.start", -2041), ("scan.kx_range.stop", 1e6)):
@@ -265,15 +263,15 @@ class TestParseConfig:
         assert parse_config(_dump(cfg)) == cfg
 
 
-# config_hash of every preset, frozen before the serialization was derived
-# from the dataclasses; a change here changes the provenance of every run
+# config_hash of every preset; a change here changes the provenance of
+# every run
 PRESET_HASHES = {
-    "center-enhancement": "ffc72c81a506d6d3a9821183ceaabdd08836dd1af969681982fa0f9efe56662e",
-    "detuning-sweep": "e3462d975b3797e584d16a931a05c39a720b9e4033434d16af36a4fd97d8c140",
-    "axial-profile": "7ea4740f187d27b8de2ff5ceeb8e9124d724a23b96193e29137537d1f4530563",
-    "ray-vs-full": "abd0fb3d957c527d95904633e982de9f13e7697722aabfed861a9c6b3f70a781",
-    "defocus-study": "acf9f36e836bb59c7e1b3d655686bca3d3b7b99baf0c37f8c729b105e5604119",
-    "airy-check": "2fb2ef5e4e493d764c5d7fe56d123d352ada7c2bca2985562abe64a9f5abaac4",
+    "center-enhancement": "921c975d3d3839cae5a0f19386011af7edd332169d603173bb6866920b78f0ee",
+    "detuning-sweep": "2406db5034abd80f24bdbc87884a623776c577a559c5338f888a68257524411d",
+    "axial-profile": "b983619bf96c2967195752b785a3c87fb4c447fb357f3c79c7e50b5b25fef181",
+    "ray-vs-full": "4bc55344a92c19e2ef1fe5ebae02ce8b67a8bd1e41d374b23d55cfc18f145995",
+    "defocus-study": "84844e236f9aa8fae896fb0494e1cd2189ca149619cc3d3d73392777d120e0b4",
+    "airy-check": "06506cecfe661faa2fb524f75979f9a523a8315c776a81f55e896bb5f5f83835",
 }
 
 
@@ -312,8 +310,7 @@ _KNOWN_KEYS = {
              "phi0_range": _RANGE, "kz_range": _RANGE, "kx_range": _RANGE,
              "rhos": st.lists(_mixed(st.floats(0.0, 0.99)), min_size=1, max_size=4),
              "phase_count": st.integers(2, 64)},
-    "numerics": {"l_max": st.integers(0, 400), "polar_order": st.integers(2, 100),
-                 "azimuthal_order": st.integers(2, 100), "tail_tol": st.floats(1e-12, 1.0)},
+    "numerics": {"l_max": st.integers(0, 400), "tail_tol": st.floats(1e-12, 1.0)},
     "outputs": {"basename": st.text("abc.-_", min_size=1, max_size=6),
                 "formats": st.lists(st.sampled_from(["csv", "json"]), max_size=2),
                 "plot_script": st.booleans()},

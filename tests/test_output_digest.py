@@ -68,3 +68,27 @@ def test_against_exits_1_when_a_file_differs(tmp_path, monkeypatch, capsys):
     assert "presets/a.csv: differs" in capsys.readouterr().out
     # the one-directory form only prints the digests
     assert module.main([str(tmp_path / "alone")]) == 0
+
+
+def test_against_names_the_other_json_leaves_that_changed(tmp_path):
+    # a re-pinned config_hash, a dropped numerics key and a changed method
+    # tag are not numbers, but each is named
+    doc = {"provenance": {"config_hash": "aa", "methods": ["ray", "full"],
+                          "config": {"numerics": {"l_max": 150, "polar_order": 64},
+                                     "outputs": {"plot_script": True, "basename": "x"}}},
+           "columns": [{"name": "kz", "unit": "1/k"}], "rows": [[0.0]]}
+    _write(tmp_path / "old", {"presets/a.json": json.dumps(doc)})
+    doc["provenance"]["config_hash"] = "bb"
+    doc["provenance"]["methods"][1] = "ray-naive"
+    del doc["provenance"]["config"]["numerics"]["polar_order"]
+    doc["provenance"]["config"]["outputs"]["dropped"] = None
+    _write(tmp_path / "new", {"presets/a.json": json.dumps(doc)})
+    lines = _load().compare_trees(tmp_path / "new", tmp_path / "old")
+    assert lines == [
+        "presets/a.json: differs",
+        "  provenance.config.numerics.polar_order: present or sized differently in one tree",
+        "  provenance.config.outputs.dropped: present in one tree only",
+        "  provenance.config_hash: changed",
+        "  provenance.methods.1: changed",
+        "0 of 1 files byte-identical",
+    ]

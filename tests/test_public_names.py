@@ -103,7 +103,9 @@ def test_only_the_cli_imports_the_cli():
 def test_parameters_that_no_program_path_varies_stay_retired():
     # pv_integrate runs the one configuration of the airy-check scan,
     # operator blocks always sit on operator_grid, response always applies
-    # both ray corrections and enhancement_ray switches them together;
+    # both ray corrections and enhancement_ray switches them together, the
+    # ray quadrature sets its own orders and the full route reports no
+    # condition estimate;
     # perfbench/worker.py passes the first four parameters of
     # enhancement_full by position
     params = {f.__name__: list(inspect.signature(f).parameters)
@@ -113,12 +115,9 @@ def test_parameters_that_no_program_path_varies_stay_retired():
         "pv_integrate": ["kernel", "period", "refine_points"],
         "pv_oracle_errors": ["rho", "phi"],
         "build_operators": ["geom", "basis", "m_values"],
-        "response": ["point", "orientation", "geom", "phi0", "polar_order",
-                     "azimuthal_order"],
-        "enhancement_ray": ["geom", "point", "phi0", "corrections", "polar_order",
-                            "azimuthal_order"],
-        "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops", "tail_tol",
-                             "collect_condition"],
+        "response": ["point", "orientation", "geom", "phi0"],
+        "enhancement_ray": ["geom", "point", "phi0", "corrections"],
+        "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops", "tail_tol"],
     }
     kinds = [p.kind for p in inspect.signature(enhancement_full).parameters.values()]
     assert kinds[:4] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4

@@ -18,13 +18,12 @@ from cavityqed.quadrature import (
     pv_integrate,
 )
 from cavityqed.ray_model import ray_integration_nodes
-from cavityqed.structures import CavityGeometry, FieldPoint
+from cavityqed.structures import CavityGeometry
 
 
 def _ray_nodes(geom, polar_order, azimuthal_order):
     """The product rule that the ray route integrates on, at the centre."""
-    theta, w, phi, _, _ = ray_integration_nodes(geom, FieldPoint.origin(), False,
-                                                polar_order, azimuthal_order, False)
+    theta, w, phi, _, _ = ray_integration_nodes(geom, False, (polar_order, azimuthal_order))
     return theta[:, None], w, phi[None, :]
 
 

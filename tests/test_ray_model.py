@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cavityqed.dipole_response import enhancement_ray
 from cavityqed.ray_model import (
     ApertureCollapseError,
+    _auto_azimuthal_order,
     _auto_polar_order,
     _cap_masks,
     _ray_kernels,
@@ -290,13 +291,43 @@ class TestEnhancementRay:
         assert a.value == pytest.approx(b.value, rel=1e-12)
 
 
-@given(kr=st.floats(0.0, 2040.0), base=st.none() | st.integers(2, 4096))
-def test_polar_order_ladder_adds_less_than_16(kr, base):
+@given(kr=st.floats(0.0, 2040.0))
+def test_polar_order_ladder_adds_less_than_16(kr):
     # the designed order is the larger of the floor and 48 + int(1.2 kr)
-    designed = max(base or 64, 48 + int(1.2 * kr))
-    order = _auto_polar_order(kr, base)
+    designed = max(64, 48 + int(1.2 * kr))
+    order = _auto_polar_order(kr)
     assert designed <= order < designed + 16
-    assert order == (base or 64) or order % 16 == 0
+    assert order % 16 == 0
+
+
+def _debye_exponent(n, z):
+    """n(alpha - tanh alpha) with cosh alpha = n/z > 1."""
+    return n * math.acosh(n / z) - math.sqrt(n * n - z * z)
+
+
+@given(kr_perp=st.floats(0.0, 2040.0), sin_theta=st.floats(0.0, 1.0))
+def test_azimuthal_order_is_the_least_even_order_past_the_decay(kr_perp, sin_theta):
+    base = max(32, 16 + 2 * math.ceil(kr_perp))
+    n = _auto_azimuthal_order(kr_perp, sin_theta)
+    z = 2.0 * kr_perp * sin_theta
+    assert n >= base and n % 2 == 0
+    if z > 0.0:
+        assert n > z and _debye_exponent(n, z) >= 24.0
+        if n > base:
+            assert n - 2 <= z or _debye_exponent(n - 2, z) < 24.0
+
+
+def test_azimuthal_order_is_unchanged_on_the_benchmark_caps():
+    # the corrected ray route of the benchmark cavity integrates on caps
+    # shrunk by the diffraction correction; on them the rule never asks for
+    # more than 16 + 2 ceil(kr_perp) columns
+    widest = math.sin(effective_aperture(THETA_30PCT, KR, 0.98, 0.98))
+    for kr_perp in np.arange(20401) / 10.0:
+        expected = max(32, 16 + 2 * math.ceil(kr_perp))
+        assert _auto_azimuthal_order(kr_perp, widest) == expected, kr_perp
+    # a hemisphere-wide mirror needs more where its bandwidth 2 kr_perp
+    # approaches the order
+    assert _auto_azimuthal_order(100.0, 1.0) == 252
 
 
 class TestCavityLinewidth:

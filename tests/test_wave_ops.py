@@ -436,12 +436,11 @@ class TestParitySectors:
         assert abs(r.value - ref) <= r.detail["skipped_bound"] + 1e-13 * ref
 
     def test_condition_estimate_is_the_whole_blocks(self, benchmark_geom):
-        basis = HarmonicBasis(40)
-        ops = build_operators(benchmark_geom, basis, m_values=(0,))
-        r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0, ops=ops,
-                             collect_condition=True)
+        # the guards' estimate of a split block covers both parity sectors
+        ops = build_operators(benchmark_geom, HarmonicBasis(40), m_values=(0,))
+        assert len(ops.block(0).sectors) == 2
         dense = np.linalg.cond(_dense_resolvent(ops.block(0), 0.0))
-        assert r.condition == pytest.approx(dense, rel=1e-10)
+        assert wave_ops._block_condition(ops.block(0), 1.0) == pytest.approx(dense, rel=1e-10)
 
 
 class TestIntracavityField:
@@ -614,11 +613,15 @@ class TestEnhancementFull:
         assert enhancement_full(benchmark_geom, basis, point, 0.0, ops=ops).value == \
             enhancement_full(benchmark_geom, basis, point, 0.0).value
 
-    def test_condition_estimate_collected_on_request(self, benchmark_geom):
-        basis = HarmonicBasis(40)
-        r = enhancement_full(benchmark_geom, basis, FieldPoint.origin(), 0.0,
-                             collect_condition=True)
-        assert r.condition is not None and r.condition > 1.0
+    def test_condition_estimate_of_an_unsplit_block(self):
+        # unequal mirrors: one sector per block
+        geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
+        ops = build_operators(geom, HarmonicBasis(40), m_values=(0, 3))
+        for m in (0, 3):
+            assert len(ops.block(m).sectors) == 1
+            dense = np.linalg.cond(_dense_resolvent(ops.block(m), 0.1))
+            got = wave_ops._block_condition(ops.block(m), np.exp(0.2j))
+            assert got > 1.0 and got == pytest.approx(dense, rel=1e-10)
 
 
 def test_defocused_cavity_routes_agree_off_the_centre():

@@ -15,8 +15,9 @@ directories) to tell whether a change moves any output bit. With
 --against OTHER_DIR, the OUT_DIR of a run on the other tree, it then lists
 each file that differs from OTHER_DIR's and, for each numeric series in it
 that moved (a CSV or JSON-table column, a JSON list or lone number), the
-largest relative and absolute change, and exits 1 unless every file is
-byte-identical to OTHER_DIR's. Without --against it exits 0. The script
+largest relative and absolute change, then each other JSON leaf (a
+string such as config_hash, a boolean, a null) that changed, and exits 1
+unless every file is byte-identical to OTHER_DIR's. Without --against it exits 0. The script
 reads perfbench/ and writes nothing there.
 """
 
@@ -71,24 +72,24 @@ def full_route_values(reference: dict) -> dict:
     return out
 
 
-def numeric_series(path: Path) -> dict[str, list[float]]:
-    """The numbers of an output file by series: each column of a CSV file
-    (named as in its header, without the unit) or of a JSON table's rows,
-    each list of numbers and each lone number of a JSON file (named by its
-    key path)."""
+def file_contents(path: Path) -> tuple[dict[str, list[float]], dict[str, object]]:
+    """The numbers of an output file by series, and the other leaves of a
+    JSON file by key path. A series is each column of a CSV file (named as
+    in its header, without the unit) or of a JSON table's rows, or each list
+    of numbers and each lone number of a JSON file (named by its key path);
+    the other leaves are a JSON file's strings, booleans and nulls."""
+    series, leaves = {}, {}
     if path.suffix == ".csv":
         with path.open(newline="", encoding="utf-8") as f:
             header, *rows = list(csv.reader(f))
-        series = {}
         for j, name in enumerate(header):
             try:
                 series[name.split(" [")[0]] = [float(row[j]) for row in rows]
             except ValueError:
                 pass
-        return series
+        return series, leaves
     if path.suffix != ".json":
-        return {}
-    series = {}
+        return series, leaves
 
     def walk(node, name):
         if isinstance(node, dict):
@@ -105,9 +106,11 @@ def numeric_series(path: Path) -> dict[str, list[float]]:
                 walk(value, f"{name}{i}.")
         elif _is_number(node):
             series[name.rstrip(".")] = [float(node)]
+        else:
+            leaves[name.rstrip(".")] = node
 
     walk(json.loads(path.read_text(encoding="utf-8")), "")
-    return series
+    return series, leaves
 
 
 def _is_number(value) -> bool:
@@ -118,7 +121,8 @@ def compare_trees(out: Path, other: Path) -> list[str]:
     """Report lines for the files of out that differ from other's: per
     numeric series that moved, its largest relative change |new - old| /
     |old| (inf where old is 0) and absolute change, and how many of its
-    values moved."""
+    values moved; then, in a JSON file, each other leaf that changed or
+    that only one tree holds."""
     names = sorted({p.relative_to(root).as_posix() for root in (out, other)
                     for p in root.rglob("*") if p.is_file()})
     lines, same = [], 0
@@ -131,7 +135,7 @@ def compare_trees(out: Path, other: Path) -> list[str]:
             same += 1
             continue
         lines.append(f"{name}: differs")
-        new_series, old_series = numeric_series(new), numeric_series(old)
+        (new_series, new_leaves), (old_series, old_leaves) = file_contents(new), file_contents(old)
         for key in sorted(new_series.keys() | old_series.keys()):
             a, b = new_series.get(key), old_series.get(key)
             if a is None or b is None or len(a) != len(b):
@@ -144,6 +148,11 @@ def compare_trees(out: Path, other: Path) -> list[str]:
             absolute = max(abs(x - y) for x, y in moved)
             lines.append(f"  {key}: max rel {rel:.2g}, max abs {absolute:.2g}, "
                          f"{len(moved)} of {len(a)} moved")
+        for key in sorted(new_leaves.keys() | old_leaves.keys()):
+            if key not in new_leaves or key not in old_leaves:
+                lines.append(f"  {key}: present in one tree only")
+            elif new_leaves[key] != old_leaves[key]:
+                lines.append(f"  {key}: changed")
     lines.append(f"{same} of {len(names)} files byte-identical")
     return lines
 
