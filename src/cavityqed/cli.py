@@ -153,8 +153,8 @@ def _exec_compare(cfg: ScenarioConfig):
     points = [FieldPoint.axial(float(kz)) for kz in kzs]
     ray, naive = (_ray_scan(geom, points, [cfg.scan.phi0], [DipoleOrientation.isotropic()],
                             corrections)[0][0, :, 0, 0].tolist() for corrections in (True, False))
-    fulls = [enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops,
-                              tail_tol=cfg.numerics.tail_tol).value for point in points]
+    fulls = [enhancement_full(geom, basis, point, cfg.scan.phi0, ops=ops).value
+             for point in points]
     rows = [(float(kz), full, r, n, abs(full - r) / full)
             for kz, full, r, n in zip(kzs, fulls, ray, naive)]
     max_dev = max(r[4] for r in rows)

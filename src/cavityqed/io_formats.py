@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, field, fields
 
 from . import __version__
 from .ray_model import ApertureCollapseError, effective_aperture
-from .specfun import TAIL_TOL
 from .structures import CavityGeometry, DipoleOrientation
 
 __all__ = [
@@ -102,7 +101,6 @@ class ScanSpec:
 @dataclass(frozen=True)
 class NumericsConfig:
     l_max: int = 150
-    tail_tol: float = TAIL_TOL
 
 
 @dataclass(frozen=True)
@@ -282,20 +280,18 @@ def parse_config(text: str) -> ScenarioConfig:
     n = _section(raw, "numerics", _keys(NumericsConfig), errors)
     numerics = NumericsConfig(
         l_max=_get(n, "l_max", NumericsConfig.l_max, errors, "numerics", int,
-                   constraint=lambda v: 0 <= v <= _MAX_L, describe=f"integer in [0, {_MAX_L}]"),
-        tail_tol=float(_get(n, "tail_tol", NumericsConfig.tail_tol, errors, "numerics",
-                            (int, float), constraint=lambda v: v > 0,
-                            describe="positive number")),
-    )
+                   constraint=lambda v: 0 <= v <= _MAX_L, describe=f"integer in [0, {_MAX_L}]"))
 
     o = _section(raw, "outputs", _keys(OutputConfig), errors)
     basename = _get(o, "basename", OutputConfig.basename, errors, "outputs", str,
                     constraint=lambda v: v and "/" not in v and "\0" not in v,
                     describe="plain file stem")
     formats = o.get("formats", OutputConfig.formats)
-    if (not isinstance(formats, (list, tuple))
-            or not all(f in ("csv", "json") for f in formats)):
-        errors.append(f"outputs.formats: expected subset of ['csv','json'], got {formats!r}")
+    if (not isinstance(formats, (list, tuple)) or not formats
+            or not all(f in ("csv", "json") for f in formats)
+            or len(set(formats)) < len(formats)):
+        errors.append("outputs.formats: expected a nonempty list of distinct formats from "
+                      f"['csv','json'], got {formats!r}")
         formats = OutputConfig.formats
     plot_script = o.get("plot_script", OutputConfig.plot_script)
     if not isinstance(plot_script, bool):

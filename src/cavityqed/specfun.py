@@ -42,8 +42,8 @@ __all__ = [
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _SQRT_PI_OVER_2 = math.sqrt(math.pi / 2.0)
 _RESCALE = 1e250
-# the default truncation-tail tolerance of plane_wave_coeffs, and so of
-# enhancement_full and of a scenario's numerics.tail_tol
+# the input energy in a point's last five l above which _focused_input
+# warns; plane_wave_coeffs and enhancement_full judge every point against it
 TAIL_TOL = 1e-8
 # share of the input energy that the cut above a point's reach, and the
 # skipped |m| pairs of enhancement_full, may each add to a full-route value
@@ -214,17 +214,7 @@ def _phases(l_max: int) -> np.ndarray:
     return phase
 
 
-def _warn_tail(tail: float, tail_tol: float, kr: float, l_max: int, stacklevel: int):
-    """TruncationWarning when tail exceeds tail_tol, attributed to the frame
-    that stacklevel, counted from here, names."""
-    if tail > tail_tol:
-        warnings.warn(f"truncation tail {tail:.3e} exceeds {tail_tol:.1e} for kr={kr:.6g} "
-                      f"at l_max={l_max}; increase l_max", TruncationWarning,
-                      stacklevel=stacklevel)
-
-
-def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
-                   gain: float = math.inf):
+def _focused_input(point: FieldPoint, l_max: int, gain: float = math.inf):
     """The real input v[|m|, l] = sqrt(pi/2) u_l(kr) P_lm(cos theta_r),
     zero for l < |m|, its truncation tail and the bound of its cut. Row |m|
     is the input of block |m|; on the axis v holds the row m = 0 alone,
@@ -233,17 +223,20 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
     kr and theta_r alone: plane_wave_coeffs adds the phases.
 
     The tail is the input energy e_l = (pi/2)(2l+1) u_l^2 of the last five
-    l; above tail_tol it warns (TruncationWarning, _warn_tail), attributed
-    to the caller of plane_wave_coeffs. Off the axis v stops at its
-    reach, the first l whose energy beyond, E_d, of E in all, bounds the cut
-    by gain (2 sqrt(E E_d) + E_d) <= _SKIP_FLOOR E, the most it can move a
-    form x^H K x with ||K|| <= gain, and holds the rows |m| <= reach alone;
-    an infinite gain cuts none."""
+    l; above TAIL_TOL it warns (TruncationWarning), attributed to the
+    caller of plane_wave_coeffs or enhancement_full. Off the axis v stops
+    at its reach, the first l whose energy beyond, E_d, of E in all, bounds
+    the cut by gain (2 sqrt(E E_d) + E_d) <= _SKIP_FLOOR E, the most it can
+    move a form x^H K x with ||K|| <= gain, and holds the rows |m| <= reach
+    alone; an infinite gain cuts none."""
     u = radial_bessel_table(l_max, point.kr)
     ls = np.arange(l_max + 1)
     energy = (math.pi / 2.0) * (2 * ls + 1) * u**2
     tail = float(np.sum(energy[max(0, l_max - 4):]))
-    _warn_tail(tail, tail_tol, point.kr, l_max, stacklevel=4)
+    if tail > TAIL_TOL:
+        warnings.warn(f"truncation tail {tail:.3e} exceeds {TAIL_TOL:.1e} for "
+                      f"kr={point.kr:.6g} at l_max={l_max}; increase l_max",
+                      TruncationWarning, stacklevel=3)
     weights = _SQRT_PI_OVER_2 * u
     if point.on_axis:
         sign = 1.0 if point.kvec[2] > 0 else -1.0
@@ -262,9 +255,7 @@ def _focused_input(point: FieldPoint, l_max: int, tail_tol: float = TAIL_TOL,
     return v, tail, cut
 
 
-def plane_wave_coeffs(
-    point: FieldPoint, l_max: int, *, tail_tol: float = TAIL_TOL
-) -> AngularFunction:
+def plane_wave_coeffs(point: FieldPoint, l_max: int) -> AngularFunction:
     """Harmonic coefficients of the focused-wave kernel exp(-i k Omega.r).
 
     The coefficient of Y_{l,m}(Omega) is
@@ -276,9 +267,9 @@ def plane_wave_coeffs(
     The squared coefficient norm tends to 1 from below as l_max grows
     (the kernel has unit modulus); the energy left in the last five l
     values is reported as the truncation tail and triggers a
-    TruncationWarning above tail_tol.
+    TruncationWarning above TAIL_TOL.
     """
-    v, tail, _ = _focused_input(point, l_max, tail_tol)
+    v, tail, _ = _focused_input(point, l_max)
     m = np.arange(v.shape[0])
     turn = np.exp(-1j * m * math.atan2(point.kvec[1], point.kvec[0]))[:, None]
     c = _phases(l_max) * v

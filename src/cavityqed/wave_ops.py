@@ -76,12 +76,10 @@ import numpy as np
 from .quadrature import AngularGrid, cap_edges, polar_rule
 from .ray_model import _SINGULAR_FLOOR, _cap_masks, defocus_profile
 from .specfun import (  # noqa: F401 (perfbench/tracing.py wraps legendre_table, plane_wave_coeffs and radial_bessel_table here)
-    TAIL_TOL,
     _SKIP_FLOOR,
     _focused_input,
     _legendre,
     _phases,
-    _warn_tail,
     legendre_table,
     plane_wave_coeffs,
     radial_bessel_table,
@@ -849,7 +847,6 @@ def enhancement_full(
     detuning_phase: float,
     *,
     ops: CavityOperatorSet | None = None,
-    tail_tol: float = TAIL_TOL,
 ) -> EnhancementResult:
     """Vacuum-fluctuation ratio at a point from the full operator calculation.
 
@@ -885,8 +882,10 @@ def enhancement_full(
     used (modal_condition, None when none was used; 0 for a rank-0 core).
 
     A call at the point ops holds, such as the next phase of a detuning
-    sweep, reuses its input, skip bound and modal projections (_HeldPoint);
-    the tail is judged against each call's tail_tol.
+    sweep, reuses its input, skip bound and modal projections (_HeldPoint).
+    The point's two warnings, a truncation tail above specfun.TAIL_TOL
+    (TruncationWarning) and kr beyond l_max - 30 (ValidityWarning), are
+    raised when the point is taken in, so a held sweep warns once.
 
     From the third point at one detuning phase on (a position scan with a
     prebuilt ops), a block is answered from its form at that phase, v^T S v,
@@ -911,19 +910,15 @@ def enhancement_full(
     elif (ops.geometry, ops.basis) != (geom, basis):
         raise ValueError(f"operator set built for {ops.geometry} and {ops.basis}, "
                          f"not for {geom} and {basis}")
-    kr = point.kr
-    if kr > 0.0 and kr > basis.l_max - 30:
-        warnings.warn(
-            f"kr={kr:.3g} close to or beyond l_max-30={basis.l_max - 30}; "
-            "the harmonic expansion may be truncated",
-            ValidityWarning,
-            stacklevel=2,
-        )
     l_max = basis.l_max
     held = ops._held
     if held is None or held.kvec != point.kvec:
         held = ops._held = None  # the old point is not held while the new one is built
-        v, tail, cut = _focused_input(point, l_max, math.inf, ops.gain)
+        if point.kr > 0.0 and point.kr > l_max - 30:
+            warnings.warn(f"kr={point.kr:.3g} close to or beyond l_max-30={l_max - 30}; "
+                          "the harmonic expansion may be truncated",
+                          ValidityWarning, stacklevel=2)
+        v, tail, cut = _focused_input(point, l_max, ops.gain)
         # the input holds m = 0 alone on the axis, the |m| up to its reach off it
         input_top = v.shape[0] - 1
         energies = np.zeros(l_max + 1)
@@ -935,7 +930,6 @@ def enhancement_full(
         # the focused-wave input has unit norm up to its truncation tail
         held = ops._held = _HeldPoint(point.kvec, v, tail, reach, math.sqrt(norm_sq), top,
                                       skipped + cut)
-    _warn_tail(held.tail, tail_tol, kr, l_max, stacklevel=3)
     v, top, scale = held.v, held.top, held.scale
     z = np.exp(2j * detuning_phase)
     state = _phase_forms(ops, top, detuning_phase, z)

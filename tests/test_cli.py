@@ -37,14 +37,18 @@ TINY_SCANS = {
     "airy-check": {"rhos": [0.5], "phase_count": 2},
 }
 
-# documents that are invalid at one key, by a null, a non-finite number or a
-# boolean reflectivity
+# documents that are invalid at one key, by a null, a non-finite number, a
+# boolean reflectivity or a list of formats that is empty or repeats one;
+# the id names the key, and what follows a space describes the case
 BAD_DOCUMENTS = {
     "numerics.l_max": '{"scan": {"kind": "airy-check"}, "numerics": {"l_max": null}}',
     "outputs.basename": '{"scan": {"kind": "airy-check"}, "outputs": {"basename": null}}',
     "scan.phi0": '{"scan": {"kind": "airy-check", "phi0": NaN}}',
     "geometry.k_radius": '{"scan": {"kind": "airy-check"}, "geometry": {"k_radius": Infinity}}',
     "scan.rhos": '{"scan": {"kind": "airy-check", "rhos": [false, 0.5]}}',
+    "outputs.formats empty": '{"scan": {"kind": "airy-check"}, "outputs": {"formats": []}}',
+    "outputs.formats repeated":
+        '{"scan": {"kind": "airy-check"}, "outputs": {"formats": ["csv", "csv"]}}',
 }
 
 
@@ -234,10 +238,11 @@ class TestRun:
         for suffix in (".csv", ".json", ".gp"):
             assert (out / f"tiny{suffix}").exists()
 
-    @pytest.mark.parametrize("key", ["polar_order", "azimuthal_order"])
-    def test_retired_order_keys_are_unknown(self, tmp_path, capsys, key):
-        # the ray quadrature sets its own orders; a document that still
-        # names one is rejected as any unknown key
+    @pytest.mark.parametrize("key", ["polar_order", "azimuthal_order", "tail_tol"])
+    def test_retired_numerics_keys_are_unknown(self, tmp_path, capsys, key):
+        # the ray quadrature sets its own orders and every point's truncation
+        # tail is judged against specfun.TAIL_TOL; a document that still
+        # names one of those keys is rejected as any unknown key
         doc = dict(TINY_SCENARIO, numerics={"l_max": 40, key: 64})
         cfg = _write_config(tmp_path, doc)
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
@@ -266,7 +271,7 @@ class TestRun:
         cfg.write_text(BAD_DOCUMENTS[key])
         code = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_CONFIG
-        assert key in capsys.readouterr().err
+        assert key.split()[0] in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_defocus_requires_nonzero_kdelta(self, tmp_path, capsys):

@@ -248,6 +248,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="outputs.basename"):
             parse_config(json.dumps(_minimal_with("outputs.basename", basename)))
 
+    @pytest.mark.parametrize("formats", [[], ["csv", "csv"], ["json", "csv", "json"],
+                                         ["csv", "xml"], "csv"])
+    def test_formats_must_be_distinct_known_formats(self, formats):
+        # no file, or one file written twice, is not a table a run can deliver
+        with pytest.raises(ConfigError) as err:
+            parse_config(json.dumps(_minimal_with("outputs.formats", formats)))
+        assert [v.split(":")[0] for v in err.value.violations] == ["outputs.formats"]
+
     def test_vector_dipole_roundtrip(self):
         doc = json.loads(MINIMAL)
         for vector in ([1, 1, 0], [0.3, 0.4, 0.5], [0, 0, 2]):
@@ -266,12 +274,12 @@ class TestParseConfig:
 # config_hash of every preset; a change here changes the provenance of
 # every run
 PRESET_HASHES = {
-    "center-enhancement": "921c975d3d3839cae5a0f19386011af7edd332169d603173bb6866920b78f0ee",
-    "detuning-sweep": "2406db5034abd80f24bdbc87884a623776c577a559c5338f888a68257524411d",
-    "axial-profile": "b983619bf96c2967195752b785a3c87fb4c447fb357f3c79c7e50b5b25fef181",
-    "ray-vs-full": "4bc55344a92c19e2ef1fe5ebae02ce8b67a8bd1e41d374b23d55cfc18f145995",
-    "defocus-study": "84844e236f9aa8fae896fb0494e1cd2189ca149619cc3d3d73392777d120e0b4",
-    "airy-check": "06506cecfe661faa2fb524f75979f9a523a8315c776a81f55e896bb5f5f83835",
+    "center-enhancement": "db133797e06b853e64a9a9fd96186bd82abe6cdd48eeea889b16f7e25cfa5276",
+    "detuning-sweep": "9bd27182acebba9673c574007045acd9282d21bc64a30af4790aa80abc7e7019",
+    "axial-profile": "9273047a86cab78940ef618e21cb5668457990618263f5b8d5844a56dacc8cbb",
+    "ray-vs-full": "1cff82c6161f47bfee00bc79e5c96318a6ce11577ae6de22781ba39215eda4c9",
+    "defocus-study": "21819483cde0344170244f1a4bc5bff98a0d2601ce0456739c4bf09aa67f9f05",
+    "airy-check": "12e283f15f9aba40af07076374659ad04a4901cb217c1b859e54424c7d3c5e95",
 }
 
 
@@ -310,7 +318,7 @@ _KNOWN_KEYS = {
              "phi0_range": _RANGE, "kz_range": _RANGE, "kx_range": _RANGE,
              "rhos": st.lists(_mixed(st.floats(0.0, 0.99)), min_size=1, max_size=4),
              "phase_count": st.integers(2, 64)},
-    "numerics": {"l_max": st.integers(0, 400), "tail_tol": st.floats(1e-12, 1.0)},
+    "numerics": {"l_max": st.integers(0, 400)},
     "outputs": {"basename": st.text("abc.-_", min_size=1, max_size=6),
                 "formats": st.lists(st.sampled_from(["csv", "json"]), max_size=2),
                 "plot_script": st.booleans()},
@@ -354,6 +362,10 @@ _VALID_SCAN = {"phi0": _NUMBER, "point": st.lists(st.floats(-5.0, 5.0), min_size
                "phi0_range": _VALID_RANGE, "kz_range": _VALID_RANGE, "kx_range": _VALID_RANGE,
                "rhos": st.lists(st.floats(0.0, 0.99), min_size=1, max_size=4),
                "phase_count": st.integers(2, 64)}
+# _KNOWN_KEYS["outputs"] draws any list of formats; a valid one is nonempty
+# and holds each format once
+_VALID_OUTPUTS = dict(_KNOWN_KEYS["outputs"], formats=st.lists(
+    st.sampled_from(["csv", "json"]), min_size=1, max_size=2, unique=True))
 _VALID_DIPOLE = st.one_of(
     _valid({"orientation": _KNOWN_KEYS["dipole"]["orientation"]}),
     st.fixed_dictionaries({"vector": st.lists(st.floats(-5.0, 5.0), min_size=3,
@@ -374,7 +386,7 @@ def _runnable(kind):
     return _valid({"geometry": _valid(geometry, geometry_keys),
                    "scan": _valid(dict(_VALID_SCAN, kind=st.just(kind)), scan_keys),
                    "dipole": _VALID_DIPOLE, "numerics": _valid(_KNOWN_KEYS["numerics"]),
-                   "outputs": _valid(_KNOWN_KEYS["outputs"])}, sections)
+                   "outputs": _valid(_VALID_OUTPUTS)}, sections)
 
 
 # three documents in four are valid by construction, one in four is drawn

@@ -16,6 +16,7 @@ from cavityqed import cli
 from cavityqed.dipole_response import enhancement_ray, response
 from cavityqed.io_formats import ResultTable
 from cavityqed.quadrature import AngularGrid, PVResult, pv_integrate
+from cavityqed.specfun import plane_wave_coeffs
 from cavityqed.structures import AngularFunction, FieldPoint, HarmonicBasis
 from cavityqed.wave_ops import (CavityOperatorSet, OperatorBlock, build_operators,
                                 enhancement_full)
@@ -104,20 +105,22 @@ def test_parameters_that_no_program_path_varies_stay_retired():
     # pv_integrate runs the one configuration of the airy-check scan,
     # operator blocks always sit on operator_grid, response always applies
     # both ray corrections and enhancement_ray switches them together, the
-    # ray quadrature sets its own orders and the full route reports no
-    # condition estimate;
+    # ray quadrature sets its own orders, the full route reports no
+    # condition estimate and every point's truncation tail is judged
+    # against specfun.TAIL_TOL;
     # perfbench/worker.py passes the first four parameters of
     # enhancement_full by position
     params = {f.__name__: list(inspect.signature(f).parameters)
               for f in (pv_integrate, cli.pv_oracle_errors, build_operators, response,
-                        enhancement_ray, enhancement_full)}
+                        enhancement_ray, enhancement_full, plane_wave_coeffs)}
     assert params == {
         "pv_integrate": ["kernel", "period", "refine_points"],
         "pv_oracle_errors": ["rho", "phi"],
         "build_operators": ["geom", "basis", "m_values"],
         "response": ["point", "orientation", "geom", "phi0"],
         "enhancement_ray": ["geom", "point", "phi0", "corrections"],
-        "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops", "tail_tol"],
+        "enhancement_full": ["geom", "basis", "point", "detuning_phase", "ops"],
+        "plane_wave_coeffs": ["point", "l_max"],
     }
     kinds = [p.kind for p in inspect.signature(enhancement_full).parameters.values()]
     assert kinds[:4] == [inspect.Parameter.POSITIONAL_OR_KEYWORD] * 4

@@ -18,7 +18,7 @@ def _block(lang):
 def test_scenario_example_parses():
     cfg = parse_config(_block("json"))
     # every key of the example is a field of the configuration
-    assert config_to_dict(cfg)["numerics"] == {"l_max": 150, "tail_tol": 1e-8}
+    assert config_to_dict(cfg)["numerics"] == {"l_max": 150}
     assert cfg.scan.kind == "axial-profile" and cfg.scan.kz_range.count == 201
 
 

@@ -335,8 +335,9 @@ class TestPlaneWaveCoeffs:
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
                                       (4.0, -3.0, 2.0), (30.0, 20.0, -50.0)])
     @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    @pytest.mark.filterwarnings("ignore::cavityqed.structures.TruncationWarning")
     def test_m_energies_match_the_per_block_vdots(self, kvec, l_max):
-        f = plane_wave_coeffs(FieldPoint(kvec), l_max, tail_tol=math.inf)
+        f = plane_wave_coeffs(FieldPoint(kvec), l_max)
         energies = f.m_energies()
         ref = block_energies(f)
         assert energies.shape == ref.shape == (l_max + 1,)
@@ -348,12 +349,13 @@ class TestPlaneWaveCoeffs:
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
                                       (4.0, -3.0, 2.0), (-7.0, 0.5, -3.0), (30.0, 20.0, -50.0)])
     @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    @pytest.mark.filterwarnings("ignore::cavityqed.structures.TruncationWarning")
     def test_coefficients_are_the_real_input_with_its_phases(self, kvec, l_max):
         # Y_{l,+-m} takes (-i)^l v[|m|, l] e^{-+i m phi}, v real and free of
         # the azimuth, exactly: plane_wave_coeffs is the complex view of v
         point = FieldPoint(kvec)
-        f = plane_wave_coeffs(point, l_max, tail_tol=math.inf)
-        v, tail, _ = _focused_input(point, l_max, tail_tol=math.inf)
+        f = plane_wave_coeffs(point, l_max)
+        v, tail, _ = _focused_input(point, l_max)
         assert v.dtype == np.float64 and v.shape == f.coeffs.shape[1:]
         assert tail == f.truncation_tail
         ls = np.arange(l_max + 1)
@@ -367,11 +369,12 @@ class TestPlaneWaveCoeffs:
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 6.0), (0.0, 0.0, -40.0), (0.0, 0.0, 0.0),
                                       (4.0, -3.0, 2.0), (-7.0, 0.5, -3.0), (1e-11, 0.0, 12.0)])
     @pytest.mark.parametrize("l_max", [0, 1, 40, 150])
+    @pytest.mark.filterwarnings("ignore::cavityqed.structures.TruncationWarning")
     def test_focused_input_has_one_row_per_magnitude(self, kvec, l_max):
         # row |m| is block |m| over l = 0..l_max, exactly zero for l < |m|;
         # on the axis the input has the row m = 0 alone
         point = FieldPoint(kvec)
-        v, _, _ = _focused_input(point, l_max, tail_tol=math.inf)
+        v, _, _ = _focused_input(point, l_max)
         rows = 1 if point.on_axis else l_max + 1
         assert v.shape == (rows, l_max + 1) and v.flags.c_contiguous
         assert not np.any(np.tril(np.ones((rows, l_max + 1), dtype=bool), -1) & (v != 0.0))

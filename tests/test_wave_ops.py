@@ -771,8 +771,8 @@ class TestBlockSkip:
         # once, below _FORM_AFTER, so both values are direct solves
         from cavityqed import specfun
 
-        def uncut(point, l_max, tail_tol, gain):
-            return specfun._focused_input(point, l_max, tail_tol)
+        def uncut(point, l_max, gain):
+            return specfun._focused_input(point, l_max)
 
         basis = HarmonicBasis(l_max)
         ops, other = (CavityOperatorSet(geometry=geom, basis=basis) for _ in range(2))
@@ -1398,32 +1398,30 @@ class TestHeldPoint:
         assert len(project) == 3 * 2
         assert ops._held.projections == held
 
-    def test_truncated_point_warns_on_every_call(self):
-        # the held input keeps its tail, and every call judges it against
-        # its own tail_tol, attributed to the line of the call
+    def test_held_truncated_point_warns_once(self):
+        # the point's tail, and its kr beyond l_max - 30, are judged when the
+        # set takes the point in, so a 5-phase sweep of a held point warns
+        # once of each, at the line of the call
         import warnings
 
         geom = CavityGeometry.symmetric(KR, 0.5, 0.9)
         basis = HarmonicBasis(100)
         ops = build_operators(geom, basis, m_values=(0,))
         point = FieldPoint.axial(100.0)
-        tail = _focused_input(point, 100, math.inf)[1]
 
-        def call(phi0, tol=wave_ops.TAIL_TOL):
-            return enhancement_full(geom, basis, point, phi0, ops=ops, tail_tol=tol)
+        def call(phi0):
+            return enhancement_full(geom, basis, point, phi0, ops=ops)
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for phi0 in (0.0, 0.01, 0.02):
-                call(phi0)
-            call(0.03, tol=1.0)
-            call(0.04, tol=1e-9)
+            tails = [call(phi0).truncation_tail for phi0 in (0.0, 0.01, 0.02, 0.03, 0.04)]
         found = [w for w in caught if w.category is TruncationWarning]
         assert [str(w.message) for w in found] == [
-            f"truncation tail {tail:.3e} exceeds {tol:.1e} for kr=100 at l_max=100; "
-            "increase l_max" for tol in (1e-8, 1e-8, 1e-8, 1e-9)]
-        assert {(w.filename, w.lineno) for w in found} == {
-            (__file__, call.__code__.co_firstlineno + 1)}
+            f"truncation tail {tails[0]:.3e} exceeds 1.0e-08 for kr=100 at l_max=100; "
+            "increase l_max"]
+        assert (found[0].filename, found[0].lineno) == (__file__,
+                                                        call.__code__.co_firstlineno + 1)
+        assert [w.category for w in caught].count(ValidityWarning) == 1
 
     @pytest.mark.parametrize("name", sorted(CAVITIES))
     def test_held_sweep_equals_a_sweep_that_holds_nothing(self, name):
