@@ -45,9 +45,11 @@ point depends on kr and theta_r alone, to the last bit.
 A sector that is solved again and again, for a detuning or position scan,
 is answered from its modal (Fox-Li) decomposition: with rho = B D^T of
 its numerical rank r and the r x r core D^T U^-2 P B of the round trip
-U^-2 P rho diagonalised once, every later phase and right-hand side costs
-two n x r matrix-vector products instead of a factorisation.
-CavityOperatorSet decides when a sector is worth decomposing.
+U^-2 P rho diagonalised once, a right-hand side costs O(n^2) once, and
+every phase of it then costs O(r^2): the solution's tau^2 form is read in
+r-space and certified by a residual bound of O(r) (_modal_terms), without
+forming the solution. CavityOperatorSet decides when a sector is worth
+decomposing.
 
 A scan of many points at one detuning phase (a position scan) is answered
 from each block's form instead: with Y = A^-1 diag(u (-i)^l) the resolvent
@@ -105,14 +107,16 @@ __all__ = [
 
 _RESIDUAL_LIMIT = 1e-8
 # rent-or-buy: the first _MODAL_AFTER - 1 solves of a parity sector are
-# direct, the next one decomposes it (_decompose: the SVD of rho, then eig
-# and inv of the rank-r core). That costs 19-26 checked direct solves of the
-# sector on a 2-core Xeon VM (best of 7 and of 51, one or two columns:
-# 2.2-2.5 ms against 0.11-0.12 ms at dim 76, 9.8-11.5 against 0.43-0.52 ms
-# at dim 151, 18-22 against 0.76-0.96 ms at dim 201), against 33-54 for eig
-# and inv of the whole n x n round trip in the same session. Buying once the
-# rent paid reaches the price keeps any run of solves within about 2.3 times
-# the cost of the better of the two routes for it.
+# direct, the next one decomposes it (_decompose: the SVD of rho, eig and
+# inv of the rank-r core, then G and ||E||_inf). That costs 20-27 direct
+# answers of the sector (checked solve and tau^2 form) on a 2-core Xeon VM
+# (best of 15 and of 51, one column: 2.3-2.4 ms against 0.11 ms at dim 76,
+# 10.9-11.8 against 0.44-0.47 ms at dim 151, 21-23 against 0.85-0.88 ms at
+# dim 201; G and ||E||_inf add 5-9% to the 19-25 of the decomposition
+# alone), and the modal terms of a right-hand side (_modal_terms) 0.05-0.10
+# ms more, after which a phase costs 7-12 us. Buying once the rent paid
+# reaches the price keeps any run of solves within about 2.2 times the cost
+# of the better of the two routes for it.
 _MODAL_AFTER = 25
 # rent-or-buy: the first _FORM_AFTER - 1 points that a block answers at one
 # detuning phase are solved, the next one forms the block's real symmetric
@@ -181,22 +185,59 @@ class _ModalFactors:
     its rho = B D^T (_decompose): C = D^T U^-2 P B = W diag(eigenvalues)
     W^-1, kept as L = U^-2 P B W (n x r) and R = W^-1 D^T U^-2 (r x n), so
     that by (I - zBD)^-1 = I + zB(I - zDB)^-1 D the resolvent solution of
-    (U^2 - z P rho) x = b is U^-2 b + z L [(R b) / (1 - z lambda)] for any
-    z = e^{2i phi0} and any b: project takes (U^-2 b, R b), which do not
-    depend on z, and solve the rest. condition is ||W||_1 ||W^-1||_1."""
+    (U^2 - z P rho) x = b is x = a + L y, a = U^-2 b, y = g p, p = R b and
+    g = z / (1 - z lambda), for any z = e^{2i phi0} and any b. No program
+    path forms x: its tau^2 form is read in r-space (_modal_answer) from
+    gram, G = L^H tau^2 L (r x r), and its residual is bounded through
+    residual_norm, ||E||_inf of the eigen-residual E = P rho L - U^2 L
+    diag(lambda) of the factors, which holds only the rank cut and
+    rounding. left_norm,
+    rho_norm and tau_sq_norm are ||L||_inf, ||rho||_inf and ||tau^2||_inf
+    (largest row sums of the moduli), the scales of the rounding
+    allowances; condition is ||W||_1 ||W^-1||_1."""
 
     eigenvalues: np.ndarray
     left: np.ndarray       # L = U^-2 P B W
     right: np.ndarray      # R = W^-1 D^T U^-2
     inv_u_sq: np.ndarray   # the diagonal of U^-2
+    gram: np.ndarray       # G = L^H tau^2 L
+    residual_norm: float
+    left_norm: float
+    rho_norm: float
+    tau_sq_norm: float
     condition: float
 
-    def project(self, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.inv_u_sq[:, None] * rhs, self.right @ rhs
 
-    def solve(self, z: complex, projected: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        scaled, right = projected
-        return scaled + self.left @ (right * (z / (1.0 - z * self.eigenvalues))[:, None])
+@dataclass(frozen=True)
+class _ModalTerms:
+    """What a modal answer needs of one right-hand side b on one sector
+    (_modal_terms), for every z: p = R b, hc = (tau^2 a)^H L and c = a^H
+    tau^2 a of a = U^-2 b, and the residual bound fixed + slope ||y||_inf
+    (_modal_answer). factors are those the terms were read from."""
+
+    factors: _ModalFactors
+    p: np.ndarray
+    hc: np.ndarray
+    c: float
+    fixed: float
+    slope: float
+
+
+@dataclass
+class _BlockInput:
+    """One right-hand side of a block, one column (rhs), the positions in
+    OperatorBlock.sectors of the sectors where it is not exact zero (live),
+    and, keyed by position, the _ModalTerms of its part on each sector that
+    was answered from modal factors (terms)."""
+
+    rhs: np.ndarray
+    live: tuple[int, ...]
+    terms: dict[int, _ModalTerms] = field(default_factory=dict)
+
+
+def _block_input(block: OperatorBlock, rhs: np.ndarray) -> _BlockInput:
+    return _BlockInput(rhs, tuple(s for s, sector in enumerate(block.sectors)
+                                  if np.any(rhs[sector.index])))
 
 
 @dataclass
@@ -225,9 +266,9 @@ class _HeldPoint:
     """What enhancement_full computes once per point kvec: the input v of
     _focused_input with its tail, reach, the last l where v is not zero, the
     input norm scale, top of _solved_magnitudes, the bound of the cut and
-    the skipped pairs, and per modal sector, keyed as solve_counts, the
-    factors and the projections (_ModalFactors.project) of the point's
-    right-hand side on them."""
+    the skipped pairs, and per block |m| that was solved, the point's
+    _BlockInput: its right-hand side, the sectors it reaches and the
+    _ModalTerms of each sector answered from modal factors."""
 
     kvec: tuple[float, float, float]
     v: np.ndarray
@@ -236,7 +277,7 @@ class _HeldPoint:
     scale: float
     top: int
     skipped: float
-    projections: dict = field(default_factory=dict)
+    inputs: dict[int, _BlockInput] = field(default_factory=dict)
 
 
 @dataclass
@@ -250,11 +291,11 @@ class CavityOperatorSet:
     sector whose input is exactly zero is not solved and not counted. The
     25th solve of a sector (_MODAL_AFTER) decomposes it once through the
     r x r core of its rho's numerical rank r (modes, one _ModalFactors under
-    the same key, 32 n r bytes for a sector of n l), and that and every
-    later solve of the sector are answered from its modal factors; a sector
-    whose factors fail the residual check, or cannot be computed, keeps
-    None in modes and is solved directly from then on, while the other
-    sector of its block keeps its own factors.
+    the same key, 32 n r + 16 r^2 bytes for a sector of n l), and that and
+    every later solve of the sector are answered from its modal factors in
+    r-space; a sector whose factors fail the residual bound, or cannot be
+    computed, keeps None in modes and is solved directly from then on, while
+    the other sector of its block keeps its own factors.
 
     forms maps the one detuning phase held to its _PhaseForms: how often
     the points at that phase have asked each block, and the forms of the
@@ -270,7 +311,8 @@ class CavityOperatorSet:
     as U and P are unitary, |rho| <= max rho and |tau^2| <= 1. A set answers
     only for the geometry and basis it was built for: enhancement_full
     rejects any other with ValueError. The set holds the last point asked
-    (_HeldPoint), which a call at another point frees and replaces."""
+    (_HeldPoint), with its right-hand side per block and its modal terms
+    per sector, which a call at another point frees and replaces."""
 
     geometry: CavityGeometry
     basis: HarmonicBasis
@@ -513,64 +555,61 @@ def _block_condition(block: OperatorBlock, z: complex) -> float:
     return _condition([_resolvent_matrix(block, s, z) for s in block.sectors])
 
 
-def _solve_block(ops: CavityOperatorSet, m: int, z: complex, rhs: np.ndarray,
-                 scale: float, projections: dict | None = None):
-    """Solve (U^2 - z P rho) x = rhs, z = e^{2i phi0}, for block |m|, for the
-    columns of rhs, sector by sector; returns x, the sectors that were
-    solved and the condition ||W||_1 ||W^-1||_1 of the modal factors of each
-    sector that was answered from them, in a tuple (None when none was).
+def _label(key: int) -> str:
+    return f"m=+-{key}" if key else "m=0"
+
+
+def _solve_block(ops: CavityOperatorSet, m: int, z: complex, inp: _BlockInput,
+                 scale: float):
+    """The tau^2 form Re x^H tau^2 x of the solution x of (U^2 - z P rho) x
+    = inp.rhs, z = e^{2i phi0}, on block |m|, summed over the sectors that
+    the right-hand side reaches (inp.live), and the condition ||W||_1
+    ||W^-1||_1 of the modal factors of each sector that was answered from
+    them, in a tuple (None when none was).
 
     A sector whose right-hand side is exactly zero is not solved, counted
     or decomposed: its part of x is exact zero, the solution of a regular
     system. The solves of every other sector are counted per (|m|, sector):
-    its first _MODAL_AFTER - 1 are direct (_checked_solve), the next one
-    decomposes it once (_decompose), and from then on it is answered from
-    its modal factors, each answer checked by its residual against the
-    original operator at the same limit as a direct solve. If the check
-    fails, that sector is solved directly instead, which raises SolverError
-    if it fails too, and its factors are dropped for good. A lossless
+    its first _MODAL_AFTER - 1 are direct (_checked_solve, then
+    _tau_sq_form), the next one decomposes it once (_decompose), and from
+    then on it is answered from its modal factors in r-space
+    (_modal_answer), each answer certified by a bound on its residual
+    against the original operator at the same limit as a direct solve. If
+    the bound exceeds the limit, that sector is solved directly instead,
+    which raises SolverError if it fails too, and its factors are dropped
+    for good. The _ModalTerms of a sector are read once per right-hand side
+    and kept in inp.terms, tied to the factors they came from. A lossless
     cavity is always solved directly, and its block is first checked for
     singularity as a whole, the sectors without input included: the check
-    costs as much as a solve on every call.
-
-    A modal answer takes the projections of rhs from projections (the held
-    point's, for its own rhs) where they come from the same factors, and
-    keeps new ones there; without it, rhs is projected on every call."""
+    costs as much as a solve on every call."""
     key = abs(m)
     block = ops.block(key)
-    label = f"m=+-{key}" if key else "m=0"
     if ops.lossless:
-        _singular_guard(block, z, label)
-    x = np.zeros(rhs.shape, dtype=complex)
-    solved, conditions = [], []
-    projections = {} if projections is None else projections
-    for s, sector in enumerate(block.sectors):
-        b = rhs[sector.index]
-        if not np.any(b):
-            continue
-        solved.append(sector)
-        sector_key = (key, s)
-        factors = None
+        _singular_guard(block, z, _label(key))
+    form, conditions = 0.0, []
+    for s in inp.live:
+        sector = block.sectors[s]
+        b = inp.rhs[sector.index]
         if not ops.lossless:
+            sector_key = (key, s)
             count = ops.solve_counts.get(sector_key, 0) + 1
             ops.solve_counts[sector_key] = count
             if count == _MODAL_AFTER:
                 ops.modes[sector_key] = _decompose(block, sector)
             factors = ops.modes.get(sector_key)
-        xs = None
-        if factors is not None:
-            projected = projections.get(sector_key)
-            if projected is None or projected[0] is not factors:
-                projected = projections[sector_key] = (factors, factors.project(b))
-            xs = _modal_solve(block, sector, factors, z, b, scale, projected[1])
-            if xs is None:
+            if factors is not None:
+                terms = inp.terms.get(s)
+                if terms is None or terms.factors is not factors:
+                    terms = inp.terms[s] = _modal_terms(block, sector, factors, b)
+                value, bound = _modal_answer(terms, z)
+                if bound <= _RESIDUAL_LIMIT * scale:
+                    form += value
+                    conditions.append(factors.condition)
+                    continue
                 ops.modes[sector_key] = None
-            else:
-                conditions.append(factors.condition)
-        if xs is None:
-            xs = _checked_solve(block, sector, z, b, scale, label)
-        x[sector.index] = xs
-    return x, tuple(solved), tuple(conditions) or None
+        xs = _checked_solve(block, sector, z, b[:, None], scale, _label(key))
+        form += _tau_sq_form(sector.tau_sq, xs[:, 0])
+    return form, tuple(conditions) or None
 
 
 def _apply(op: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -592,13 +631,79 @@ def _residual(block: OperatorBlock, sector: ParitySector, z: complex,
     return resid
 
 
-def _modal_solve(block: OperatorBlock, sector: ParitySector, factors: _ModalFactors,
-                 z: complex, b: np.ndarray, scale: float, projected) -> np.ndarray | None:
-    """The solution on one sector from its modal factors and the
-    projections of b on them, or None when it fails the residual check."""
-    xs = factors.solve(z, projected)
-    resid = float(np.max(np.abs(_residual(block, sector, z, xs, b))))
-    return xs if resid <= _RESIDUAL_LIMIT * scale else None
+def _modal_terms(block: OperatorBlock, sector: ParitySector, factors: _ModalFactors,
+                 b: np.ndarray) -> _ModalTerms:
+    """The _ModalTerms of the right-hand side b on one sector, from its
+    modal factors: O(n^2) once, so that each z then costs O(r^2).
+
+    The residual of x = a + L y, y = g p (_ModalFactors), against the
+    sector's own A = U^2 - z P rho: since g (1 - z lambda) = z, y = z p + z
+    diag(lambda) y, and
+
+        A x - b = (U^2 a - b) + U^2 L y - z P rho a - z P rho L y
+                = d0 + z (e0 - E y),
+
+    with d0 = U^2 a - b, e0 = U^2 L p - P rho a and E = P rho L - U^2 L
+    diag(lambda). That is an identity for the stored a, p, L and lambda
+    and the operator's own rho, the rank cut included, so for |z| = 1
+
+        ||A x - b||_inf <= ||d0||_inf + ||e0||_inf + ||E||_inf ||y||_inf
+
+    in exact arithmetic (Golub & Van Loan, Matrix Computations, 4th ed.,
+    sec. 7.2, for E as the eigen-residual of the factors). Rounding: a
+    complex sum of at most n + 2 products is off by at most gamma = (n + 2)
+    eps / 2 times the sum of their moduli (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., sec. 3.6). With |a| = |b|, each row of
+    |L| |p| at most nu = ||L||_inf ||p||_inf, |lambda| <= ||rho||_2 <=
+    ||rho||_inf for the symmetric rho and sigma = 2 + ||rho||_inf, the
+    rounding of d0, e0, E and y as computed, of x formed from them and of
+    its residual as _residual forms it, adds at most 3 sigma gamma (||b||_inf
+    + nu + ||L||_inf ||y||_inf). The allowance is kappa sigma times the same,
+    kappa = 2 (n + 2) eps = 4 gamma: fixed = ||d0||_inf + ||e0||_inf + kappa
+    sigma (||b||_inf + nu) and slope = ||E||_inf + kappa sigma ||L||_inf.
+
+    The bound holds for factors whose gram and residual_norm are those of
+    their own L and lambda, as _decompose builds them. Two probes on p test
+    that consistency, each within twice its own rounding: ||E p||_inf, with
+    E p formed as P rho w - U^2 L (lambda p), w = L p, against ||E||_inf
+    ||p||_inf + kappa sigma nu, and p^H G p against w^H tau^2 w within 2
+    kappa n ||tau^2||_inf nu^2. Factors that fail either get an infinite
+    bound, so no answer is read from them."""
+    f = factors
+    n = b.size
+    u_sq = block.u_half[sector.index] ** 2
+    a = f.inv_u_sq * b
+    p = f.right @ b
+    w = f.left @ p
+    pair = np.stack((a, w), axis=1)
+    ta, tw = _apply(sector.tau_sq, pair).T
+    ra, rw = (block.parity[sector.index, None] * _apply(sector.rho, pair)).T
+    kappa = 2.0 * (n + 2) * np.finfo(float).eps
+    sigma = 2.0 + f.rho_norm
+    p_max = float(np.abs(p).max(initial=0.0))
+    nu = f.left_norm * p_max
+    fixed = float(np.max(np.abs(u_sq * a - b)) + np.max(np.abs(u_sq * w - ra))
+                  + kappa * sigma * (np.max(np.abs(b)) + nu))
+    eig_probe = np.max(np.abs(rw - u_sq * (f.left @ (f.eigenvalues * p))))
+    gram_probe = abs(np.vdot(p, f.gram @ p) - np.vdot(w, tw))
+    if not (eig_probe <= f.residual_norm * p_max + kappa * sigma * nu
+            and gram_probe <= 2.0 * kappa * n * f.tau_sq_norm * nu * nu):
+        fixed = math.inf
+    return _ModalTerms(f, p, ta.conj() @ f.left, float(np.vdot(a, ta).real), fixed,
+                       f.residual_norm + kappa * sigma * f.left_norm)
+
+
+def _modal_answer(terms: _ModalTerms, z: complex) -> tuple[float, float]:
+    """Re x^H tau^2 x of the modal solution x = a + L y at z, and the bound
+    of its residual (_modal_terms), from r-space terms alone: with y = g p,
+    g = z / (1 - z lambda) = 1 / (conj(z) - lambda) as |z| = 1, and h = L^H
+    tau^2 a, x^H tau^2 x = c + 2 Re(h^H y) + y^H G y."""
+    f = terms.factors
+    y = terms.p / (z.conjugate() - f.eigenvalues)
+    bound = terms.fixed + terms.slope * float(np.abs(y).max(initial=0.0))
+    value = (terms.c + 2.0 * float((terms.hc @ y).real)
+             + float(np.vdot(y, f.gram @ y).real))
+    return value, bound
 
 
 def _decompose(block: OperatorBlock, sector: ParitySector) -> _ModalFactors | None:
@@ -606,13 +711,17 @@ def _decompose(block: OperatorBlock, sector: ParitySector) -> _ModalFactors | No
     fails or is not finite. The SVD rho = U_s S V_s^H, cut to its numerical
     rank r (the singular values above S_max n eps, np.linalg.matrix_rank's
     rule), gives B = U_s S^1/2 and D^T = S^1/2 V_s^H; a rank-0 core (no
-    mirror) leaves U^-2 b alone."""
-    inv_u_sq = 1.0 / block.u_half[sector.index] ** 2
+    mirror) leaves U^-2 b alone. G = L^H tau^2 L and ||E||_inf of the
+    eigen-residual E = P rho L - U^2 L diag(lambda) are formed from the
+    factors' own L and lambda."""
+    u_sq = block.u_half[sector.index] ** 2
+    inv_u_sq = 1.0 / u_sq
+    parity = block.parity[sector.index]
     try:
         u_s, s, v_sh = np.linalg.svd(sector.rho)
         r = int(np.count_nonzero(s > s[0] * s.size * np.finfo(float).eps))
         root = np.sqrt(s[:r])
-        b = (inv_u_sq * block.parity[sector.index])[:, None] * (u_s[:, :r] * root)  # U^-2 P B
+        b = (inv_u_sq * parity)[:, None] * (u_s[:, :r] * root)  # U^-2 P B
         d_t = root[:, None] * v_sh[:r]
         del u_s, v_sh  # not held while eig and inv work on the core
         eigenvalues, w = np.linalg.eig(d_t @ b)
@@ -620,10 +729,20 @@ def _decompose(block: OperatorBlock, sector: ParitySector) -> _ModalFactors | No
     except np.linalg.LinAlgError:
         return None
     left, right = b @ w, (w_inv @ d_t) * inv_u_sq
-    if not all(np.all(np.isfinite(a)) for a in (eigenvalues, left, right)):
-        return None
     condition = float(np.linalg.norm(w, 1) * np.linalg.norm(w_inv, 1))
-    return _ModalFactors(eigenvalues, left, right, inv_u_sq, condition)
+    del b, d_t, w, w_inv  # not held while G and E are formed
+    # tau^2 is real and symmetric, so L^H tau^2 L = conj(tau^2 L)^T L
+    gram = _apply(sector.tau_sq, left)
+    gram = np.conjugate(gram, out=gram).T @ left
+    resid = _apply(sector.rho, left)
+    resid *= parity[:, None]
+    resid -= u_sq[:, None] * (left * eigenvalues)
+    norms = [float(np.linalg.norm(op, np.inf)) for op in (resid, left, sector.rho, sector.tau_sq)]
+    del resid
+    if not (all(np.all(np.isfinite(a)) for a in (eigenvalues, left, right, gram))
+            and all(map(math.isfinite, norms))):
+        return None
+    return _ModalFactors(eigenvalues, left, right, inv_u_sq, gram, *norms, condition)
 
 
 def _singular_guard(block: OperatorBlock, z: complex, label: str):
@@ -826,18 +945,12 @@ def _stacked_value(ops: CavityOperatorSet, state: _PhaseForms, v: np.ndarray,
     return value
 
 
-def _tau_sq_form(sectors, x: np.ndarray) -> float:
-    """Re x^H tau^2 x of the solution x of one column, summed over the
-    given sectors of its block, those where x is not exact zero. tau^2 is
-    real, so the form is a^T tau^2 a + b^T tau^2 b for x = a + ib: near a
+def _tau_sq_form(tau_sq: np.ndarray, xs: np.ndarray) -> float:
+    """Re x^H tau^2 x of the solution xs of one column on one sector. tau^2
+    is real, so the form is a^T tau^2 a + b^T tau^2 b for x = a + ib: near a
     lossless resonance it cancels to a few parts in 1e3 of its terms, and
     another summation order alone moves it by several 1e-14."""
-    form = 0.0
-    for sector in sectors:
-        xs = x[sector.index]
-        form += float(xs.real @ (sector.tau_sq @ xs.real)
-                      + xs.imag @ (sector.tau_sq @ xs.imag))
-    return form
+    return float(xs.real @ (tau_sq @ xs.real) + xs.imag @ (tau_sq @ xs.imag))
 
 
 def enhancement_full(
@@ -873,8 +986,9 @@ def enhancement_full(
     (zero_sectors).
 
     With a prebuilt ops, a sector solved often enough (a scan) is answered
-    from the modal factors of its rank-r core, see CavityOperatorSet; the
-    answer passes the same residual check, and may differ from the direct
+    from the modal factors of its rank-r core, see CavityOperatorSet: its
+    tau^2 form in r-space, whose residual is bounded within the same limit
+    as a direct solve's (_modal_terms), and which may differ from the direct
     solve in its last digits. detail reports how many of the solved |m|
     systems had a sector answered that way (modal_solves), how many sectors
     were (modal_sectors: a system whose other sector was solved directly
@@ -882,7 +996,8 @@ def enhancement_full(
     used (modal_condition, None when none was used; 0 for a rank-0 core).
 
     A call at the point ops holds, such as the next phase of a detuning
-    sweep, reuses its input, skip bound and modal projections (_HeldPoint).
+    sweep, reuses its input, skip bound, right-hand sides and modal terms
+    (_HeldPoint), so each of its modal sectors costs O(r^2) a phase.
     The point's two warnings, a truncation tail above specfun.TAIL_TOL
     (TruncationWarning) and kr beyond l_max - 30 (ValidityWarning), are
     raised when the point is taken in, so a held sweep warns once.
@@ -942,12 +1057,15 @@ def enhancement_full(
     modal_conditions, modal_solves, zero_sectors = [], 0, 0
     for mag in failed + list(range(formed_top + 1, top + 1)):
         block = ops.block(mag)
-        # the -m column is the +m column (-i)^l v times a unit phase, and
-        # gives the same value: one column, counted twice for a pair
-        rhs = block.u_half * (phase[mag:] * v[mag, mag:])
-        x, solved, modal = _solve_block(ops, mag, z, rhs[:, None], scale, held.projections)
-        value += (2.0 if mag else 1.0) * _tau_sq_form(solved, x[:, 0])
-        zero_sectors += len(block.sectors) - len(solved)
+        inp = held.inputs.get(mag)
+        if inp is None:
+            # the -m column is the +m column (-i)^l v times a unit phase, and
+            # gives the same value: one column, counted twice for a pair
+            inp = held.inputs[mag] = _block_input(
+                block, block.u_half * (phase[mag:] * v[mag, mag:]))
+        form, modal = _solve_block(ops, mag, z, inp, scale)
+        value += (2.0 if mag else 1.0) * form
+        zero_sectors += len(block.sectors) - len(inp.live)
         if modal is not None:
             modal_conditions.extend(modal)
             modal_solves += 1

@@ -35,7 +35,6 @@ from cavityqed.structures import (
 from cavityqed.wave_ops import (
     CavityOperatorSet,
     _Segments,
-    _solve_block,
     mirror_profiles,
 )
 
@@ -164,25 +163,51 @@ def intracavity_field_coeffs(
     Solves, per m block, (U^2 - e^{2i phi0} rho P) x = tau U f_in and
     returns U x. The system is solved in its conjugated form
     (U^2 - e^{2i phi0} P rho)(P x) = P b, since P is diagonal with P^2 = 1
-    and commutes with U, through the library's checked block solve. With no
+    and commutes with U, sector by sector by sector_solution. With no
     mirrors this returns f_in unchanged (free propagation through the
     focus), preserving the norm exactly.
     """
     out: dict[int, np.ndarray] = {}
-    scale = math.sqrt(sum(np.vdot(c, c).real for c in f_in.values()))
+    z = np.exp(2j * detuning_phase)
     taus: dict[int, tuple] = {}  # tau per |m| of this call: +m and -m share it
     for m, c in sorted(f_in.items()):
         block = ops.block(m)
         if abs(m) not in taus:
             taus[abs(m)] = transmission_operator(ops.geometry, ops.grid, ops.basis.l_max, block)
         uc = block.u_half * c
-        rhs = np.empty(block.dim, dtype=complex)
+        x = np.empty(block.dim, dtype=complex)
         for sector, tau in zip(block.sectors, taus[abs(m)]):
-            rhs[sector.index] = tau @ uc[sector.index]
-        x = _solve_block(ops, m, np.exp(2j * detuning_phase),
-                         (block.parity * rhs)[:, None], scale)[0]
-        out[m] = block.u_half * (block.parity * x[:, 0])
+            rhs = block.parity[sector.index] * (tau @ uc[sector.index])
+            x[sector.index] = sector_solution(block, sector, z, rhs)
+        out[m] = block.u_half * (block.parity * x)
     return out
+
+
+def sector_solution(block, sector, z: complex, b: np.ndarray) -> np.ndarray:
+    """The solution of (U^2 - z P rho) x = b on one parity sector of a
+    block, by np.linalg.solve of the dense sector matrix."""
+    a = np.diag(block.u_half[sector.index] ** 2) - z * (
+        block.parity[sector.index, None] * sector.rho)
+    return np.linalg.solve(a, b)
+
+
+def block_form(block, z: complex, rhs: np.ndarray) -> float:
+    """Re x^H tau^2 x of the solution x of (U^2 - z P rho) x = rhs, one
+    column, summed over the sectors of the block, each solved by
+    sector_solution."""
+    form = 0.0
+    for sector in block.sectors:
+        x = sector_solution(block, sector, z, rhs[sector.index])
+        form += float(np.real(np.vdot(x, sector.tau_sq @ x)))
+    return form
+
+
+def modal_solution(factors, z: complex, b: np.ndarray) -> np.ndarray:
+    """The modal solution x = U^-2 b + L [(R b) z / (1 - z lambda)] that a
+    sector's modal factors give for the right-hand side b at z, formed
+    explicitly, as no program path forms it."""
+    return (factors.inv_u_sq * b
+            + factors.left @ ((factors.right @ b) * (z / (1.0 - z * factors.eigenvalues))))
 
 
 def read_table_json(data: bytes) -> ResultTable:

@@ -70,6 +70,19 @@ def test_against_exits_1_when_a_file_differs(tmp_path, monkeypatch, capsys):
     assert module.main([str(tmp_path / "alone")]) == 0
 
 
+def test_error_exits_2(tmp_path, monkeypatch, capsys):
+    # a failed run is not a listed move: the CI digest step tells them apart
+    module = _load()
+    _write(tmp_path / "old", {"full-route.json": "{}"})
+
+    def fail(out):
+        raise RuntimeError("cavityqed reproduce x exited with 2")
+
+    monkeypatch.setattr(module, "write_outputs", fail)
+    assert module.main([str(tmp_path / "new"), "--against", str(tmp_path / "old")]) == 2
+    assert "exited with 2" in capsys.readouterr().err
+
+
 def test_against_names_the_other_json_leaves_that_changed(tmp_path):
     # a re-pinned config_hash, a dropped numerics key and a changed method
     # tag are not numbers, but each is named

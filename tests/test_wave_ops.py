@@ -26,6 +26,7 @@ from cavityqed import wave_ops
 from cavityqed.wave_ops import (
     _MODAL_AFTER,
     _build_blocks,
+    _block_input,
     _segments,
     CavityOperatorSet,
     _solve_block,
@@ -36,10 +37,12 @@ from cavityqed.wave_ops import (
     propagator_phases,
 )
 from oracles import (
+    block_form,
     closed_cavity_mode_sum,
     coefficient_blocks,
     full_rule_segments,
     intracavity_field_coeffs,
+    modal_solution,
     transmission_operator,
 )
 
@@ -396,28 +399,29 @@ class TestParitySectors:
         assert np.max(np.abs(_dense(b, tau_ops) - tau)) < 1e-13
         assert _dense(b).dtype == np.float64
 
-    @pytest.mark.parametrize("columns", [1, 2])
     @pytest.mark.parametrize("m", [0, 1, 40, 60])
-    def test_sector_answers_match_unsplit_solve(self, benchmark_geom, m, columns):
+    def test_sector_answers_match_unsplit_solve(self, benchmark_geom, m):
         # the oracle is the unsplit operator of direct weighted products,
         # whose opposite-parity entries are rounding, not exact zeros
         ops = build_operators(benchmark_geom, HarmonicBasis(self.L_MAX), m_values=(m,))
         block = ops.block(m)
         rho = _direct_operators(benchmark_geom, self.L_MAX, ops.grid, m)[0]
+        tau_sq = _dense(block, "tau_sq")
         rng = np.random.default_rng(11)
-        shape = (block.dim, columns)
-        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
 
         def check(modal):
             for phi0 in self.PHASES:
-                x, _, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
+                form, modes = _solve_block(ops, m, np.exp(2j * phi0),
+                                           _block_input(block, rhs), 1.0)
                 assert (modes is not None) == modal
-                ref = np.linalg.solve(_dense_resolvent(block, float(phi0), rho), rhs)
-                assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+                x = np.linalg.solve(_dense_resolvent(block, float(phi0), rho), rhs)
+                ref = float(np.real(np.vdot(x, tau_sq @ x)))
+                assert abs(form - ref) <= 1e-11 * ref
 
         check(modal=False)
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1 - self.PHASES.size):
-            _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
+            _solve_block(ops, m, np.exp(2j * phi0), _block_input(block, rhs), 1.0)
         check(modal=True)
 
     @pytest.mark.parametrize("rho", [0.98, 0.999])
@@ -479,8 +483,10 @@ class TestIntracavityField:
     def test_nan_solve_raises(self, small_ops):
         # a NaN residual must fail the solve guard, not pass it
         f_in = plane_wave_coeffs(FieldPoint.axial(3.0), 60)
+        block = small_ops.block(0)
+        inp = _block_input(block, block.u_half * coefficient_blocks(f_in)[0])
         with pytest.raises(SolverError):
-            intracavity_field_coeffs(small_ops, math.nan, coefficient_blocks(f_in))
+            _solve_block(small_ops, 0, np.exp(2j * math.nan), inp, 1.0)
 
 
 class TestEnhancementFull:
@@ -733,8 +739,8 @@ class TestBlockSkip:
 
     @pytest.mark.parametrize("kvec", [(5.0, 0.0, 3.0), (12.0, -4.0, 6.0), (2.0, 2.0, -8.0)])
     def test_tau_sq_form_error_is_pinned_near_lossless(self, kvec):
-        # the error of _tau_sq_form against a 34-digit evaluation of the same
-        # stored tau^2 and solution x, per block: measured worst 1.5e-14,
+        # the error of _tau_sq_form on the direct route against a 34-digit
+        # evaluation of the same stored tau^2 and solution x, per block: measured worst 1.5e-14,
         # 2.5e-14 and 3.1e-14 of the form at these points (numpy 2.4 and
         # OpenBLAS 0.3.31 on x86-64); the bound adds a margin of 1.9e-14, so
         # that a summation order which moves the form more must say so
@@ -748,13 +754,17 @@ class TestBlockSkip:
             for m in range(v.shape[0]):
                 block = ops.block(m)
                 rhs = block.u_half * (phase[m:] * v[m, m:])
-                x, solved, _ = _solve_block(ops, m, 1.0 + 0j, rhs[:, None], 1.0)
-                exact = mpmath.mpf(0)
-                for sector in solved:
-                    for part in (x[sector.index, 0].real, x[sector.index, 0].imag):
+                exact, form = mpmath.mpf(0), 0.0
+                for sector in block.sectors:
+                    b = rhs[sector.index, None]
+                    if not np.any(b):
+                        continue
+                    # the direct route's solution and form, as _solve_block takes them
+                    x = wave_ops._checked_solve(block, sector, 1.0 + 0j, b, 1.0, "m")[:, 0]
+                    for part in (x.real, x.imag):
                         a = [mpmath.mpf(float(e)) for e in part]
                         exact += mpmath.fdot(a, [mpmath.fdot(row, a) for row in sector.tau_sq])
-                form = wave_ops._tau_sq_form(solved, x[:, 0])
+                    form += wave_ops._tau_sq_form(sector.tau_sq, x)
                 worst = max(worst, float(abs(form - exact) / exact))
         assert 0.0 < worst <= 5e-14
 
@@ -869,42 +879,56 @@ class TestModalSolve:
     # one free spectral range of phi0, the resonance at 0 included
     PHASES = math.pi * (np.arange(24) - 12) / 24
 
-    @pytest.mark.parametrize("columns", [1, 2])
     @pytest.mark.parametrize("m", [0, 3, 40])
     @pytest.mark.parametrize("k_delta", [0.0, 0.3])
-    def test_matches_direct_solve(self, k_delta, m, columns):
+    def test_matches_direct_solve(self, k_delta, m):
+        # the modal answer, and the solution its factors give, against
+        # np.linalg.solve of the whole block
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=k_delta)
         ops = build_operators(geom, HarmonicBasis(self.L_MAX), m_values=(m,))
         block = ops.block(m)
         rng = np.random.default_rng(5)
-        shape = (block.dim, columns)
-        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
+        tau_sq = _dense(block, "tau_sq")
         for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
-            assert _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)[2] is None
+            assert _solve_block(ops, m, np.exp(2j * phi0), _block_input(block, rhs), 1.0)[1] is None
         for phi0 in self.PHASES:
-            x, _, modes = _solve_block(ops, m, np.exp(2j * phi0), rhs, 1.0)
+            z = np.exp(2j * phi0)
+            form, modes = _solve_block(ops, m, z, _block_input(block, rhs), 1.0)
             assert modes is not None
             ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
+            x = modal_solution(ops.modes[(m, 0)], z, rhs)
             # relative to the largest entry of the direct answer
             assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
+            direct = float(np.real(np.vdot(ref, tau_sq @ ref)))
+            assert abs(form - direct) <= 1e-11 * direct
 
     def test_intracavity_field_matches_direct_solve(self):
+        # the intracavity field from each block's modal factors (formed
+        # explicitly) against the one from direct solves
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9, k_delta=0.3)
         basis = HarmonicBasis(self.L_MAX)
         f_in = plane_wave_coeffs(FieldPoint((4.0, 1.0, 3.0)), self.L_MAX)
         f_in = {m: c for m, c in coefficient_blocks(f_in).items() if abs(m) <= 3}
         ops = build_operators(geom, basis, m_values=range(4))
-        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
-            intracavity_field_coeffs(ops, float(phi0), f_in)
-        for phi0 in (0.0, 0.05):
-            got = intracavity_field_coeffs(ops, phi0, f_in)
-            ref = intracavity_field_coeffs(build_operators(geom, basis, m_values=range(4)),
-                                           phi0, f_in)
-            for m in f_in:
-                assert np.max(np.abs(got[m] - ref[m])) <= 1e-11 * np.max(np.abs(ref[m]))
+        for m in range(4):
+            block = ops.block(m)
+            rhs = block.u_half * f_in[m]
+            for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER):
+                _solve_block(ops, m, np.exp(2j * phi0), _block_input(block, rhs), 1.0)
         # one sector per block on this cavity, keyed (|m|, sector)
         assert sorted(ops.modes) == [(0, 0), (1, 0), (2, 0), (3, 0)]
         assert all(f is not None for f in ops.modes.values())
+        taus = {m: transmission_operator(geom, ops.grid, self.L_MAX, ops.block(m))[0]
+                for m in range(4)}
+        for phi0 in (0.0, 0.05):
+            ref = intracavity_field_coeffs(ops, phi0, f_in)
+            for m, c in f_in.items():
+                block = ops.block(m)
+                rhs = block.parity * (taus[abs(m)] @ (block.u_half * c))
+                x = modal_solution(ops.modes[(abs(m), 0)], np.exp(2j * phi0), rhs)
+                got = block.u_half * (block.parity * x)
+                assert np.max(np.abs(got - ref[m])) <= 1e-11 * np.max(np.abs(ref[m]))
 
     def test_corrupt_factors_fall_back_to_direct_answer(self, benchmark_geom, monkeypatch):
         basis = HarmonicBasis(self.L_MAX)
@@ -929,6 +953,31 @@ class TestModalSolve:
         assert ops.modes == {(0, 0): None, (0, 1): None}
         # four direct block solves, each of the two parity sectors
         assert len(solves) == 4 * 2
+
+    @pytest.mark.parametrize("name", ["left", "right", "inv_u_sq", "eigenvalues", "gram"])
+    def test_each_corrupt_factor_falls_back_to_direct_answer(
+            self, benchmark_geom, monkeypatch, name):
+        # every stored array that a modal answer reads, corrupted by 1%,
+        # fails its bound or a probe of _modal_terms: the answer is the
+        # direct one, and each sector drops its factors
+        basis = HarmonicBasis(self.L_MAX)
+        point = FieldPoint.axial(5.0)
+        ops = build_operators(benchmark_geom, basis, m_values=(0,))
+        decompose = wave_ops._decompose
+
+        def corrupt(block, sector):
+            f = decompose(block, sector)
+            return dataclasses.replace(f, **{name: 1.01 * getattr(f, name)})
+
+        monkeypatch.setattr(wave_ops, "_decompose", corrupt)
+        for phi0 in np.linspace(0.1, 0.2, _MODAL_AFTER - 1):
+            enhancement_full(benchmark_geom, basis, point, float(phi0), ops=ops)
+        for phi0 in (0.0, 0.03):
+            r = enhancement_full(benchmark_geom, basis, point, phi0, ops=ops)
+            direct = enhancement_full(benchmark_geom, basis, point, phi0)
+            assert r.value == direct.value
+            assert (r.detail["modal_solves"], r.detail["modal_condition"]) == (0, None)
+        assert ops.modes == {(0, 0): None, (0, 1): None}
 
     def test_lossless_closed_sphere_raises_past_the_threshold(self):
         geom = CavityGeometry.symmetric(KR, math.pi / 2, 1.0)
@@ -1025,16 +1074,26 @@ class TestModalSolve:
             assert r == c < n
 
     def _modal_errors(self, ops, phases, rhs):
-        """Solve block 0 of ops at each phase (_solve_block); the largest
-        deviation of each modal answer from np.linalg.solve, relative to
-        the largest entry of the direct answer (None for a direct one)."""
+        """Answer block 0 of ops, one sector, at each phase (_solve_block);
+        for each modal answer the larger of two deviations from
+        np.linalg.solve: that of the solution its factors give (formed
+        explicitly), relative to the largest entry of the direct solution,
+        and that of the answer, relative to the direct one (None for a
+        direct answer)."""
         block = ops.block(0)
+        tau_sq = _dense(block, "tau_sq")
         errors = []
         for phi0 in phases:
-            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
+            z = np.exp(2j * phi0)
+            form, modal = _solve_block(ops, 0, z, _block_input(block, rhs), 1.0)
             ref = np.linalg.solve(_dense_resolvent(block, float(phi0)), rhs)
-            errors.append(None if modal is None
-                          else np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+            if modal is None:
+                errors.append(None)
+                continue
+            x = modal_solution(ops.modes[(0, 0)], z, rhs)
+            direct = float(np.real(np.vdot(ref, tau_sq @ ref)))
+            errors.append(max(np.max(np.abs(x - ref)) / np.max(np.abs(ref)),
+                              abs(form - direct) / direct))
         return errors
 
     def test_unequal_mirrors_modal_answer_matches_direct_solve(self):
@@ -1045,8 +1104,8 @@ class TestModalSolve:
         geom = CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9)
         ops = build_operators(geom, HarmonicBasis(150), m_values=(0,))
         rng = np.random.default_rng(5)
-        shape = (ops.block(0).dim, 1)
-        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dim = ops.block(0).dim
+        rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         errors = self._modal_errors(
             ops, np.linspace(-0.05, 0.05, _MODAL_AFTER + 20), rhs)
         assert errors[: _MODAL_AFTER - 1] == [None] * (_MODAL_AFTER - 1)
@@ -1073,8 +1132,8 @@ class TestModalSolve:
         ops = build_operators(geom, HarmonicBasis(150), m_values=(0,))
         assert np.iscomplexobj(ops.block(0).sectors[0].rho)
         rng = np.random.default_rng(6)
-        shape = (ops.block(0).dim, 1)
-        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        dim = ops.block(0).dim
+        rhs = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         errors = self._modal_errors(ops, np.linspace(-0.05, 0.05, _MODAL_AFTER + 20), rhs)
         assert max(errors[_MODAL_AFTER - 1:]) <= 1e-12
         factors = ops.modes[(0, 0)]
@@ -1082,43 +1141,49 @@ class TestModalSolve:
         assert factors.right.shape == (r, n) and 0 < r < n
 
     def test_mirrorless_cavity_has_a_rank_zero_core(self):
-        # rho = 0: the core is 0 x 0, and the modal answer is U^-2 b exactly
+        # rho = 0: the core is 0 x 0, the modal solution is U^-2 b exactly,
+        # and the answer is its tau^2 form
         geom = CavityGeometry.symmetric(KR, 0.0, 0.98)
         ops = build_operators(geom, HarmonicBasis(30), m_values=(0,))
         block = ops.block(0)
         rng = np.random.default_rng(8)
-        rhs = rng.standard_normal((block.dim, 1)) + 1j * rng.standard_normal((block.dim, 1))
+        rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
         for phi0 in np.linspace(-0.05, 0.05, _MODAL_AFTER + 1):
-            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
+            z = np.exp(2j * phi0)
+            form, modal = _solve_block(ops, 0, z, _block_input(block, rhs), 1.0)
         assert modal is not None
+        scaled = (1.0 / block.u_half**2) * rhs
+        ref = 0.0
         for s, sector in enumerate(block.sectors):
-            assert ops.modes[(0, s)].eigenvalues.shape == (0,)
-        assert np.array_equal(x[:, 0], (1.0 / block.u_half**2) * rhs[:, 0])
+            factors = ops.modes[(0, s)]
+            assert factors.eigenvalues.shape == (0,)
+            b = rhs[sector.index]
+            assert np.array_equal(modal_solution(factors, z, b), scaled[sector.index])
+            ref += float(np.real(np.vdot(scaled[sector.index], sector.tau_sq @ scaled[sector.index])))
+        assert abs(form - ref) <= 1e-14 * ref
 
-    @pytest.mark.parametrize("columns", [1, 2])
     @pytest.mark.parametrize("empty", [0, 1])
-    def test_zero_sector_is_exact_zero_and_leaves_the_other_alone(
-            self, benchmark_geom, empty, columns):
+    def test_zero_sector_is_exact_zero_and_leaves_the_other_alone(self, benchmark_geom, empty):
         # a sector without input is neither solved nor counted nor
-        # decomposed; the other sector's answer is bit for bit the one of
-        # the whole right-hand side, by the direct and by the modal route
+        # decomposed; the answer is the other sector's, by the direct and
+        # by the modal route, on the same schedule as for the whole
+        # right-hand side
         basis = HarmonicBasis(self.L_MAX)
         whole, part = (build_operators(benchmark_geom, basis, m_values=(3,))
                        for _ in range(2))
-        sectors = whole.block(3).sectors
+        block = whole.block(3)
         rng = np.random.default_rng(7)
-        shape = (whole.block(3).dim, columns)
-        rhs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
         cut = rhs.copy()
-        cut[sectors[empty].index] = 0.0
-        full = sectors[1 - empty].index
+        cut[block.sectors[empty].index] = 0.0
         for n, phi0 in enumerate(np.linspace(-0.1, 0.1, _MODAL_AFTER + 3)):
             z = np.exp(2j * phi0)
-            x, solved, modal = _solve_block(part, 3, z, cut, 1.0)
-            ref, both, ref_modal = _solve_block(whole, 3, z, rhs, 1.0)
-            assert [s.index for s in solved] == [full] and len(both) == 2
-            assert not np.any(x[sectors[empty].index])
-            assert x[full].tobytes() == ref[full].tobytes()
+            inp, both = _block_input(block, cut), _block_input(block, rhs)
+            form, modal = _solve_block(part, 3, z, inp, 1.0)
+            ref_modal = _solve_block(whole, 3, z, both, 1.0)[1]
+            assert inp.live == (1 - empty,) and both.live == (0, 1)
+            ref = block_form(block, z, cut)
+            assert abs(form - ref) <= 1e-11 * ref
             assert (modal is None) == (ref_modal is None) == (n < _MODAL_AFTER - 1)
         assert part.solve_counts == {(3, 1 - empty): _MODAL_AFTER + 3}
         assert list(part.modes) == [(3, 1 - empty)]
@@ -1140,6 +1205,99 @@ class TestModalSolve:
             with pytest.raises(SolverError, match="singular to working precision"):
                 enhancement_full(geom, basis, FieldPoint.origin(), phi0, **kwargs)
         assert ops.solve_counts == {} and ops.modes == {}
+
+
+class TestModalBound:
+    """The residual bound and the r-space form of a modal answer
+    (_modal_terms, _modal_answer)."""
+
+    SWEEPS = {
+        "benchmark-400": (CavityGeometry.symmetric(KR, THETA_30PCT, 0.98), 400),
+        "unequal-60": (CavityGeometry(KR, 0.795, 0.6, 0.98, 0.9), 60),
+        "defocus-60": (CavityGeometry.symmetric(KR, THETA_30PCT, 0.98, k_delta=0.3), 60),
+    }
+
+    @pytest.mark.parametrize("kz", [0.0, 7.3])
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_bound_covers_the_explicit_residual(self, name, kz):
+        # a 961-phase sweep in +-0.05 of one held point: at every modal
+        # phase, the bound is at least the residual (_residual) of the
+        # solution that the factors give, formed explicitly, and no answer
+        # falls back: the sweep is modal from the _MODAL_AFTER-th phase on,
+        # as it was while each answer was checked by its explicit residual
+        geom, l_max = self.SWEEPS[name]
+        basis = HarmonicBasis(l_max)
+        ops = build_operators(geom, basis, m_values=(0,))
+        point = FieldPoint.axial(kz)
+        counts, checked = [], 0
+        for phi0 in np.linspace(-0.05, 0.05, 961):
+            r = enhancement_full(geom, basis, point, float(phi0), ops=ops)
+            counts.append(r.detail["modal_solves"])
+            z = np.exp(2j * phi0)
+            block, inp = ops.block(0), ops._held.inputs[0]
+            for s, terms in inp.terms.items():
+                sector = block.sectors[s]
+                b = inp.rhs[sector.index]
+                bound = wave_ops._modal_answer(terms, z)[1]
+                x = modal_solution(terms.factors, z, b)
+                resid = wave_ops._residual(block, sector, z, x[:, None], b[:, None])
+                assert np.max(np.abs(resid)) <= bound <= wave_ops._RESIDUAL_LIMIT
+                checked += 1
+        assert counts == [0] * (_MODAL_AFTER - 1) + [1] * (961 - _MODAL_AFTER + 1)
+        assert checked == r.detail["modal_sectors"] * (961 - _MODAL_AFTER + 1)
+
+    @pytest.mark.parametrize("kvec", [(0.0, 0.0, 0.0), (5.0, 0.0, 3.0), (12.0, -4.0, 6.0),
+                                      (2.0, 2.0, -8.0)])
+    def test_modal_form_error_is_pinned_near_lossless(self, kvec):
+        # the error of the r-space form (_modal_answer) against a 34-digit
+        # evaluation of Re x^H tau^2 x, x = U^-2 b + L (g R b), from the same
+        # stored factors and tau^2, per block |m| <= 5, on resonance, at
+        # its half width and off it: measured worst 2.2e-14 of the form
+        # (numpy 2.4 and OpenBLAS 0.3.31 on x86-64), under the direct
+        # route's bound of 5e-14
+        mpmath = pytest.importorskip("mpmath")
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.999)
+        ops = build_operators(geom, HarmonicBasis(60), m_values=range(6))
+        v, _, _ = _focused_input(FieldPoint(kvec), 60, gain=ops.gain)
+        phase = _phases(60)
+        phases = (0.0, 5e-4, 0.02)
+        worst = 0.0
+
+        def mp(a):
+            return [mpmath.mpc(complex(e)) for e in a]
+
+        with mpmath.workdps(34):
+            for m in range(min(6, v.shape[0])):
+                block = ops.block(m)
+                rhs = block.u_half * (phase[m:] * v[m, m:])
+                forms, exact = [0.0] * len(phases), [mpmath.mpf(0)] * len(phases)
+                for sector in block.sectors:
+                    b = rhs[sector.index]
+                    if not np.any(b):
+                        continue
+                    f = wave_ops._decompose(block, sector)
+                    terms = wave_ops._modal_terms(block, sector, f, b)
+                    b_mp = mp(b)
+                    a = [s * e for s, e in zip(mp(f.inv_u_sq), b_mp)]
+                    p = [mpmath.fsum(r * e for r, e in zip(row, b_mp)) for row in map(mp, f.right)]
+                    left = [mp(row) for row in f.left]
+                    lam = mp(f.eigenvalues)
+                    tau_sq = [[mpmath.mpf(float(e)) for e in row] for row in sector.tau_sq]
+                    for k, phi0 in enumerate(phases):
+                        z = np.exp(2j * phi0)
+                        forms[k] += wave_ops._modal_answer(terms, z)[0]
+                        z_mp = mpmath.mpc(complex(z))
+                        y = [e * z_mp / (1 - z_mp * lj) for e, lj in zip(p, lam)]
+                        x = [ai + mpmath.fsum(lr * yj for lr, yj in zip(row, y))
+                             for ai, row in zip(a, left)]
+                        for part in ([e.real for e in x], [e.imag for e in x]):
+                            exact[k] += mpmath.fdot(part, [mpmath.fdot(row, part)
+                                                           for row in tau_sq])
+                for form, ref in zip(forms, exact):
+                    if ref:
+                        worst = max(worst, float(abs(form - ref) / ref))
+        assert 0.0 < worst <= 5e-14
+
 
 class TestHermitianForm:
     L_MAX = 60
@@ -1330,24 +1488,26 @@ class TestHeldPoint:
     @pytest.mark.parametrize("kvec, modal", [((0.0, 0.0, 0.0), [(0, 0)]),
                                              ((0.0, 0.0, 3.0), [(0, 0), (0, 1)])])
     def test_sweep_pays_for_its_point_once(self, benchmark_geom, monkeypatch, kvec, modal):
-        # count guard: one input and skip bound for the whole sweep, and one
-        # projection of the point's right-hand side per modal sector
+        # count guard: one input and skip bound for the whole sweep, one
+        # right-hand side for the block, and one reading of the modal terms
+        # of the point's right-hand side per modal sector
         basis = HarmonicBasis(self.L_MAX)
         ops = build_operators(benchmark_geom, basis, m_values=(0,))
         inputs = _count_calls(monkeypatch, wave_ops, "_focused_input")
-        projected = []
-        project = wave_ops._ModalFactors.project
+        rhs = _count_calls(monkeypatch, wave_ops, "_block_input")
+        read = []
+        modal_terms = wave_ops._modal_terms
 
-        def spy(factors, rhs):
-            projected.append(next(k for k, f in ops.modes.items() if f is factors))
-            return project(factors, rhs)
+        def spy(block, sector, factors, b):
+            read.append(next(k for k, f in ops.modes.items() if f is factors))
+            return modal_terms(block, sector, factors, b)
 
-        monkeypatch.setattr(wave_ops._ModalFactors, "project", spy)
+        monkeypatch.setattr(wave_ops, "_modal_terms", spy)
         for phi0 in self.PHASES:
             r = enhancement_full(benchmark_geom, basis, FieldPoint(kvec), phi0, ops=ops)
         assert r.detail["modal_sectors"] == len(modal)
-        assert len(inputs) == 1
-        assert projected == modal
+        assert (len(inputs), len(rhs)) == (1, 1)
+        assert read == modal
 
     def test_new_point_replaces_the_held_one(self, benchmark_geom, monkeypatch):
         basis = HarmonicBasis(self.L_MAX)
@@ -1356,7 +1516,7 @@ class TestHeldPoint:
         for phi0 in self.PHASES[:_MODAL_AFTER + 1]:
             enhancement_full(benchmark_geom, basis, first, phi0, ops=ops)
         held = ops._held
-        assert held.kvec == first.kvec and sorted(held.projections) == [(0, 0), (0, 1)]
+        assert held.kvec == first.kvec and sorted(held.inputs[0].terms) == [0, 1]
         old_input = weakref.ref(held.v)
         del held
         focused_input, freed = wave_ops._focused_input, []
@@ -1371,32 +1531,33 @@ class TestHeldPoint:
         r = enhancement_full(benchmark_geom, basis, second, 0.05, ops=ops)
         assert freed == [True]
         assert ops._held.kvec == second.kvec and r.detail["modal_sectors"] == 2
-        # the new point's projections, from the same factors as the old ones
-        assert {k: p[0] for k, p in ops._held.projections.items()} == {
-            k: ops.modes[k] for k in [(0, 0), (0, 1)]}
+        # the new point's terms, from the same factors as the old ones
+        assert {s: t.factors for s, t in ops._held.inputs[0].terms.items()} == {
+            s: ops.modes[(0, s)] for s in (0, 1)}
         direct = enhancement_full(benchmark_geom, basis, second, 0.05)
         assert abs(r.value - direct.value) <= 1e-12 * direct.value
 
-    def test_direct_solve_block_callers_get_no_projections(self, benchmark_geom, monkeypatch):
-        # after a sweep has projected the held point's input, a caller of
-        # _solve_block with a right-hand side of its own projects its own,
-        # on every call, and leaves the held projections alone
+    def test_solve_block_callers_keep_their_own_terms(self, benchmark_geom, monkeypatch):
+        # after a sweep has read the held point's modal terms, a caller of
+        # _solve_block with a right-hand side of its own reads its terms
+        # into its own input, and leaves the held ones alone
         basis = HarmonicBasis(self.L_MAX)
         ops = build_operators(benchmark_geom, basis, m_values=(0,))
         for phi0 in self.PHASES[:_MODAL_AFTER + 1]:
             enhancement_full(benchmark_geom, basis, FieldPoint.axial(3.0), phi0, ops=ops)
-        held = dict(ops._held.projections)
-        project = _count_calls(monkeypatch, wave_ops._ModalFactors, "project")
+        held = dict(ops._held.inputs[0].terms)
+        read = _count_calls(monkeypatch, wave_ops, "_modal_terms")
         block = ops.block(0)
         rng = np.random.default_rng(11)
         for phi0 in (0.0, 0.02, 0.04):
-            rhs = rng.standard_normal((block.dim, 1)) + 1j * rng.standard_normal((block.dim, 1))
-            x, _, modal = _solve_block(ops, 0, np.exp(2j * phi0), rhs, 1.0)
-            assert modal is not None
-            ref = np.linalg.solve(_dense_resolvent(block, phi0), rhs)
-            assert np.max(np.abs(x - ref)) <= 1e-11 * np.max(np.abs(ref))
-        assert len(project) == 3 * 2
-        assert ops._held.projections == held
+            rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
+            inp = _block_input(block, rhs)
+            form, modal = _solve_block(ops, 0, np.exp(2j * phi0), inp, 1.0)
+            assert modal is not None and sorted(inp.terms) == [0, 1]
+            ref = block_form(block, np.exp(2j * phi0), rhs)
+            assert abs(form - ref) <= 1e-11 * ref
+        assert len(read) == 3 * 2
+        assert ops._held.inputs[0].terms == held
 
     def test_held_truncated_point_warns_once(self):
         # the point's tail, and its kr beyond l_max - 30, are judged when the

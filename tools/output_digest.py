@@ -17,8 +17,9 @@ each file that differs from OTHER_DIR's and, for each numeric series in it
 that moved (a CSV or JSON-table column, a JSON list or lone number), the
 largest relative and absolute change, then each other JSON leaf (a
 string such as config_hash, a boolean, a null) that changed, and exits 1
-unless every file is byte-identical to OTHER_DIR's. Without --against it exits 0. The script
-reads perfbench/ and writes nothing there.
+unless every file is byte-identical to OTHER_DIR's. Without --against it exits 0. Any
+error, such as a CLI run that fails, exits 2, so that exit 1 always means
+a listed move. The script reads perfbench/ and writes nothing there.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import io
 import json
 import math
 import sys
+import traceback
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,7 +48,7 @@ def _run_cli(argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     if code != 0:
-        raise SystemExit(f"cavityqed {' '.join(argv)} exited with {code}")
+        raise RuntimeError(f"cavityqed {' '.join(argv)} exited with {code}")
 
 
 def full_route_values(reference: dict) -> dict:
@@ -181,12 +183,16 @@ def main(argv=None) -> int:
                         help="the OUT_DIR of a run on another tree, to compare with")
     args = parser.parse_args(argv)
     out = args.out_dir
-    write_outputs(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
-    if args.against is None:
-        return 0
-    lines = compare_trees(out, args.against)
+    try:
+        write_outputs(out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            print(hashlib.sha256(path.read_bytes()).hexdigest(), path.relative_to(out).as_posix())
+        if args.against is None:
+            return 0
+        lines = compare_trees(out, args.against)
+    except Exception:
+        traceback.print_exc()
+        return 2
     print("\n".join(lines))
     # every line but the closing count reports a file that differs
     return 1 if len(lines) > 1 else 0
