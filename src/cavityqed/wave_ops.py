@@ -576,8 +576,12 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, inp: _BlockInput,
     (_modal_answer), each answer certified by a bound on its residual
     against the original operator at the same limit as a direct solve. If
     the bound exceeds the limit, that sector is solved directly instead,
-    which raises SolverError if it fails too, and its factors are dropped
-    for good. The _ModalTerms of a sector are read once per right-hand side
+    which raises SolverError if it fails too. Its factors are dropped for
+    good only when the part of the bound that does not depend on z
+    (_ModalTerms.fixed, which carries the probes of the factors) exceeds
+    the limit by itself; a bound pushed over it by ||y||_inf alone, near a
+    resonance, costs that phase a direct solve and keeps the factors. The
+    _ModalTerms of a sector are read once per right-hand side
     and kept in inp.terms, tied to the factors they came from. A lossless
     cavity is always solved directly, and its block is first checked for
     singularity as a whole, the sectors without input included: the check
@@ -606,7 +610,8 @@ def _solve_block(ops: CavityOperatorSet, m: int, z: complex, inp: _BlockInput,
                     form += value
                     conditions.append(factors.condition)
                     continue
-                ops.modes[sector_key] = None
+                if not terms.fixed <= _RESIDUAL_LIMIT * scale:
+                    ops.modes[sector_key] = None
         xs = _checked_solve(block, sector, z, b[:, None], scale, _label(key))
         form += _tau_sq_form(sector.tau_sq, xs[:, 0])
     return form, tuple(conditions) or None

@@ -1165,23 +1165,28 @@ class TestModalSolve:
     @pytest.mark.parametrize("empty", [0, 1])
     def test_zero_sector_is_exact_zero_and_leaves_the_other_alone(self, benchmark_geom, empty):
         # a sector without input is neither solved nor counted nor
-        # decomposed; the answer is the other sector's, by the direct and
-        # by the modal route, on the same schedule as for the whole
-        # right-hand side
+        # decomposed; the other sector's answer is bit for bit its part of
+        # the whole right-hand side's, by the direct and by the modal
+        # route: the two cut answers, summed in sector order as
+        # _solve_block sums them, are the whole answer to the bit
         basis = HarmonicBasis(self.L_MAX)
-        whole, part = (build_operators(benchmark_geom, basis, m_values=(3,))
-                       for _ in range(2))
+        whole, part, other = (build_operators(benchmark_geom, basis, m_values=(3,))
+                              for _ in range(3))
         block = whole.block(3)
         rng = np.random.default_rng(7)
         rhs = rng.standard_normal(block.dim) + 1j * rng.standard_normal(block.dim)
-        cut = rhs.copy()
+        cut, rest = rhs.copy(), rhs.copy()
         cut[block.sectors[empty].index] = 0.0
+        rest[block.sectors[1 - empty].index] = 0.0
         for n, phi0 in enumerate(np.linspace(-0.1, 0.1, _MODAL_AFTER + 3)):
             z = np.exp(2j * phi0)
-            inp, both = _block_input(block, cut), _block_input(block, rhs)
+            inp, opp, both = (_block_input(block, b) for b in (cut, rest, rhs))
             form, modal = _solve_block(part, 3, z, inp, 1.0)
-            ref_modal = _solve_block(whole, 3, z, both, 1.0)[1]
-            assert inp.live == (1 - empty,) and both.live == (0, 1)
+            other_form = _solve_block(other, 3, z, opp, 1.0)[0]
+            whole_form, ref_modal = _solve_block(whole, 3, z, both, 1.0)
+            assert inp.live == (1 - empty,) and opp.live == (empty,) and both.live == (0, 1)
+            forms = {1 - empty: form, empty: other_form}
+            assert (forms[0] + forms[1]).hex() == whole_form.hex()
             ref = block_form(block, z, cut)
             assert abs(form - ref) <= 1e-11 * ref
             assert (modal is None) == (ref_modal is None) == (n < _MODAL_AFTER - 1)
@@ -1245,6 +1250,36 @@ class TestModalBound:
                 checked += 1
         assert counts == [0] * (_MODAL_AFTER - 1) + [1] * (961 - _MODAL_AFTER + 1)
         assert checked == r.detail["modal_sectors"] * (961 - _MODAL_AFTER + 1)
+
+    @pytest.mark.parametrize("kz", [0.0, 7.3])
+    def test_a_phase_over_the_limit_keeps_the_factors(self, kz):
+        # at rho 0.99999 the bound's ||y||_inf term passes the limit on
+        # resonance, where its phase-free part does not: that phase of that
+        # sector is solved directly, its value is the direct one, and the
+        # factors stay and answer every other phase of the sweep
+        geom = CavityGeometry.symmetric(KR, THETA_30PCT, 0.99999)
+        basis = HarmonicBasis(400)
+        ops = build_operators(geom, basis, m_values=(0,))
+        point = FieldPoint.axial(kz)
+        over = 0
+        for n, phi0 in enumerate(np.linspace(-0.01, 0.01, 401)):
+            r = enhancement_full(geom, basis, point, float(phi0), ops=ops)
+            inp, limit = ops._held.inputs[0], wave_ops._RESIDUAL_LIMIT * ops._held.scale
+            if n < _MODAL_AFTER - 1:
+                assert r.detail["modal_sectors"] == 0
+                continue
+            z = np.exp(2j * phi0)
+            passed = [wave_ops._modal_answer(t, z)[1] <= limit for t in inp.terms.values()]
+            assert all(t.fixed <= limit for t in inp.terms.values())
+            assert len(passed) == len(inp.live) and r.detail["modal_sectors"] == sum(passed)
+            if not all(passed):
+                over += 1
+                direct = enhancement_full(geom, basis, point, float(phi0),
+                                          ops=build_operators(geom, basis, m_values=(0,)))
+                assert direct.detail["modal_solves"] == 0
+                assert abs(r.value - direct.value) <= 1e-12 * direct.value
+        assert 0 < over <= 3
+        assert len(ops.modes) == len(inp.live) and None not in ops.modes.values()
 
     @pytest.mark.parametrize("kvec", [(0.0, 0.0, 0.0), (5.0, 0.0, 3.0), (12.0, -4.0, 6.0),
                                       (2.0, 2.0, -8.0)])
@@ -1586,7 +1621,8 @@ class TestHeldPoint:
 
     @pytest.mark.parametrize("name", sorted(CAVITIES))
     def test_held_sweep_equals_a_sweep_that_holds_nothing(self, name):
-        # one set reuses the point's input and projections over the sweep;
+        # one set reuses the point's input, right-hand sides and modal terms
+        # over the sweep;
         # the other drops its held point before every phase, so it builds
         # both again each time: every value, and every detail, to the bit
         geom = self.CAVITIES[name]
